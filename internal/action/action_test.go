@@ -164,7 +164,7 @@ func TestBlindWriteRoundTrip(t *testing.T) {
 		{ID: 900, Val: world.Value{}},
 	})
 	body := b.MarshalBody()
-	got, err := UnmarshalBlindWrite(b.ID(), body)
+	got, err := UnmarshalBlindWrite(b.ID(), body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,15 +181,15 @@ func TestBlindWriteRoundTrip(t *testing.T) {
 }
 
 func TestBlindWriteUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalBlindWrite(ID{}, []byte{1, 2}); err == nil {
+	if _, err := UnmarshalBlindWrite(ID{}, []byte{1, 2}, nil); err == nil {
 		t.Fatal("short body accepted")
 	}
 	b := NewBlindWrite(ID{}, []world.Write{{ID: 1, Val: world.Value{1}}})
 	body := b.MarshalBody()
-	if _, err := UnmarshalBlindWrite(ID{}, body[:len(body)-3]); err == nil {
+	if _, err := UnmarshalBlindWrite(ID{}, body[:len(body)-3], nil); err == nil {
 		t.Fatal("truncated value accepted")
 	}
-	if _, err := UnmarshalBlindWrite(ID{}, body[:6]); err == nil {
+	if _, err := UnmarshalBlindWrite(ID{}, body[:6], nil); err == nil {
 		t.Fatal("truncated record accepted")
 	}
 }

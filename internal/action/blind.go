@@ -75,8 +75,9 @@ func (b *BlindWrite) AppendBody(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalBlindWrite decodes the body produced by MarshalBody.
-func UnmarshalBlindWrite(id ID, body []byte) (*BlindWrite, error) {
+// UnmarshalBlindWrite decodes the body produced by MarshalBody, cutting
+// the values from slab (nil allocates each on its own).
+func UnmarshalBlindWrite(id ID, body []byte, slab *world.Slab) (*BlindWrite, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("blind write body too short: %d bytes", len(body))
 	}
@@ -101,7 +102,7 @@ func UnmarshalBlindWrite(id ID, body []byte) (*BlindWrite, error) {
 		if len(body) < attrs*8 {
 			return nil, fmt.Errorf("blind write value truncated at record %d", i)
 		}
-		val := make(world.Value, attrs)
+		val := slab.Value(attrs)
 		for j := 0; j < attrs; j++ {
 			val[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[j*8:]))
 		}

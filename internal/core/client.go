@@ -60,11 +60,15 @@ type Client struct {
 	divScratch      []uint32
 	resolvedScratch []uint32
 
-	// scratchTx is the reusable transaction for the reconcile re-apply
-	// loop. It must never back a Result that escapes the engine
-	// (completions and commits alias their transaction's write log), so
-	// only reconcile uses it.
-	scratchTx *world.Tx
+	// scratchTx is the reusable transaction of every evaluation whose
+	// Result stays inside the engine: Submit, the reconcile re-apply loop,
+	// and applying other clients' actions to ζCS. It must never back a
+	// Result that escapes (completions and commits alias their
+	// transaction's write log); each user is done with the Result, or
+	// has copied what it keeps, before the next Reset. stableView is the
+	// view it reads ζCS through, kept here so arming it allocates nothing.
+	scratchTx  *world.Tx
+	stableView world.AtView
 
 	// Session-resume state (Config.ResumeWindow > 0). sentCompletions
 	// retains the completion messages for own committed actions until a
@@ -234,16 +238,22 @@ func (c *Client) markDiverged(id world.ObjectID) {
 //
 // The action must have been given an ID from NextActionID. The optimistic
 // result is returned so the application can render the action's
-// provisional effect immediately.
+// provisional effect immediately. It is Q's own copy, which a
+// reconciliation refreshes in place: read it before the next call into the
+// engine, or Clone it.
 func (c *Client) Submit(a action.Action) (*wire.Submit, action.Result) {
-	v := c.applyOptimistic(a)
+	c.scratchTx.Reset(world.StateView{S: c.co})
+	v := action.EvalTx(a, c.scratchTx)
+	c.applyOptimisticWrites(v)
 	wsd := c.intern.InternSet(a.WriteSet(), nil)
 	c.wsq.Grow(c.intern.Len())
 	c.div.Grow(c.intern.Len())
 	for _, o := range wsd {
 		c.wsq.Inc(o)
 	}
-	c.queue = append(c.queue, pendingAction{act: a, optimistic: v.Clone(), wsd: wsd})
+	// v aliases the scratch transaction; Q keeps the one copy.
+	v = v.Clone()
+	c.queue = append(c.queue, pendingAction{act: a, optimistic: v, wsd: wsd})
 	return &wire.Submit{Env: action.Envelope{Origin: c.id, Act: a}}, v
 }
 
@@ -357,7 +367,7 @@ func (c *Client) processBatch(b *wire.Batch, out *ClientOutput) {
 				// completion message belong to the closure reply, which
 				// arrives in submission order. Re-evaluation there is
 				// idempotent: same versions, same result.
-				c.applyStable(env, out)
+				c.applyStable(env, out, false)
 				continue
 			}
 			if c.ownRedeliverFloor > 0 && env.Act.ID().Seq <= c.ownRedeliverFloor && !c.inQueue(env.Act.ID()) {
@@ -404,7 +414,10 @@ func (c *Client) processBatch(b *wire.Batch, out *ClientOutput) {
 // is not in WS(Q) (those objects are awaiting permanent values for the
 // client's own in-flight actions).
 func (c *Client) handleRemote(env action.Envelope, out *ClientOutput) {
-	res := c.applyStable(env, out)
+	// Only the failure-tolerance extension sends a remote action's result
+	// anywhere; otherwise it is spent by the end of this function.
+	completes := c.cfg.FailureTolerant && env.Origin != action.OriginServer
+	res := c.applyStable(env, out, completes)
 	if env.Origin == action.OriginServer {
 		c.appliedBlind++
 	} else {
@@ -429,7 +442,7 @@ func (c *Client) handleRemote(env action.Envelope, out *ClientOutput) {
 		}
 	}
 
-	if c.cfg.FailureTolerant && env.Origin != action.OriginServer {
+	if completes {
 		// Failure-tolerance extension: complete every applied action.
 		out.ToServer = append(out.ToServer, &wire.Completion{
 			Seq: env.Seq, By: c.id, Res: res,
@@ -454,7 +467,7 @@ func (c *Client) handleOwn(env action.Envelope, out *ClientOutput) {
 		return
 	}
 
-	u := c.applyStable(env, out)
+	u := c.applyStable(env, out, true)
 	head := c.queue[0]
 	c.unqueue(0)
 
@@ -464,10 +477,13 @@ func (c *Client) handleOwn(env action.Envelope, out *ClientOutput) {
 		reconciled = true
 	}
 
+	// u backs both the commit report and the completion below: it is
+	// the write log of a transaction applyStable made for this envelope
+	// alone, and neither holder writes to it.
 	out.Commits = append(out.Commits, Commit{
 		ActID:      env.Act.ID(),
 		Seq:        env.Seq,
-		Res:        u.Clone(),
+		Res:        u,
 		Reconciled: reconciled,
 	})
 
@@ -518,15 +534,23 @@ func (c *Client) inQueue(id action.ID) bool {
 // installs its writes at that position. Each installed object is marked
 // diverged: the stable version moved, so it may no longer match ζCO.
 //
-// The transaction is deliberately fresh per call — the returned Result
-// aliases its write log and escapes in completion messages.
-func (c *Client) applyStable(env action.Envelope, out *ClientOutput) action.Result {
+// The returned Result aliases the transaction's write log. With keep set
+// the transaction is made for this call alone, because the Result leaves
+// the engine in a commit report or a completion message; otherwise it is
+// the scratch transaction, and the Result is good until that is next
+// Reset — by a Submit, a reconciliation or the next envelope.
+func (c *Client) applyStable(env action.Envelope, out *ClientOutput, keep bool) action.Result {
 	at := env.Seq
 	if at > 0 {
 		at-- // an action at position n reads the state after 1..n-1
 	}
-	view := world.AtView{M: c.cs, Seq: at}
-	tx := world.NewTx(view)
+	tx := c.scratchTx
+	if keep {
+		tx = world.NewTx(world.AtView{M: c.cs, Seq: at})
+	} else {
+		c.stableView = world.AtView{M: c.cs, Seq: at}
+		tx.Reset(&c.stableView)
+	}
 	ok := env.Act.Apply(tx)
 
 	if c.cfg.Strict {

@@ -77,7 +77,9 @@ type ServerOutput struct {
 type Commit struct {
 	ActID action.ID
 	Seq   uint64
-	Res   action.Result
+	// Res is the stable evaluation. Read-only: in the incomplete-world
+	// modes the completion message sent to the server shares its writes.
+	Res action.Result
 	// Reconciled is true when the optimistic evaluation disagreed with
 	// the stable one and Algorithm 3 ran.
 	Reconciled bool

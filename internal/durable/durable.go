@@ -16,17 +16,19 @@
 //     pooled wire buffer on the caller's goroutine and ownership is
 //     handed to the committer over a bounded channel — the engine's
 //     cost per group is an encode and a channel send.
-//   - A single committer goroutine appends records to segmented
-//     per-lane logs (group commit: one record per lane per install
-//     pass), fsyncs under the configured policy, and replays every
-//     record into a shadow replica of the engine (see shadow.go).
+//   - A single committer goroutine appends records to a segmented log
+//     (group commit: one record per lane per install pass, one Write
+//     per file for everything it finds queued when it wakes), fsyncs
+//     under the configured policy, and replays every record into a
+//     shadow replica of the engine (see shadow.go).
 //   - Checkpoints are cut from the shadow at group boundaries — an
 //     epoch-consistent snapshot by construction, written entirely off
-//     the engine's hot path — then the meta lineage (watermarks plus
-//     baked sessions) is rewritten and old generations are collected
-//     keep-then-gc: nothing is deleted until its replacement is
-//     durably renamed into place, so a crash at any point leaves a
-//     recoverable directory.
+//     the engine's hot path, the committer going back to the queue
+//     between its waits on the disk — then the meta lineage
+//     (watermarks plus baked sessions) is rewritten and old generations
+//     are collected keep-then-gc: nothing is deleted until its
+//     replacement is durably renamed into place, so a crash at any
+//     point leaves a recoverable directory.
 //   - Open scans the directory, rebuilds the shadow from the newest
 //     intact snapshot + meta + segment records (stopping at the first
 //     torn or corrupt tail), bumps the boot generation, cuts a fresh
@@ -101,9 +103,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 
 	// testGate, when non-nil, throttles the committer: it consumes one
-	// token per loop iteration. Tests use it to fill the queue
-	// deterministically.
+	// token each time it is about to park. Tests use it to fill the
+	// queue deterministically.
 	testGate chan struct{}
+	// testStep, when non-nil, is told each checkpoint step as it
+	// finishes ("cut", "snapshot", "publish", "syncdir", "gc"), on the goroutine cutting the
+	// checkpoint: Open's for the boot checkpoint, the committer's after.
+	testStep func(step string)
 }
 
 func (o Options) withDefaults() Options {
@@ -145,6 +151,18 @@ type Stats struct {
 	// Gapped reports that a shed record left a permanent hole: the
 	// shadow is frozen and no further checkpoints will be cut.
 	Gapped bool
+	// Records counts the records the committer took into the log, Writes
+	// the write calls that carried them to the kernel and Fsyncs the
+	// fsyncs of the log files (a checkpoint's own files are not counted):
+	// Records ÷ Writes is how well the committer groups, and an interval
+	// tick costs at most one fsync per log file, of which there are two.
+	Records int
+	Writes  int
+	Fsyncs  int
+	// BlockedNs is the time journal calls spent waiting for room in a
+	// full committer queue — DegradeBlock backpressure, charged to the
+	// engine.
+	BlockedNs int64
 }
 
 // Store is the durability pipeline: the engine-facing half implements
@@ -165,6 +183,10 @@ type Store struct {
 	checkpoints  atomic.Int64
 	appendErrors atomic.Int64
 	shedRecords  atomic.Int64
+	records      atomic.Int64
+	writes       atomic.Int64
+	fsyncs       atomic.Int64
+	blockedNs    atomic.Int64
 	gapped       atomic.Bool
 	errv         atomic.Value // error
 
@@ -180,17 +202,17 @@ const (
 	opStop
 )
 
-// laneMeta routes a record to the meta lineage instead of a lane
+// laneMeta routes a record to the meta lineage instead of the
 // segment.
 const laneMeta int32 = -1
 
 type job struct {
 	op   int
 	lane int32
-	buf  []byte // framed record, pooled; ownership transfers with the job
-	// end marks the last record of a commit group: the committer
-	// assembles the group, applies it to the shadow, and group-commits.
-	end  bool
+	// buf is a framed record — for an install pass, its lanes' records
+	// back to back — in a pooled buffer whose ownership transfers with
+	// the job.
+	buf  []byte
 	done chan error
 }
 
@@ -212,13 +234,23 @@ var ErrClosed = errors.New("durable: store closed")
 // returned Recovery carries everything the engine needs to resume
 // against itself; pass the Store to Engine.SetJournal afterwards.
 func Open(dir string, base *world.State, opts Options) (*Store, *Recovery, error) {
+	s, c, rec, err := open(dir, base, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	go c.run()
+	return s, rec, nil
+}
+
+// open is Open up to, and without, starting the committer goroutine.
+func open(dir string, base *world.State, opts Options) (*Store, *committer, *Recovery, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("durable: creating %s: %w", dir, err)
+		return nil, nil, nil, fmt.Errorf("durable: creating %s: %w", dir, err)
 	}
 	sh, prevBoot, hadSnapshot, err := recoverDir(dir, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if !hadSnapshot && base != nil {
 		sh.state = base.Clone()
@@ -249,8 +281,6 @@ func Open(dir string, base *world.State, opts Options) (*Store, *Recovery, error
 	c := &committer{
 		s:        s,
 		sh:       sh,
-		files:    make(map[int32]*os.File),
-		dirty:    make(map[int32]bool),
 		segStart: sh.applied,
 		lastCkpt: sh.applied,
 	}
@@ -259,10 +289,9 @@ func Open(dir string, base *world.State, opts Options) (*Store, *Recovery, error
 	// anything minted under it.
 	if err := c.checkpoint(); err != nil {
 		c.closeFiles()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	go c.run()
-	return s, rec, nil
+	return s, c, rec, nil
 }
 
 // Boot reports the recovery generation this Open minted.
@@ -291,6 +320,10 @@ func (s *Store) Stats() Stats {
 		Emitted:      s.emitted.Load(),
 		Durable:      s.durableSeq.Load(),
 		Gapped:       s.gapped.Load(),
+		Records:      int(s.records.Load()),
+		Writes:       int(s.writes.Load()),
+		Fsyncs:       int(s.fsyncs.Load()),
+		BlockedNs:    s.blockedNs.Load(),
 	}
 }
 
@@ -347,17 +380,32 @@ func (s *Store) send(j job) {
 		}
 		return
 	}
+	s.sendBlocking(j)
+}
+
+// sendBlocking queues j, waiting for room if the queue is full and
+// booking the wait; a stopped store drops the record.
+func (s *Store) sendBlocking(j job) {
+	select {
+	case s.jobs <- j:
+		return
+	default:
+	}
+	start := time.Now()
 	select {
 	case s.jobs <- j:
 	case <-s.stopc:
 		wire.PutBuf(j.buf)
 	}
+	s.blockedNs.Add(int64(time.Since(start)))
 }
 
 // CommitGroup implements core.Journal: one install pass becomes one
-// record per lane touched (group commit against segmented per-lane
-// logs), encoded here on the engine goroutine into pooled buffers
-// whose ownership transfers to the committer with the send.
+// record per lane touched, encoded here on the engine goroutine back
+// to back into one pooled buffer whose ownership transfers to the
+// committer with the send. The records share the generation's segment;
+// the partition keeps the record format, and a lane's entries
+// contiguous in it.
 //
 // Runs at the engine's seal boundary — the sequential point between
 // parallel lane phases — so it may partition records across any lane.
@@ -369,7 +417,7 @@ func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRe
 	}
 	s.emitted.Store(recs[len(recs)-1].Seq)
 	// Partition by lane, preserving serial order. Spanning entries
-	// (lane < 0) ride in lane 0's segment.
+	// (lane < 0) ride in lane 0's record.
 	var lanes [16]int32
 	n := 0
 	for i := range recs {
@@ -394,9 +442,10 @@ func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRe
 			recs[i].Lane = 0
 		}
 	}
-	for i := 0; i < n; i++ {
-		lane := lanes[i]
-		buf := wire.GetBuf(64 + len(recs)*48)
+	// One job for the pass: the committer takes a group whole or (shed)
+	// not at all, and never sees one half-queued.
+	buf := wire.GetBuf(64*n + len(recs)*48)
+	for _, lane := range lanes[:n] {
 		buf = appendCommitRecord(buf, lane, epoch, nextBlind, recs, func(r *core.CommitRecord) bool {
 			l := r.Lane
 			if l < 0 {
@@ -404,8 +453,8 @@ func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRe
 			}
 			return l == lane
 		})
-		s.send(job{op: opAppend, lane: lane, buf: buf, end: i == n-1})
 	}
+	s.send(job{op: opAppend, buf: buf})
 }
 
 // SessionOpen implements core.Journal. Session records never shed:
@@ -416,23 +465,14 @@ func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRe
 func (s *Store) SessionOpen(id action.ClientID, token, mask, seqNo, stampFloor uint64) {
 	buf := wire.GetBuf(64)
 	buf = appendSessionRecord(buf, walSession{id: id, token: token, mask: mask, seqNo: seqNo, stampFloor: stampFloor})
-	j := job{op: opAppend, lane: laneMeta, buf: buf}
-	select {
-	case s.jobs <- j:
-	case <-s.stopc:
-		wire.PutBuf(j.buf)
-	}
+	s.sendBlocking(job{op: opAppend, lane: laneMeta, buf: buf})
 }
 
 // BatchRetained implements core.Journal. Runs on the engine goroutine
 // or a lane worker; the pooled encode plus channel handoff is the
 // whole critical section.
 func (s *Store) BatchRetained(id action.ClientID, b *wire.Batch) {
-	payload := wire.GetBuf(256)
-	payload = wire.AppendMsg(payload, b)
-	buf := wire.GetBuf(frameHdrLen + 24 + len(payload))
-	buf = appendBatchRecord(buf, id, b.ClientSeq, payload)
-	wire.PutBuf(payload)
+	buf := appendBatchRecord(wire.GetBuf(512), id, b)
 	s.send(job{op: opAppend, lane: laneMeta, buf: buf})
 }
 
@@ -445,12 +485,7 @@ func (s *Store) BatchRetained(id action.ClientID, b *wire.Batch) {
 func (s *Store) ClientQuarantined(id action.ClientID, reason uint8, seq uint64) {
 	buf := wire.GetBuf(32)
 	buf = appendQuarantineRecord(buf, walQuarantine{id: id, reason: reason, seq: seq})
-	j := job{op: opAppend, lane: laneMeta, buf: buf}
-	select {
-	case s.jobs <- j:
-	case <-s.stopc:
-		wire.PutBuf(j.buf)
-	}
+	s.sendBlocking(job{op: opAppend, lane: laneMeta, buf: buf})
 }
 
 var (

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -45,19 +46,19 @@ func crashCopy(t *testing.T, dir string) string {
 	return dst
 }
 
-// newestSegment returns the path of the newest lane-0 segment.
+// newestSegment returns the path of the newest segment.
 func newestSegment(t *testing.T, dir string) string {
 	t.Helper()
 	_, _, segs := scanDir(dir)
 	best := ""
 	var bestStart uint64
 	for _, sg := range segs {
-		if sg.lane == 0 && (best == "" || sg.start >= bestStart) {
+		if best == "" || sg.start >= bestStart {
 			best, bestStart = sg.name, sg.start
 		}
 	}
 	if best == "" {
-		t.Fatal("no lane-0 segment")
+		t.Fatal("no segment")
 	}
 	return filepath.Join(dir, best)
 }
@@ -280,14 +281,53 @@ func TestCheckpointRollsAndKeepsTwoGenerations(t *testing.T) {
 // TestCrashBetweenPublishAndGC: a kill landing after the new
 // generation renamed into place but before gc ran leaves every old
 // generation on disk; recovery must pick the newest intact pair and
-// tolerate the leftovers.
+// tolerate the leftovers. The window is only that benign if gc never
+// runs ahead of the renames it relies on, so the order of every
+// checkpoint's steps is asserted too: publish, then the directory fsync
+// that makes the renames durable, then gc — and at the moment gc starts,
+// the files it is about to orphan the old generation for are in place.
 func TestCrashBetweenPublishAndGC(t *testing.T) {
 	dir := t.TempDir()
-	s, _, err := Open(dir, nil, Options{})
+	var steps []string
+	var gcSawNewest []bool
+	var mu sync.Mutex
+	s, _, err := Open(dir, nil, WithSteps(Options{}, func(step string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if step != "publish" && step != "syncdir" && step != "gc" {
+			return // the steps before the publish are TestCheckpointKeepsDraining's
+		}
+		steps = append(steps, step)
+		if step == "syncdir" {
+			// Between the fsync and the gc: the newest generation must be
+			// fully renamed (no .tmp left) before anything is deleted.
+			snaps, metas, _ := scanDir(dir)
+			tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+			ok := len(tmps) == 0 && len(snaps) > 0 && len(metas) > 0 && snaps[len(snaps)-1] == metas[len(metas)-1]
+			gcSawNewest = append(gcSawNewest, ok)
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(steps) == 0 || len(steps)%3 != 0 {
+			t.Fatalf("checkpoint steps %v: want whole publish/syncdir/gc triples", steps)
+		}
+		for i := 0; i < len(steps); i += 3 {
+			if steps[i] != "publish" || steps[i+1] != "syncdir" || steps[i+2] != "gc" {
+				t.Fatalf("checkpoint %d ran %v, want publish, syncdir, gc", i/3, steps[i:i+3])
+			}
+		}
+		for i, ok := range gcSawNewest {
+			if !ok {
+				t.Fatalf("checkpoint %d: the newest generation was not fully in place when gc was cleared to run", i)
+			}
+		}
+	}()
 	commit(s, 1, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -718,9 +758,13 @@ func TestRecoverEqualsOracleProperty(t *testing.T) {
 // FuzzRecover: arbitrary bytes in the store's file slots must never
 // panic Open, and a successful Open must be re-openable with a
 // non-decreasing install point (the boot checkpoint sanitizes the
-// directory).
+// directory). The segment slots are one of each layout — laneSeg lands
+// in a per-lane file of generation 0 as older stores wrote them, seg in
+// the shared file of generation 2 — so the corpus covers a directory in
+// the old layout, in the new one, and the mix an upgrade passes through.
 func FuzzRecover(f *testing.F) {
-	// Seed with a real store's artifacts.
+	// Seed with a real store's artifacts: the records of generation 0,
+	// then a checkpoint at 2, then the records of generation 2.
 	seedDir := f.TempDir()
 	s, _, err := Open(seedDir, nil, Options{})
 	if err != nil {
@@ -731,26 +775,32 @@ func FuzzRecover(f *testing.F) {
 	retainBatch(s, 7, 1, 0)
 	commit(s, 2, 0, 7, 2, action.Result{OK: true, Writes: []world.Write{write(2, 2)}})
 	s.ClientQuarantined(5, 3, 2)
+	s.Sync()
+	seedGen0, _ := os.ReadFile(filepath.Join(seedDir, segmentName(0)))
 	s.Checkpoint()
 	commit(s, 3, 0, 7, 3, action.Result{OK: true, Writes: []world.Write{write(1, 3)}})
 	s.ClientQuarantined(6, 4, 3)
 	s.Sync()
-	var seedSeg, seedSnap, seedMeta []byte
-	if snaps, metas, segs := scanDir(seedDir); len(snaps) > 0 && len(metas) > 0 && len(segs) > 0 {
-		seedSnap, _ = os.ReadFile(filepath.Join(seedDir, snapshotName(snaps[len(snaps)-1])))
-		seedMeta, _ = os.ReadFile(filepath.Join(seedDir, metaName(metas[len(metas)-1])))
-		seedSeg, _ = os.ReadFile(filepath.Join(seedDir, segs[0].name))
-	}
+	seedGen2, _ := os.ReadFile(filepath.Join(seedDir, segmentName(2)))
+	seedSnap, _ := os.ReadFile(filepath.Join(seedDir, snapshotName(2)))
+	seedMeta, _ := os.ReadFile(filepath.Join(seedDir, metaName(2)))
 	s.Close()
-	f.Add(seedSeg, seedSnap, seedMeta)
-	f.Add([]byte{}, []byte{}, []byte{})
-	f.Add([]byte{1, 2, 3}, []byte{0xFF}, []byte{0, 0, 0, 0})
+	if len(seedGen0) == 0 || len(seedGen2) == 0 || len(seedSnap) == 0 || len(seedMeta) == 0 {
+		f.Fatal("seed store left an artifact empty")
+	}
+	f.Add(seedGen0, seedSnap, seedMeta, []byte{})                       // old layout
+	f.Add([]byte{}, []byte{}, []byte{}, []byte{})                       // nothing anywhere
+	f.Add([]byte{1, 2, 3}, []byte{0xFF}, []byte{0, 0, 0, 0}, []byte{9}) // garbage everywhere
+	f.Add([]byte{}, seedSnap, seedMeta, seedGen2)                       // new layout
+	f.Add(seedGen0, seedSnap, seedMeta, seedGen2)                       // an upgrade's mix
+	f.Add(seedGen2, []byte{}, seedMeta, seedGen0)                       // the same entries claimed by both, no snapshot
 
-	f.Fuzz(func(t *testing.T, seg, snap, meta []byte) {
+	f.Fuzz(func(t *testing.T, laneSeg, snap, meta, seg []byte) {
 		dir := t.TempDir()
-		os.WriteFile(filepath.Join(dir, segmentName(0, 0)), seg, 0o644)
+		os.WriteFile(filepath.Join(dir, laneSegmentName(0, 0)), laneSeg, 0o644)
 		os.WriteFile(filepath.Join(dir, snapshotName(2)), snap, 0o644)
 		os.WriteFile(filepath.Join(dir, metaName(2)), meta, 0o644)
+		os.WriteFile(filepath.Join(dir, segmentName(2)), seg, 0o644)
 		st, rec, err := Open(dir, nil, Options{})
 		if err != nil {
 			return

@@ -12,8 +12,8 @@ import (
 
 // Recovery = shadow replay over the files. The directory is scanned
 // for the three artifact families a checkpoint publishes — snapshots,
-// meta lineages, per-lane segments — and the shadow is rebuilt the
-// same way the committer builds it live:
+// meta lineages, segments — and the shadow is rebuilt the same way the
+// committer builds it live:
 //
 //  1. the newest intact snapshot seeds the state (older generations
 //     are fallbacks kept by the gc policy; a corrupt newest snapshot
@@ -21,7 +21,7 @@ import (
 //  2. the newest parseable meta lineage seeds the watermarks and the
 //     session table (baked sessions first, then the appended tail of
 //     opens and retains, stopping at the first torn record),
-//  3. every commit entry above the coverage point, merged across lane
+//  3. every commit entry above the coverage point, merged across
 //     segments by serial position, is walked contiguously — entries
 //     already inside the snapshot update only the dedup floors,
 //     entries above it replay onto the state. The walk stops at the
@@ -32,10 +32,16 @@ import (
 // corrupt newest snapshot combined with lost segments), the session
 // table is dropped wholesale rather than resurrected with floors that
 // might swallow fresh submissions; such clients simply rejoin.
+//
+// A generation's commit records sit in one segment, wal-<start>.log, or
+// — in a directory an older store wrote — in one wal-<lane>-<start>.log
+// per lane. The merge in step 3 never asks which file an entry came
+// from, so the two layouts, and a directory holding both (an upgraded
+// store keeps its fallback generation's per-lane segments until two
+// checkpoints have passed), recover alike.
 
 type segFile struct {
 	name  string
-	lane  int32
 	start uint64
 }
 
@@ -59,26 +65,22 @@ func scanDir(dir string) (snaps, metas []uint64, segs []segFile) {
 			}
 		case strings.HasPrefix(n, "wal-") && strings.HasSuffix(n, ".log"):
 			rest := strings.TrimSuffix(strings.TrimPrefix(n, "wal-"), ".log")
-			i := strings.IndexByte(rest, '-')
-			if i <= 0 {
-				continue
+			if i := strings.IndexByte(rest, '-'); i >= 0 {
+				// The per-lane layout: the lane must parse, and is then
+				// of no further interest.
+				if _, err := strconv.ParseInt(rest[:i], 10, 32); err != nil {
+					continue
+				}
+				rest = rest[i+1:]
 			}
-			lane, err1 := strconv.ParseInt(rest[:i], 10, 32)
-			start, err2 := strconv.ParseUint(rest[i+1:], 10, 64)
-			if err1 == nil && err2 == nil {
-				segs = append(segs, segFile{name: n, lane: int32(lane), start: start})
+			if start, err := strconv.ParseUint(rest, 10, 64); err == nil {
+				segs = append(segs, segFile{name: n, start: start})
 			}
 		}
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
 	sort.Slice(metas, func(i, j int) bool { return metas[i] < metas[j] })
 	return snaps, metas, segs
-}
-
-// appendCRC frames a snapshot body the seed way: crc(4) then body.
-func appendCRC(buf, body []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return append(buf, body...)
 }
 
 // recoverDir rebuilds the shadow from dir. Returns the shadow, the
@@ -177,6 +179,7 @@ func recoverDir(dir string, opts Options) (*shadow, uint64, bool, error) {
 		blind uint32
 	}
 	byseq := make(map[uint64]seqRec)
+	var arena writeArena // never reset: byseq keeps what it decodes
 	for _, sg := range segs {
 		raw, err := os.ReadFile(filepath.Join(dir, sg.name))
 		if err != nil {
@@ -186,7 +189,7 @@ func recoverDir(dir string, opts Options) (*shadow, uint64, bool, error) {
 			if body[0] != recCommit {
 				return true
 			}
-			g, derr := decodeCommitRecord(body)
+			g, derr := decodeCommitRecord(body, &arena, nil)
 			if derr != nil {
 				return true
 			}

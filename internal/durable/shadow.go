@@ -69,8 +69,10 @@ func (sh *shadow) quarantine(rec walQuarantine) {
 // to a previous registration of the client id and must not contribute.
 func (sh *shadow) applyEntry(e walEntry) {
 	if e.ok {
+		// The shadow owns its state outright and reads it only from the
+		// goroutine that writes it, so values are overwritten in place.
 		for _, w := range e.writes {
-			sh.state.Set(w.ID, w.Val)
+			sh.state.SetInPlace(w.ID, w.Val)
 		}
 	}
 	sh.applied = e.seq

@@ -43,6 +43,7 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/core"
+	"seve/internal/wire"
 	"seve/internal/world"
 )
 
@@ -108,16 +109,32 @@ func appendWriteList(buf []byte, ws []world.Write) []byte {
 	return buf
 }
 
-// decodeWriteList decodes appendWriteList's output from body[off:],
-// returning the writes (freshly allocated — they outlive the buffer)
-// and the offset past them.
-func decodeWriteList(body []byte, off int) ([]world.Write, int, error) {
+// writeArena is the storage the decoded writes of a run of commit
+// records share: the write records in one growing array, their
+// attributes in another, so decoding costs no allocation per write once
+// the arrays have grown. The committer resets it after every install
+// pass — the shadow copies what it installs — and recovery, which keeps
+// the entries it decodes, never does. A slice handed out stays valid
+// when the array behind it is outgrown; it merely stops being shared.
+type writeArena struct {
+	writes []world.Write
+	vals   []float64
+}
+
+func (a *writeArena) reset() {
+	clear(a.writes) // drop the value pointers, keep the array
+	a.writes, a.vals = a.writes[:0], a.vals[:0]
+}
+
+// decodeWriteList decodes appendWriteList's output from body[off:] into
+// arena storage, returning the writes and the offset past them.
+func decodeWriteList(body []byte, off int, a *writeArena) ([]world.Write, int, error) {
 	if len(body) < off+4 {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
 	n := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
-	var ws []world.Write
+	first := len(a.writes)
 	for i := 0; i < n; i++ {
 		if len(body) < off+10 {
 			return nil, 0, io.ErrUnexpectedEOF
@@ -128,14 +145,14 @@ func decodeWriteList(body []byte, off int) ([]world.Write, int, error) {
 		if len(body) < off+8*attrs {
 			return nil, 0, io.ErrUnexpectedEOF
 		}
-		val := make(world.Value, attrs)
-		for j := range val {
-			val[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:]))
+		v0 := len(a.vals)
+		for j := 0; j < attrs; j++ {
+			a.vals = append(a.vals, math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:])))
 		}
 		off += 8 * attrs
-		ws = append(ws, world.Write{ID: id, Val: val})
+		a.writes = append(a.writes, world.Write{ID: id, Val: a.vals[v0:len(a.vals):len(a.vals)]})
 	}
-	return ws, off, nil
+	return a.writes[first:len(a.writes):len(a.writes)], off, nil
 }
 
 // appendCommitRecord encodes one lane's slice of a commit group. pick
@@ -188,8 +205,11 @@ type walGroup struct {
 	entries   []walEntry
 }
 
-func decodeCommitRecord(body []byte) (walGroup, error) {
-	var g walGroup
+// decodeCommitRecord decodes one recCommit body. The entries are
+// appended to into (the committer assembles an install pass from its
+// lanes' records that way) and their writes live in a.
+func decodeCommitRecord(body []byte, a *writeArena, into []walEntry) (walGroup, error) {
+	g := walGroup{entries: into}
 	if len(body) < 21 || body[0] != recCommit {
 		return g, fmt.Errorf("durable: malformed commit record")
 	}
@@ -210,7 +230,7 @@ func decodeCommitRecord(body []byte) (walGroup, error) {
 		}
 		off += 17
 		var err error
-		e.writes, off, err = decodeWriteList(body, off)
+		e.writes, off, err = decodeWriteList(body, off, a)
 		if err != nil {
 			return g, err
 		}
@@ -267,14 +287,19 @@ type walRetained struct {
 	payload   []byte
 }
 
-func appendBatchRecord(buf []byte, id action.ClientID, clientSeq uint64, payload []byte) []byte {
+// appendBatchRecord frames a recBatch record around the wire encoding of
+// b, which it appends in place — the payload length is backfilled — so
+// the batch is encoded once, straight into the record.
+func appendBatchRecord(buf []byte, id action.ClientID, b *wire.Batch) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, frameHdrLen)...)
 	buf = append(buf, recBatch)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	buf = binary.LittleEndian.AppendUint64(buf, clientSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
+	buf = binary.LittleEndian.AppendUint64(buf, b.ClientSeq)
+	lenAt := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = wire.AppendMsg(buf, b)
+	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
 	return sealRecord(buf, start)
 }
 
@@ -293,6 +318,9 @@ func decodeBatchRecord(body []byte) (walRetained, error) {
 	r.payload = body[17 : 17+n]
 	return r, nil
 }
+
+// quarantineRecLen is the framed size of a recQuarantine record.
+const quarantineRecLen = frameHdrLen + 1 + 4 + 1 + 8
 
 // walQuarantine is a decoded recQuarantine record.
 type walQuarantine struct {
@@ -321,6 +349,9 @@ func decodeQuarantineRecord(body []byte) (walQuarantine, error) {
 		seq:    binary.LittleEndian.Uint64(body[6:]),
 	}, nil
 }
+
+// metaHdrLen is the framed size of a recMetaHdr record.
+const metaHdrLen = frameHdrLen + 1 + 8 + 4 + 8 + 8
 
 // walMetaHdr is a decoded recMetaHdr record.
 type walMetaHdr struct {
@@ -360,6 +391,16 @@ type walMetaSess struct {
 	lastActSeq uint32
 	lastSeq    uint64
 	ring       []ringEntry
+}
+
+// metaSessLen is the framed size of the recMetaSess record that bakes a
+// session holding ring.
+func metaSessLen(ring []ringEntry) int {
+	n := frameHdrLen + 1 + 36 + 4 + 8 + 4
+	for _, r := range ring {
+		n += 8 + 4 + len(r.payload)
+	}
+	return n
 }
 
 func appendMetaSess(buf []byte, s walSession, lastActSeq uint32, lastSeq uint64, ring []ringEntry) []byte {
@@ -412,23 +453,29 @@ func decodeMetaSess(body []byte) (walMetaSess, error) {
 	return m, nil
 }
 
-// encodeState flattens a state into the snapshot-file body (the seed
-// format, kept verbatim): seq(8) count(4) then id(8) nattr(2) attrs
-// per object, ids ascending.
-func encodeState(seq uint64, st *world.State) []byte {
+// encodeSnapshot flattens a state into a snapshot file: crc(4) over the
+// body, then the body in the seed format, kept verbatim — seq(8)
+// count(4) then id(8) nattr(2) attrs per object, ids ascending.
+func encodeSnapshot(seq uint64, st *world.State) []byte {
 	ids := st.IDs()
-	body := make([]byte, 0, 16+len(ids)*40)
-	body = binary.LittleEndian.AppendUint64(body, seq)
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(ids)))
+	size := 4 + 12
 	for _, id := range ids {
 		v, _ := st.Get(id)
-		body = binary.LittleEndian.AppendUint64(body, uint64(id))
-		body = binary.LittleEndian.AppendUint16(body, uint16(len(v)))
+		size += 10 + 8*len(v)
+	}
+	buf := make([]byte, 4, size)
+	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
+	for _, id := range ids {
+		v, _ := st.Get(id)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v)))
 		for _, f := range v {
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(f))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 		}
 	}
-	return body
+	binary.LittleEndian.PutUint32(buf, crc32.ChecksumIEEE(buf[4:]))
+	return buf
 }
 
 func decodeState(body []byte) (uint64, *world.State, error) {

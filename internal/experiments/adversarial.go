@@ -472,7 +472,7 @@ func (a *tradeAction) MarshalBody() []byte {
 	return buf
 }
 
-func unmarshalTrade(id action.ID, body []byte) (action.Action, error) {
+func unmarshalTrade(id action.ID, body []byte, slab *world.Slab) (action.Action, error) {
 	if len(body) < 18 {
 		return nil, fmt.Errorf("experiments: trade body too short: %d bytes", len(body))
 	}
@@ -483,7 +483,7 @@ func unmarshalTrade(id action.ID, body []byte) (action.Action, error) {
 	if len(body) != 18+8*n {
 		return nil, fmt.Errorf("experiments: trade body length %d, want %d objects", len(body), n)
 	}
-	a.objs = make([]world.ObjectID, n)
+	a.objs = slab.IDs(n)
 	for i := 0; i < n; i++ {
 		a.objs[i] = world.ObjectID(binary.LittleEndian.Uint64(body[18+8*i:]))
 	}

@@ -227,7 +227,7 @@ func TestMoveWireRoundTrip(t *testing.T) {
 	st := w.InitialState(4)
 	m, _ := w.NewMove(action.ID{Client: 3, Seq: 9}, AvatarID(3), st)
 	body := m.MarshalBody()
-	got, err := UnmarshalMove(w, m.ID(), body)
+	got, err := UnmarshalMove(w, m.ID(), body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +253,13 @@ func TestMoveWireRoundTrip(t *testing.T) {
 
 func TestMoveUnmarshalErrors(t *testing.T) {
 	w := NewWorld(smallConfig())
-	if _, err := UnmarshalMove(w, action.ID{}, []byte{1, 2, 3}); err == nil {
+	if _, err := UnmarshalMove(w, action.ID{}, []byte{1, 2, 3}, nil); err == nil {
 		t.Fatal("short body accepted")
 	}
 	st := w.InitialState(4)
 	m, _ := w.NewMove(action.ID{Client: 1, Seq: 1}, AvatarID(1), st)
 	body := m.MarshalBody()
-	if _, err := UnmarshalMove(w, action.ID{}, body[:len(body)-4]); err == nil {
+	if _, err := UnmarshalMove(w, action.ID{}, body[:len(body)-4], nil); err == nil {
 		t.Fatal("truncated read set accepted")
 	}
 }

@@ -24,9 +24,8 @@ const KindMove action.Kind = 1
 // so every replica that evaluates it with the same versions computes the
 // same result.
 type MoveAction struct {
-	id     action.ID
-	w      *World
-	avatar world.ObjectID
+	id action.ID
+	w  *World
 	// origin is the avatar position at creation: the center of the
 	// action's influence sphere (p̄A of Equation (1)), and the position
 	// Algorithm 7 measures chain distances between.
@@ -36,6 +35,10 @@ type MoveAction struct {
 	// visibleWalls calibrates this move's compute cost.
 	visibleWalls int
 	rs           world.IDSet
+	// ws is WS(a), the moving avatar alone, held in the action itself:
+	// the engines ask for the set per submit, per reconcile and per audit,
+	// and slicing this builds nothing.
+	ws [1]world.ObjectID
 }
 
 // NewMove builds the next move for an avatar, reading its current tuple
@@ -52,11 +55,11 @@ func (w *World) NewMove(id action.ID, avatar world.ObjectID, view world.Reader) 
 	return &MoveAction{
 		id:           id,
 		w:            w,
-		avatar:       avatar,
 		origin:       pos,
 		heading:      AvatarDir(v),
 		visibleWalls: w.VisibleWalls(pos),
 		rs:           rs,
+		ws:           [1]world.ObjectID{avatar},
 	}, nil
 }
 
@@ -71,13 +74,13 @@ func (m *MoveAction) Kind() action.Kind { return KindMove }
 func (m *MoveAction) ReadSet() world.IDSet { return m.rs }
 
 // WriteSet returns the moving avatar.
-func (m *MoveAction) WriteSet() world.IDSet { return world.NewIDSet(m.avatar) }
+func (m *MoveAction) WriteSet() world.IDSet { return m.ws[:] }
 
 // VisibleWalls returns the wall count the move's cost is based on.
 func (m *MoveAction) VisibleWalls() int { return m.visibleWalls }
 
 // Avatar returns the moving avatar's object id.
-func (m *MoveAction) Avatar() world.ObjectID { return m.avatar }
+func (m *MoveAction) Avatar() world.ObjectID { return m.ws[0] }
 
 // CostMs implements the per-move compute cost, charged by the simulation
 // adapter to whichever node evaluates the move.
@@ -100,51 +103,46 @@ func (m *MoveAction) Motion() geom.Vec {
 // advance, bounce 90° on collision. If the avatar's tuple is missing the
 // move aborts as a no-op (Bayou-style conflict behaviour).
 func (m *MoveAction) Apply(tx *world.Tx) bool {
-	self, ok := tx.Read(m.avatar)
+	avatar := m.ws[0]
+	self, ok := tx.Read(avatar)
 	if !ok {
 		return false
 	}
 	pos, dir := AvatarPos(self), AvatarDir(self)
-
-	var others []geom.Vec
-	for _, id := range m.rs {
-		if id == m.avatar {
-			continue
-		}
-		if v, ok := tx.Read(id); ok {
-			others = append(others, AvatarPos(v))
-		}
-	}
-
 	cfg := m.w.Cfg
 	next := pos.Add(dir.Scale(cfg.Speed * cfg.StepMs))
-	if m.blocked(next, others) {
+
+	// Every declared neighbour is read whether or not an earlier one is
+	// already in the way: the reads a replica records must not depend on
+	// where the others stand.
+	bumped := false
+	for _, id := range m.rs {
+		if id == avatar {
+			continue
+		}
+		if v, ok := tx.Read(id); ok && next.Dist2(AvatarPos(v)) <= cfg.CollisionDist*cfg.CollisionDist {
+			bumped = true
+		}
+	}
+	if bumped || m.blocked(next) {
 		// Bump: change direction by 90° and stay put this step.
 		dir = dir.Rotate90()
 		next = pos
 	}
-	tx.Write(m.avatar, world.Value{next.X, next.Y, dir.X, dir.Y})
+	tx.Write(avatar, world.Value{next.X, next.Y, dir.X, dir.Y})
 	return true
 }
 
-// blocked reports whether moving to next would hit the world edge, a
-// wall, or another avatar.
-func (m *MoveAction) blocked(next geom.Vec, others []geom.Vec) bool {
-	cfg := m.w.Cfg
+// blocked reports whether moving to next would hit the world edge or a
+// wall.
+func (m *MoveAction) blocked(next geom.Vec) bool {
 	if !m.w.Bounds.Contains(next) {
 		return true
-	}
-	for _, o := range others {
-		if next.Dist2(o) <= cfg.CollisionDist*cfg.CollisionDist {
-			return true
-		}
 	}
 	// Wall check against walls near the new position. The index lookup
 	// is a stand-in for the paper's trig-heavy per-wall collision math;
 	// the real cost is charged via CostMs.
-	var hits []int32
-	hits = m.w.Walls.Within(next, cfg.AvatarRadius, hits)
-	return len(hits) > 0
+	return m.w.Walls.CountWithin(next, m.w.Cfg.AvatarRadius) > 0
 }
 
 // MarshalBody encodes avatar id, origin, heading, visible walls and the
@@ -157,7 +155,7 @@ func (m *MoveAction) MarshalBody() []byte {
 
 // AppendBody appends the MarshalBody encoding to buf.
 func (m *MoveAction) AppendBody(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.avatar))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.ws[0]))
 	buf = appendFloat(buf, m.origin.X)
 	buf = appendFloat(buf, m.origin.Y)
 	buf = appendFloat(buf, m.heading.X)
@@ -178,19 +176,20 @@ func appendFloat(buf []byte, f float64) []byte {
 // process that receives moves over the real wire; the simulator passes
 // actions by reference and does not need it.
 func RegisterWire(w *World) {
-	wire.RegisterKind(KindMove, func(id action.ID, body []byte) (action.Action, error) {
-		return UnmarshalMove(w, id, body)
+	wire.RegisterKind(KindMove, func(id action.ID, body []byte, slab *world.Slab) (action.Action, error) {
+		return UnmarshalMove(w, id, body, slab)
 	})
 }
 
-// UnmarshalMove decodes a MoveAction body against the given world.
-func UnmarshalMove(w *World, id action.ID, body []byte) (*MoveAction, error) {
+// UnmarshalMove decodes a MoveAction body against the given world,
+// cutting the read set from slab (nil allocates it on its own).
+func UnmarshalMove(w *World, id action.ID, body []byte, slab *world.Slab) (*MoveAction, error) {
 	const hdr = 8 + 4*8 + 4 + 2
 	if len(body) < hdr {
 		return nil, fmt.Errorf("manhattan: move body truncated: %d bytes", len(body))
 	}
 	m := &MoveAction{id: id, w: w}
-	m.avatar = world.ObjectID(binary.LittleEndian.Uint64(body))
+	m.ws[0] = world.ObjectID(binary.LittleEndian.Uint64(body))
 	m.origin.X = floatFrom(body[8:])
 	m.origin.Y = floatFrom(body[16:])
 	m.heading.X = floatFrom(body[24:])
@@ -200,11 +199,11 @@ func UnmarshalMove(w *World, id action.ID, body []byte) (*MoveAction, error) {
 	if len(body) < hdr+8*n {
 		return nil, fmt.Errorf("manhattan: move read set truncated")
 	}
-	ids := make([]world.ObjectID, n)
+	ids := slab.IDs(n)
 	for i := 0; i < n; i++ {
 		ids[i] = world.ObjectID(binary.LittleEndian.Uint64(body[hdr+8*i:]))
 	}
-	m.rs = world.NewIDSet(ids...)
+	m.rs = world.AsIDSet(ids)
 	return m, nil
 }
 

@@ -64,12 +64,19 @@ type ServerStats struct {
 	// committer queue was full under DegradeShed — both mean the log is
 	// no longer a faithful prefix of the engine. WALBehindSeq gauges how
 	// far the durable install point trails the engine's (0 = fully
-	// caught up at snapshot time).
+	// caught up at snapshot time). WALRecords ÷ WALWrites is how many
+	// records the committer carries to the kernel per write call,
+	// WALFsyncs counts fsyncs of the log files, and WALBlockedNs is the
+	// time the engine waited for room in a full committer queue.
 	WALGroupCommits int
 	WALCheckpoints  int
 	WALAppendErrors int
 	WALShedRecords  int
 	WALBehindSeq    uint64
+	WALRecords      int
+	WALWrites       int
+	WALFsyncs       int
+	WALBlockedNs    int64
 
 	// Transport delivery. WriteQueueDrops counts replies discarded
 	// because the recipient's write queue was full (a client too slow to
@@ -149,6 +156,10 @@ func (st ServerStats) Table() *Table {
 	row("wal append errors", st.WALAppendErrors)
 	row("wal shed records", st.WALShedRecords)
 	row("wal behind (seqs)", st.WALBehindSeq)
+	row("wal records", st.WALRecords)
+	row("wal writes", st.WALWrites)
+	row("wal fsyncs", st.WALFsyncs)
+	row("wal engine blocked (ns)", st.WALBlockedNs)
 	row("write queue drops", st.WriteQueueDrops)
 	row("frames superseded", st.FramesSuperseded)
 	row("frames coalesced", st.FramesCoalesced)

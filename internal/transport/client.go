@@ -153,6 +153,7 @@ func (c *Client) Metrics() metrics.ClientStats {
 func (c *Client) Submit(a action.Action) (action.Result, error) {
 	c.mu.Lock()
 	msg, res := c.engine.Submit(a)
+	res = res.Clone() // the engine's copy changes under Run once the lock is gone
 	conn := c.conn
 	c.mu.Unlock()
 	if err := wire.WriteFrame(conn, msg); err != nil {

@@ -230,6 +230,10 @@ func (s *Server) Metrics() metrics.ServerStats {
 		st.WALCheckpoints = ds.Checkpoints
 		st.WALAppendErrors = ds.AppendErrors
 		st.WALShedRecords = ds.ShedRecords
+		st.WALRecords = ds.Records
+		st.WALWrites = ds.Writes
+		st.WALFsyncs = ds.Fsyncs
+		st.WALBlockedNs = ds.BlockedNs
 		if ds.Emitted > ds.Durable {
 			st.WALBehindSeq = ds.Emitted - ds.Durable
 		}

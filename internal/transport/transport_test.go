@@ -295,6 +295,12 @@ func TestDurableServerRecovers(t *testing.T) {
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	// The committer's write-path counters surface beside the other WAL
+	// ones: every install was a record, carried by some write, made
+	// durable by some fsync.
+	if st := srv.Metrics(); st.WALRecords < moves || st.WALWrites == 0 || st.WALWrites > st.WALRecords || st.WALFsyncs == 0 {
+		t.Fatalf("WAL write counters: %d records, %d writes, %d fsyncs", st.WALRecords, st.WALWrites, st.WALFsyncs)
+	}
 	store.Close()
 
 	// Recover from disk: the avatar is where the client left it.

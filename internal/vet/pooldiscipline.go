@@ -23,7 +23,12 @@ import (
 // sending it on a channel, storing it into a field or a composite
 // literal, or handing it to a deferred cleanup — end tracking. Lending a buffer to an ordinary call
 // (conn.Write(buf), append(buf, ...)) does not: the caller still owns
-// it. Each function literal is analyzed as its own ownership scope,
+// it. Storing a slice of a buffer into the heap (w.pend = rec[8:],
+// w.pend = append(w.pend, rec)) moves nothing either — the function
+// still owes the PutBuf — but it leaves an alias behind, and returning
+// the buffer to the pool while the alias stands is a use-after-free in
+// waiting: the coalescing writer must copy (append(w.buf, rec...)), not
+// keep. Each function literal is analyzed as its own ownership scope,
 // since writer pumps and deferred cleanups run on their own schedule.
 type poolChecker struct{}
 
@@ -70,6 +75,9 @@ type poolVar struct {
 	released bool // buffers: PutBuf has run on this path
 	refs     int  // frames: references this function still owns
 	escaped  bool // ownership transferred; stop tracking
+	// stored marks a buffer a slice of which this path stored into the
+	// heap while keeping the release duty.
+	stored bool
 }
 
 type poolState struct {
@@ -97,6 +105,7 @@ func mergeStates(a, b *poolState) *poolState {
 		if vb, ok := b.vars[k]; ok {
 			cv.released = va.released && vb.released
 			cv.escaped = va.escaped || vb.escaped
+			cv.stored = va.stored || vb.stored
 			if vb.refs > cv.refs {
 				cv.refs = vb.refs
 			}
@@ -491,6 +500,9 @@ func (a *poolAnalyzer) stmtExpr(st *poolState, e ast.Expr) bool {
 					if v.released {
 						a.report(call.Pos(), "buffer %q returned to the pool twice", id.Name)
 					}
+					if v.stored {
+						a.report(call.Pos(), "buffer %q returned to the pool while a slice of it is still stored", id.Name)
+					}
 					v.released = true
 					return false
 				}
@@ -553,11 +565,57 @@ func (a *poolAnalyzer) assign(st *poolState, s *ast.AssignStmt) {
 				if v := st.vars[a.obj(rid)]; v != nil {
 					v.escaped = true
 				}
+			} else if v := a.aliased(st, r); v != nil && !v.escaped {
+				v.stored = true
+				if v.acq.deferRel {
+					a.report(r.Pos(), "slice of pooled buffer %q stored past its deferred PutBuf", v.acq.name)
+				}
 			}
 			continue
 		}
 		a.bind(st, id, r, s.Tok == token.DEFINE)
 	}
+}
+
+// aliased returns the tracked buffer that e shares memory with without
+// being it: a slice of the buffer, or an append that keeps the buffer
+// (or a slice of it) as an element. append(dst, buf...) copies and
+// aliases nothing.
+func (a *poolAnalyzer) aliased(st *poolState, e ast.Expr) *poolVar {
+	tracked := func(e ast.Expr) *poolVar {
+		if id, ok := e.(*ast.Ident); ok {
+			if v := st.vars[a.obj(id)]; v != nil && !v.acq.frame {
+				return v
+			}
+		}
+		return nil
+	}
+	switch e := e.(type) {
+	case *ast.ParenExpr:
+		return a.aliased(st, e.X)
+	case *ast.SliceExpr:
+		if v := tracked(e.X); v != nil {
+			return v
+		}
+		return a.aliased(st, e.X)
+	case *ast.CallExpr:
+		id, ok := e.Fun.(*ast.Ident)
+		if !ok || id.Name != "append" || e.Ellipsis.IsValid() || len(e.Args) < 2 {
+			return nil
+		}
+		if _, builtin := a.u.Info.Uses[id].(*types.Builtin); !builtin {
+			return nil
+		}
+		for _, arg := range e.Args[1:] {
+			if v := tracked(arg); v != nil {
+				return v
+			}
+			if v := a.aliased(st, arg); v != nil {
+				return v
+			}
+		}
+	}
+	return nil
 }
 
 // bind updates tracking for one ident = expr pair.

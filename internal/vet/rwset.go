@@ -60,7 +60,9 @@ func isTxPtr(t types.Type) bool {
 }
 
 // idShaped reports whether a value of type t carries object identity:
-// an id, a set of ids, or write records (which embed ids).
+// an id, a set of ids, or write records (which embed ids). A set may be
+// a slice or a fixed-size array (an action whose write set is one object
+// can hold it inline and return a slice of it).
 func idShaped(t types.Type) bool {
 	if t == nil {
 		return false
@@ -68,10 +70,16 @@ func idShaped(t types.Type) bool {
 	if isWorldType(t, "ObjectID") || isWorldType(t, "IDSet") || isWorldType(t, "Write") {
 		return true
 	}
-	if s, ok := t.Underlying().(*types.Slice); ok {
-		return isWorldType(s.Elem(), "ObjectID") || isWorldType(s.Elem(), "Write")
+	var elem types.Type
+	switch c := t.Underlying().(type) {
+	case *types.Slice:
+		elem = c.Elem()
+	case *types.Array:
+		elem = c.Elem()
+	default:
+		return false
 	}
-	return false
+	return isWorldType(elem, "ObjectID") || isWorldType(elem, "Write")
 }
 
 // declSite locates a method's declaration and the type info covering it.

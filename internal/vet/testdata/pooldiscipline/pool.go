@@ -207,3 +207,59 @@ func walPayloadReuse(jobs chan walJob) int {
 	jobs <- walJob{lane: 1, buf: buf}
 	return len(payload) // want `use of pooled buffer "payload" after PutBuf`
 }
+
+// walWriter mirrors the committer's per-file write buffer: records are
+// gathered in buf and handed to the kernel in one write per drain
+// (DESIGN.md §15).
+type walWriter struct {
+	buf  []byte
+	pend [][]byte
+}
+
+// walCoalesce is the gather step done right: the record's bytes are
+// copied into the write buffer, and only then does the pooled record go
+// back. Nothing of it outlives the PutBuf. Clean.
+func walCoalesce(w *walWriter) {
+	rec := wire.GetBuf(64)
+	rec = append(rec, 1)
+	w.buf = append(w.buf, rec...)
+	wire.PutBuf(rec)
+}
+
+// walCoalesceDeferred is the same with the committer's deferred release.
+// Clean.
+func walCoalesceDeferred(w *walWriter) int {
+	rec := wire.GetBuf(64)
+	defer wire.PutBuf(rec)
+	rec = append(rec, 1)
+	w.buf = append(w.buf, rec[8:]...)
+	return len(w.buf)
+}
+
+// walCoalesceAlias saves the copy: it queues the record itself for the
+// next write and returns it to the pool. By the time the writer flushes,
+// the pool has handed the same bytes to another encoder.
+func walCoalesceAlias(w *walWriter) {
+	rec := wire.GetBuf(64)
+	rec = append(rec, 1)
+	w.pend = append(w.pend, rec)
+	wire.PutBuf(rec) // want `buffer "rec" returned to the pool while a slice of it is still stored`
+}
+
+// walCoalesceBody keeps only the record's body, past the frame header —
+// still the pooled bytes.
+func walCoalesceBody(w *walWriter) {
+	rec := wire.GetBuf(64)
+	rec = append(rec, 1)
+	w.buf = rec[8:]
+	wire.PutBuf(rec) // want `buffer "rec" returned to the pool while a slice of it is still stored`
+}
+
+// walCoalesceAliasDeferred is the alias under the deferred release: the
+// store itself is the mistake.
+func walCoalesceAliasDeferred(w *walWriter) {
+	rec := wire.GetBuf(64)
+	defer wire.PutBuf(rec)
+	rec = append(rec, 1)
+	w.pend = append(w.pend, rec[8:]) // want `slice of pooled buffer "rec" stored past its deferred PutBuf`
+}

@@ -96,3 +96,25 @@ func (r *readonly) Apply(tx *world.Tx) bool {
 	tx.Write(r.src, world.Value{0}) // want `writes object id "·\.src" not traceable`
 	return true
 }
+
+// inline holds its one-object write set in the action itself and returns
+// a slice of the array: the array's element is as declared as a slice's,
+// a sibling field is not.
+type inline struct {
+	ws    [1]world.ObjectID
+	other [1]world.ObjectID
+	rs    world.IDSet
+}
+
+func (a *inline) ReadSet() world.IDSet  { return a.rs }
+func (a *inline) WriteSet() world.IDSet { return a.ws[:] }
+
+func (a *inline) Apply(tx *world.Tx) bool {
+	self := a.ws[0]
+	if _, ok := tx.Read(self); !ok {
+		return false
+	}
+	tx.Write(self, world.Value{1})
+	tx.Write(a.other[0], nil) // want `writes object id "·\.other\[0\]" not traceable`
+	return true
+}

@@ -21,15 +21,15 @@ type MsgType uint8
 
 // Message type codes.
 const (
-	TypeSubmit     MsgType = 1 // client → server: a new action (Algorithm 1/4, step 2)
-	TypeBatch      MsgType = 2 // server → client: serialized actions (Algorithm 2/6 reply or First Bound push)
-	TypeCompletion MsgType = 3 // client → server: stable result of an action (Algorithm 4, step 5)
-	TypeDrop       MsgType = 4 // server → client: action aborted by the Information Bound Model
-	TypeHello      MsgType = 5 // client → server: join (real deployment only)
-	TypeWelcome    MsgType = 6 // server → client: assigned id + initial world (real deployment only)
-	TypeLockGrant  MsgType = 7 // server → client: locks acquired (lock-based baseline, Section II-B)
-	TypeRelay      MsgType = 8 // server → relay client → peers: hybrid P2P push delegation (Section VII)
-	TypeResume     MsgType = 9 // client → server: reconnect with session token + last applied batch
+	TypeSubmit     MsgType = 1  // client → server: a new action (Algorithm 1/4, step 2)
+	TypeBatch      MsgType = 2  // server → client: serialized actions (Algorithm 2/6 reply or First Bound push)
+	TypeCompletion MsgType = 3  // client → server: stable result of an action (Algorithm 4, step 5)
+	TypeDrop       MsgType = 4  // server → client: action aborted by the Information Bound Model
+	TypeHello      MsgType = 5  // client → server: join (real deployment only)
+	TypeWelcome    MsgType = 6  // server → client: assigned id + initial world (real deployment only)
+	TypeLockGrant  MsgType = 7  // server → client: locks acquired (lock-based baseline, Section II-B)
+	TypeRelay      MsgType = 8  // server → relay client → peers: hybrid P2P push delegation (Section VII)
+	TypeResume     MsgType = 9  // client → server: reconnect with session token + last applied batch
 	TypeCatchUp    MsgType = 10 // server → client: resume verdict + catch-up seed (suffix or snapshot)
 	TypeQuarantine MsgType = 11 // server → client: integrity quarantine verdict; the connection closes after it
 )
@@ -324,7 +324,12 @@ func resultSize(r action.Result) int {
 // Decoder reconstructs application actions from their kind and body. The
 // registry is global because action kinds are global protocol constants;
 // it is guarded for the concurrent TCP deployment.
-type Decoder func(id action.ID, body []byte) (action.Action, error)
+//
+// slab is where a decoder should cut the action's id sets and values
+// from: the actions of one batch then share two allocations between
+// them (see world.Slab for what that means for their lifetime). It is
+// nil for a message that carries a single action.
+type Decoder func(id action.ID, body []byte, slab *world.Slab) (action.Action, error)
 
 var (
 	registryMu sync.RWMutex
@@ -357,8 +362,8 @@ func RegisteredKinds() []action.Kind {
 
 func decoderFor(k action.Kind) (Decoder, error) {
 	if k == action.KindBlindWrite {
-		return func(id action.ID, body []byte) (action.Action, error) {
-			return action.UnmarshalBlindWrite(id, body)
+		return func(id action.ID, body []byte, slab *world.Slab) (action.Action, error) {
+			return action.UnmarshalBlindWrite(id, body, slab)
 		}, nil
 	}
 	registryMu.RLock()
@@ -393,9 +398,12 @@ func appendEnvelope(buf []byte, e action.Envelope) []byte {
 	return buf
 }
 
-func decodeEnvelope(buf []byte) (action.Envelope, int, error) {
-	const hdr = 8 + 4 + 4 + 4 + 2 + 4
-	if len(buf) < hdr {
+// envelopeHdr is the fixed part of an encoded envelope: seq(8) origin(4)
+// actClient(4) actSeq(4) kind(2) bodyLen(4).
+const envelopeHdr = 8 + 4 + 4 + 4 + 2 + 4
+
+func decodeEnvelope(buf []byte, slab *world.Slab) (action.Envelope, int, error) {
+	if len(buf) < envelopeHdr {
 		return action.Envelope{}, 0, fmt.Errorf("wire: envelope header truncated")
 	}
 	seq := binary.LittleEndian.Uint64(buf)
@@ -406,18 +414,18 @@ func decodeEnvelope(buf []byte) (action.Envelope, int, error) {
 	}
 	kind := action.Kind(binary.LittleEndian.Uint16(buf[20:]))
 	blen := int(binary.LittleEndian.Uint32(buf[22:]))
-	if len(buf) < hdr+blen {
+	if len(buf) < envelopeHdr+blen {
 		return action.Envelope{}, 0, fmt.Errorf("wire: envelope body truncated")
 	}
 	dec, err := decoderFor(kind)
 	if err != nil {
 		return action.Envelope{}, 0, err
 	}
-	act, err := dec(actID, buf[hdr:hdr+blen])
+	act, err := dec(actID, buf[envelopeHdr:envelopeHdr+blen], slab)
 	if err != nil {
 		return action.Envelope{}, 0, fmt.Errorf("wire: decoding kind %d: %w", kind, err)
 	}
-	return action.Envelope{Seq: seq, Origin: origin, Act: act}, hdr + blen, nil
+	return action.Envelope{Seq: seq, Origin: origin, Act: act}, envelopeHdr + blen, nil
 }
 
 func appendWrites(buf []byte, ws []world.Write) []byte {
@@ -587,7 +595,7 @@ func appendBatch(buf []byte, m *Batch, c *EncodeCache) []byte {
 func Decode(t MsgType, buf []byte) (Msg, error) {
 	switch t {
 	case TypeSubmit:
-		env, _, err := decodeEnvelope(buf)
+		env, _, err := decodeEnvelope(buf, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -604,8 +612,21 @@ func Decode(t MsgType, buf []byte) (Msg, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(buf[25:]))
 		off := 29
+		// The count is untrusted: as in decodeWrites, it sizes Envs only
+		// as far as the buffer could hold that many envelopes. What the
+		// envelope headers leave of the buffer bounds the ids and
+		// attributes the bodies can carry, and that sizes the batch's slab.
+		capHint := n
+		if max := (len(buf) - off) / envelopeHdr; capHint > max {
+			capHint = max
+		}
+		var slab *world.Slab
+		if capHint > 0 {
+			m.Envs = make([]action.Envelope, 0, capHint)
+			slab = world.NewSlab((len(buf) - off - capHint*envelopeHdr) / 8)
+		}
 		for i := 0; i < n; i++ {
-			env, sz, err := decodeEnvelope(buf[off:])
+			env, sz, err := decodeEnvelope(buf[off:], slab)
 			if err != nil {
 				return nil, err
 			}

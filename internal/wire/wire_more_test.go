@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,81 @@ func TestBatchClientSeqSurvives(t *testing.T) {
 	}
 	if b := got.(*Batch); b.ClientSeq != 77 || b.CoversFrom != 70 {
 		t.Fatalf("ClientSeq = %d, CoversFrom = %d", b.ClientSeq, b.CoversFrom)
+	}
+}
+
+// TestBatchDecodeSizesFromCount: Envs is allocated once, from the count;
+// a forged count sizes it no further than the buffer could bear out and
+// is then rejected by the envelope it cannot supply.
+func TestBatchDecodeSizesFromCount(t *testing.T) {
+	b := &Batch{ClientSeq: 1}
+	for i := 0; i < 37; i++ {
+		b.Envs = append(b.Envs, env(uint64(i+1), 2, &testAct{id: action.ID{Client: 2, Seq: uint32(i + 1)}, A: float64(i)}))
+	}
+	m, err := Decode(TypeBatch, Encode(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.(*Batch).Envs; len(got) != 37 || cap(got) != 37 {
+		t.Fatalf("decoded Envs len %d cap %d, want 37 and 37: grown, not sized", len(got), cap(got))
+	}
+	if m, err := Decode(TypeBatch, Encode(&Batch{ClientSeq: 2})); err != nil || m.(*Batch).Envs != nil {
+		t.Fatalf("empty batch decoded to %+v, %v", m, err)
+	}
+
+	forged := Encode(b)
+	binary.LittleEndian.PutUint32(forged[25:], 0xffffffff)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Decode(TypeBatch, forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged envelope count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("a forged count allocated %d bytes for a %d-byte frame", grew, len(forged))
+	}
+}
+
+// TestBatchDecodeCutsFromOneSlab: the values of a batch's blind writes
+// come out of one array per batch, not one allocation per value, and
+// decode to what was sent.
+func TestBatchDecodeCutsFromOneSlab(t *testing.T) {
+	const envs, writesPer = 16, 8
+	b := &Batch{ClientSeq: 1}
+	for i := 0; i < envs; i++ {
+		ws := make([]world.Write, writesPer)
+		for j := range ws {
+			ws[j] = world.Write{ID: world.ObjectID(100*i + j), Val: world.Value{float64(i), float64(j), 1, 0}}
+		}
+		b.Envs = append(b.Envs, env(uint64(i+1), action.OriginServer,
+			action.NewBlindWrite(action.ID{Client: action.OriginServer, Seq: uint32(i + 1)}, ws)))
+	}
+	buf := Encode(b)
+	m, err := Decode(TypeBatch, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range m.(*Batch).Envs {
+		got := e.Act.(*action.BlindWrite).Writes()
+		want := b.Envs[i].Act.(*action.BlindWrite).Writes()
+		if len(got) != len(want) {
+			t.Fatalf("envelope %d: %d writes, want %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].ID != want[j].ID || !got[j].Val.Equal(want[j].Val) || cap(got[j].Val) != len(got[j].Val) {
+				t.Fatalf("envelope %d write %d: %+v (cap %d), want %+v", i, j, got[j], cap(got[j].Val), want[j])
+			}
+		}
+	}
+	// Per envelope: the action and its write records. Per batch: the
+	// message, Envs, the slab and its value array.
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Decode(TypeBatch, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2*envs + 4); allocs > limit {
+		t.Fatalf("decoding %d blind writes of %d values allocated %.0f times, want at most %.0f", envs, writesPer, allocs, limit)
 	}
 }

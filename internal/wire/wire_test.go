@@ -36,7 +36,7 @@ func (a *testAct) MarshalBody() []byte {
 }
 
 func init() {
-	RegisterKind(kindTest, func(id action.ID, body []byte) (action.Action, error) {
+	RegisterKind(kindTest, func(id action.ID, body []byte, _ *world.Slab) (action.Action, error) {
 		if len(body) < 16 {
 			return nil, fmt.Errorf("test action body truncated: %d bytes", len(body))
 		}

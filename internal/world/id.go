@@ -20,15 +20,26 @@ type IDSet []ObjectID
 func NewIDSet(ids ...ObjectID) IDSet {
 	s := make(IDSet, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Deduplicate in place.
-	out := s[:0]
-	for i, id := range s {
-		if i == 0 || id != s[i-1] {
-			out = append(out, id)
+	return AsIDSet(s)
+}
+
+// AsIDSet turns ids into a set in place, taking the slice over. A set
+// that crossed the wire arrives strictly ascending and is returned as it
+// stands; anything else is sorted and deduplicated.
+func AsIDSet(ids []ObjectID) IDSet {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			out := ids[:1]
+			for _, id := range ids[1:] {
+				if id != out[len(out)-1] {
+					out = append(out, id)
+				}
+			}
+			return out
 		}
 	}
-	return out
+	return ids
 }
 
 // Len reports the number of ids in the set.

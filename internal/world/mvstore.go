@@ -18,9 +18,32 @@ import "sort"
 //
 // The paper's client-memory optimization (Section III-C: the server
 // periodically reports the last installed action "enabling the client to
-// garbage collect") maps to PruneBelow.
+// garbage collect") maps to PruneBelow. A client knows every object it
+// was ever sent but between two install reports only the objects written
+// since hold more than one version, so the store lists exactly those
+// chains and PruneBelow visits nothing else: garbage collection costs
+// what was written, not what is known.
 type MVStore struct {
-	chains map[ObjectID][]version
+	chains map[ObjectID]*chain
+	// multi lists the chains holding more than one version (chain.listed
+	// marks membership) — the only ones a prune can shorten.
+	multi []*chain
+	// slab is the unused rest of the current chain allocation block.
+	// Chains are handed out by address and never move, because a chain's
+	// version slice may point into the chain itself.
+	slab     []chain
+	versions int
+}
+
+// chain is one object's versions, ascending by seq and never empty while
+// the object is known. vs starts out backed by one, so the common chain —
+// an object the client was told about once — owns no slice of its own; a
+// chain that outgrew one keeps its heap array, and its capacity, across
+// prunes.
+type chain struct {
+	vs     []version
+	one    [1]version
+	listed bool
 }
 
 type version struct {
@@ -28,17 +51,51 @@ type version struct {
 	val Value
 }
 
+// chainBlock is how many chains one slab allocation holds once the store
+// outgrows what Seed sized for it.
+const chainBlock = 32
+
 // NewMVStore returns an empty store.
 func NewMVStore() *MVStore {
-	return &MVStore{chains: make(map[ObjectID][]version)}
+	return &MVStore{chains: make(map[ObjectID]*chain)}
 }
 
 // Seed installs the initial world as version 0 of every object.
 func (m *MVStore) Seed(init *State) {
-	for _, id := range init.IDs() {
-		v, _ := init.Get(id)
-		m.WriteAt(id, 0, v)
+	if n := init.Len(); n > len(m.slab) {
+		m.slab = make([]chain, n)
 	}
+	init.forEach(func(id ObjectID, v Value) { m.WriteAt(id, 0, v) })
+}
+
+func (m *MVStore) newChain() *chain {
+	if len(m.slab) == 0 {
+		m.slab = make([]chain, chainBlock)
+	}
+	c := &m.slab[0]
+	m.slab = m.slab[1:]
+	c.vs = c.one[:0]
+	return c
+}
+
+// after returns the index of the first version in vs above seq. Reads and
+// writes land at the newest version far more often than not, so that is
+// tested before bisecting.
+func after(vs []version, seq uint64) int {
+	n := len(vs)
+	if n == 0 || vs[n-1].seq <= seq {
+		return n
+	}
+	lo, hi := 0, n-1 // vs[hi].seq > seq
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if vs[mid].seq > seq {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // WriteAt installs a copy of v as the version of id at serial position
@@ -46,37 +103,52 @@ func (m *MVStore) Seed(init *State) {
 // idempotent redelivery, not an error, because the server may resend an
 // action in a later closure batch.
 func (m *MVStore) WriteAt(id ObjectID, seq uint64, v Value) {
-	chain := m.chains[id]
-	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq >= seq })
-	if i < len(chain) && chain[i].seq == seq {
-		chain[i].val = v.Clone()
+	c := m.chains[id]
+	if c == nil {
+		c = m.newChain()
+		m.chains[id] = c
+	}
+	i := after(c.vs, seq)
+	if i > 0 && c.vs[i-1].seq == seq {
+		// Redelivery re-evaluates to the same value; the stored copy is
+		// replaced only when it differs.
+		if !c.vs[i-1].val.Equal(v) {
+			c.vs[i-1].val = v.Clone()
+		}
 		return
 	}
-	chain = append(chain, version{})
-	copy(chain[i+1:], chain[i:])
-	chain[i] = version{seq: seq, val: v.Clone()}
-	m.chains[id] = chain
+	c.vs = append(c.vs, version{})
+	copy(c.vs[i+1:], c.vs[i:])
+	c.vs[i] = version{seq: seq, val: v.Clone()}
+	m.versions++
+	if len(c.vs) > 1 && !c.listed {
+		c.listed = true
+		m.multi = append(m.multi, c)
+	}
 }
 
 // ReadAt returns the value of id as of serial position seq: the newest
 // version with version-seq ≤ seq. ok is false if the object has no
 // version that old (the client has never been sent its value).
 func (m *MVStore) ReadAt(id ObjectID, seq uint64) (Value, bool) {
-	chain := m.chains[id]
-	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
+	c := m.chains[id]
+	if c == nil {
+		return nil, false
+	}
+	i := after(c.vs, seq)
 	if i == 0 {
 		return nil, false
 	}
-	return chain[i-1].val, true
+	return c.vs[i-1].val, true
 }
 
 // Latest returns the newest version of id with its serial position.
 func (m *MVStore) Latest(id ObjectID) (Value, uint64, bool) {
-	chain := m.chains[id]
-	if len(chain) == 0 {
+	c := m.chains[id]
+	if c == nil {
 		return nil, 0, false
 	}
-	v := chain[len(chain)-1]
+	v := c.vs[len(c.vs)-1]
 	return v.val, v.seq, true
 }
 
@@ -102,68 +174,78 @@ func (m *MVStore) LastWriter(id ObjectID) uint64 {
 
 // Known reports whether the store holds any version of id.
 func (m *MVStore) Known(id ObjectID) bool {
-	return len(m.chains[id]) > 0
+	return m.chains[id] != nil
 }
 
 // PruneBelow discards versions older than seq, keeping for each object
 // the newest version with version-seq ≤ seq (collapsed to position seq)
 // so ReadAt(id, x) keeps working for x ≥ seq. This implements the
 // client-side garbage collection triggered by the server's last-installed
-// notifications.
+// notifications. It visits only the chains holding more than one version
+// — a single version is already its own collapse — and shortens them in
+// place.
 func (m *MVStore) PruneBelow(seq uint64) {
-	for id, chain := range m.chains {
-		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
-		if i <= 1 {
-			continue
+	for _, c := range m.multi {
+		if i := after(c.vs, seq); i > 1 {
+			// c.vs[i-1] is the newest version at or below seq; collapse
+			// everything below it.
+			c.vs[i-1].seq = seq
+			m.cut(c, copy(c.vs, c.vs[i-1:]))
 		}
-		// chain[i-1] is the newest version at or below seq; collapse
-		// everything below it.
-		kept := make([]version, 0, len(chain)-i+1)
-		kept = append(kept, version{seq: seq, val: chain[i-1].val})
-		kept = append(kept, chain[i:]...)
-		m.chains[id] = kept
 	}
+	m.relist()
 }
 
 // TruncateAbove discards versions newer than seq, dropping objects
 // whose every version is above it. This is the client-side boot fence:
 // a restarted server re-issues serial positions above its recovery
 // floor, so versions the previous boot placed there describe actions
-// that no longer hold those positions.
+// that no longer hold those positions. An object first heard of above
+// the floor holds a single version, so unlike a prune the fence — one
+// per server restart — looks at every chain.
 func (m *MVStore) TruncateAbove(seq uint64) {
-	for id, chain := range m.chains {
-		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
-		if i == len(chain) {
-			continue
-		}
+	for id, c := range m.chains {
+		i := after(c.vs, seq)
 		if i == 0 {
 			delete(m.chains, id)
-			continue
 		}
-		for j := i; j < len(chain); j++ {
-			chain[j] = version{}
-		}
-		m.chains[id] = chain[:i]
+		m.cut(c, i)
 	}
+	m.relist()
+}
+
+// cut shortens c to its first n versions, releasing the values of the
+// rest.
+func (m *MVStore) cut(c *chain, n int) {
+	m.versions -= len(c.vs) - n
+	clear(c.vs[n:])
+	c.vs = c.vs[:n]
+}
+
+// relist drops from the list the chains a cut left with one version, or
+// none.
+func (m *MVStore) relist() {
+	still := m.multi[:0]
+	for _, c := range m.multi {
+		if len(c.vs) > 1 {
+			still = append(still, c)
+		} else {
+			c.listed = false
+		}
+	}
+	clear(m.multi[len(still):])
+	m.multi = still
 }
 
 // Versions reports the total number of stored versions, for memory
 // accounting in tests and the GC experiments.
-func (m *MVStore) Versions() int {
-	n := 0
-	for _, chain := range m.chains {
-		n += len(chain)
-	}
-	return n
-}
+func (m *MVStore) Versions() int { return m.versions }
 
 // LatestState materializes the newest version of every object as a State.
 func (m *MVStore) LatestState() *State {
 	s := NewState()
-	for id, chain := range m.chains {
-		if len(chain) > 0 {
-			s.Set(id, chain[len(chain)-1].val)
-		}
+	for id, c := range m.chains {
+		s.Set(id, c.vs[len(c.vs)-1].val)
 	}
 	return s
 }
@@ -171,10 +253,8 @@ func (m *MVStore) LatestState() *State {
 // IDs returns the ids of all objects with at least one version, sorted.
 func (m *MVStore) IDs() IDSet {
 	ids := make(IDSet, 0, len(m.chains))
-	for id, chain := range m.chains {
-		if len(chain) > 0 {
-			ids = append(ids, id)
-		}
+	for id := range m.chains {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids

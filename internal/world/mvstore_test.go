@@ -1,7 +1,9 @@
 package world
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -206,5 +208,262 @@ func TestMVStorePruneInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refStore is the store as it was before the multi-version index: one
+// slice per object, PruneBelow and TruncateAbove walking every chain and
+// PruneBelow building a fresh slice per collapsed chain. It is the
+// reference the indexed store is held to.
+type refStore struct {
+	chains map[ObjectID][]version
+}
+
+func newRefStore() *refStore { return &refStore{chains: make(map[ObjectID][]version)} }
+
+func (m *refStore) WriteAt(id ObjectID, seq uint64, v Value) {
+	chain := m.chains[id]
+	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq >= seq })
+	if i < len(chain) && chain[i].seq == seq {
+		chain[i].val = v.Clone()
+		return
+	}
+	chain = append(chain, version{})
+	copy(chain[i+1:], chain[i:])
+	chain[i] = version{seq: seq, val: v.Clone()}
+	m.chains[id] = chain
+}
+
+func (m *refStore) ReadAt(id ObjectID, seq uint64) (Value, bool) {
+	chain := m.chains[id]
+	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
+	if i == 0 {
+		return nil, false
+	}
+	return chain[i-1].val, true
+}
+
+func (m *refStore) Latest(id ObjectID) (Value, uint64, bool) {
+	chain := m.chains[id]
+	if len(chain) == 0 {
+		return nil, 0, false
+	}
+	v := chain[len(chain)-1]
+	return v.val, v.seq, true
+}
+
+func (m *refStore) LastWriter(id ObjectID) uint64 {
+	_, seq, _ := m.Latest(id)
+	return seq
+}
+
+func (m *refStore) PruneBelow(seq uint64) {
+	for id, chain := range m.chains {
+		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
+		if i <= 1 {
+			continue
+		}
+		kept := make([]version, 0, len(chain)-i+1)
+		kept = append(kept, version{seq: seq, val: chain[i-1].val})
+		kept = append(kept, chain[i:]...)
+		m.chains[id] = kept
+	}
+}
+
+func (m *refStore) TruncateAbove(seq uint64) {
+	for id, chain := range m.chains {
+		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
+		if i == len(chain) {
+			continue
+		}
+		if i == 0 {
+			delete(m.chains, id)
+			continue
+		}
+		m.chains[id] = chain[:i]
+	}
+}
+
+func (m *refStore) Versions() int {
+	n := 0
+	for _, chain := range m.chains {
+		n += len(chain)
+	}
+	return n
+}
+
+func (m *refStore) IDs() IDSet {
+	ids := make([]ObjectID, 0, len(m.chains))
+	for id := range m.chains {
+		ids = append(ids, id)
+	}
+	return NewIDSet(ids...)
+}
+
+// TestMVStoreMatchesReference drives the indexed store and the reference
+// with the same random sequence of writes (in and out of order, with
+// redelivery), prunes and boot-fence truncations, and compares every
+// observable after every step. Versions — the memory the garbage
+// collection exists to bound — may never read higher than the
+// reference's.
+func TestMVStoreMatchesReference(t *testing.T) {
+	const objects, probes = 12, 8
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, ref := NewMVStore(), newRefStore()
+		init := NewState()
+		for id := ObjectID(0); id < objects/2; id++ {
+			init.Set(id, Value{float64(id)})
+			ref.WriteAt(id, 0, Value{float64(id)})
+		}
+		m.Seed(init)
+		head := uint64(1) // serial positions issued so far
+		var last struct {
+			id  ObjectID
+			seq uint64
+			val Value
+		}
+		for step := 0; step < 400; step++ {
+			var op string
+			switch r := rng.Intn(20); {
+			case r < 12:
+				// A write near the head, sometimes well behind it (a later
+				// closure reaching back), sometimes to an unknown object.
+				head += uint64(rng.Intn(3))
+				seq := head
+				if rng.Intn(4) == 0 {
+					seq -= uint64(rng.Intn(int(min(head, 12))))
+				}
+				last.id, last.seq, last.val = ObjectID(rng.Intn(objects)), seq, Value{rng.Float64()}
+				op = "write"
+			case r < 14:
+				// Redelivery: same position, usually the same value.
+				if rng.Intn(3) == 0 {
+					last.val = Value{rng.Float64()}
+				}
+				op = "redeliver"
+			case r < 19:
+				cut := head - uint64(rng.Intn(int(min(head, 6))))
+				m.PruneBelow(cut)
+				ref.PruneBelow(cut)
+				op = "prune"
+			default:
+				cut := head - uint64(rng.Intn(int(min(head, 10))))
+				m.TruncateAbove(cut)
+				ref.TruncateAbove(cut)
+				head = cut + 1
+				op = "truncate"
+			}
+			if op == "write" || op == "redeliver" {
+				if last.val == nil {
+					continue
+				}
+				m.WriteAt(last.id, last.seq, last.val)
+				ref.WriteAt(last.id, last.seq, last.val)
+			}
+
+			if got, want := m.IDs(), ref.IDs(); !got.Equal(want) {
+				t.Fatalf("seed %d step %d (%s): IDs %v, reference %v", seed, step, op, got, want)
+			}
+			if got, want := m.Versions(), ref.Versions(); got != want {
+				t.Fatalf("seed %d step %d (%s): Versions %d, reference %d", seed, step, op, got, want)
+			}
+			listed := 0
+			for id, c := range m.chains {
+				if c.listed != (len(c.vs) > 1) {
+					t.Fatalf("seed %d step %d (%s): object %d holds %d versions, listed %v", seed, step, op, id, len(c.vs), c.listed)
+				}
+				if c.listed {
+					listed++
+				}
+			}
+			if listed != len(m.multi) {
+				t.Fatalf("seed %d step %d (%s): %d chains listed, index holds %d", seed, step, op, listed, len(m.multi))
+			}
+			for id := ObjectID(0); id < objects; id++ {
+				if got, want := m.Known(id), len(ref.chains[id]) > 0; got != want {
+					t.Fatalf("seed %d step %d (%s): Known(%d) = %v, reference %v", seed, step, op, id, got, want)
+				}
+				if got, want := m.LastWriter(id), ref.LastWriter(id); got != want {
+					t.Fatalf("seed %d step %d (%s): LastWriter(%d) = %d, reference %d", seed, step, op, id, got, want)
+				}
+				v1, s1, ok1 := m.Latest(id)
+				v2, s2, ok2 := ref.Latest(id)
+				if ok1 != ok2 || s1 != s2 || !v1.Equal(v2) {
+					t.Fatalf("seed %d step %d (%s): Latest(%d) = %v@%d %v, reference %v@%d %v", seed, step, op, id, v1, s1, ok1, v2, s2, ok2)
+				}
+				for p := 0; p < probes; p++ {
+					at := uint64(rng.Intn(int(head) + 3))
+					v1, ok1 := m.ReadAt(id, at)
+					v2, ok2 := ref.ReadAt(id, at)
+					if ok1 != ok2 || !v1.Equal(v2) {
+						t.Fatalf("seed %d step %d (%s): ReadAt(%d, %d) = %v %v, reference %v %v", seed, step, op, id, at, v1, ok1, v2, ok2)
+					}
+				}
+			}
+		}
+	}
+}
+
+// pruneFixture is a store that knows `known` objects and, per round,
+// writes `touched` of them once above the install point before pruning
+// at it: a client between two install reports.
+type pruneFixture struct {
+	m       *MVStore
+	touched int
+	seq     uint64
+}
+
+func newPruneFixture(known, touched int) *pruneFixture {
+	init := NewState()
+	for id := 0; id < known; id++ {
+		init.Set(ObjectID(id), Value{0, 0, 1, 0})
+	}
+	f := &pruneFixture{m: NewMVStore(), touched: touched}
+	f.m.Seed(init)
+	f.round() // the touched chains grow their two-version arrays once
+	return f
+}
+
+func (f *pruneFixture) write() {
+	for id := 0; id < f.touched; id++ {
+		f.seq++
+		f.m.WriteAt(ObjectID(id), f.seq, Value{float64(f.seq), 0, 1, 0})
+	}
+}
+
+func (f *pruneFixture) round() {
+	f.write()
+	f.m.PruneBelow(f.seq)
+}
+
+// TestMVStorePruneAllocatesNothing pins the collapse to happen in place:
+// a round allocates the value copies of its writes and nothing else.
+func TestMVStorePruneAllocatesNothing(t *testing.T) {
+	const touched = 4
+	f := newPruneFixture(1024, touched)
+	if allocs := testing.AllocsPerRun(200, f.round); allocs != touched {
+		t.Fatalf("a round of %d writes and a prune allocated %.1f times, want the %d value copies only", touched, allocs, touched)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { f.m.PruneBelow(f.seq) }); allocs != 0 {
+		t.Fatalf("PruneBelow with nothing to collapse allocated %.1f times", allocs)
+	}
+	if got := f.m.Versions(); got != 1024 {
+		t.Fatalf("Versions after the last prune = %d, want one per object", got)
+	}
+}
+
+// BenchmarkMVStorePrune: the time of a prune follows the objects written
+// since the last one, not the objects known.
+func BenchmarkMVStorePrune(b *testing.B) {
+	for _, known := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("known=%d/touched=4", known), func(b *testing.B) {
+			f := newPruneFixture(known, 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.round()
+			}
+		})
 	}
 }

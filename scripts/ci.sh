@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: vet (generic + domain-specific), the full test suite under
-# the race detector and again with shuffled test order, and a short fuzz
-# smoke of the wire codec. The engine's push scheduler fans closure
+# the race detector and again with shuffled test order, short fuzz
+# smokes of the wire codec and of journal recovery, and two one-second
+# benchmark runs as correctness smokes. The engine's push scheduler fans closure
 # planning over goroutines and the shard router plans epochs on
 # persistent lane workers, so every change must pass -race, not just
 # plain `go test` — the -race run covers TestShardedEquivalence, the
@@ -12,8 +13,12 @@
 # (the wire pool is process-global); seve-vet enforces the action
 # read/write-set, pool-ownership, nocopy, determinism, lock-region,
 # lane-affinity and delivery-class contracts (DESIGN.md §9, §14); the
-# fuzz pass keeps Decode honest against hostile frames beyond the
-# checked-in corpus; the coverage gate keeps the protocol engine and
+# fuzz passes keep Decode honest against hostile frames, and recovery
+# against hostile store directories in either segment layout, beyond
+# the checked-in corpora; the benchmark smokes run the whole action
+# journey with the journal attached (lanes4_wal) and at a thousand
+# clients (tick1024) and fail on the per-pass correctness gate — no
+# timing is read; the coverage gate keeps the protocol engine and
 # the reconnect-capable transport from losing test reach as they grow
 # (baselines sit a little under the measured coverage so legitimate
 # refactors don't trip on noise).
@@ -32,6 +37,14 @@ echo "seve-vet: clean against vet-baseline.json (artifact: seve-vet.json)"
 go test -race ./...
 go test -shuffle=on ./...
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzRecover$' -fuzztime 10s ./internal/durable
+
+# Correctness smokes: a pass exits non-zero when its gate fails
+# (violations, unresolved submissions, Installed != commits, ζCS != ζS,
+# a journal that does not recover to ζS, counts differing across passes).
+go run ./bench -workload lanes4_wal -seconds 1 >/dev/null
+go run ./bench -workload tick1024 -seconds 1 >/dev/null
+echo "bench smokes: lanes4_wal and tick1024 pass their gates"
 
 # Coverage gate: statement coverage of the two packages the resume
 # protocol cuts through must not regress below the floor.
