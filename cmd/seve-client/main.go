@@ -42,17 +42,9 @@ func main() {
 	manhattan.RegisterWire(w)
 
 	cfg := core.DefaultConfig()
-	switch *mode {
-	case "basic":
-		cfg.Mode = core.ModeBasic
-	case "incomplete":
-		cfg.Mode = core.ModeIncomplete
-	case "firstbound":
-		cfg.Mode = core.ModeFirstBound
-	case "infobound":
-		cfg.Mode = core.ModeInfoBound
-	default:
-		log.Fatalf("seve-client: unknown mode %q", *mode)
+	var err error
+	if cfg.Mode, err = core.ParseMode(*mode); err != nil {
+		log.Fatalf("seve-client: %v", err)
 	}
 
 	if *retries > 0 {

@@ -46,17 +46,9 @@ func main() {
 	manhattan.RegisterWire(w)
 
 	cfg := core.DefaultConfig()
-	switch *mode {
-	case "basic":
-		cfg.Mode = core.ModeBasic
-	case "incomplete":
-		cfg.Mode = core.ModeIncomplete
-	case "firstbound":
-		cfg.Mode = core.ModeFirstBound
-	case "infobound":
-		cfg.Mode = core.ModeInfoBound
-	default:
-		log.Fatalf("seve-loadgen: unknown mode %q", *mode)
+	var err error
+	if cfg.Mode, err = core.ParseMode(*mode); err != nil {
+		log.Fatalf("seve-loadgen: %v", err)
 	}
 
 	var (

@@ -64,17 +64,9 @@ func main() {
 	cfg.Threshold = 1.5 * wcfg.Visibility
 	cfg.AuditRate = *audit
 	cfg.MaxSubmitRate = *maxRate
-	switch *mode {
-	case "basic":
-		cfg.Mode = core.ModeBasic
-	case "incomplete":
-		cfg.Mode = core.ModeIncomplete
-	case "firstbound":
-		cfg.Mode = core.ModeFirstBound
-	case "infobound":
-		cfg.Mode = core.ModeInfoBound
-	default:
-		fmt.Fprintf(os.Stderr, "seve-server: unknown mode %q\n", *mode)
+	var err error
+	if cfg.Mode, err = core.ParseMode(*mode); err != nil {
+		fmt.Fprintf(os.Stderr, "seve-server: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -2,12 +2,10 @@ package core
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"seve/internal/action"
 	"seve/internal/geom"
-	"seve/internal/wire"
 	"seve/internal/world"
 )
 
@@ -49,15 +47,6 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 	windowStart := s.lastPushMs
 	s.lastPushMs = nowMs
 
-	// Deterministic client order: map iteration order would randomize
-	// reply ordering and, through link serialization, the whole
-	// simulation timeline.
-	cids := make([]action.ClientID, 0, len(s.clients))
-	for cid := range s.clients {
-		cids = append(cids, cid)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-
 	// The push window is shared by every client; collect it once
 	// instead of once per client.
 	window := s.tickWindow[:0]
@@ -67,17 +56,18 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 		}
 	}
 	s.tickWindow = window
-	if len(window) == 0 || len(cids) == 0 {
+	recs := s.live // ascending id: the deterministic client order
+	if len(window) == 0 || len(recs) == 0 {
 		return out
 	}
 
 	s.pushTicks++
-	plans := make([]ReplyPlan, len(cids))
-	workers := s.pushWorkerCount(len(cids))
+	plans := make([]ReplyPlan, len(recs))
+	workers := s.pushWorkerCount(len(recs))
 	if workers <= 1 {
 		sc := s.scratchFor(0)
-		for i, cid := range cids {
-			plans[i] = s.planPush(cid, window, nowMs, sc)
+		for i, rec := range recs {
+			plans[i] = s.planPush(rec, window, nowMs, sc)
 		}
 	} else {
 		s.pushParallelTicks++
@@ -89,16 +79,16 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 			w := w
 			tasks[w] = func() {
 				sc := s.scratchFor(w)
-				for i := w; i < len(cids); i += workers {
-					plans[i] = s.planPush(cids[i], window, nowMs, sc)
+				for i := w; i < len(recs); i += workers {
+					plans[i] = s.planPush(recs[i], window, nowMs, sc)
 				}
 			}
 		}
 		s.runPlanTasks(tasks)
 	}
 
-	for i, cid := range cids {
-		s.commitPush(cid, &plans[i], &out)
+	for i, rec := range recs {
+		s.commitPush(rec, &plans[i], &out)
 	}
 	return out
 }
@@ -138,7 +128,7 @@ func (s *Server) runPlanTasks(tasks []func()) {
 // which is what lets both schedulers compute them on worker goroutines
 // and commit them sequentially.
 type ReplyPlan struct {
-	active    bool
+	// positions is empty for a push plan that found nothing to send.
 	positions []int
 	writes    []world.Write
 	// envs is the pre-assembled envelope sequence (planEnvs): slot 0
@@ -174,21 +164,20 @@ func (s *Server) pushWorkerCount(n int) int {
 	return w
 }
 
-// planPush scans the push window for entries eligible for cid and runs
+// planPush scans the push window for entries eligible for rec and runs
 // the closure walk over the seeds. Read-only apart from its private
 // scratch, so it is safe on a worker goroutine: the queue, the conflict
 // index, the interner, ζS, and the sent() bitmaps are all frozen for
 // the duration of the planning phase.
-func (s *Server) planPush(cid action.ClientID, window []int, nowMs float64, sc *closureScratch) ReplyPlan {
-	ci := s.clients[cid]
-	slot := ci.slot
+func (s *Server) planPush(rec *clientRec, window []int, nowMs float64, sc *closureScratch) ReplyPlan {
+	slot := rec.slot
 	seeds := sc.seeds[:0]
 	for _, i := range window {
 		e := s.queue[i]
 		if e.sent.has(slot) {
 			continue
 		}
-		if !s.pushEligible(e, ci, nowMs) {
+		if !s.pushEligible(e, &rec.clientInfo, nowMs) {
 			continue
 		}
 		seeds = append(seeds, i)
@@ -197,12 +186,8 @@ func (s *Server) planPush(cid action.ClientID, window []int, nowMs float64, sc *
 	if len(seeds) == 0 {
 		return ReplyPlan{}
 	}
-	v := s.globalView()
-	positions, writes, st := s.closureWalk(&v, seeds, sc,
-		func(_ int, e *entry) bool { return e.sent.has(slot) })
-	return ReplyPlan{active: true, positions: positions, writes: writes,
-		envs: planEnvs(&v, positions), stats: st,
-		footprint: s.planFootprint(&v, positions, writes)}
+	v := s.segment.view()
+	return s.planBatch(&v, seeds, sc, sentTo(slot))
 }
 
 // commitPush applies one client's plan: marks the batch entries sent,
@@ -210,19 +195,13 @@ func (s *Server) planPush(cid action.ClientID, window []int, nowMs float64, sc *
 // emits the reply. Runs on the engine goroutine in ascending client
 // order, which is what makes the scheduler's output independent of the
 // pool width.
-func (s *Server) commitPush(cid action.ClientID, p *ReplyPlan, out *ServerOutput) {
+func (s *Server) commitPush(rec *clientRec, p *ReplyPlan, out *ServerOutput) {
 	s.noteWalk(p.stats, out)
-	if !p.active {
+	if len(p.positions) == 0 {
 		return
 	}
-	v := s.globalView()
-	batch := s.commitBatch(&v, s.slotOf(cid), p)
-	b := s.sequence(cid, &wire.Batch{Envs: batch, Push: true, InstalledUpTo: s.installed})
-	out.Replies = append(out.Replies, Reply{
-		To:      cid,
-		Msg:     b,
-		Deliver: Delivery{Class: DeliveryBatch, Footprint: p.footprint, Epoch: b.ClientSeq},
-	})
+	v := s.segment.view()
+	out.Replies = append(out.Replies, s.commitPlan(&v, rec, p, s.mintBlind(p), true))
 }
 
 // pushEligible decides whether entry e could affect a future action of

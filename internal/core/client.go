@@ -697,7 +697,7 @@ func (c *Client) HandleCatchUp(m *wire.CatchUp) ClientOutput {
 		}
 	}
 	// Re-send completions the server has not installed past; duplicates
-	// are idempotent on the server (pendingRes/installed checks).
+	// are idempotent on the server (held/installed checks).
 	for _, cm := range c.sentCompletions {
 		if cm.Seq > m.InstalledUpTo {
 			out.ToServer = append(out.ToServer, cm)

@@ -43,11 +43,11 @@ import (
 //     (asserted by TestClosureIndexEquivalence).
 //
 // The walk only reads server state; mutations (sent marks, counters,
-// blind-write ids) belong to the caller via commitBatch/noteWalk.
+// blind-write ids) belong to the caller via commitPlan/noteWalk.
 // That is what lets the First Bound push scheduler fan walks for
 // different clients out over a worker pool (bound.go), and the shard
 // router fan walks for different lanes over lane-segment views
-// (lanes.go) — seeds and returned positions are indexes into v.queue.
+// (pipeline.go) — seeds and returned positions are indexes into v.queue.
 func (s *Server) closureWalk(v *walkView, seeds []int, sc *closureScratch, already func(int, *entry) bool) (positions []int, writes []world.Write, st walkStats) {
 	sc.ensure(len(v.queue), s.intern.Len())
 	useIndex := !s.cfg.DisableConflictIndex

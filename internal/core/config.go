@@ -24,7 +24,10 @@
 //     evaluated in Section V.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Mode selects the protocol level. Each level includes all the machinery
 // of the levels below it.
@@ -38,20 +41,30 @@ const (
 	ModeInfoBound
 )
 
-// String names the mode for diagnostics and experiment tables.
+var modeNames = [...]string{
+	ModeBasic:      "basic",
+	ModeIncomplete: "incomplete",
+	ModeFirstBound: "firstbound",
+	ModeInfoBound:  "infobound",
+}
+
+// String names the mode for diagnostics, experiment tables and the
+// binaries' -mode flag.
 func (m Mode) String() string {
-	switch m {
-	case ModeBasic:
-		return "basic"
-	case ModeIncomplete:
-		return "incomplete"
-	case ModeFirstBound:
-		return "firstbound"
-	case ModeInfoBound:
-		return "infobound"
-	default:
+	if m < 0 || int(m) >= len(modeNames) {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return modeNames[m]
+}
+
+// ParseMode is the inverse of Mode.String.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown mode %q (want %s)", name, strings.Join(modeNames[:], "|"))
 }
 
 // Config carries the protocol parameters shared by the server and its
@@ -160,12 +173,6 @@ type Config struct {
 	// Honored by shard.NewEngine; NewServer itself is always one lane.
 	Shards int
 
-	// DisableSharding forces the single-lane engine even when Shards is
-	// set. Exists for the sharding ablation and the differential
-	// equivalence tests (TestShardedEquivalence); leave false in real
-	// deployments.
-	DisableSharding bool
-
 	// ShardCellSize is the edge length of the spatial ownership grid the
 	// shard router partitions the world into. 0 picks a default from the
 	// influence reach (2s·(1+ω)·RTT + 2·DefaultRadius).
@@ -187,14 +194,6 @@ type Config struct {
 	// supersession ablation and the differential equivalence tests
 	// (TestSupersedingEquivalence); leave false in real deployments.
 	DisableSuperseding bool
-
-	// CrossCheck makes the server compare redundant completion reports
-	// for the same action against the accepted result and flag clients
-	// whose reports disagree — the paper's Section II-B observation that
-	// "the servers can also log MMO statistics to detect any cheating or
-	// security threat", made concrete. Only meaningful together with
-	// FailureTolerant (otherwise each action has a single reporter).
-	CrossCheck bool
 
 	// DisableIntegrity turns off the server-side semantic integrity
 	// layer (internal/integrity, DESIGN.md §16): completion validation

@@ -132,7 +132,7 @@ type Restorer interface {
 // engine must be freshly constructed (no clients, empty queue) over
 // the recovered ζS.
 func (s *Server) Restore(rec RestoreState) {
-	if len(s.clients) != 0 || len(s.queue) != 0 || s.installed != 0 {
+	if len(s.live) != 0 || len(s.queue) != 0 || s.installed != 0 {
 		panic("core: Restore on a used engine")
 	}
 	s.installed = rec.UpTo
@@ -142,7 +142,8 @@ func (s *Server) Restore(rec RestoreState) {
 	s.bootFloor = rec.UpTo
 	s.sessionSeq = rec.SessionSeq
 	for _, sr := range rec.Sessions {
-		sess := &session{
+		r := s.recordOf(sr.ID)
+		r.sess = &session{
 			token:      sr.Token,
 			mask:       sr.Mask,
 			seqNo:      sr.SeqNo,
@@ -151,11 +152,10 @@ func (s *Server) Restore(rec RestoreState) {
 			retained:   sr.Retained,
 			recovered:  true,
 		}
-		s.sessions[sr.ID] = sess
-		s.tokenOwner[sr.Token] = sr.ID
+		s.tokens[sr.Token] = r
 	}
 	for _, qr := range rec.Quarantined {
-		s.ledgerOf(qr.ID).Quarantined = true
+		s.recordOf(qr.ID).led.Quarantined = true
 	}
 }
 
@@ -173,7 +173,7 @@ func (s *Server) emitCommitGroup(batch []*entry) {
 			Lane:   e.lane,
 			Origin: e.env.Origin,
 			ActSeq: e.env.Act.ID().Seq,
-			Res:    s.pendingRes[e.env.Seq],
+			Res:    e.res,
 		})
 	}
 	s.installEpoch++

@@ -114,7 +114,7 @@ func restoreFrom(lb *loopback, floor uint64) RestoreState {
 		SessionSeq: lb.srv.sessionSeq,
 	}
 	for _, cid := range lb.order {
-		sess := lb.srv.sessions[cid]
+		sess := lb.srv.recs[cid].sess
 		sr := SessionRecord{ID: cid, Token: sess.token, Mask: sess.mask, SeqNo: sess.seqNo}
 		for _, env := range lb.srv.History()[:floor] {
 			if env.Origin == cid && env.Act.ID().Seq > sr.LastActSeq {

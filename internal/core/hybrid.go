@@ -39,18 +39,20 @@ func (s *Server) hybridTick(nowMs float64, out *ServerOutput) {
 		cell = 1
 	}
 
-	groups := make(map[[2]int32][]action.ClientID)
-	var unplaced []action.ClientID
-	for cid, ci := range s.clients {
-		if !ci.hasPos {
-			unplaced = append(unplaced, cid)
+	// s.live is in ascending id order, so every group's members and the
+	// unplaced list come out sorted.
+	groups := make(map[[2]int32][]*clientRec)
+	var unplaced []*clientRec
+	for _, rec := range s.live {
+		if !rec.hasPos {
+			unplaced = append(unplaced, rec)
 			continue
 		}
-		key := [2]int32{int32(math.Floor(ci.pos.X / cell)), int32(math.Floor(ci.pos.Y / cell))}
-		groups[key] = append(groups[key], cid)
+		key := [2]int32{int32(math.Floor(rec.pos.X / cell)), int32(math.Floor(rec.pos.Y / cell))}
+		groups[key] = append(groups[key], rec)
 	}
 
-	// Deterministic iteration: sort group keys and members.
+	// Deterministic iteration: sort group keys.
 	keys := make([][2]int32, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
@@ -63,34 +65,30 @@ func (s *Server) hybridTick(nowMs float64, out *ServerOutput) {
 	})
 
 	for _, k := range keys {
-		members := groups[k]
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		s.pushGroup(members, windowStart, nowMs, out)
+		s.pushGroup(groups[k], windowStart, nowMs, out)
 	}
 	// Clients with unknown positions are served individually (they are
 	// conservatively interested in everything, and grouping strangers
 	// under one relay would couple unrelated players).
-	sort.Slice(unplaced, func(i, j int) bool { return unplaced[i] < unplaced[j] })
-	for _, cid := range unplaced {
-		s.pushGroup([]action.ClientID{cid}, windowStart, nowMs, out)
+	for _, rec := range unplaced {
+		s.pushGroup([]*clientRec{rec}, windowStart, nowMs, out)
 	}
 }
 
 // pushGroup computes the shared seed set and closure for one cell and
 // emits either a direct Batch (single member) or a Relay.
-func (s *Server) pushGroup(members []action.ClientID, windowStart, nowMs float64, out *ServerOutput) {
+func (s *Server) pushGroup(members []*clientRec, windowStart, nowMs float64, out *ServerOutput) {
 	var seeds []int
 	for i, e := range s.queue {
 		if e.stampedMs <= windowStart || e.stampedMs > nowMs {
 			continue
 		}
 		wanted := false
-		for _, cid := range members {
-			ci := s.clients[cid]
-			if e.sent.has(ci.slot) {
+		for _, rec := range members {
+			if e.sent.has(rec.slot) {
 				continue
 			}
-			if s.pushEligible(e, ci, nowMs) {
+			if s.pushEligible(e, &rec.clientInfo, nowMs) {
 				wanted = true
 				break
 			}
@@ -102,36 +100,32 @@ func (s *Server) pushGroup(members []action.ClientID, windowStart, nowMs float64
 	if len(seeds) == 0 {
 		return
 	}
-	batch := s.closureShared(members, seeds, out)
-	inner := &wire.Batch{Envs: batch, Push: true, InstalledUpTo: s.installed}
+	envs := s.closureShared(members, seeds, out)
 	if len(members) == 1 {
-		b := s.sequence(members[0], inner)
-		out.Replies = append(out.Replies, Reply{
-			To: members[0], Msg: b,
-			Deliver: Delivery{Class: DeliveryBatch, Epoch: b.ClientSeq},
-		})
+		out.Replies = append(out.Replies, s.batchReply(members[0], envs, true, nil))
 		return
 	}
+	inner := &wire.Batch{Envs: envs, Push: true, InstalledUpTo: s.installed}
+	ids := make([]action.ClientID, len(members))
 	seqs := make([]uint64, len(members))
-	for i, cid := range members {
-		if ci := s.clients[cid]; ci != nil {
-			ci.nextBatchSeq++
-			seqs[i] = ci.nextBatchSeq
-			// Retain the member's view of the shared batch — its own
-			// ClientSeq over the shared envelope section — so a resume can
-			// replay what the relay hop would have delivered.
-			s.retainBatch(cid, &wire.Batch{
-				Envs:          inner.Envs,
-				Push:          true,
-				InstalledUpTo: inner.InstalledUpTo,
-				ClientSeq:     seqs[i],
-			})
-		}
+	for i, rec := range members {
+		ids[i] = rec.id
+		rec.nextBatchSeq++
+		seqs[i] = rec.nextBatchSeq
+		// Retain the member's view of the shared batch — its own
+		// ClientSeq over the shared envelope section — so a resume can
+		// replay what the relay hop would have delivered.
+		s.retainBatch(rec, &wire.Batch{
+			Envs:          inner.Envs,
+			Push:          true,
+			InstalledUpTo: inner.InstalledUpTo,
+			ClientSeq:     seqs[i],
+		})
 	}
 	inner.ClientSeq = seqs[0] // the relay's own copy
 	out.Replies = append(out.Replies, Reply{
-		To:  members[0],
-		Msg: &wire.Relay{Targets: members, TargetSeqs: seqs, Inner: inner},
+		To:  ids[0],
+		Msg: &wire.Relay{Targets: ids, TargetSeqs: seqs, Inner: inner},
 		// A relay fans out to peers the queue cannot see past the first
 		// hop; it must arrive exactly once, in order.
 		Deliver: Delivery{Class: DeliveryOrdered},
@@ -142,37 +136,23 @@ func (s *Server) pushGroup(members []action.ClientID, windowStart, nowMs float64
 // already-sent writer's effects are subtracted only if EVERY member has
 // them; otherwise the action is included for all (duplicates are
 // idempotent under the multiversion stores).
-func (s *Server) closureShared(members []action.ClientID, seeds []int, out *ServerOutput) []action.Envelope {
-	slots := make([]int, len(members))
-	for i, cid := range members {
-		slots[i] = s.clients[cid].slot
-	}
-	v := s.globalView()
+func (s *Server) closureShared(members []*clientRec, seeds []int, out *ServerOutput) []action.Envelope {
+	v := s.segment.view()
 	positions, writes, st := s.closureWalk(&v, seeds, s.scratchFor(0), func(_ int, e *entry) bool {
-		for _, slot := range slots {
-			if !e.sent.has(slot) {
+		for _, rec := range members {
+			if !e.sent.has(rec.slot) {
 				return false
 			}
 		}
 		return true
 	})
 	s.noteWalk(st, out)
-
-	batch := make([]action.Envelope, 0, len(positions)+1)
-	if len(writes) > 0 {
-		bw := action.NewBlindWrite(s.nextBlindID(), writes)
-		batch = append(batch, action.Envelope{
-			Seq:    s.installed,
-			Origin: action.OriginServer,
-			Act:    bw,
-		})
-	}
 	for _, j := range positions {
-		e := s.queue[j]
-		for _, slot := range slots {
-			e.sent.set(slot)
+		for _, rec := range members {
+			s.queue[j].sent.set(rec.slot)
 		}
-		batch = append(batch, e.env)
 	}
-	return batch
+	// No footprint: a relayed batch is delivered in order, never superseded.
+	plan := ReplyPlan{positions: positions, writes: writes, envs: planEnvs(&v, positions)}
+	return s.blindFirst(&plan, s.mintBlind(&plan))
 }

@@ -15,19 +15,46 @@ import (
 // O(conflicts) per analysis, which is what the paper's thin-server
 // claim (Section V-B1, 0.04 ms per move) depends on at depth.
 //
-// Key invariant (established by HandleSubmit/HandleCompletion): the
-// uncommitted queue is a contiguous run of serial positions, so
-// queue[i].env.Seq == s.installed + 1 + uint64(i). Writer lists store
-// serial positions (Seqs), which never change as the head of the queue
+// Key invariant (established by the stamp and install passes): a
+// segment's queue is a contiguous run of its own serial positions, so
+// queue[i] has segment-seq == installed + 1 + uint64(i). Writer lists
+// store segment seqs, which never change as the head of the queue
 // installs; the conversion to a current queue index is one subtraction.
 
-// walkView selects which partition of the queue and conflict index an
-// analysis walk runs over: the global queue (the single-lane engine,
-// cross-shard stamping, pushes, resume) or one lane's segment (the shard
-// router's partitioned pipeline, see lanes.go). A view carries its own
-// serial numbering — global Seqs for the global view, lane-local
-// laneSeqs for a lane segment — and the invariant holds per view:
-// view.queue[i] has view-seq == view.installed + 1 + i.
+// segment is one partition of the uncommitted queue with its slice of
+// the reverse conflict index: the global queue (embedded in Server,
+// numbered by global Seq) or one shard lane's mirror of the entries it
+// owns (Server.lanes, numbered by laneSeq; see pipeline.go). Enqueue,
+// index, prune and pop-and-compact exist once, here, for both.
+type segment struct {
+	// queue holds the segment's uncommitted entries in serial order.
+	queue []*entry
+	// popped counts entries popped off the queue head since the backing
+	// array was last compacted.
+	popped int
+	// nextSeq numbers the segment's accepted entries; installed is its
+	// install watermark — the greatest j such that entries 1..j have all
+	// been installed — in the same numbering.
+	nextSeq   uint64
+	installed uint64
+	// writers is the reverse conflict index: writers[o] holds the segment
+	// seqs (ascending) of the uncommitted entries whose write set contains
+	// the object with dense index o. The lanes all hold the same table:
+	// each object is written only by its owner lane's entries, so parallel
+	// lane stamps touch disjoint rows, and a table per lane would multiply
+	// the index's footprint by the lane count (growWriters).
+	writers [][]uint64
+
+	compactions       int
+	writerCompactions int
+}
+
+// walkView is what an analysis walk reads of a segment: its queue, its
+// index and its install watermark as they stood when the view was taken.
+// Positions a walk takes and returns are indexes into the view's queue;
+// the numbering is the segment's own — global Seqs for the global queue
+// (the single-lane engine, cross-shard stamping, pushes, resume),
+// laneSeqs for a lane segment (the router's partitioned epochs).
 type walkView struct {
 	queue   []*entry
 	writers [][]uint64
@@ -36,9 +63,69 @@ type walkView struct {
 	installed uint64
 }
 
-// globalView is the whole-queue view every non-partitioned path uses.
-func (s *Server) globalView() walkView {
-	return walkView{queue: s.queue, writers: s.writers, installed: s.installed}
+func (g *segment) view() walkView {
+	return walkView{queue: g.queue, writers: g.writers, installed: g.installed}
+}
+
+// push enqueues e at the segment's next serial position, which it
+// returns, and records e's writes in the reverse conflict index.
+func (g *segment) push(e *entry) uint64 {
+	g.nextSeq++
+	g.queue = append(g.queue, e)
+	for _, o := range e.wsd {
+		lst := g.writers[o]
+		// Compact the dead prefix (seqs at or below the install point)
+		// when it dominates the list; append is the only place a list
+		// grows, so this amortizes to O(1) per write.
+		if len(lst) > 16 && lst[0] <= g.installed {
+			d := liveFrom(lst, g.installed)
+			if 2*d >= len(lst) {
+				lst = lst[:copy(lst, lst[d:])]
+				g.writerCompactions++
+			}
+		}
+		g.writers[o] = append(lst, g.nextSeq)
+	}
+	return g.nextSeq
+}
+
+// prune trims the writer lists of an entry the install watermark just
+// passed. Objects written only by installed actions release their lists
+// entirely; hot objects compact once the dead prefix dominates. Runs in
+// the sequential install pass — the walks themselves never mutate the
+// index, which keeps them safe on worker goroutines.
+func (g *segment) prune(e *entry) {
+	for _, o := range e.wsd {
+		lst := g.writers[o]
+		d := liveFrom(lst, g.installed)
+		switch {
+		case d == len(lst):
+			g.writers[o] = lst[:0]
+		case d > 16 && 2*d >= len(lst):
+			g.writers[o] = lst[:copy(lst, lst[d:])]
+			g.writerCompactions++
+		}
+	}
+}
+
+// queueCompactMin is the smallest dead prefix worth a compaction copy.
+const queueCompactMin = 256
+
+// pop drops the n installed entries at the queue head. Re-slicing alone
+// would pin the popped prefix of the backing array for the life of the
+// server (the nil-ed slots themselves); the live tail is copied to a
+// fresh array once the dead prefix dominates.
+func (g *segment) pop(n int) {
+	clear(g.queue[:n])
+	g.queue = g.queue[n:]
+	g.popped += n
+	if g.popped >= queueCompactMin && g.popped >= len(g.queue) {
+		compacted := make([]*entry, len(g.queue))
+		copy(compacted, g.queue)
+		g.queue = compacted
+		g.popped = 0
+		g.compactions++
+	}
 }
 
 // walkStats aggregates what one analysis walk cost. Walks run on worker
@@ -95,56 +182,24 @@ func (s *Server) scratchFor(w int) *closureScratch {
 	return s.scratch[w]
 }
 
-// growWriters keeps the writer-list tables in step with the interner.
+// growWriters keeps the writer-list tables in step with the interner:
+// the global segment's own, and the one table every lane segment holds.
 //
 //seve:lane-seal
 func (s *Server) growWriters() {
-	for len(s.writers) < s.intern.Len() {
+	n := s.intern.Len()
+	for len(s.writers) < n {
 		s.writers = append(s.writers, nil)
 	}
-	if s.lanes != nil {
-		for len(s.laneWriters) < s.intern.Len() {
-			s.laneWriters = append(s.laneWriters, nil)
-		}
+	if len(s.lanes) == 0 || len(s.lanes[0].writers) >= n {
+		return
 	}
-}
-
-// indexEntry records e's writes in the reverse conflict index. Called on
-// enqueue, from the (sequential) submission path.
-func (s *Server) indexEntry(e *entry) {
-	seq := e.env.Seq
-	for _, o := range e.wsd {
-		lst := s.writers[o]
-		// Compact the dead prefix (seqs at or below the install point)
-		// when it dominates the list; append is the only place a list
-		// grows, so this amortizes to O(1) per write.
-		if len(lst) > 16 && lst[0] <= s.installed {
-			d := liveFrom(lst, s.installed)
-			if 2*d >= len(lst) {
-				lst = lst[:copy(lst, lst[d:])]
-				s.writerCompactions++
-			}
-		}
-		s.writers[o] = append(lst, seq)
+	shared := s.lanes[0].writers
+	for len(shared) < n {
+		shared = append(shared, nil)
 	}
-}
-
-// pruneWriters trims the writer lists of an entry that was just
-// installed. Objects written only by installed actions release their
-// lists entirely; hot objects compact once the dead prefix dominates.
-// Runs in the sequential completion path — the walks themselves never
-// mutate the index, which keeps them safe on worker goroutines.
-func (s *Server) pruneWriters(e *entry) {
-	for _, o := range e.wsd {
-		lst := s.writers[o]
-		d := liveFrom(lst, s.installed)
-		switch {
-		case d == len(lst):
-			s.writers[o] = lst[:0]
-		case d > 16 && 2*d >= len(lst):
-			s.writers[o] = lst[:copy(lst, lst[d:])]
-			s.writerCompactions++
-		}
+	for i := range s.lanes {
+		s.lanes[i].writers = shared
 	}
 }
 

@@ -7,12 +7,26 @@ import (
 	"seve/internal/world"
 )
 
-// checkValidity implements the conflict-detection half of Algorithm 7
-// (the Information Bound Model): walking the uncommitted queue from
-// newest to oldest, it accumulates the transitive read set of the
-// submitted action; if any conflicting uncommitted action lies farther
-// than the threshold distance, the submission is invalid and will be
-// dropped (aborted immediately at the server, Section III-E).
+// ChainLength reports, for diagnostics and the Table II experiment, the
+// number of uncommitted actions in the transitive conflict chain of a
+// hypothetical action with the given read set and position — the quantity
+// Algorithm 7 bounds.
+func (s *Server) ChainLength(rs world.IDSet) int {
+	rsd := s.intern.InternSet(rs, nil)
+	s.growWriters()
+	v := s.segment.view()
+	_, chain, _ := s.validityWalk(&v, rsd, false, geom.Vec{}, -1, s.scratchFor(0))
+	return chain
+}
+
+// validityWalk implements the conflict-detection half of Algorithm 7
+// (the Information Bound Model): walking the view's uncommitted queue
+// from newest to oldest with S seeded from rsd, it accumulates the
+// transitive read set of the submitted action and counts the chain; when
+// threshold is non-negative and a conflicting uncommitted action lies
+// farther than threshold from pos, the walk stops and reports the
+// submission invalid — it will be dropped (aborted immediately at the
+// server, Section III-E).
 //
 // Two mappings from the paper's pseudocode:
 //
@@ -33,34 +47,10 @@ import (
 // Like the closure walk, the scan is driven by the reverse conflict
 // index unless Config.DisableConflictIndex is set: only positions that
 // write an object currently (or previously) in the chain set are
-// examined, and each re-checks WS ∩ S against the live S.
-func (s *Server) checkValidity(e *entry, out *ServerOutput) (invalid bool) {
-	v := s.globalView()
-	invalid, _, st := s.validityWalk(&v, e.rsd, e.hasPos, e.pos, s.cfg.Threshold, s.scratchFor(0))
-	s.noteWalk(st, out)
-	return invalid
-}
-
-// ChainLength reports, for diagnostics and the Table II experiment, the
-// number of uncommitted actions in the transitive conflict chain of a
-// hypothetical action with the given read set and position — the quantity
-// Algorithm 7 bounds.
-func (s *Server) ChainLength(rs world.IDSet) int {
-	rsd := s.intern.InternSet(rs, nil)
-	s.growWriters()
-	v := s.globalView()
-	_, chain, _ := s.validityWalk(&v, rsd, false, geom.Vec{}, -1, s.scratchFor(0))
-	return chain
-}
-
-// validityWalk runs the Algorithm 7 chain walk over the view's whole
-// uncommitted queue with S seeded from rsd. For every conflicting entry
-// it applies S ← (S − WS) ∪ RS and counts the chain; when threshold is
-// non-negative and a conflicting entry lies farther than threshold from
-// pos, the walk stops and reports the submission invalid. Like the
-// closure walk, it runs over either the global queue or one lane's
-// segment — under the router's no-live-bridge precondition the chain
-// never leaves the lane, so the two views visit the same conflicts.
+// examined, and each re-checks WS ∩ S against the live S. And like it,
+// it runs over either the global queue or one lane's segment — under the
+// router's no-live-bridge precondition the chain never leaves the lane,
+// so the two views visit the same conflicts.
 func (s *Server) validityWalk(v *walkView, rsd []uint32, hasPos bool, pos geom.Vec, threshold float64, sc *closureScratch) (invalid bool, chain int, st walkStats) {
 	sc.ensure(len(v.queue), s.intern.Len())
 	useIndex := !s.cfg.DisableConflictIndex

@@ -468,3 +468,73 @@ func TestIntegrityResumeDedupNoQuarantine(t *testing.T) {
 	lb.requireNoViolations()
 	lb.checkAgainstOracle(init)
 }
+
+// TestIntegrityHonestRedundantReportsClean: under FailureTolerant every
+// client that evaluates an action reports it, so the server sees the
+// same position completed more than once — while its first report is
+// still held (first wins) and after it installed (checked against the
+// retained result). Honest reports agree by Theorem 1: at full audit
+// rate nobody is quarantined and nothing is repaired.
+func TestIntegrityHonestRedundantReportsClean(t *testing.T) {
+	init := initWorld(2)
+	cfg := integrityConfig(1.0)
+	cfg.FailureTolerant = true
+	lb := newLoopback(t, cfg, init, 2)
+	// Conflicting actions so both clients evaluate both and both report.
+	lb.submit(1, &testAction{rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 10})
+	for lb.stepServer() {
+	}
+	lb.submit(2, &testAction{rs: world.NewIDSet(1, 2), ws: world.NewIDSet(2), delta: 100})
+	lb.drain()
+	lb.requireNoViolations()
+	lb.checkAgainstOracle(init)
+	if lb.clients[2].AppliedRemote() != 1 {
+		t.Fatalf("client 2 evaluated %d remote actions, want 1: no redundant report was sent",
+			lb.clients[2].AppliedRemote())
+	}
+	st := lb.srv.Metrics()
+	if st.QuarantinedClients != 0 || st.AuditDivergences != 0 || st.RepairedResults != 0 {
+		t.Fatalf("honest fleet flagged: quarantined=%d divergences=%d repaired=%d",
+			st.QuarantinedClients, st.AuditDivergences, st.RepairedResults)
+	}
+}
+
+// TestIntegrityHeldPositionFirstReportWins: a second, disagreeing report
+// for a position whose first report is still held — its predecessor has
+// not installed — is ignored: no verdict, no replacement, and the
+// position installs with the first report's values. (A forgery that
+// arrives first is the auditor's to catch:
+// TestIntegrityAuditCatchesValueTampering.)
+func TestIntegrityHeldPositionFirstReportWins(t *testing.T) {
+	init := initWorld(2)
+	cfg := integrityConfig(0)
+	cfg.FailureTolerant = true
+	srv := NewServer(cfg, init)
+	srv.RegisterClient(1, 0)
+	srv.RegisterClient(2, 0)
+	c1 := NewClient(1, cfg, init)
+	c2 := NewClient(2, cfg, init)
+
+	// Two actions; the completion for seq 1 is withheld so seq 2 stays
+	// held.
+	first := submitOne(t, srv, c1, &testAction{rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 1})
+	second := submitOne(t, srv, c2, &testAction{rs: world.NewIDSet(2), ws: world.NewIDSet(2), delta: 2})
+	srv.HandleCompletion(2, second)
+	taken := srv.Metrics().CompletionsTaken
+
+	out := srv.HandleCompletion(1, &wire.Completion{Seq: second.Seq, By: 1, Res: action.Result{OK: false}})
+	if len(out.Replies) != 0 || srv.Quarantined(1) || srv.Quarantined(2) {
+		t.Fatalf("second report for a held position drew a verdict: %+v", out)
+	}
+	if got := srv.Metrics().CompletionsTaken; got != taken {
+		t.Fatalf("CompletionsTaken %d → %d: the second report replaced the first", taken, got)
+	}
+
+	srv.HandleCompletion(1, first)
+	if srv.Installed() != 2 {
+		t.Fatalf("installed = %d, want 2", srv.Installed())
+	}
+	if v, _ := srv.Authoritative().Get(2); v[0] != 4 {
+		t.Fatalf("object 2 = %v, want the first report's 4", v)
+	}
+}

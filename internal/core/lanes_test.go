@@ -10,12 +10,12 @@ import (
 	"seve/internal/world"
 )
 
-// This file tests the lane-partitioned SPI (lanes.go) the shard router
+// This file tests the pipeline SPI (pipeline.go) the shard router
 // drives: a miniature two-lane pipeline runs StampLane/SealStamp/
-// PlanReply/PreCommit/CommitLane/SealCommit — with the starred phases on
-// real goroutines, so `go test -race` patrols the lane-affinity claims —
-// and every byte is compared against a sequential server fed the same
-// effective order. The full router pipeline is exercised end to end in
+// PlanReply/PreCommit/CommitLane/SealCommit — over lane views with the
+// starred phases on real goroutines, so `go test -race` patrols the
+// lane-affinity claims, and over the global view — and every byte is
+// compared against a sequential server fed the same effective order. The full router pipeline is exercised end to end in
 // internal/shard; these tests pin the core-side contract in isolation.
 
 // pipeSub is one scripted submission with its routing decision.
@@ -166,19 +166,45 @@ func (ps *pipeSide) laneEpoch(t *testing.T, nLanes int, subs []pipeSub) ServerOu
 	return out
 }
 
-// globalEpoch runs one epoch through the global sequencer path — the
-// router's fallback and cross-shard pipeline — with the lanes recorded
-// so accepted entries still mirror into their segments (laneEnqueue).
+// globalEpoch runs one epoch with every job on the global view (-1) —
+// the router's fallback epoch, and with one job its cross-shard entry:
+// the same six phases, the stamp one sequential task in merge order —
+// with the lanes recorded so accepted entries still mirror into their
+// segments at the seal.
 func (ps *pipeSide) globalEpoch(t *testing.T, subs []pipeSub) ServerOutput {
 	t.Helper()
 	ps.installBuffered(t)
 	var out ServerOutput
-	for _, sub := range subs {
-		p := ps.srv.PrepareSubmit(sub.from, sub.msg, 0)
-		p.SetLane(sub.lane)
-		if ps.srv.StampPrepared(p, &out) {
-			plan := ps.srv.PlanReply(p, 0, nil)
-			ps.srv.CommitReply(p, &plan, &out)
+	pend := make([]*Pending, len(subs))
+	for i, sub := range subs {
+		pend[i] = ps.srv.PrepareSubmit(sub.from, sub.msg, 0)
+		pend[i].SetLane(sub.lane)
+	}
+	ps.srv.StampLane(-1, pend)
+	plans := make([]ReplyPlan, len(pend))
+	for i, p := range pend {
+		if !ps.srv.SealStamp(p, &out) {
+			pend[i] = nil
+		}
+	}
+	for i, p := range pend {
+		if p != nil {
+			plans[i] = ps.srv.PlanReply(p, 0, nil)
+		}
+	}
+	for i, p := range pend {
+		if p != nil {
+			ps.srv.PreCommit(p, &plans[i])
+		}
+	}
+	for i, p := range pend {
+		if p != nil {
+			ps.srv.CommitLane(p, &plans[i])
+		}
+	}
+	for i, p := range pend {
+		if p != nil {
+			ps.srv.SealCommit(p, &plans[i], &out)
 		}
 	}
 	return out
@@ -381,7 +407,7 @@ func TestPendingAccessors(t *testing.T) {
 		t.Fatalf("Influence() = %v, %v", pos, ok)
 	}
 	var out ServerOutput
-	if !s.StampPrepared(p, &out) {
+	if !s.SubmitPrepared(p, &out) {
 		t.Fatal("stamp rejected a fresh submission")
 	}
 	if p.Seq() != 1 {

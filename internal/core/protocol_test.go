@@ -43,9 +43,19 @@ func TestModeString(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
 		}
+		if got, err := ParseMode(want); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v, want %v", want, got, err, m)
+		}
 	}
 	if Mode(42).String() != "Mode(42)" {
 		t.Errorf("unknown mode String = %q", Mode(42).String())
+	}
+	// Only the four level names parse: not the rendering of an invalid
+	// mode, not a name in another case, not the empty string.
+	for _, bad := range []string{"Mode(42)", "Basic", "hybrid", ""} {
+		if m, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", bad, m)
+		}
 	}
 }
 

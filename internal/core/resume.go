@@ -80,19 +80,19 @@ func mixToken(x uint64) uint64 {
 
 // openSession creates or resets the client's session at registration.
 // A re-registration through RegisterClient is a fresh join (a resumed
-// client never re-registers — HandleResume revives its clientInfo
+// client never re-registers — HandleResume revives its registration
 // directly), so the window and high-water marks reset while the token
 // stays stable per client id.
-func (s *Server) openSession(id action.ClientID, mask uint64) {
+func (s *Server) openSession(rec *clientRec, mask uint64) {
 	if s.cfg.ResumeWindow <= 0 {
 		return
 	}
-	sess := s.sessions[id]
+	sess := rec.sess
 	if sess == nil {
 		s.sessionSeq++
 		sess = &session{token: mixToken(s.sessionSeq), seqNo: s.sessionSeq}
-		s.sessions[id] = sess
-		s.tokenOwner[sess.token] = id
+		rec.sess = sess
+		s.tokens[sess.token] = rec
 	}
 	sess.mask = mask
 	sess.lastSeq = 0
@@ -104,15 +104,15 @@ func (s *Server) openSession(id action.ClientID, mask uint64) {
 		// stampFloor scopes the recovered dedup floor to this
 		// registration: everything stamped so far belongs to previous
 		// generations of the client id.
-		s.journal.SessionOpen(id, sess.token, mask, sess.seqNo, s.nextSeq)
+		s.journal.SessionOpen(rec.id, sess.token, mask, sess.seqNo, s.nextSeq)
 	}
 }
 
 // SessionToken returns the resume token for a registered client, or 0
 // when sessions are disabled or the client is unknown.
 func (s *Server) SessionToken(id action.ClientID) uint64 {
-	if sess := s.sessions[id]; sess != nil {
-		return sess.token
+	if rec := s.recs[id]; rec != nil && rec.sess != nil {
+		return rec.sess.token
 	}
 	return 0
 }
@@ -120,8 +120,8 @@ func (s *Server) SessionToken(id action.ClientID) uint64 {
 // retainBatch records a freshly sequenced batch in the client's resume
 // window, evicting the oldest once the window is full. No-op without a
 // session.
-func (s *Server) retainBatch(cid action.ClientID, b *wire.Batch) {
-	sess := s.sessions[cid]
+func (s *Server) retainBatch(rec *clientRec, b *wire.Batch) {
+	sess := rec.sess
 	if sess == nil {
 		return
 	}
@@ -129,7 +129,7 @@ func (s *Server) retainBatch(cid action.ClientID, b *wire.Batch) {
 	if s.journal != nil {
 		// May run on a lane worker (CommitLane sequences batches there);
 		// the Journal contract admits concurrent BatchRetained calls.
-		s.journal.BatchRetained(cid, b)
+		s.journal.BatchRetained(rec.id, b)
 	}
 	if len(sess.retained) >= s.cfg.ResumeWindow {
 		n := copy(sess.retained, sess.retained[1:])
@@ -142,8 +142,10 @@ func (s *Server) retainBatch(cid action.ClientID, b *wire.Batch) {
 // retainedBatches gauges the total batches held across all sessions.
 func (s *Server) retainedBatches() int {
 	n := 0
-	for _, sess := range s.sessions {
-		n += len(sess.retained)
+	for _, rec := range s.recs {
+		if rec.sess != nil {
+			n += len(rec.sess.retained)
+		}
 	}
 	return n
 }
@@ -169,15 +171,14 @@ func (s *Server) retainedBatches() int {
 // arrived on and drops it.
 func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, ServerOutput) {
 	var out ServerOutput
-	cid, ok := s.tokenOwner[m.Token]
-	sess := s.sessions[cid]
+	rec := s.tokens[m.Token]
 	// A LastBatchSeq ahead of anything ever sent is a protocol violation
 	// on a live session — but the expected shape of the first resume
 	// against a restarted server, whose journal may have lost the tail
 	// of the window. Recovered sessions degrade to the snapshot path
 	// instead of rejecting.
-	ahead := sess != nil && m.LastBatchSeq > sess.lastSeq
-	if !ok || sess == nil || sess.token != m.Token || (ahead && !sess.recovered) {
+	ahead := rec != nil && m.LastBatchSeq > rec.sess.lastSeq
+	if rec == nil || (ahead && !rec.sess.recovered) {
 		s.resumesRejected++
 		out.Replies = append(out.Replies, Reply{
 			To: 0, Msg: &wire.CatchUp{},
@@ -186,12 +187,13 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 		})
 		return 0, out
 	}
+	cid, sess := rec.id, rec.sess
 
 	// A quarantined ledger outlives the session (and a crash-restart, via
 	// the journal): the resume is refused with a fresh verdict so the
 	// reconnecting client learns why, and the transport drops the
 	// connection like any other rejection (DESIGN.md §16).
-	if s.Quarantined(cid) {
+	if rec.led.Quarantined {
 		s.resumesRejected++
 		s.quarantineRejected++
 		out.Replies = append(out.Replies, Reply{
@@ -201,20 +203,16 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 		return 0, out
 	}
 
-	// Revive the client if the disconnect unregistered it. claimSlot
-	// restores the old sent-bitmap slot, and nextBatchSeq continues the
-	// session's numbering — from the client's own high-water mark when
-	// the recovered journal runs behind it, so ClientSeq stays monotonic
-	// for the client across the restart.
-	ci := s.clients[cid]
-	if ci == nil {
-		ci = &clientInfo{interest: sess.mask, slot: s.claimSlot(cid), nextBatchSeq: max(sess.lastSeq, m.LastBatchSeq)}
-		s.clients[cid] = ci
+	// Revive the client if the disconnect unregistered it. It keeps its
+	// sent-bitmap slot, and nextBatchSeq continues the session's
+	// numbering — from the client's own high-water mark when the
+	// recovered journal runs behind it, so ClientSeq stays monotonic for
+	// the client across the restart.
+	if !rec.registered {
+		s.enlist(rec, clientInfo{interest: sess.mask, nextBatchSeq: max(sess.lastSeq, m.LastBatchSeq)})
 	}
 	recovered := sess.recovered
 	sess.recovered = false // one restart, one degraded resume
-
-	drops := slices.Clone(sess.drops)
 
 	// The window covers the gap when there is no gap at all, or when the
 	// oldest retained batch is at or before the first one missing. The
@@ -232,7 +230,7 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 			BootFloor:     s.bootFloor,
 			InstalledUpTo: s.installed,
 			LastActSeq:    sess.lastActSeq,
-			DroppedActs:   drops,
+			DroppedActs:   slices.Clone(sess.drops),
 		},
 			// Resume verdicts are session control flow: never shed.
 			Deliver: Delivery{Class: DeliveryOrdered}})
@@ -251,21 +249,21 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	if recovered {
 		s.resumesRecovered++
 	}
-	s.snapshotOut(cid, ci, sess, &out)
+	s.snapshotOut(rec, &out)
 	return cid, out
 }
 
-// snapshotOut appends the blind-write catch-up for cid to out: the
+// snapshotOut appends the blind-write catch-up for rec to out: the
 // CatchUp verdict carrying W(S, ζS(S)) at the install point, followed —
 // when the client still has uncommitted actions queued — by one closure
 // batch re-delivering them with their Algorithm 6 dependencies. Shared
 // by the resume snapshot fallback and the transport's mid-session
 // SnapshotCatchUp; either way Theorem 1 covers the rebuild.
-func (s *Server) snapshotOut(cid action.ClientID, ci *clientInfo, sess *session, out *ServerOutput) {
+func (s *Server) snapshotOut(rec *clientRec, out *ServerOutput) {
 	var seeds []int
 	for i, e := range s.queue {
-		e.sent.clear(ci.slot)
-		if e.env.Origin == cid {
+		e.sent.clear(rec.slot)
+		if e.env.Origin == rec.id {
 			seeds = append(seeds, i)
 		}
 	}
@@ -275,19 +273,19 @@ func (s *Server) snapshotOut(cid action.ClientID, ci *clientInfo, sess *session,
 		fp[i] = w.ID
 	}
 	out.Replies = append(out.Replies, Reply{
-		To: cid,
+		To: rec.id,
 		Msg: &wire.CatchUp{
 			OK:            true,
 			Boot:          s.boot,
 			BootFloor:     s.bootFloor,
 			Snapshot:      true,
 			InstalledUpTo: s.installed,
-			NextBatchSeq:  ci.nextBatchSeq + 1,
-			LastActSeq:    sess.lastActSeq,
-			DroppedActs:   slices.Clone(sess.drops),
+			NextBatchSeq:  rec.nextBatchSeq + 1,
+			LastActSeq:    rec.sess.lastActSeq,
+			DroppedActs:   slices.Clone(rec.sess.drops),
 			Writes:        writes,
 		},
-		Deliver: Delivery{Class: DeliverySnapshot, Footprint: fp, Epoch: ci.nextBatchSeq + 1},
+		Deliver: Delivery{Class: DeliverySnapshot, Footprint: fp, Epoch: rec.nextBatchSeq + 1},
 	})
 
 	// Re-deliver the client's own uncommitted actions as one closure
@@ -296,29 +294,10 @@ func (s *Server) snapshotOut(cid action.ClientID, ci *clientInfo, sess *session,
 	// the client processes it first after the rebuild and its own
 	// actions commit in submission order.
 	if len(seeds) > 0 {
-		v := s.globalView()
-		positions, ws, st := s.closureWalk(&v, seeds, s.scratchFor(0), func(j int, e *entry) bool {
-			return e.sent.has(ci.slot)
-		})
-		s.noteWalk(st, out)
-		envs := make([]action.Envelope, 0, len(positions)+1)
-		if len(ws) > 0 {
-			envs = append(envs, action.Envelope{
-				Seq:    s.installed,
-				Origin: action.OriginServer,
-				Act:    action.NewBlindWrite(s.nextBlindID(), ws),
-			})
-		}
-		for _, j := range positions {
-			s.queue[j].sent.set(ci.slot)
-			envs = append(envs, s.queue[j].env)
-		}
-		b := s.sequence(cid, &wire.Batch{Envs: envs, InstalledUpTo: s.installed})
-		out.Replies = append(out.Replies, Reply{
-			To:      cid,
-			Msg:     b,
-			Deliver: Delivery{Class: DeliveryBatch, Footprint: s.planFootprint(&v, positions, ws), Epoch: b.ClientSeq},
-		})
+		v := s.segment.view()
+		plan := s.planBatch(&v, seeds, s.scratchFor(0), sentTo(rec.slot))
+		s.noteWalk(plan.stats, out)
+		out.Replies = append(out.Replies, s.commitPlan(&v, rec, &plan, s.mintBlind(&plan), false))
 	}
 }
 
@@ -335,12 +314,12 @@ func (s *Server) snapshotOut(cid action.ClientID, ci *clientInfo, sess *session,
 // or registration (superseding requires Config.ResumeWindow > 0).
 func (s *Server) SnapshotCatchUp(id action.ClientID, nowMs float64) ServerOutput {
 	var out ServerOutput
-	ci, sess := s.clients[id], s.sessions[id]
-	if ci == nil || sess == nil {
+	rec := s.recs[id]
+	if rec == nil || !rec.registered || rec.sess == nil {
 		return out
 	}
 	s.snapshotFallbacks++
-	s.snapshotOut(id, ci, sess, &out)
+	s.snapshotOut(rec, &out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -30,24 +31,22 @@ type Server struct {
 	// maintained from ModeIncomplete up.
 	zs *world.State
 
-	// installed is the serial position up to which ζS is complete: the
-	// greatest j such that actions 1..j have all been installed.
-	installed uint64
+	// The embedded segment is the global queue of uncommitted actions
+	// a_{installed+1} … a_n under their global Seqs, with its conflict
+	// index: s.queue[i] has Seq == s.installed+1+i, s.installed is the
+	// serial position up to which ζS is complete, s.nextSeq the newest
+	// stamp. Every accepted action is in it; a partitioned engine mirrors
+	// the lane-owned ones into lanes as well.
+	segment
 
-	// queue holds the uncommitted actions a_{installed+1} … a_n, in
-	// serial order: queue[i] has Seq == installed+1+i.
-	queue []*entry
-	// queuePopped counts entries popped off the queue head since the
-	// backing array was last compacted. Re-slicing alone would pin the
-	// dead prefix of the array for the life of the server.
-	queuePopped int
+	// lanes holds the per-lane queue segments when the engine is
+	// partitioned (EnablePartition); nil on the single-lane engine. See
+	// pipeline.go.
+	lanes []segment
 
 	// intern maps sparse ObjectIDs to dense indices for the analysis
-	// walks; writers is the reverse conflict index: writers[o] holds the
-	// serial positions (ascending) of uncommitted queue entries whose
-	// write set contains the object with dense index o.
-	intern  *world.Interner
-	writers [][]uint64
+	// walks and the segments' writer tables.
+	intern *world.Interner
 
 	// scratch pools the per-walk state; scratch[0] serves the sequential
 	// paths and scratch[w] serves push worker w.
@@ -56,47 +55,44 @@ type Server struct {
 	// window across Tick calls.
 	tickWindow []int
 
-	// nextSlot allocates dense client slots for the sent() bitmaps.
-	// Slots are never reused while the server lives; a client keeps its
-	// slot across unregister/re-register (orphanSlots remembers it).
-	nextSlot    int
-	orphanSlots map[action.ClientID]int
-
-	// pendingRes holds completion results that arrived before all their
-	// predecessors ("the server holds it until ζS(i−1) is available",
-	// Algorithm 5 step 5).
-	pendingRes map[uint64]action.Result
+	// recs holds everything the server knows per client id, live or not,
+	// and tokens indexes the records that have a session by resume token.
+	// live lists the registered records in ascending id order — the
+	// deterministic client order of Tick and hybridTick (map iteration
+	// order would randomize reply ordering and, through link
+	// serialization, the whole simulation timeline).
+	recs   map[action.ClientID]*clientRec
+	tokens map[uint64]*clientRec
+	live   []*clientRec
+	// nextSlot allocates dense client slots for the sent() bitmaps. Slots
+	// are never reused while the server lives.
+	nextSlot int
 
 	// log retains every stamped envelope. ModeBasic uses it to answer
 	// submissions with the slice (posC, pos(a)]; RecordHistory retains it
 	// in other modes for the test oracle.
 	log []action.Envelope
 
-	clients map[action.ClientID]*clientInfo
-
-	nextSeq    uint64
 	nextBlind  uint32
 	lastPushMs float64
+	sessionSeq uint64
 
 	totalSubmitted   int
 	totalDropped     int
-	droppedByClient  map[action.ClientID]int
 	totalQueueScans  int
 	completionsTaken int
 
 	// Index and scheduler counters (see Metrics).
 	scanSaved         int
 	indexLookups      int
-	queueCompactions  int
-	writerCompactions int
 	pushTicks         int
 	pushParallelTicks int
 
-	// Cross-check state (Config.CrossCheck): accepted results retained
-	// for a window past installation so late redundant reports can still
-	// be audited, and per-client mismatch counts.
-	recentResults map[uint64]action.Result
-	suspects      map[action.ClientID]int
+	// recent retains the last recentWindow installed results, slot
+	// seq % recentWindow, so a late completion report (failure-tolerant
+	// redundancy, a resume re-send) can still be checked against what
+	// installed (replayCheck).
+	recent [recentWindow]recentResult
 
 	// journal, when set, receives the commit feed: one grouped record
 	// per InstallContiguous pass plus the session-layer records — the
@@ -125,21 +121,9 @@ type Server struct {
 	installBySeg [][]world.Write
 	installTasks []func()
 
-	// lanes holds the per-lane queue segments when the engine is
-	// partitioned (EnablePartition); nil on the single-lane engine.
-	// laneWriters is the lane-numbered reverse conflict index, one shared
-	// table keyed by dense object index — each object is written only by
-	// its owner lane's entries, so parallel lane stamps touch disjoint
-	// rows. See lanes.go.
-	lanes       []laneSeg
-	laneWriters [][]uint64
-
-	// Session-resume state (Config.ResumeWindow > 0): per-client retained
-	// batch windows keyed by client, plus the token → client reverse map a
-	// wire.Resume is resolved through. See resume.go.
-	sessions   map[action.ClientID]*session
-	tokenOwner map[uint64]action.ClientID
-	sessionSeq uint64
+	// quarOut stages the quarantine verdicts DrainQuarantines emits in
+	// effective-log order (DESIGN.md §16).
+	quarOut []Reply
 
 	resumesSuffix     int
 	resumesSnapshot   int
@@ -148,22 +132,6 @@ type Server struct {
 	snapshotFallbacks int
 	staleCompletions  int
 	resumesRecovered  int
-
-	// Integrity state (DESIGN.md §16, unless Config.DisableIntegrity):
-	// per-client ledgers (audit seed, submit bucket, quarantine latch),
-	// the reporter behind each held completion (audit attribution),
-	// positions forced to audit because their reported completion failed
-	// validation, and the staged quarantine verdicts DrainQuarantines
-	// emits in effective-log order.
-	ledgers     map[action.ClientID]*integrity.Ledger
-	pendingFrom map[uint64]action.ClientID
-	forceAudit  map[uint64]bool
-	quarOut     []Reply
-	// selfComplete marks stamped positions abandoned by a quarantined
-	// origin: no honest completion will ever arrive (the client's
-	// reports are rejected), so the server evaluates the action itself
-	// at install time — one cheater's leftovers cannot wedge the queue.
-	selfComplete map[uint64]bool
 
 	forgedCompletions  int
 	orphanCompletions  int
@@ -178,22 +146,26 @@ type Server struct {
 	radiusViolations   int
 }
 
-// crossCheckWindow is how many installed results the server retains for
-// auditing late completion reports.
-const crossCheckWindow = 256
+// recentWindow is how many installed results the server retains for
+// checking late completion reports.
+const recentWindow = 256
 
-// clientInfo is what the server knows about a client for bound checks:
-// its last reported position and influence radius ("the position of the
-// character representing client C … and the maximum radius of influence
-// of an action by C", Section III-D).
+type recentResult struct {
+	seq uint64
+	res action.Result
+}
+
+// clientInfo is what the server knows about a registered client for
+// bound checks: its last reported position and influence radius ("the
+// position of the character representing client C … and the maximum
+// radius of influence of an action by C", Section III-D). It lasts one
+// registration: a re-registration starts from the zero value.
 type clientInfo struct {
 	pos      geom.Vec
 	radius   float64
 	hasPos   bool
 	posAtMs  float64
 	interest uint64
-	// slot is the client's dense index into the entry.sent bitmaps.
-	slot int
 	// posC is the Algorithm 2 cursor: the position of the last action
 	// sent to this client (ModeBasic only).
 	posC uint64
@@ -202,13 +174,70 @@ type clientInfo struct {
 	nextBatchSeq uint64
 }
 
+// clientRec is the one record the server keeps per client id, created
+// when the id is first seen (a submission, a completion, a registration,
+// a recovered session or verdict) and kept for the life of the server: a
+// quarantined client cannot clear its verdict, nor a resuming one lose
+// its sent() bits, by reconnecting.
+type clientRec struct {
+	id action.ClientID
+	// slot is the client's dense index into the entry.sent bitmaps,
+	// assigned at its first submission or registration (-1 until then) and
+	// kept across unregister/re-register so the bits recorded under it
+	// stay valid.
+	slot int
+	// registered marks a live registration; clientInfo is its state.
+	registered bool
+	clientInfo
+	// sess is the resume session (Config.ResumeWindow > 0), nil until the
+	// first registration. See resume.go.
+	sess *session
+	// led is the integrity ledger (DESIGN.md §16): audit seed, submit
+	// bucket, quarantine latch. The seed derives from the client id alone,
+	// so the sampling stream is identical across resume, effective-log
+	// replay, and crash-restart.
+	led integrity.Ledger
+	// dropped counts the submissions the Information Bound Model
+	// invalidated, for the fairness analysis of Section III-E.
+	dropped int
+}
+
+// recordOf returns (creating on first sight) the record for id.
+func (s *Server) recordOf(id action.ClientID) *clientRec {
+	rec := s.recs[id]
+	if rec == nil {
+		rec = &clientRec{id: id, slot: -1,
+			led: integrity.Ledger{Seed: integrity.Mix(uint64(uint32(id)))}}
+		s.recs[id] = rec
+	}
+	return rec
+}
+
+// claimSlot gives rec its sent-bitmap slot if it has none yet.
+func (s *Server) claimSlot(rec *clientRec) {
+	if rec.slot < 0 {
+		rec.slot = s.nextSlot
+		s.nextSlot++
+	}
+}
+
+// enlist makes rec a live registration starting from ci.
+func (s *Server) enlist(rec *clientRec, ci clientInfo) {
+	rec.clientInfo, rec.registered = ci, true
+	s.claimSlot(rec)
+	i, _ := slices.BinarySearchFunc(s.live, rec.id, func(r *clientRec, id action.ClientID) int {
+		return cmp.Compare(r.id, id)
+	})
+	s.live = slices.Insert(s.live, i, rec)
+}
+
 // sequence stamps b with the client's next batch sequence number and,
 // with sessions enabled, retains it in the client's resume window.
-func (s *Server) sequence(cid action.ClientID, b *wire.Batch) *wire.Batch {
-	if ci := s.clients[cid]; ci != nil {
-		ci.nextBatchSeq++
-		b.ClientSeq = ci.nextBatchSeq
-		s.retainBatch(cid, b)
+func (s *Server) sequence(rec *clientRec, b *wire.Batch) *wire.Batch {
+	if rec.registered {
+		rec.nextBatchSeq++
+		b.ClientSeq = rec.nextBatchSeq
+		s.retainBatch(rec, b)
 	}
 	return b
 }
@@ -228,8 +257,8 @@ type entry struct {
 	sent sentVec
 
 	// lane and laneSeq place the entry in a shard lane's queue segment
-	// when the engine is partitioned (lanes.go): lane is the owning lane
-	// (-1 for spanning/global-lane entries and for unpartitioned
+	// when the engine is partitioned (pipeline.go): lane is the owning
+	// lane (-1 for spanning/global-lane entries and for unpartitioned
 	// engines), laneSeq the lane-local serial position.
 	lane    int32
 	laneSeq uint64
@@ -241,6 +270,30 @@ type entry struct {
 	hasVel    bool
 	class     uint8
 	stampedMs float64
+
+	// The hold (Algorithm 5 step 5: "the server holds it until ζS(i−1) is
+	// available"). Kept after the fields above on purpose: the push scan
+	// reads sent, pos, radius and stampedMs for every client × window
+	// entry, and these are touched once per action.
+	//
+	// res is the held completion result and held whether there is one;
+	// reporter is the client behind it (audit attribution; nil with
+	// integrity disabled). forceAudit marks a report that failed validation
+	// and must be repaired by audit at install time. selfComplete marks a
+	// position abandoned by a quarantined origin: no honest completion will
+	// ever arrive (the client's reports are rejected), so the server
+	// evaluates the action itself at install time — one cheater's leftovers
+	// cannot wedge the queue.
+	res          action.Result
+	reporter     *clientRec
+	held         bool
+	forceAudit   bool
+	selfComplete bool
+}
+
+// hold accepts res as the entry's completion, reported by by.
+func (e *entry) hold(res action.Result, by *clientRec) {
+	e.res, e.reporter, e.held, e.selfComplete = res.Clone(), by, true, false
 }
 
 // sentVec is sent(a) as a bitmap over dense client slots. It grows
@@ -257,7 +310,7 @@ func (v *sentVec) set(slot int) {
 	for w >= len(*v) {
 		*v = append(*v, 0)
 	}
-	(*v)[w] |= 1 << uint(slot & 63)
+	(*v)[w] |= 1 << uint(slot&63)
 }
 
 // clear drops a slot's bit: the client lost everything it had been sent
@@ -277,21 +330,11 @@ func NewServer(cfg Config, init *world.State) *Server {
 		panic(err)
 	}
 	return &Server{
-		cfg:             cfg,
-		zs:              init.Clone(),
-		pendingRes:      make(map[uint64]action.Result),
-		clients:         make(map[action.ClientID]*clientInfo),
-		droppedByClient: make(map[action.ClientID]int),
-		recentResults:   make(map[uint64]action.Result),
-		suspects:        make(map[action.ClientID]int),
-		intern:          world.NewInterner(),
-		orphanSlots:     make(map[action.ClientID]int),
-		sessions:        make(map[action.ClientID]*session),
-		tokenOwner:      make(map[uint64]action.ClientID),
-		ledgers:         make(map[action.ClientID]*integrity.Ledger),
-		pendingFrom:     make(map[uint64]action.ClientID),
-		forceAudit:      make(map[uint64]bool),
-		selfComplete:    make(map[uint64]bool),
+		cfg:    cfg,
+		zs:     init.Clone(),
+		intern: world.NewInterner(),
+		recs:   make(map[action.ClientID]*clientRec),
+		tokens: make(map[uint64]*clientRec),
 	}
 }
 
@@ -304,64 +347,28 @@ func (s *Server) SetJournal(j Journal) {
 	s.journal = j
 }
 
-// Suspects reports, per client, how many of its completion reports
-// disagreed with the accepted result for the same action. Non-empty only
-// with Config.CrossCheck; an honest fleet always reports zero.
-func (s *Server) Suspects() map[action.ClientID]int {
-	out := make(map[action.ClientID]int, len(s.suspects))
-	for k, v := range s.suspects {
-		out[k] = v
-	}
-	return out
-}
-
 // RegisterClient announces a client to the server. interestMask selects
 // interest classes for Section IV-A filtering; 0 subscribes to all
 // classes.
 func (s *Server) RegisterClient(id action.ClientID, interestMask uint64) {
-	if _, dup := s.clients[id]; dup {
+	rec := s.recordOf(id)
+	if rec.registered {
 		panic(fmt.Sprintf("core: client %d registered twice", id))
 	}
-	s.clients[id] = &clientInfo{interest: interestMask, slot: s.claimSlot(id)}
-	s.openSession(id, interestMask)
-}
-
-// claimSlot returns the dense sent-bitmap slot for id, reusing the slot
-// from a previous registration or pre-registration submission so the
-// sent() bits recorded under it stay valid.
-func (s *Server) claimSlot(id action.ClientID) int {
-	if slot, ok := s.orphanSlots[id]; ok {
-		delete(s.orphanSlots, id)
-		return slot
-	}
-	slot := s.nextSlot
-	s.nextSlot++
-	return slot
-}
-
-// slotOf returns the sent-bitmap slot for id, assigning one on demand
-// for senders that never registered.
-func (s *Server) slotOf(id action.ClientID) int {
-	if ci := s.clients[id]; ci != nil {
-		return ci.slot
-	}
-	if slot, ok := s.orphanSlots[id]; ok {
-		return slot
-	}
-	slot := s.nextSlot
-	s.nextSlot++
-	s.orphanSlots[id] = slot
-	return slot
+	s.enlist(rec, clientInfo{interest: interestMask})
+	s.openSession(rec, interestMask)
 }
 
 // UnregisterClient removes a client (failure or disconnect). Queued
 // actions it originated remain; under FailureTolerant configurations
 // other clients' completions still install them.
 func (s *Server) UnregisterClient(id action.ClientID) {
-	if ci := s.clients[id]; ci != nil {
-		s.orphanSlots[id] = ci.slot
+	rec := s.recs[id]
+	if rec == nil || !rec.registered {
+		return
 	}
-	delete(s.clients, id)
+	rec.registered = false
+	s.live = slices.DeleteFunc(s.live, func(r *clientRec) bool { return r == rec })
 }
 
 // Installed returns the serial position up to which ζS is complete.
@@ -383,9 +390,11 @@ func (s *Server) TotalDropped() int { return s.totalDropped }
 // DroppedByClient reports per-origin drop counts, for the fairness
 // analysis of Section III-E.
 func (s *Server) DroppedByClient() map[action.ClientID]int {
-	out := make(map[action.ClientID]int, len(s.droppedByClient))
-	for k, v := range s.droppedByClient {
-		out[k] = v
+	out := make(map[action.ClientID]int)
+	for id, rec := range s.recs {
+		if rec.dropped > 0 {
+			out[id] = rec.dropped
+		}
 	}
 	return out
 }
@@ -418,435 +427,6 @@ func (s *Server) HandleMsg(from action.ClientID, msg wire.Msg, nowMs float64) Se
 	}
 }
 
-// HandleSubmit processes a newly submitted action: Algorithm 2 step 2 in
-// ModeBasic, Algorithm 5 step 3 plus the Algorithm 7 validity check in
-// the higher modes. It is the single-lane composition of the sharding
-// SPI: a sequential stamp, an (elsewhere parallelizable) reply plan, and
-// a sequential commit.
-//
-//seve:lane-seal
-func (s *Server) HandleSubmit(from action.ClientID, m *wire.Submit, nowMs float64) ServerOutput {
-	var out ServerOutput
-	p := s.StampSubmit(from, m, nowMs, &out)
-	if p == nil {
-		return out
-	}
-	plan := s.PlanReply(p, 0, nil)
-	s.CommitReply(p, &plan, &out)
-	return out
-}
-
-// Pending is a prepared (and, after a stamp phase, enqueued) submission
-// whose closure reply has not been planned yet — the handle the shard
-// router carries through the pipeline phases. The staging fields let
-// the partitioned pipeline (lanes.go) compute lane-local outcomes on
-// worker goroutines and apply the shared-state deltas in merge order.
-type Pending struct {
-	e    *entry
-	from action.ClientID
-	slot int
-	// pos is the queue index at stamp time, into the view viewLane
-	// selects. It stays valid until the next completion installs the
-	// queue head, which cannot happen between a stamp and its commit
-	// (installs run at the head of a flush, stamps and commits after).
-	pos int
-	// viewLane selects the view pos refers to and the view the plan and
-	// commit run over: a lane index under the partitioned pipeline, -1
-	// for the global queue.
-	viewLane int
-	// lane is the owner lane routing computed at buffer time (-1 for
-	// spanning and empty-footprint submissions); the global stamp path
-	// still lane-enqueues through it so the segments stay complete.
-	lane  int
-	sess  *session
-	nowMs float64
-	// led is the submitter's integrity ledger, resolved at prepare time
-	// on the engine goroutine (the p.sess idiom) so lane workers touch
-	// only this pending's pointer; nil when integrity is disabled.
-	led *integrity.Ledger
-
-	// bound stages an influence-bound violation found by StampLane for
-	// SealStamp to count and answer in merge order.
-	bound integrity.Violation
-
-	// Parallel-stamp staging (StampLane): the lane-local outcome, with
-	// shared-counter deltas deferred to SealStamp.
-	dup        bool
-	dropped    bool
-	stampStats walkStats
-	hasStamped bool
-
-	// blind is the blind-write id PreCommit mints in merge order.
-	blind    action.ID
-	hasBlind bool
-
-	// reply is the Batch staged by CommitLane for SealCommit to emit.
-	reply    Reply
-	hasReply bool
-}
-
-// Seq returns the stamped global serial position.
-func (p *Pending) Seq() uint64 { return p.e.env.Seq }
-
-// From returns the submitting client.
-func (p *Pending) From() action.ClientID { return p.from }
-
-// viewFor resolves the view a pending's positions refer to.
-//
-//seve:lane-affine
-func (s *Server) viewFor(p *Pending) walkView {
-	if p.viewLane >= 0 {
-		return s.laneView(p.viewLane)
-	}
-	return s.globalView()
-}
-
-// PrepareSubmit builds the entry for a submission on the sequential
-// buffering path: envelope capture, spatial metadata, read/write-set
-// interning, and sent-slot resolution. Everything order-sensitive —
-// duplicate detection, validity, serial stamping — happens later, in
-// StampPrepared or the StampLane/SealStamp pair, so the router can
-// buffer prepared submissions and route them by their interned
-// footprints before any of that runs.
-func (s *Server) PrepareSubmit(from action.ClientID, m *wire.Submit, nowMs float64) *Pending {
-	env := m.Env
-	env.Origin = from // trust the connection, not the payload
-	e := newEntry(env, nowMs)
-	if s.cfg.Mode >= ModeIncomplete {
-		s.internEntry(e)
-	}
-	var led *integrity.Ledger
-	if !s.cfg.DisableIntegrity {
-		led = s.ledgerOf(from)
-	}
-	return &Pending{
-		e: e, from: from, slot: s.slotOf(from),
-		viewLane: -1, lane: -1,
-		sess: s.sessions[from], nowMs: nowMs,
-		led: led,
-	}
-}
-
-// Footprint returns the prepared entry's interned read and write sets,
-// the router's routing key. Callers must not mutate the slices.
-func (p *Pending) Footprint() (rsd, wsd []uint32) { return p.e.rsd, p.e.wsd }
-
-// SetLane records the owner lane routing resolved for p (-1 for a
-// spanning footprint).
-func (p *Pending) SetLane(lane int) { p.lane = lane }
-
-// Influence returns the prepared action's declared influence centre,
-// when the declaration is meaningful for spatial routing (a positive
-// radius or a non-origin centre — the same test noteClientPosition
-// applies before trusting a position).
-func (p *Pending) Influence() (geom.Vec, bool) {
-	e := p.e
-	if !e.hasPos || (e.radius <= 0 && e.pos == (geom.Vec{})) {
-		return geom.Vec{}, false
-	}
-	return e.pos, true
-}
-
-// InternedObjects reports the dense-index universe size: every index a
-// Footprint can yield is below it.
-func (s *Server) InternedObjects() int { return s.intern.Len() }
-
-// ObjectIDOf returns the sparse ObjectID behind dense index o.
-func (s *Server) ObjectIDOf(o uint32) world.ObjectID { return s.intern.ID(o) }
-
-// StampSubmit runs the sequential half of submission processing:
-// Algorithm 7 validity, serial-position stamping, enqueue, and conflict
-// indexing. It returns nil when no reply plan is owed — the action was
-// dropped (Drop reply appended to out) or ModeBasic answered inline.
-// Callers owe every non-nil Pending a PlanReply/CommitReply pair, with
-// all commits applied in stamp order.
-func (s *Server) StampSubmit(from action.ClientID, m *wire.Submit, nowMs float64, out *ServerOutput) *Pending {
-	p := s.PrepareSubmit(from, m, nowMs)
-	if !s.StampPrepared(p, out) {
-		return nil
-	}
-	return p
-}
-
-// StampPrepared stamps a prepared submission on the global sequencer
-// path: duplicate detection, Algorithm 7 validity over the whole queue,
-// serial-position stamping, enqueue, and conflict indexing (plus lane
-// bookkeeping when the engine is partitioned, keeping the segments
-// complete for later partitioned flushes). It reports whether a reply
-// plan is owed.
-//
-//seve:lane-seal
-func (s *Server) StampPrepared(p *Pending, out *ServerOutput) bool {
-	s.totalSubmitted++
-
-	// With sessions enabled, swallow re-submissions of actions this
-	// session already stamped (or dropped): after a reconnect the resume
-	// re-send can race submissions still queued from the old connection.
-	// Per-client action sequence numbers are strictly monotonic, so
-	// anything at or below the session's high-water mark is a duplicate.
-	e, sess := p.e, p.sess
-	if sess != nil {
-		if seq := e.env.Act.ID().Seq; seq <= sess.lastActSeq {
-			s.duplicateSubmits++
-			return false
-		}
-		sess.lastActSeq = e.env.Act.ID().Seq
-	}
-
-	if v := s.boundsCheck(p); v != integrity.OK {
-		s.sealBound(p, v, out)
-		return false
-	}
-
-	s.noteClientPosition(p.from, e, p.nowMs)
-
-	if s.cfg.Mode >= ModeInfoBound {
-		if invalid := s.checkValidity(e, out); invalid {
-			s.recordDropOf(p, out)
-			return false
-		}
-	}
-
-	// Timestamp a and put it into the queue (Algorithm 2 step 2a /
-	// Algorithm 5 step 3a).
-	s.nextSeq++
-	e.env.Seq = s.nextSeq
-
-	if s.cfg.Mode == ModeBasic {
-		s.log = append(s.log, e.env)
-		s.replyBasic(p.from, out)
-		return false
-	}
-
-	e.sent.set(p.slot) // the origin trivially has its own action
-	s.queue = append(s.queue, e)
-	s.indexEntry(e)
-	s.laneEnqueue(p)
-	if s.cfg.RecordHistory {
-		s.log = append(s.log, e.env)
-	}
-	p.pos = len(s.queue) - 1
-	p.viewLane = -1
-	return true
-}
-
-// boundsCheck enforces the per-client influence bounds (DESIGN.md §16c)
-// on a prepared submission: quarantine latch, token-bucket submit rate,
-// write-set size cap, influence-radius cap. It reads only the pending's
-// own ledger pointer and entry, so lane workers may run it concurrently
-// for distinct pendings; shared counters and replies are deferred to
-// sealBound in merge order. The bucket spends on the deterministic
-// engine clock carried by the pending, so verdicts replay identically
-// through the effective log.
-//
-//seve:lane-affine
-func (s *Server) boundsCheck(p *Pending) integrity.Violation {
-	led := p.led
-	if led == nil {
-		return integrity.OK // integrity disabled
-	}
-	if led.Quarantined {
-		return integrity.ViolationQuarantined
-	}
-	if s.cfg.MaxSubmitRate > 0 && !led.Bucket.Allow(p.nowMs, s.cfg.MaxSubmitRate, s.cfg.SubmitBurst) {
-		return integrity.ViolationRate
-	}
-	if s.cfg.MaxWriteSet > 0 && p.e.env.Act.WriteSet().Len() > s.cfg.MaxWriteSet {
-		return integrity.ViolationWriteSet
-	}
-	if s.cfg.MaxInfluenceRadius > 0 && p.e.hasPos && p.e.radius > s.cfg.MaxInfluenceRadius {
-		return integrity.ViolationRadius
-	}
-	return integrity.OK
-}
-
-// sealBound applies the shared-state side of an influence-bound
-// rejection: the violation counter and, except for already-quarantined
-// clients (whose verdict said everything), a Drop reply so the origin
-// aborts the action locally instead of waiting forever. The session's
-// drop ring records it like an Information Bound drop, so a resume
-// catch-up reports it even if the Drop frame is lost.
-//
-//seve:lane-seal
-func (s *Server) sealBound(p *Pending, v integrity.Violation, out *ServerOutput) {
-	switch v {
-	case integrity.ViolationQuarantined:
-		s.quarantineRejected++
-		return
-	case integrity.ViolationRate:
-		s.rateLimited++
-	case integrity.ViolationWriteSet:
-		s.writeSetViolations++
-	case integrity.ViolationRadius:
-		s.radiusViolations++
-	}
-	if p.sess != nil {
-		p.sess.recordDrop(p.e.env.Act.ID())
-	}
-	out.Dropped = true
-	out.Replies = append(out.Replies, Reply{
-		To:      p.from,
-		Msg:     &wire.Drop{ActID: p.e.env.Act.ID()},
-		Deliver: Delivery{Class: DeliveryCovered},
-	})
-}
-
-// recordDropOf applies the shared-state side of an Information Bound
-// drop: counters, the session drop ring, and the Drop reply.
-func (s *Server) recordDropOf(p *Pending, out *ServerOutput) {
-	s.totalDropped++
-	s.droppedByClient[p.from]++
-	out.Dropped = true
-	if p.sess != nil {
-		p.sess.recordDrop(p.e.env.Act.ID())
-	}
-	out.Replies = append(out.Replies, Reply{
-		To:      p.from,
-		Msg:     &wire.Drop{ActID: p.e.env.Act.ID()},
-		Deliver: Delivery{Class: DeliveryCovered},
-	})
-}
-
-// PlanReply computes the Algorithm 6 closure reply for p: the transitive
-// closure of uncommitted actions affecting it, prefixed by a blind
-// write. Planning is read-only apart from worker w's private scratch, so
-// distinct pendings may plan concurrently on distinct workers over a
-// frozen queue (grow the scratch pool with GrowScratch first).
-//
-// overlay, when non-nil, reports queue positions that an earlier plan in
-// the same batch already included in a batch for p's client — those
-// entries count as sent even though their sent() bits are only applied
-// when that earlier plan commits. The shard lanes use it to keep
-// plan-phase results identical to fully sequential processing.
-//
-//seve:lane-affine
-func (s *Server) PlanReply(p *Pending, w int, overlay func(pos int) bool) ReplyPlan {
-	already := func(j int, e *entry) bool { return e.sent.has(p.slot) }
-	if overlay != nil {
-		already = func(j int, e *entry) bool { return e.sent.has(p.slot) || overlay(j) }
-	}
-	v := s.viewFor(p)
-	positions, writes, st := s.closureWalk(&v, []int{p.pos}, s.scratchFor(w), already)
-	return ReplyPlan{active: true, positions: positions, writes: writes,
-		envs: planEnvs(&v, positions), stats: st,
-		footprint: s.planFootprint(&v, positions, writes)}
-}
-
-// planFootprint collects the planned batch's covered-object set — the
-// union of the blind write's targets and every batch entry's declared
-// write set, as sorted deduplicated sparse ids. This is the supersession
-// metadata (DESIGN.md §13) the transport's delivery queue charges to a
-// slow client's staleness accounting. Read-only over the frozen view and
-// the interner, so it runs on the planning worker with the walk.
-func (s *Server) planFootprint(v *walkView, positions []int, writes []world.Write) []world.ObjectID {
-	n := len(writes)
-	for _, j := range positions {
-		n += len(v.queue[j].wsd)
-	}
-	if n == 0 {
-		return nil
-	}
-	fp := make([]world.ObjectID, 0, n)
-	for _, w := range writes {
-		fp = append(fp, w.ID)
-	}
-	for _, j := range positions {
-		for _, o := range v.queue[j].wsd {
-			fp = append(fp, s.intern.ID(o))
-		}
-	}
-	slices.Sort(fp)
-	return slices.Compact(fp)
-}
-
-// planEnvs copies the batch positions' envelopes on the planning worker
-// — the O(batch) part of assembly — leaving envs[0] reserved for the
-// blind write commitBatch may mint. Pure reads over the frozen view.
-func planEnvs(v *walkView, positions []int) []action.Envelope {
-	envs := make([]action.Envelope, len(positions)+1)
-	for k, j := range positions {
-		envs[k+1] = v.queue[j].env
-	}
-	return envs
-}
-
-// commitBatch finishes a planned batch on the sequential path: marks
-// every position sent to slot and mints the blind-write id — the two
-// steps whose order across batches is observable — returning the final
-// envelope sequence.
-func (s *Server) commitBatch(v *walkView, slot int, plan *ReplyPlan) []action.Envelope {
-	for _, j := range plan.positions {
-		v.queue[j].sent.set(slot)
-	}
-	if len(plan.writes) == 0 {
-		return plan.envs[1:]
-	}
-	plan.envs[0] = action.Envelope{
-		Seq:    s.installed,
-		Origin: action.OriginServer,
-		Act:    action.NewBlindWrite(s.nextBlindID(), plan.writes),
-	}
-	return plan.envs
-}
-
-// CommitReply applies a submission's reply plan: sent() marks, the
-// blind-write id, the per-client batch sequence, and the Batch reply.
-// Commits must run on the engine's sequential entry points in stamp
-// order — that, not the planning schedule, is what fixes ids and batch
-// numbering.
-//
-//seve:lane-seal
-func (s *Server) CommitReply(p *Pending, plan *ReplyPlan, out *ServerOutput) {
-	s.noteWalk(plan.stats, out)
-	v := s.viewFor(p)
-	batch := s.commitBatch(&v, p.slot, plan)
-	b := s.sequence(p.from, &wire.Batch{Envs: batch, InstalledUpTo: s.installed})
-	out.Replies = append(out.Replies, Reply{
-		To:      p.from,
-		Msg:     b,
-		Deliver: Delivery{Class: DeliveryBatch, Footprint: plan.footprint, Epoch: b.ClientSeq},
-	})
-}
-
-// GrowScratch ensures the per-worker scratch pool can serve workers
-// 0..n-1. Concurrent planners must not grow the pool themselves; the
-// shard router calls this once before fanning a flush out.
-func (s *Server) GrowScratch(n int) {
-	if n > 0 {
-		s.scratchFor(n - 1)
-	}
-}
-
-// noteWalk merges a walk's cost counters into the output and the
-// server's cumulative metrics.
-func (s *Server) noteWalk(st walkStats, out *ServerOutput) {
-	out.QueueScanned += st.scanned
-	s.totalQueueScans += st.scanned
-	s.indexLookups += st.lookups
-	if st.baseline > st.scanned {
-		s.scanSaved += st.baseline - st.scanned
-	}
-}
-
-// replyBasic implements Algorithm 2 step 2b: "the server returns to C all
-// actions between positions posC and pos(a), and sets posC = pos(a)".
-func (s *Server) replyBasic(from action.ClientID, out *ServerOutput) {
-	ci := s.clients[from]
-	if ci == nil {
-		return
-	}
-	// log[i] has Seq i+1, so the slice (posC, nextSeq] is log[posC:nextSeq].
-	envs := make([]action.Envelope, s.nextSeq-ci.posC)
-	copy(envs, s.log[ci.posC:s.nextSeq])
-	ci.posC = s.nextSeq
-	b := s.sequence(from, &wire.Batch{Envs: envs})
-	out.Replies = append(out.Replies, Reply{
-		To:      from,
-		Msg:     b,
-		Deliver: Delivery{Class: DeliveryBatch, Epoch: b.ClientSeq},
-	})
-}
-
 // HandleCompletion processes Algorithm 5 step 5: the completion for a_i
 // is held until ζS(i−1) is available, then its values are installed into
 // ζS and a_i is discarded from the action queue. from identifies the
@@ -865,28 +445,33 @@ func (s *Server) HandleCompletion(from action.ClientID, m *wire.Completion) Serv
 }
 
 // TakeCompletion records a completion result without installing
-// anything: duplicate auditing plus the pendingRes hold ("the server
-// holds it until ζS(i−1) is available"). The shard router buffers
-// completions through this and runs one InstallContiguous cascade per
-// epoch flush. With integrity enabled the report is validated first:
-// the action's declared sets must honor WS ⊆ RS, and every reported
-// write must fall inside the declared write set (DESIGN.md §16a). A
-// report that fails validation quarantines the sender and forces a
-// repairing audit at install time, so the queue never wedges on a
-// position whose only report was forged.
+// anything: the replay check for installed positions plus the hold on
+// the queue entry ("the server holds it until ζS(i−1) is available").
+// The shard router buffers completions through this and runs one
+// InstallContiguous cascade per epoch flush. With integrity enabled the
+// report is validated first: the action's declared sets must honor
+// WS ⊆ RS, and every reported write must fall inside the declared write
+// set (DESIGN.md §16a). A report that fails validation quarantines the
+// sender and forces a repairing audit at install time, so the queue
+// never wedges on a position whose only report was forged.
 func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 	if s.cfg.Mode == ModeBasic {
 		return
 	}
-	integ := !s.cfg.DisableIntegrity
-	if integ && s.ledgerOf(from).Quarantined {
-		s.quarantineRejected++
-		return
+	// rec is the reporter the hold attributes the result to; it stays nil
+	// with integrity disabled, when nothing is attributed.
+	var rec *clientRec
+	if !s.cfg.DisableIntegrity {
+		rec = s.recordOf(from)
+		if rec.led.Quarantined {
+			s.quarantineRejected++
+			return
+		}
 	}
 	if m.Seq <= s.installed {
 		// Duplicate of an installed action (failure-tolerant
-		// redundancy); still audit it against the retained result.
-		s.crossCheck(from, m)
+		// redundancy); still check it against the retained result.
+		s.replayCheck(rec, m)
 		return
 	}
 	if m.Seq > s.nextSeq {
@@ -898,54 +483,39 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 		s.staleCompletions++
 		return
 	}
-	if accepted, dup := s.pendingRes[m.Seq]; dup {
-		if s.selfComplete[m.Seq] {
-			// A real report arrived for a position the server had written
-			// off as abandoned (failure-tolerant redundancy beat the
-			// self-completion). Adopt it if it validates; the placeholder
-			// carries no information to compare against.
-			if integ {
-				e := s.queue[m.Seq-s.installed-1]
-				if _, ok := integrity.CheckFootprint(m.Res, e.env.Act.WriteSet()); !ok {
-					s.forgedCompletions++
-					s.quarantine(from, integrity.ViolationFootprint, m.Seq, 0)
-					return
-				}
+	e := s.queue[m.Seq-s.installed-1]
+	switch {
+	case e.held && !e.selfComplete:
+		return // first report wins; a disagreeing second one is ignored
+	case e.held:
+		// A real report arrived for a position the server had written off
+		// as abandoned (failure-tolerant redundancy beat the
+		// self-completion). Adopt it if it validates; the placeholder
+		// carries no information to compare against.
+		if rec != nil {
+			if _, ok := integrity.CheckFootprint(m.Res, e.env.Act.WriteSet()); !ok {
+				s.forgedCompletions++
+				s.quarantine(rec, integrity.ViolationFootprint, m.Seq, 0)
+				return
 			}
-			delete(s.selfComplete, m.Seq)
-			s.pendingRes[m.Seq] = m.Res.Clone()
-			if integ {
-				s.pendingFrom[m.Seq] = from
-			}
-			s.completionsTaken++
-			return
 		}
-		if s.cfg.CrossCheck && !m.Res.Equal(accepted) {
-			s.suspects[m.By]++
-		}
-		return
-	}
-	if integ {
-		e := s.queue[m.Seq-s.installed-1]
+	case rec != nil:
 		// Blind writes are server-minted (WS with no RS by design);
 		// client-originated actions must honor the declared contract.
 		if e.env.Origin != action.OriginServer && !integrity.CheckContract(e.env.Act) {
 			s.contractBreaches++
-			s.quarantine(from, integrity.ViolationContract, m.Seq, 0)
-			s.holdForRepair(from, m)
+			s.quarantine(rec, integrity.ViolationContract, m.Seq, 0)
+			s.holdForRepair(e, rec, m)
 			return
 		}
 		if id, ok := integrity.CheckFootprint(m.Res, e.env.Act.WriteSet()); !ok {
 			s.forgedCompletions++
-			s.quarantine(from, integrity.ViolationFootprint, m.Seq, uint64(id))
-			s.holdForRepair(from, m)
+			s.quarantine(rec, integrity.ViolationFootprint, m.Seq, uint64(id))
+			s.holdForRepair(e, rec, m)
 			return
 		}
 	}
-	s.pendingRes[m.Seq] = m.Res.Clone()
-	if integ {
-		s.pendingFrom[m.Seq] = from
-	}
+	e.hold(m.Res, rec)
 	s.completionsTaken++
 }
 
@@ -953,24 +523,22 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 // hold, flagged for a mandatory install-time audit. The forged report
 // never reaches ζS — the audit re-executes the action and installs the
 // server's own result — but the position stays installable, so one
-// cheater cannot wedge the queue for everyone.
-func (s *Server) holdForRepair(from action.ClientID, m *wire.Completion) {
-	// The verdict's abandoned-position walk may have just marked this
-	// very position; the held report supersedes the self-completion.
-	delete(s.selfComplete, m.Seq)
-	s.pendingRes[m.Seq] = m.Res.Clone()
-	s.pendingFrom[m.Seq] = from
-	s.forceAudit[m.Seq] = true
+// cheater cannot wedge the queue for everyone. (The verdict's
+// abandoned-position walk may have just marked this very position; the
+// held report supersedes the self-completion.)
+func (s *Server) holdForRepair(e *entry, from *clientRec, m *wire.Completion) {
+	e.hold(m.Res, from)
+	e.forceAudit = true
 	s.completionsTaken++
 }
 
 // InstallContiguous installs the contiguous prefix of the queue whose
-// results are pending: write application into ζS, then the in-order
-// per-action bookkeeping (watermark, install hook, cross-check window,
-// index pruning, lane pops). exec, when non-nil, may run the supplied
-// closures concurrently and must return only when all have finished;
-// it is used to apply the writes of a large install batch per ζS
-// segment in parallel. The closures partition the writes by segment,
+// results are held: write application into ζS, then the in-order
+// per-action bookkeeping (watermark, journal group, recent-result
+// window, index pruning, lane pops). exec, when non-nil, may run the
+// supplied closures concurrently and must return only when all have
+// finished; it is used to apply the writes of a large install batch per
+// ζS segment in parallel. The closures partition the writes by segment,
 // so they touch disjoint state; per-object write order (queue order)
 // is preserved within each segment, making the final values — and
 // every later observable — identical to the sequential cascade.
@@ -987,10 +555,7 @@ func (s *Server) InstallContiguous(exec func(tasks []func())) {
 //seve:lane-seal
 func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 	n := 0
-	for n < len(s.queue) {
-		if _, ok := s.pendingRes[s.queue[n].env.Seq]; !ok {
-			break
-		}
+	for n < len(s.queue) && s.queue[n].held {
 		n++
 	}
 	if n == 0 {
@@ -1008,7 +573,7 @@ func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 		k := n
 		if !s.cfg.DisableIntegrity {
 			for i := off; i < n; i++ {
-				if s.auditDue(s.queue[i].env.Seq) {
+				if s.auditDue(s.queue[i]) {
 					k = i
 					break
 				}
@@ -1021,24 +586,7 @@ func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 		s.installSegment(s.queue[off:k], exec)
 		off = k
 	}
-
-	for i := 0; i < n; i++ {
-		s.queue[i] = nil
-	}
-	s.queue = s.queue[n:]
-	s.queuePopped += n
-
-	// Re-slicing the head off pins the popped prefix of the backing
-	// array for the life of the server (the nil-ed slots themselves);
-	// copy the live tail to a fresh array once the dead prefix
-	// dominates.
-	if s.queuePopped >= queueCompactMin && s.queuePopped >= len(s.queue) {
-		compacted := make([]*entry, len(s.queue))
-		copy(compacted, s.queue)
-		s.queue = compacted
-		s.queuePopped = 0
-		s.queueCompactions++
-	}
+	s.pop(n)
 	return true
 }
 
@@ -1062,43 +610,25 @@ func (s *Server) installSegment(batch []*entry, exec func(tasks []func())) {
 	}
 
 	for _, e := range batch {
-		seq := e.env.Seq
-		res := s.pendingRes[seq]
-		s.installed = seq
-		delete(s.pendingRes, seq)
-		delete(s.pendingFrom, seq)
-		if len(s.forceAudit) > 0 {
-			delete(s.forceAudit, seq)
+		s.installed = e.env.Seq
+		if !s.cfg.DisableIntegrity {
+			s.recent[e.env.Seq%recentWindow] = recentResult{seq: e.env.Seq, res: e.res}
 		}
-		if s.cfg.CrossCheck || !s.cfg.DisableIntegrity {
-			s.recentResults[seq] = res
-			if old := int64(seq) - crossCheckWindow; old > 0 {
-				delete(s.recentResults, uint64(old))
-			}
-		}
-		s.pruneWriters(e)
+		s.prune(e)
 		s.laneInstall(e)
 	}
 }
 
-// auditDue reports whether the completion at seq is audited before
-// installing: either flagged for mandatory repair by the validator, or
-// picked by the reporter's deterministic sampling stream.
-func (s *Server) auditDue(seq uint64) bool {
-	if len(s.forceAudit) > 0 && s.forceAudit[seq] {
+// auditDue reports whether e's completion is audited before installing:
+// flagged for mandatory repair by the validator, abandoned to the server
+// by a quarantined origin, or picked by the reporter's deterministic
+// sampling stream.
+func (s *Server) auditDue(e *entry) bool {
+	if e.forceAudit || e.selfComplete {
 		return true
 	}
-	if len(s.selfComplete) > 0 && s.selfComplete[seq] {
-		return true
-	}
-	if s.cfg.AuditRate <= 0 {
-		return false
-	}
-	from, ok := s.pendingFrom[seq]
-	if !ok {
-		return false
-	}
-	return s.ledgerOf(from).ShouldAudit(seq, s.cfg.AuditRate)
+	return s.cfg.AuditRate > 0 && e.reporter != nil &&
+		e.reporter.led.ShouldAudit(e.env.Seq, s.cfg.AuditRate)
 }
 
 // auditEntry re-executes e against ζS — which at this point is exactly
@@ -1111,26 +641,25 @@ func (s *Server) auditDue(seq uint64) bool {
 //
 //seve:lane-seal
 func (s *Server) auditEntry(e *entry) {
-	seq := e.env.Seq
-	if s.selfComplete[seq] {
+	if e.selfComplete {
 		// Abandoned by a quarantined origin: there is no report to
 		// compare, the evaluation at ζS (exactly the serial state at
 		// seq−1) IS the result.
-		s.pendingRes[seq] = action.Eval(e.env.Act, world.StateView{S: s.zs})
-		delete(s.selfComplete, seq)
+		e.res = action.Eval(e.env.Act, world.StateView{S: s.zs})
+		e.selfComplete = false
 		s.orphanCompletions++
 		return
 	}
 	s.auditsRun++
-	got, ok := integrity.Audit(e.env.Act, world.StateView{S: s.zs}, s.pendingRes[seq])
+	got, ok := integrity.Audit(e.env.Act, world.StateView{S: s.zs}, e.res)
 	if ok {
 		return
 	}
 	s.auditDivergences++
-	if from, fok := s.pendingFrom[seq]; fok {
-		s.quarantine(from, integrity.ViolationAudit, seq, 0)
+	if e.reporter != nil {
+		s.quarantine(e.reporter, integrity.ViolationAudit, e.env.Seq, 0)
 	}
-	s.pendingRes[seq] = got
+	e.res = got
 	s.repairedResults++
 }
 
@@ -1142,8 +671,8 @@ func (s *Server) applyWrites(batch []*entry, exec func(tasks []func())) {
 	segs := s.zs.Segments()
 	if exec == nil || segs < 2 {
 		for _, e := range batch {
-			if res := s.pendingRes[e.env.Seq]; res.OK {
-				for _, w := range res.Writes {
+			if e.res.OK {
+				for _, w := range e.res.Writes {
 					s.zs.Set(w.ID, w.Val)
 				}
 			}
@@ -1155,8 +684,8 @@ func (s *Server) applyWrites(batch []*entry, exec func(tasks []func())) {
 	}
 	bySeg := s.installBySeg[:segs]
 	for _, e := range batch {
-		if res := s.pendingRes[e.env.Seq]; res.OK {
-			for _, w := range res.Writes {
+		if e.res.OK {
+			for _, w := range e.res.Writes {
 				g := s.zs.SegmentOf(w.ID)
 				bySeg[g] = append(bySeg[g], w)
 			}
@@ -1182,85 +711,54 @@ func (s *Server) applyWrites(batch []*entry, exec func(tasks []func())) {
 	clear(tasks)
 }
 
-// queueCompactMin is the smallest dead prefix worth a compaction copy.
-const queueCompactMin = 256
-
-// crossCheck audits a late completion against the retained accepted
-// result. Honest late reports — failure-tolerant redundancy, resume
-// re-sends of retained completions — match the installed result by
-// Theorem 1, so with integrity enabled a mismatch is a replayed forged
-// completion and quarantines the sender.
-func (s *Server) crossCheck(from action.ClientID, m *wire.Completion) {
-	integ := !s.cfg.DisableIntegrity
-	if !s.cfg.CrossCheck && !integ {
-		return
+// replayCheck compares a late completion with the retained result of
+// the installed position it names. Honest late reports — failure-tolerant
+// redundancy, resume re-sends of retained completions — match the
+// installed result by Theorem 1, so a mismatch is a replayed forged
+// completion and quarantines the sender. from is nil with integrity
+// disabled, when nothing is retained.
+func (s *Server) replayCheck(from *clientRec, m *wire.Completion) {
+	r := &s.recent[m.Seq%recentWindow]
+	if from == nil || r.seq != m.Seq || m.Seq == 0 {
+		return // outside the window (no action is ever stamped 0)
 	}
-	accepted, ok := s.recentResults[m.Seq]
-	if !ok {
-		return // outside the audit window
+	if !m.Res.Equal(r.res) {
+		s.quarantine(from, integrity.ViolationReplay, m.Seq, 0)
 	}
-	if !m.Res.Equal(accepted) {
-		if s.cfg.CrossCheck {
-			s.suspects[m.By]++
-		}
-		if integ {
-			s.quarantine(from, integrity.ViolationReplay, m.Seq, 0)
-		}
-	}
-}
-
-// ledgerOf returns (minting on demand) the client's integrity ledger.
-// The audit seed derives from the client id alone, so the sampling
-// stream is identical across resume, effective-log replay, and
-// crash-restart. Ledgers survive unregister, like orphanSlots: a
-// quarantined client cannot clear its verdict by reconnecting.
-func (s *Server) ledgerOf(id action.ClientID) *integrity.Ledger {
-	if l, ok := s.ledgers[id]; ok {
-		return l
-	}
-	l := integrity.NewLedger(integrity.Mix(uint64(uint32(id))))
-	s.ledgers[id] = l
-	return l
 }
 
 // Quarantined reports whether the client is under an integrity
 // quarantine.
 func (s *Server) Quarantined(id action.ClientID) bool {
-	l, ok := s.ledgers[id]
-	return ok && l.Quarantined
+	rec := s.recs[id]
+	return rec != nil && rec.led.Quarantined
 }
 
 // quarantine latches the verdict for the client behind a connection,
 // stages the wire verdict for DrainQuarantines, and journals it so the
 // quarantine survives crash-restart. Idempotent: only the first
 // violation produces a verdict.
-func (s *Server) quarantine(id action.ClientID, reason integrity.Violation, seq, detail uint64) {
-	l := s.ledgerOf(id)
-	if l.Quarantined {
+func (s *Server) quarantine(rec *clientRec, reason integrity.Violation, seq, detail uint64) {
+	if rec.led.Quarantined {
 		return
 	}
-	l.Quarantined = true
+	rec.led.Quarantined = true
 	s.quarantinedClients++
 	// Positions this origin stamped but never completed are abandoned —
 	// its future reports will be rejected — so mark them for server
 	// self-completion at install time rather than wedging the queue.
 	for _, e := range s.queue {
-		if e.env.Origin != id {
-			continue
+		if e.env.Origin == rec.id && !e.held {
+			e.held, e.selfComplete = true, true
 		}
-		if _, held := s.pendingRes[e.env.Seq]; held {
-			continue
-		}
-		s.pendingRes[e.env.Seq] = action.Result{}
-		s.selfComplete[e.env.Seq] = true
 	}
 	s.quarOut = append(s.quarOut, Reply{
-		To:      id,
+		To:      rec.id,
 		Msg:     &wire.Quarantine{Reason: uint8(reason), Seq: seq, Detail: detail},
 		Deliver: Delivery{Class: DeliveryOrdered},
 	})
 	if qj, ok := s.journal.(QuarantineJournal); ok {
-		qj.ClientQuarantined(id, uint8(reason), seq)
+		qj.ClientQuarantined(rec.id, uint8(reason), seq)
 	}
 }
 
@@ -1283,16 +781,15 @@ func (s *Server) DrainQuarantines(out *ServerOutput) {
 // noteClientPosition updates the server's view of the client's character
 // position and action radius from the submitted action's spatial
 // metadata.
-func (s *Server) noteClientPosition(from action.ClientID, e *entry, nowMs float64) {
-	ci := s.clients[from]
-	if ci == nil || !e.hasPos {
+func noteClientPosition(rec *clientRec, e *entry, nowMs float64) {
+	if !rec.registered || !e.hasPos {
 		return
 	}
-	ci.pos = e.pos
-	ci.hasPos = true
-	ci.posAtMs = nowMs
-	if e.radius > ci.radius {
-		ci.radius = e.radius
+	rec.pos = e.pos
+	rec.hasPos = true
+	rec.posAtMs = nowMs
+	if e.radius > rec.radius {
+		rec.radius = e.radius
 	}
 }
 
@@ -1316,7 +813,7 @@ func newEntry(env action.Envelope, nowMs float64) *entry {
 }
 
 // internEntry caches the entry's declared read and write sets as dense
-// indices (one backing allocation) and keeps the writer-list table in
+// indices (one backing allocation) and keeps the writer-list tables in
 // step with the interner. Must run before the entry meets any walk.
 func (s *Server) internEntry(e *entry) {
 	rs, ws := e.env.Act.ReadSet(), e.env.Act.WriteSet()
@@ -1334,8 +831,7 @@ func (s *Server) internEntry(e *entry) {
 //
 //seve:lane-seal
 func (s *Server) Metrics() metrics.ServerStats {
-	workers := s.cfg.PushWorkers
-	queueComp, writerComp := s.queueCompactions, s.writerCompactions
+	queueComp, writerComp := s.compactions, s.writerCompactions
 	for i := range s.lanes {
 		queueComp += s.lanes[i].compactions
 		writerComp += s.lanes[i].writerCompactions
@@ -1352,10 +848,10 @@ func (s *Server) Metrics() metrics.ServerStats {
 		QueueCompactions:  queueComp,
 		WriterCompactions: writerComp,
 		InternedObjects:   s.intern.Len(),
-		TrackedClients:    len(s.clients),
+		TrackedClients:    len(s.live),
 		PushTicks:         s.pushTicks,
 		PushParallelTicks: s.pushParallelTicks,
-		PushWorkers:       workers,
+		PushWorkers:       s.cfg.PushWorkers,
 		ResumesSuffix:     s.resumesSuffix,
 		ResumesSnapshot:   s.resumesSnapshot,
 		ResumesRejected:   s.resumesRejected,

@@ -545,10 +545,7 @@ func verifyReplayDifferential(t *testing.T, h *churnHarness) {
 	if !ok {
 		return // shards=1 already runs the single lane
 	}
-	cfg := h.cfg
-	cfg.DisableSharding = true
-
-	single := shard.NewEngine(cfg, h.init)
+	single := core.NewServer(h.cfg, h.init)
 	outs := shard.Replay(single, r.EffectiveLog())
 	singleBytes := make(map[action.ClientID][]byte)
 	for _, out := range outs {

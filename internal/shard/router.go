@@ -68,7 +68,6 @@ type Router struct {
 	lanePs   [][]*core.Pending
 	laneIdxs [][]int
 	active   []int
-	planNs   []int64
 	laneNs   []int64
 
 	// pendingOut holds replies produced by flushes inside Register/
@@ -156,7 +155,6 @@ func New(cfg core.Config, init *world.State) *Router {
 		reqs:     make([]chan laneTask, cfg.Shards),
 		lanePs:   make([][]*core.Pending, cfg.Shards),
 		laneIdxs: make([][]int, cfg.Shards),
-		planNs:   make([]int64, cfg.Shards),
 		laneNs:   make([]int64, cfg.Shards),
 	}
 	r.stats.Shards = cfg.Shards
@@ -190,31 +188,52 @@ func (r *Router) laneWorker(w int) {
 	}
 }
 
-// runPhase runs fn(lane) for every active lane and stores each lane's
-// duration in durs[lane]. One active lane — or a single-threaded
-// process — runs inline; otherwise each lane runs on its own worker.
-// Either way the phase completes before runPhase returns, and lanes
-// touch disjoint state, so the schedule never shows in the outputs.
-func (r *Router) runPhase(active []int, durs []int64, fn func(lane int)) {
+// runPhase runs fn(lane) for every active lane — independent work over
+// lane-affine state — and credits the phase: every lane's time to total,
+// the slowest lane's to the critical path. One active lane — or a
+// single-threaded process — runs inline; otherwise each lane runs on its
+// own worker. Either way the phase completes before runPhase returns,
+// and lanes touch disjoint state, so the schedule never shows in the
+// outputs.
+func (r *Router) runPhase(active []int, total, crit *int64, fn func(lane int)) {
+	durs := r.laneNs
+	clear(durs)
 	if len(active) == 1 || r.serial {
 		for _, lane := range active {
 			start := time.Now()
 			fn(lane)
 			durs[lane] = time.Since(start).Nanoseconds()
 		}
-		return
+	} else {
+		var wg sync.WaitGroup
+		for _, lane := range active {
+			lane := lane
+			wg.Add(1)
+			r.reqs[lane] <- laneTask{fn: func() {
+				start := time.Now()
+				fn(lane)
+				durs[lane] = time.Since(start).Nanoseconds()
+			}, wg: &wg}
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for _, lane := range active {
-		lane := lane
-		wg.Add(1)
-		r.reqs[lane] <- laneTask{fn: func() {
-			start := time.Now()
-			fn(lane)
-			durs[lane] = time.Since(start).Nanoseconds()
-		}, wg: &wg}
+	var slowest int64
+	for _, d := range durs {
+		*total += d
+		slowest = max(slowest, d)
 	}
-	wg.Wait()
+	*crit += slowest
+}
+
+// runSeq runs a phase that is one sequential task — a stamp or commit
+// over the global view, whose jobs see each other — and charges it to
+// both the total and the critical path: nothing about it parallelizes.
+func runSeq(total, crit *int64, fn func()) {
+	start := time.Now()
+	fn()
+	ns := time.Since(start).Nanoseconds()
+	*total += ns
+	*crit += ns
 }
 
 // execTasks runs independent closures to completion, round-robin over
@@ -245,6 +264,7 @@ func (r *Router) execTasks(tasks []func()) {
 // is rare (a client resubmitting within one epoch), so its map traffic
 // is gated on a same-client pre-scan: the common all-distinct-clients
 // epoch plans with no overlay reads or writes at all.
+//
 //seve:lane-affine
 func (r *Router) planLane(w int, jobs []job, idxs []int) {
 	type ovKey struct {
@@ -355,21 +375,17 @@ func (r *Router) handleSubmit(from action.ClientID, m *wire.Submit, nowMs float6
 	}
 	if lane < 0 {
 		// Cross-shard (or footprint-free) submission: close the epoch,
-		// then stamp on the global sequencer lane — the fully sequential
-		// path every shard observes, since it runs between epochs on the
-		// shared engine. A genuinely spanning entry becomes a bridge: its
-		// Seq joins the FIFO that forces fallback flushes until it
-		// installs.
+		// then run it as an epoch of its own on the global view — the
+		// fully sequential path every shard observes, since it runs
+		// between epochs on the shared engine. A genuinely spanning entry
+		// becomes a bridge: its Seq joins the FIFO that keeps epochs on
+		// the global view until it installs.
 		out = r.flushInto(out, &r.stats.CrossShardFlushes)
 		r.stats.CrossShardActions++
 		r.record(LogEntry{From: from, Msg: m, NowMs: nowMs})
 		var so core.ServerOutput
-		if r.inner.StampPrepared(p, &so) {
-			plan := r.inner.PlanReply(p, 0, nil)
-			r.inner.CommitReply(p, &plan, &so)
-			if spanning {
-				r.spanning = append(r.spanning, p.Seq())
-			}
+		if r.inner.SubmitPrepared(p, &so) && spanning {
+			r.spanning = append(r.spanning, p.Seq())
 		}
 		return mergeOut(out, so)
 	}
@@ -481,11 +497,11 @@ func (r *Router) takePending() core.ServerOutput {
 
 // flushInto closes the current epoch, if non-empty, appending its
 // replies to out in merge order and crediting the flush to cause. The
-// buffered completions install first; the buffered submissions then
-// run the partitioned per-lane pipeline when every live queue entry is
-// lane-owned, or the global fallback path while a spanning bridge is
-// live (or the conflict index — which the lane views are built on — is
-// disabled).
+// buffered completions install first; the buffered submissions then run
+// the pipeline partitioned — one view per lane — when every live queue
+// entry is lane-owned, or all on the global view (a fallback epoch) while
+// a spanning bridge is live (or the conflict index — which the lane
+// views are built on — is disabled).
 func (r *Router) flushInto(out core.ServerOutput, cause *int) core.ServerOutput {
 	if r.bufN == 0 && len(r.comps) == 0 {
 		return out
@@ -501,12 +517,13 @@ func (r *Router) flushInto(out core.ServerOutput, cause *int) core.ServerOutput 
 		return out
 	}
 	r.stats.Epochs++
-	if r.inner.Partitioned() && len(r.spanning) == 0 && !r.cfg.DisableConflictIndex {
+	partitioned := r.inner.Partitioned() && len(r.spanning) == 0 && !r.cfg.DisableConflictIndex
+	if partitioned {
 		r.stats.PartitionedEpochs++
-		return r.flushPartitioned(out)
+	} else {
+		r.stats.FallbackEpochs++
 	}
-	r.stats.FallbackEpochs++
-	return r.flushFallback(out)
+	return r.flushEpoch(out, partitioned)
 }
 
 // installComps applies the buffered completions — recorded in the
@@ -561,25 +578,32 @@ func (r *Router) installComps() {
 	r.stats.InstallCritNs += crit
 }
 
-// flushPartitioned is the six-pass epoch pipeline over per-lane
-// engine state:
+// flushEpoch runs the buffered submissions through the six pipeline
+// phases (core/pipeline.go):
 //
-//	StampLane*  — lane-affine stamping: dedup, validity over the lane
-//	              view, lane enqueue+index              (parallel)
+//	StampLane*  — view-affine stamping: dedup, bounds, validity over the
+//	              view, enqueue+index in its segment
 //	SealStamp   — global Seqs, queue/index/history, counters, Drop
 //	              replies, in merge order               (sequential)
 //	PlanReply*  — Algorithm 6 closure walks per lane    (parallel)
 //	PreCommit   — blind-write ids in merge order        (sequential)
 //	CommitLane* — sent() marks, batch assembly, per-client sequencing
-//	                                                    (parallel)
 //	SealCommit  — reply emission in merge order         (sequential)
 //
-// The parallel passes touch only lane-affine state; every output whose
-// cross-lane order is observable is fixed by the sequential merges, so
-// the bytes are identical to the fallback path and the single lane.
+// A partitioned epoch gives every lane its own view and runs the starred
+// phases one task per lane, in parallel: they touch only lane-affine
+// state. A fallback epoch — a spanning entry is live, so a lane-segment
+// walk would miss it — runs every job over the global view, which stays
+// correct because the walks see the whole queue: stamp and commit are
+// then one sequential task in merge order (a stamp must see the jobs
+// before it enqueued, and two lanes' batches may mark the same bridge
+// entry sent), and only the read-only planning still fans out. Every
+// output whose cross-lane order is observable is fixed by the sequential
+// merges either way, so the bytes are identical to each other and to
+// the single lane.
 //
 //seve:lane-seal
-func (r *Router) flushPartitioned(out core.ServerOutput) core.ServerOutput {
+func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.ServerOutput {
 	jobs := r.jobs[:0]
 	stampActive := r.active[:0]
 	maxLane := 0
@@ -589,9 +613,7 @@ func (r *Router) flushPartitioned(out core.ServerOutput) core.ServerOutput {
 			continue
 		}
 		stampActive = append(stampActive, lane)
-		if len(buf) > maxLane {
-			maxLane = len(buf)
-		}
+		maxLane = max(maxLane, len(buf))
 		for _, ps := range buf {
 			r.record(LogEntry{From: ps.from, Msg: ps.msg, NowMs: ps.nowMs})
 			r.lanePs[lane] = append(r.lanePs[lane], ps.p)
@@ -599,17 +621,20 @@ func (r *Router) flushPartitioned(out core.ServerOutput) core.ServerOutput {
 		}
 		r.lanes[lane] = r.lanes[lane][:0]
 	}
-	imb := float64(maxLane) * float64(r.n) / float64(len(jobs))
-	r.stats.LaneImbalance += (imb - r.stats.LaneImbalance) / float64(r.stats.PartitionedEpochs)
 
-	durs := r.laneNs
-	for lane := range durs {
-		durs[lane] = 0
+	if partitioned {
+		imb := float64(maxLane) * float64(r.n) / float64(len(jobs))
+		r.stats.LaneImbalance += (imb - r.stats.LaneImbalance) / float64(r.stats.PartitionedEpochs)
+		r.runPhase(stampActive, &r.stats.StampNs, &r.stats.StampCritNs, func(lane int) {
+			r.inner.StampLane(lane, r.lanePs[lane])
+		})
+	} else {
+		runSeq(&r.stats.StampNs, &r.stats.StampCritNs, func() {
+			for _, lane := range stampActive {
+				r.inner.StampLane(-1, r.lanePs[lane])
+			}
+		})
 	}
-	r.runPhase(stampActive, durs, func(lane int) {
-		r.inner.StampLane(lane, r.lanePs[lane])
-	})
-	addPhase(&r.stats.StampNs, &r.stats.StampCritNs, durs)
 
 	start := time.Now()
 	for i := range jobs {
@@ -629,15 +654,21 @@ func (r *Router) flushPartitioned(out core.ServerOutput) core.ServerOutput {
 	}
 	r.stats.MergeNs += time.Since(start).Nanoseconds()
 
-	for lane := range durs {
-		durs[lane] = 0
+	if partitioned {
+		r.runPhase(r.active, &r.stats.CommitNs, &r.stats.CommitCritNs, func(lane int) {
+			for _, i := range r.laneIdxs[lane] {
+				r.inner.CommitLane(jobs[i].p, &jobs[i].plan)
+			}
+		})
+	} else {
+		runSeq(&r.stats.CommitNs, &r.stats.CommitCritNs, func() {
+			for i := range jobs {
+				if jobs[i].p != nil {
+					r.inner.CommitLane(jobs[i].p, &jobs[i].plan)
+				}
+			}
+		})
 	}
-	r.runPhase(r.active, durs, func(lane int) {
-		for _, i := range r.laneIdxs[lane] {
-			r.inner.CommitLane(jobs[i].p, &jobs[i].plan)
-		}
-	})
-	addPhase(&r.stats.CommitNs, &r.stats.CommitCritNs, durs)
 
 	start = time.Now()
 	for i := range jobs {
@@ -649,53 +680,13 @@ func (r *Router) flushPartitioned(out core.ServerOutput) core.ServerOutput {
 	}
 	r.stats.MergeNs += time.Since(start).Nanoseconds()
 
-	for _, lane := range stampActive {
+	// Every lane, not stampActive: planJobs rebuilt r.active over the
+	// array stampActive was collected in, so a lane whose jobs were all
+	// refused is no longer in it — and a pending left behind would be
+	// stamped again by the lane's next epoch.
+	for lane := range r.lanePs {
 		r.lanePs[lane] = r.lanePs[lane][:0]
 	}
-	r.jobs = jobs[:0]
-	r.bufN = 0
-	clear(r.laneOf)
-	return out
-}
-
-// flushFallback is the global-sequencer pipeline: sequential stamp in
-// merge order, parallel plan, sequential commit — the path that stays
-// correct with spanning entries live in the queue, because every walk
-// runs over the global view. The sequential phases charge both the
-// totals and the critical path: nothing about them parallelizes.
-//
-//seve:lane-seal
-func (r *Router) flushFallback(out core.ServerOutput) core.ServerOutput {
-	start := time.Now()
-	jobs := r.jobs[:0]
-	for lane := 0; lane < r.n; lane++ {
-		for _, ps := range r.lanes[lane] {
-			j := job{lane: lane, p: ps.p}
-			r.record(LogEntry{From: ps.from, Msg: ps.msg, NowMs: ps.nowMs})
-			if !r.inner.StampPrepared(ps.p, &j.out) {
-				j.p = nil
-			}
-			jobs = append(jobs, j)
-		}
-		r.lanes[lane] = r.lanes[lane][:0]
-	}
-	ns := time.Since(start).Nanoseconds()
-	r.stats.StampNs += ns
-	r.stats.StampCritNs += ns
-
-	r.planJobs(jobs)
-
-	start = time.Now()
-	for i := range jobs {
-		if jobs[i].p != nil {
-			r.inner.CommitReply(jobs[i].p, &jobs[i].plan, &jobs[i].out)
-		}
-		out = mergeOut(out, jobs[i].out)
-		jobs[i] = job{}
-	}
-	ns = time.Since(start).Nanoseconds()
-	r.stats.CommitNs += ns
-	r.stats.CommitCritNs += ns
 	r.jobs = jobs[:0]
 	r.bufN = 0
 	clear(r.laneOf)
@@ -726,27 +717,9 @@ func (r *Router) planJobs(jobs []job) {
 			r.stats.ParallelPlans += len(r.laneIdxs[lane])
 		}
 	}
-	durs := r.planNs
-	for lane := range durs {
-		durs[lane] = 0
-	}
-	r.runPhase(active, durs, func(lane int) {
+	r.runPhase(active, &r.stats.PlanNs, &r.stats.PlanCritNs, func(lane int) {
 		r.planLane(lane, jobs, r.laneIdxs[lane])
 	})
-	addPhase(&r.stats.PlanNs, &r.stats.PlanCritNs, durs)
-}
-
-// addPhase credits one phase's per-lane durations: every lane's time to
-// the total, the slowest lane's to the critical path.
-func addPhase(total, crit *int64, durs []int64) {
-	var slowest int64
-	for _, d := range durs {
-		*total += d
-		if d > slowest {
-			slowest = d
-		}
-	}
-	*crit += slowest
 }
 
 // mergeOut appends b's replies and counters to a, preserving order.
@@ -803,10 +776,6 @@ func (r *Router) Restore(rec core.RestoreState) { r.inner.Restore(rec) }
 
 // Boot reports the recovery generation of the shared engine.
 func (r *Router) Boot() uint64 { return r.inner.Boot() }
-
-// Suspects reports per-client completion-report mismatch counts (see
-// core.Server.Suspects).
-func (r *Router) Suspects() map[action.ClientID]int { return r.inner.Suspects() }
 
 // Engine conformance (plus the Flusher, Resumer, and Superseder
 // extensions).

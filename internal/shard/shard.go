@@ -24,10 +24,11 @@
 //     epoch.
 //
 // The engine's authoritative state is itself partitioned (see
-// core/lanes.go): each lane owns a segment of the uncommitted queue and
-// a lane-numbered reverse conflict index covering exactly its own
-// entries, and ζS is hash-segmented for parallel installs. An epoch
-// flushes in six passes — buffered completions install first, then
+// core/pipeline.go): each lane owns a segment of the uncommitted queue
+// and the rows of a lane-numbered reverse conflict index covering
+// exactly its own entries, and ζS is hash-segmented for parallel
+// installs. An epoch flushes through the engine's one submit pipeline —
+// buffered completions install first, then the six passes
 //
 //	StampLane*  → SealStamp → PlanReply* → PreCommit → CommitLane* → SealCommit
 //
@@ -37,10 +38,10 @@
 // lane closure: while no spanning entry is live in the queue, a
 // conflict chain seeded in lane L cannot leave L's segment, so the
 // lane-view walks visit exactly the entries the global walk would have
-// acted on. Whenever a spanning "bridge" IS live, the router flushes
-// through the global fallback pipeline (sequential stamp and commit,
-// parallel plan over the global view) until the bridge installs. Either
-// way, everything whose cross-lane order is observable — global Seqs,
+// acted on. Whenever a spanning "bridge" IS live, the epoch runs the
+// same six passes with every job on the global view instead (a fallback
+// epoch: stamp and commit one sequential task each, only the planning
+// still fanned out) until the bridge installs. Either way, everything whose cross-lane order is observable — global Seqs,
 // blind-write ids, per-client batch sequences, reply emission — is
 // fixed by the sequential merge passes, so the serial order and every
 // emitted byte are a pure function of the submission streams —
@@ -57,11 +58,11 @@ import (
 )
 
 // NewEngine returns the engine for cfg: the sharded router when
-// cfg.Shards > 1 and sharding is enabled, otherwise the single-lane
-// core.Server. ModeBasic has no per-action analysis worth sharding (the
-// server only appends to a log) and always gets the single lane.
+// cfg.Shards > 1, otherwise the single-lane core.Server. ModeBasic has
+// no per-action analysis worth sharding (the server only appends to a
+// log) and always gets the single lane.
 func NewEngine(cfg core.Config, init *world.State) core.Engine {
-	if cfg.Shards <= 1 || cfg.DisableSharding || cfg.Mode == core.ModeBasic {
+	if cfg.Shards <= 1 || cfg.Mode == core.ModeBasic {
 		return core.NewServer(cfg, init)
 	}
 	return New(cfg, init)

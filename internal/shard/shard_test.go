@@ -341,11 +341,40 @@ func runSharded(t *testing.T, cfg core.Config, nClients, nGroups, acts int, cros
 	return r, lb
 }
 
+// replaySingle replays the router's effective order through the
+// single-lane reference engine and returns it with the reply bytes each
+// client would have seen.
+func replaySingle(cfg core.Config, nGroups int, r *Router) (*core.Server, map[action.ClientID][]byte) {
+	eng := core.NewServer(cfg, genWorld(nGroups))
+	singleBytes := make(map[action.ClientID][]byte)
+	for _, out := range Replay(eng, r.EffectiveLog()) {
+		for _, rep := range out.Replies {
+			singleBytes[rep.To] = wire.AppendFrame(singleBytes[rep.To], rep.Msg)
+		}
+	}
+	return eng, singleBytes
+}
+
+// requireSameBytes is the differential contract: installed history and
+// every client-visible reply, byte for byte.
+func requireSameBytes(t *testing.T, r *Router, lb *loopback, eng *core.Server, singleBytes map[action.ClientID][]byte) {
+	t.Helper()
+	if got, want := historyBytes(t, r), historyBytes(t, eng); string(got) != string(want) {
+		t.Fatalf("installed history diverged: %d vs %d bytes", len(got), len(want))
+	}
+	for _, cid := range lb.order {
+		if string(lb.bytes[cid]) != string(singleBytes[cid]) {
+			t.Fatalf("client %d reply stream diverged: %d vs %d bytes",
+				cid, len(lb.bytes[cid]), len(singleBytes[cid]))
+		}
+	}
+}
+
 // TestShardedEquivalence is the differential determinism harness of the
 // sharded serializer: for randomized workloads × shard counts ×
 // delivery orders, replaying the router's effective order through the
-// single-lane engine (DisableSharding) must reproduce the installed
-// history and every client-visible batch byte for byte.
+// single-lane engine must reproduce the installed history and every
+// client-visible batch byte for byte.
 func TestShardedEquivalence(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeIncomplete, core.ModeInfoBound} {
 		for _, shards := range []int{2, 4, 8} {
@@ -354,33 +383,9 @@ func TestShardedEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					cfg := shardedCfg(mode, shards)
 					r, lb := runSharded(t, cfg, 12, 6, 20, 0.15, seed)
+					eng, singleBytes := replaySingle(cfg, 6, r)
+					requireSameBytes(t, r, lb, eng, singleBytes)
 
-					// Replay the effective order through the single lane.
-					single := shardedCfg(mode, shards)
-					single.DisableSharding = true
-					eng := NewEngine(single, genWorld(6))
-					if _, isRouter := eng.(*Router); isRouter {
-						t.Fatal("DisableSharding still built a router")
-					}
-					outs := Replay(eng, r.EffectiveLog())
-					singleBytes := make(map[action.ClientID][]byte)
-					for _, out := range outs {
-						for _, rep := range out.Replies {
-							singleBytes[rep.To] = wire.AppendFrame(singleBytes[rep.To], rep.Msg)
-						}
-					}
-
-					// Installed history, byte for byte.
-					if got, want := historyBytes(t, r), historyBytes(t, eng); string(got) != string(want) {
-						t.Fatalf("installed history diverged: %d vs %d bytes", len(got), len(want))
-					}
-					// Every client-visible batch, byte for byte.
-					for _, cid := range lb.order {
-						if string(lb.bytes[cid]) != string(singleBytes[cid]) {
-							t.Fatalf("client %d reply stream diverged: %d vs %d bytes",
-								cid, len(lb.bytes[cid]), len(singleBytes[cid]))
-						}
-					}
 					// Authoritative state and install point.
 					if r.Installed() != eng.Installed() {
 						t.Fatalf("installed %d vs %d", r.Installed(), eng.Installed())
@@ -401,37 +406,72 @@ func TestShardedEquivalence(t *testing.T) {
 
 // TestShardedEquivalenceWithDrops exercises the Algorithm 7 drop path
 // through the sharded stamp phase: a tight threshold must drop exactly
-// the same submissions in both engines.
+// the same submissions in both engines. The second configuration
+// combines what no other differential does — drops, sessions and
+// partitioned epochs: after the workload every client resumes on the
+// router and on the single-lane replay, and the verdicts, whose
+// DroppedActs replay each session's drop ring, must agree byte for byte.
+// (A drop recorded by the lane stamp and again by its seal shows up
+// there as a ring twice as long as the single lane's.)
 func TestShardedEquivalenceWithDrops(t *testing.T) {
-	cfg := shardedCfg(core.ModeInfoBound, 4)
-	cfg.Threshold = 40 // groups are 300 apart: cross-group chains break
-	r, lb := runSharded(t, cfg, 12, 6, 20, 0.35, 7)
+	for _, tc := range []struct {
+		shards, resumeWindow int
+		crossFrac            float64
+	}{
+		{shards: 4, crossFrac: 0.35},
+		{shards: 2, crossFrac: 0.02, resumeWindow: 64},
+	} {
+		t.Run(fmt.Sprintf("shards=%d/cross=%v/window=%d", tc.shards, tc.crossFrac, tc.resumeWindow), func(t *testing.T) {
+			cfg := shardedCfg(core.ModeInfoBound, tc.shards)
+			cfg.Threshold = 40 // groups are 300 apart: cross-group chains break
+			cfg.ResumeWindow = tc.resumeWindow
+			r, lb := runSharded(t, cfg, 12, 6, 20, tc.crossFrac, 7)
+			eng, singleBytes := replaySingle(cfg, 6, r)
+			requireSameBytes(t, r, lb, eng, singleBytes)
 
-	single := cfg
-	single.DisableSharding = true
-	eng := NewEngine(single, genWorld(6))
-	outs := Replay(eng, r.EffectiveLog())
-	singleBytes := make(map[action.ClientID][]byte)
-	for _, out := range outs {
-		for _, rep := range out.Replies {
-			singleBytes[rep.To] = wire.AppendFrame(singleBytes[rep.To], rep.Msg)
+			if r.Metrics().TotalDropped == 0 {
+				t.Fatal("drop workload produced no drops; threshold not exercised")
+			}
+			if r.Metrics().TotalDropped != eng.Metrics().TotalDropped {
+				t.Fatalf("drops diverged: sharded %d single %d",
+					r.Metrics().TotalDropped, eng.Metrics().TotalDropped)
+			}
+			if r.RouterMetrics().PartitionedEpochs == 0 {
+				t.Fatal("no epoch stamped on the lane views")
+			}
+			if tc.resumeWindow == 0 {
+				return
+			}
+			for _, cid := range lb.order {
+				m := &wire.Resume{Token: r.SessionToken(cid), LastBatchSeq: lb.clients[cid].LastAppliedBatch()}
+				_, got := r.HandleResume(m, lb.nowMs)
+				_, want := eng.HandleResume(m, lb.nowMs)
+				if g, w := replyBytes(got), replyBytes(want); string(g) != string(w) {
+					t.Fatalf("client %d resume diverged: router %d bytes (%d dropped acts), single lane %d (%d)",
+						cid, len(g), droppedActs(got), len(w), droppedActs(want))
+				}
+			}
+		})
+	}
+}
+
+func replyBytes(out core.ServerOutput) []byte {
+	var buf []byte
+	for _, rep := range out.Replies {
+		buf = wire.AppendFrame(buf, rep.Msg)
+	}
+	return buf
+}
+
+// droppedActs totals the drop-ring entries an output's CatchUps replay.
+func droppedActs(out core.ServerOutput) int {
+	n := 0
+	for _, rep := range out.Replies {
+		if cu, ok := rep.Msg.(*wire.CatchUp); ok {
+			n += len(cu.DroppedActs)
 		}
 	}
-	if got, want := historyBytes(t, r), historyBytes(t, eng); string(got) != string(want) {
-		t.Fatalf("installed history diverged: %d vs %d bytes", len(got), len(want))
-	}
-	for _, cid := range lb.order {
-		if string(lb.bytes[cid]) != string(singleBytes[cid]) {
-			t.Fatalf("client %d reply stream diverged", cid)
-		}
-	}
-	if r.Metrics().TotalDropped == 0 {
-		t.Fatal("drop workload produced no drops; threshold not exercised")
-	}
-	if r.Metrics().TotalDropped != eng.Metrics().TotalDropped {
-		t.Fatalf("drops diverged: sharded %d single %d",
-			r.Metrics().TotalDropped, eng.Metrics().TotalDropped)
-	}
+	return n
 }
 
 // TestShardedDeterminism pins the reproducible-merge claim: the same
@@ -536,19 +576,76 @@ func TestRouterStats(t *testing.T) {
 	}
 }
 
-// TestNewEngineFallbacks pins the factory: single lane for Shards ≤ 1,
-// DisableSharding, and ModeBasic; router otherwise.
+// TestFlushForgetsRefusedLanes: an epoch in which every job of one lane
+// is refused at the stamp (here: over the write-set cap) while a later
+// lane's are accepted must leave no pending behind in the refused lane's
+// stamp list — the lane's next epoch would stamp it a second time, into
+// the lane segment alone.
+func TestFlushForgetsRefusedLanes(t *testing.T) {
+	cfg := shardedCfg(core.ModeIncomplete, 2)
+	cfg.MaxWriteSet = 1
+	const nGroups = 6
+	init := genWorld(nGroups)
+	r := New(cfg, init)
+	t.Cleanup(r.Close)
+	lb := newLoopback(t, r, cfg, init, nGroups)
+	epoch := func(writes map[action.ClientID]int) {
+		for _, cid := range lb.order {
+			n, ok := writes[cid]
+			if !ok {
+				continue
+			}
+			g := int(cid) % nGroups
+			a := &testAction{
+				rs: world.IDSet{groupObject(g, 0), groupObject(g, 1)}, ws: world.IDSet{groupObject(g, 0)},
+				pos: groupCenter(g), radius: 5, hasPos: true,
+			}
+			if n > 1 {
+				a.ws = a.rs
+			}
+			lb.script[cid] = append(lb.script[cid], a)
+			lb.submitNext(cid)
+		}
+		for lb.stepServer() {
+		}
+	}
+
+	// Epoch 1: everyone stamps, so both lanes are accepted.
+	all := make(map[action.ClientID]int)
+	for _, cid := range lb.order {
+		all[cid] = 1
+	}
+	epoch(all)
+	var on [2]action.ClientID // one client routed to each lane
+	for cid, lane := range r.laneOf {
+		on[lane] = cid
+	}
+	if on[0] == 0 || on[1] == 0 {
+		t.Fatalf("routing left a lane empty: %v", r.laneOf)
+	}
+	lb.flush()
+
+	// Epoch 2: lane 0's only job is refused, lane 1's is accepted.
+	epoch(map[action.ClientID]int{on[0]: 2, on[1]: 1})
+	lb.flush()
+	if got := r.Metrics().WriteSetViolations; got != 1 {
+		t.Fatalf("WriteSetViolations = %d, want 1", got)
+	}
+	for lane, ps := range r.lanePs {
+		if len(ps) != 0 {
+			t.Fatalf("lane %d keeps %d pendings after its epoch flushed", lane, len(ps))
+		}
+	}
+}
+
+// TestNewEngineFallbacks pins the factory: single lane for Shards ≤ 1
+// and ModeBasic; router otherwise.
 func TestNewEngineFallbacks(t *testing.T) {
 	init := genWorld(2)
 	cfg := shardedCfg(core.ModeInfoBound, 4)
 	if _, ok := NewEngine(cfg, init).(*Router); !ok {
 		t.Fatal("Shards=4 did not build a router")
 	}
-	cfg.DisableSharding = true
-	if _, ok := NewEngine(cfg, init).(*Router); ok {
-		t.Fatal("DisableSharding built a router")
-	}
-	cfg.DisableSharding = false
 	cfg.Shards = 1
 	if _, ok := NewEngine(cfg, init).(*Router); ok {
 		t.Fatal("Shards=1 built a router")

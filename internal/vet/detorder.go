@@ -34,19 +34,20 @@ var wireEncodeFuncs = map[string]bool{
 // pushPlanFuncs are the internal/core planning and sequencing stages
 // whose invocation order decides serial order and batch layout.
 var pushPlanFuncs = map[string]bool{
-	"sequence": true, "commitBatch": true, "planPush": true, "commitPush": true,
+	"sequence": true, "commitPlan": true, "batchReply": true, "planPush": true, "commitPush": true,
 	"pushGroup": true, "closureShared": true, "closureWalk": true,
 }
 
-// mergeFuncs are the partitioned pipeline's sequential merge passes
-// (core/lanes.go): each call stamps global Seqs, mints blind-write ids,
-// or emits replies, so invocation order IS the merge order (epoch,
-// lane, localSeq). Driving them out of map iteration reorders the
-// serial stream run to run. The lane-parallel phases (StampLane,
-// CommitLane, PlanReply) are deliberately absent: lanes are
-// independent, so their dispatch order is free.
+// mergeFuncs are the submit pipeline's sequential passes
+// (core/pipeline.go): the three merges, and SubmitPrepared, the one-job
+// epoch that runs all six phases on the global view. Each call stamps
+// global Seqs, mints blind-write ids, or emits replies, so invocation
+// order IS the merge order (epoch, lane, localSeq). Driving them out of
+// map iteration reorders the serial stream run to run. The lane-parallel
+// phases (StampLane, CommitLane, PlanReply) are deliberately absent:
+// lanes are independent, so their dispatch order is free.
 var mergeFuncs = map[string]bool{
-	"SealStamp": true, "PreCommit": true, "SealCommit": true, "StampPrepared": true,
+	"SealStamp": true, "PreCommit": true, "SealCommit": true, "SubmitPrepared": true,
 }
 
 // orderFields are sequence counters: stamping them inside an unordered

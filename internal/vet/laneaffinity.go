@@ -7,35 +7,48 @@ import (
 	"strings"
 )
 
-// laneAffinityChecker enforces the lane-partitioning contract of
-// DESIGN.md §12: per-lane engine state — the laneSeg segments and the
-// lane-numbered laneWriters conflict index — may only be touched from a
-// lane's own worker context or from the sequential Seal*/PreCommit
-// merge passes. A cross-lane read on a worker is a data race the
-// -race detector only catches when two lanes actually collide in a
-// test run; the contract is static, so the checker is too.
+// laneAffinityChecker enforces the lane-partitioning contract of the
+// engine pipeline (DESIGN.md §12): per-lane engine state — the lane
+// segments, each with its rows of the shared conflict index — may only
+// be touched from a lane's own worker context or from the sequential
+// Seal*/PreCommit merge passes, and the global segment never from a lane
+// worker. A cross-lane read on a worker is a data race the -race
+// detector only catches when two lanes actually collide in a test run;
+// the contract is static, so the checker is too.
 //
 // Functions declare their context with a marker in the doc comment:
 //
-//	//seve:lane-affine   — runs on one lane's worker; may touch only
-//	                       its own lane's state
+//	//seve:lane-affine   — runs over one view of the queue, possibly on
+//	                       that lane's worker; may touch only its own
+//	                       view's state
 //	//seve:lane-seal     — runs in the sequential merge order between
 //	                       parallel phases; may touch any lane
 //
 // A function (or literal) with an int parameter named "lane" is
 // implicitly lane-affine: that is the shape of the router's phase
-// closures. Inside an affine context the index of a laneSeg access and
-// every lane argument handed to another affine function must be the
-// context's own lane — the "lane" or "w" parameter, or a selector
-// ending in .lane or .viewLane (the entry and pending carry their owner
-// lane). Whole-slice access (ranging, reallocation, nil checks) is a
-// merge-pass operation and is flagged inside affine contexts.
+// closures. Inside an affine context the index of a lane-segment access
+// and every lane argument handed to another affine function must be the
+// context's own lane — the "lane", "w" or "view" parameter, or a
+// selector ending in .lane or .viewLane (the entry and pending carry
+// their owner lane). Whole-slice access (ranging, reallocation, nil
+// checks) is a merge-pass operation and is flagged inside affine
+// contexts.
+//
+// The global segment — the `segment` the engine embeds, and every field
+// promoted through it — is seal-only state: a stamp or commit over it
+// sees every job's entries, so it is only ever one sequential task. An
+// affine function reaches it the way it reaches a lane's, through its
+// own view, which is -1 for it: the one sanctioned access is inside
+// `if <own view> < 0 { … }` (the resolver's shape). The engine's
+// sequential entry points carry no marker and touch it freely.
 //
 // Rules, with ctx the enclosing function's declared context:
 //
 //   - lane state touched with ctx == none        → finding
 //   - X.lanes[i] or X.lanes as a whole when ctx == affine
 //     and i is not the context's own lane        → finding
+//   - the global segment touched when ctx == affine
+//     outside an own-view-is-negative guard      → finding
 //   - lane-affine callee invoked with ctx == none → finding
 //   - lane-affine callee invoked from affine ctx
 //     with a non-own-lane lane argument          → finding
@@ -82,7 +95,7 @@ func (laneAffinityChecker) Check(u *Unit, report func(pos token.Pos, format stri
 			if ctx == laneCtxNone && hasLaneParam(u.Info, fd.Type) {
 				ctx = laneCtxAffine
 			}
-			w.walkBody(fd.Body, ctx, own)
+			w.walkBody(fd.Body, ctx, own, false)
 		}
 	}
 }
@@ -120,8 +133,8 @@ func collectLaneMarks(u *Unit) map[types.Object]laneCtx {
 	return marks
 }
 
-// laneParams returns the parameter objects named "lane" or "w" of
-// integer kind — the identifiers an affine body may index lanes with.
+// laneParams returns the parameter objects named "lane", "w" or "view"
+// of integer kind — the identifiers an affine body may index lanes with.
 func laneParams(info *types.Info, ft *ast.FuncType) map[types.Object]bool {
 	own := make(map[types.Object]bool)
 	if ft.Params == nil {
@@ -129,7 +142,7 @@ func laneParams(info *types.Info, ft *ast.FuncType) map[types.Object]bool {
 	}
 	for _, field := range ft.Params.List {
 		for _, name := range field.Names {
-			if name.Name != "lane" && name.Name != "w" {
+			if !laneParamName(name.Name) {
 				continue
 			}
 			if obj := info.Defs[name]; obj != nil && isIntKind(obj.Type()) {
@@ -138,6 +151,13 @@ func laneParams(info *types.Info, ft *ast.FuncType) map[types.Object]bool {
 		}
 	}
 	return own
+}
+
+// laneParamName reports whether a parameter of this name carries a lane:
+// "lane", a worker index "w" (worker w serves lane w), or a "view" (a
+// lane, or -1 for the global segment).
+func laneParamName(name string) bool {
+	return name == "lane" || name == "w" || name == "view"
 }
 
 func hasLaneParam(info *types.Info, ft *ast.FuncType) bool {
@@ -181,7 +201,9 @@ func ctxName(c laneCtx) string {
 // literals with their own "lane int" parameter become affine scopes;
 // other literals inherit the context and its own-lane identifiers
 // (a closure capturing the worker's lane variable stays own-lane).
-func (w *laneWalker) walkBody(body ast.Node, ctx laneCtx, own map[types.Object]bool) {
+// globalOK is set inside an own-view-is-negative guard, where an affine
+// context may touch the global segment.
+func (w *laneWalker) walkBody(body ast.Node, ctx laneCtx, own map[types.Object]bool, globalOK bool) {
 	consumed := make(map[ast.Expr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -190,8 +212,16 @@ func (w *laneWalker) walkBody(body ast.Node, ctx laneCtx, own map[types.Object]b
 			if hasLaneParam(w.u.Info, n.Type) {
 				nctx, nown = laneCtxAffine, laneParams(w.u.Info, n.Type)
 			}
-			w.walkBody(n.Body, nctx, nown)
+			w.walkBody(n.Body, nctx, nown, globalOK)
 			return false
+		case *ast.IfStmt:
+			if ctx == laneCtxAffine && n.Init == nil && ownViewNegative(w.u.Info, n.Cond, own) {
+				w.walkBody(n.Body, ctx, own, true)
+				if n.Else != nil {
+					w.walkBody(n.Else, ctx, own, globalOK)
+				}
+				return false
+			}
 		case *ast.IndexExpr:
 			if sel, ok := unparen(n.X).(*ast.SelectorExpr); ok && w.isLaneSlice(sel) {
 				consumed[sel] = true
@@ -218,10 +248,10 @@ func (w *laneWalker) walkBody(body ast.Node, ctx laneCtx, own map[types.Object]b
 					w.report(n.Pos(), "whole-slice access to %s from a lane-affine context; ranging or reallocating lane segments is a seal-pass operation",
 						laneStateName(n))
 				}
-			case n.Sel.Name == "laneWriters" && w.isLaneWriters(n):
-				if ctx == laneCtxNone {
-					w.report(n.Pos(), "lane conflict index %s touched outside a lane worker or seal pass", laneStateName(n))
-				}
+			case ctx == laneCtxAffine && !globalOK && w.isGlobalSegment(n):
+				w.report(n.Pos(), "global segment %s reached from a lane-affine context; it is seal-pass state, reachable only as the context's own view when that is negative",
+					laneStateName(n))
+				return false // one finding per access path
 			}
 		case *ast.CallExpr:
 			w.checkCall(n, ctx, own)
@@ -230,8 +260,17 @@ func (w *laneWalker) walkBody(body ast.Node, ctx laneCtx, own map[types.Object]b
 	})
 }
 
+// segmentTypeName is the engine's queue-segment type: the element of
+// the lanes slice and the embedded global segment.
+const segmentTypeName = "segment"
+
+func isSegmentType(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == segmentTypeName
+}
+
 // isLaneSlice reports whether sel denotes a field named "lanes" whose
-// type is a slice of the named type laneSeg — the matcher that keeps
+// type is a slice of the named type segment — the matcher that keeps
 // the router's own []pendingSub buffers (also a field named lanes) out
 // of scope.
 func (w *laneWalker) isLaneSlice(sel *ast.SelectorExpr) bool {
@@ -243,27 +282,39 @@ func (w *laneWalker) isLaneSlice(sel *ast.SelectorExpr) bool {
 		return false
 	}
 	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	n, ok := sl.Elem().(*types.Named)
-	return ok && n.Obj().Name() == "laneSeg"
+	return ok && isSegmentType(sl.Elem())
 }
 
-// isLaneWriters pins the laneWriters match to the [][]uint64 reverse
-// index shape so an unrelated field of the same name elsewhere cannot
-// trip the checker.
-func (w *laneWalker) isLaneWriters(sel *ast.SelectorExpr) bool {
-	t := w.u.Info.TypeOf(sel)
-	if t == nil {
-		return false
+// isGlobalSegment reports whether sel selects the embedded global
+// segment of its receiver, or a field or method promoted through it.
+// A selection on a segment value itself (a local resolved through the
+// own view) has no embedded hop and does not match.
+func (w *laneWalker) isGlobalSegment(sel *ast.SelectorExpr) bool {
+	s := w.u.Info.Selections[sel]
+	if s == nil || (len(s.Index()) == 1 && s.Kind() != types.FieldVal) {
+		return false // not a selection, or a method of the receiver itself
 	}
-	sl, ok := t.Underlying().(*types.Slice)
+	recv := s.Recv()
+	if p, ok := recv.Underlying().(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	st, ok := recv.Underlying().(*types.Struct)
 	if !ok {
 		return false
 	}
-	_, ok = sl.Elem().Underlying().(*types.Slice)
-	return ok
+	f := st.Field(s.Index()[0])
+	return f.Embedded() && isSegmentType(f.Type())
+}
+
+// ownViewNegative matches the guard `<own lane expr> < 0`: the context's
+// own view is the global segment.
+func ownViewNegative(info *types.Info, cond ast.Expr, own map[types.Object]bool) bool {
+	b, ok := unparen(cond).(*ast.BinaryExpr)
+	if !ok || b.Op != token.LSS || !ownLaneExpr(info, b.X, own) {
+		return false
+	}
+	lit, ok := unparen(b.Y).(*ast.BasicLit)
+	return ok && lit.Value == "0"
 }
 
 // checkCall applies the context rules to calls of annotated functions.
@@ -304,7 +355,7 @@ func (w *laneWalker) checkLaneArgs(call *ast.CallExpr, fn *types.Func, own map[t
 	}
 	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
 		p := sig.Params().At(i)
-		if (p.Name() != "lane" && p.Name() != "w") || !isIntKind(p.Type()) {
+		if !laneParamName(p.Name()) || !isIntKind(p.Type()) {
 			continue
 		}
 		if !ownLaneExpr(w.u.Info, call.Args[i], own) {

@@ -148,12 +148,12 @@ func emitSealUnordered(srv *core.Server, jobs map[*core.Pending]*core.ReplyPlan,
 	}
 }
 
-// stampGlobalUnordered runs the global-path stamp out of map iteration:
-// each call assigns the next serial position, so the total order
-// depends on map order.
-func stampGlobalUnordered(srv *core.Server, jobs map[int]*core.Pending, out *core.ServerOutput) {
-	for _, p := range jobs { // want `epoch merge \(StampPrepared\)`
-		srv.StampPrepared(p, out)
+// submitUnordered runs one-job epochs out of map iteration: each call
+// assigns the next serial position, so the total order depends on map
+// order.
+func submitUnordered(srv *core.Server, jobs map[int]*core.Pending, out *core.ServerOutput) {
+	for _, p := range jobs { // want `epoch merge \(SubmitPrepared\)`
+		srv.SubmitPrepared(p, out)
 	}
 }
 

@@ -1,18 +1,21 @@
 // Corpus for the laneaffinity checker. Lines with a `// want` comment
 // must be flagged with a message matching the regexp; everything else
-// must stay clean. The types mirror the engine's lane-partitioned state:
-// a lanes []laneSeg field is the per-lane segment array the checker
-// guards, laneWriters the lane-numbered conflict index.
+// must stay clean. The types mirror the engine's queue state: an embedded
+// segment is the global queue, a lanes []segment field the per-lane
+// segment array the checker guards, each with its conflict-index rows.
 package lanetest
 
-type laneSeg struct {
+type segment struct {
 	queue     []int
 	installed uint64
+	writers   [][]uint64
 }
 
+func (g *segment) push(v int) { g.queue = append(g.queue, v) }
+
 type engine struct {
-	lanes       []laneSeg
-	laneWriters [][]uint64
+	segment
+	lanes []segment
 }
 
 type pending struct {
@@ -36,29 +39,76 @@ func (e *engine) CommitLane(p *pending) {
 }
 
 //seve:lane-affine
-func (e *engine) indexLane(ls *laneSeg) {
-	rows := e.laneWriters[0]
+func (e *engine) indexLane(ls *segment) {
+	rows := ls.writers[0]
 	_ = append(rows, ls.installed)
 }
 
-// SealInstall runs between phases and may range the whole array.
+// SealInstall runs between phases and may range the whole array, and
+// owns the global segment.
 //
 //seve:lane-seal
 func (e *engine) SealInstall() {
 	for i := range e.lanes {
 		e.lanes[i].queue = nil
 	}
-	e.laneWriters = append(e.laneWriters, nil)
+	e.installed++
+	e.push(1)
 	e.CommitLane(&pending{}) // a seal pass may drive any lane
+	_ = e.seg(-1)            // …and the global view
+}
+
+// tick is one of the engine's sequential entry points: no marker, and
+// free to read the global segment.
+func (e *engine) tick() int { return len(e.queue) + len(e.segment.writers) }
+
+// seg is the sanctioned resolver: a view is a lane, or negative for the
+// global segment, which an affine context may touch only under exactly
+// this guard on its own view. Clean.
+//
+//seve:lane-affine
+func (e *engine) seg(view int) *segment {
+	if view < 0 {
+		return &e.segment
+	}
+	return &e.lanes[view]
+}
+
+// commitOwnView reaches whichever segment its pending was stamped on — a
+// lane's or the global one — through the pending's own view. Clean.
+//
+//seve:lane-affine
+func (e *engine) commitOwnView(p *pending) {
+	g := e.seg(p.viewLane)
+	g.installed++
+	g.push(2)
+	if p.viewLane < 0 {
+		e.installed++
+	}
+}
+
+// rogueGlobal reaches the global segment from a lane worker: by name,
+// through a promoted field and a promoted method, under a guard on
+// something other than its own view, and by asking the resolver for a
+// view that is not its own.
+//
+//seve:lane-affine
+func (e *engine) rogueGlobal(p *pending, n int) {
+	e.segment.installed++ // want `global segment e.segment reached from a lane-affine context`
+	_ = len(e.queue)      // want `global segment e.queue reached from a lane-affine context`
+	e.push(3)             // want `global segment e.push reached from a lane-affine context`
+	if n < 0 {
+		e.installed++ // want `global segment e.installed reached from a lane-affine context`
+	}
+	_ = e.seg(-1) // want `cross-lane call: seg given lane <expr> from a lane-affine context`
 }
 
 // touchUnannotated has no declared context at all.
 func (e *engine) touchUnannotated(p *pending) {
-	e.lanes[0].installed++                // want `lane segment e.lanes indexed outside a lane worker or seal pass`
-	n := len(e.lanes)                     // want `lane segments e.lanes touched outside a lane worker or seal pass`
-	e.laneWriters[0] = nil                // want `lane conflict index e.laneWriters touched outside a lane worker or seal pass`
-	e.StampLane(0, nil)                   // want `lane-affine function StampLane called outside a lane worker or seal pass`
-	e.CommitLane(p)                       // want `lane-affine function CommitLane called outside a lane worker or seal pass`
+	e.lanes[0].installed++ // want `lane segment e.lanes indexed outside a lane worker or seal pass`
+	n := len(e.lanes)      // want `lane segments e.lanes touched outside a lane worker or seal pass`
+	e.StampLane(0, nil)    // want `lane-affine function StampLane called outside a lane worker or seal pass`
+	e.CommitLane(p)        // want `lane-affine function CommitLane called outside a lane worker or seal pass`
 	_ = n
 }
 

@@ -28,13 +28,14 @@ func sharedLoader(t *testing.T) *Loader {
 	return loader
 }
 
-// wantRx matches `// want `regexp`` expectations in corpus files.
+// wantRx matches the "// want" expectations in corpus files: a regexp
+// between backquotes.
 var wantRx = regexp.MustCompile("// want `([^`]+)`")
 
 type wantAt struct {
-	rx       *regexp.Regexp
-	file     string
-	line     int
+	rx        *regexp.Regexp
+	file      string
+	line      int
 	fulfilled bool
 }
 

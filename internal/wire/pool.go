@@ -219,7 +219,7 @@ func CoalesceFrames(a, b *Frame) (*Frame, bool) {
 		buf = GetBuf(minBufCap)
 	}
 	buf = append(buf[:0], 0, 0, 0, 0, byte(TypeBatch))
-	buf = append(buf, ab[5])                                       // push flag
+	buf = append(buf, ab[5])                                                        // push flag
 	buf = binary.LittleEndian.AppendUint64(buf, binary.LittleEndian.Uint64(bb[6:])) // b's InstalledUpTo
 	buf = binary.LittleEndian.AppendUint64(buf, bSeq)
 	buf = binary.LittleEndian.AppendUint64(buf, aFrom)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: vet (generic + domain-specific), the full test suite under
+# CI gate: gofmt, vet (generic + domain-specific), the full test suite under
 # the race detector and again with shuffled test order, short fuzz
 # smokes of the wire codec and of journal recovery, and two one-second
 # benchmark runs as correctness smokes. The engine's push scheduler fans closure
@@ -24,6 +24,15 @@
 # refactors don't trip on noise).
 set -eu
 cd "$(dirname "$0")/.."
+
+# Formatting: every tracked Go file is gofmt-clean. The vet corpora under
+# testdata/ are fixtures, free to hold code a formatter would rewrite.
+unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go vet ./...
 
 # seve-vet: one run produces the machine-readable findings artifact,
