@@ -7,18 +7,16 @@
 //	seve-bench -experiment fig6          # one artifact
 //	seve-bench -experiment all -quick    # whole battery at reduced scale
 //
-// Experiments: tablei, fig6, fig7, fig8, fig9, fig10, table2, limit,
-// serverstats (the engine's conflict-index and push-scheduler counters),
-// clientstats (the client fleet's reconciliation and divergence
-// counters), plus the extensions protocols, zoning, hybrid, shardscale
-// (sharded-serializer submit throughput vs shard count), adversarial
-// (superseding delivery queue vs drop-at-cap under flash-crowd,
-// trading-storm, and interest-churn stalls), durablecommit (engine
-// submit-path overhead of the attached journal per fsync policy),
-// cheataudit (integrity enforcement overhead and cheat detection
-// latency per audit sample rate),
-// ablation-omega, ablation-threshold, ablation-gc (ablations = all
-// three), and all.
+// Experiments: tablei, fig6, fig7, fig8, fig9, fig10, table2, limit
+// (Section V-B1's single-server capacity, on the real core.Server), plus
+// the extensions protocols, zoning, hybrid, adversarial (superseding
+// delivery queue vs drop-at-cap under flash-crowd, trading-storm, and
+// interest-churn stalls), ablation-omega, ablation-threshold,
+// ablation-gc (ablations = all three), and all.
+//
+// seve-bench regenerates the paper's figures in simulation; what this
+// implementation itself costs, layer by layer, is measured by
+// `go run ./bench` (BENCHMARK.json).
 package main
 
 import (
@@ -33,7 +31,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "artifact to regenerate: tablei|fig6|fig7|fig8|fig9|fig10|table2|limit|serverstats|clientstats|protocols|zoning|hybrid|shardscale|adversarial|durablecommit|cheataudit|ablations|ablation-omega|ablation-threshold|ablation-gc|all")
+		experiment = flag.String("experiment", "all", "artifact to regenerate: tablei|fig6|fig7|fig8|fig9|fig10|table2|limit|protocols|zoning|hybrid|adversarial|ablations|ablation-omega|ablation-threshold|ablation-gc|all")
 		quick      = flag.Bool("quick", false, "reduced sweeps and move counts (seconds instead of minutes)")
 		verbose    = flag.Bool("v", false, "print per-run progress")
 		csv        = flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
@@ -58,15 +56,10 @@ func main() {
 		{"fig10", experiments.Fig10},
 		{"table2", experiments.Table2},
 		{"limit", experiments.Limit},
-		{"serverstats", experiments.EngineStats},
-		{"clientstats", experiments.ClientEngineStats},
 		{"protocols", experiments.Protocols},
 		{"zoning", experiments.Zoning},
 		{"hybrid", experiments.Hybrid},
-		{"shardscale", experiments.Shardscale},
 		{"adversarial", experiments.Adversarial},
-		{"durablecommit", experiments.Durablecommit},
-		{"cheataudit", experiments.Cheataudit},
 		{"ablation-omega", experiments.AblationOmega},
 		{"ablation-threshold", experiments.AblationThreshold},
 		{"ablation-gc", experiments.AblationGC},

@@ -28,7 +28,7 @@ import (
 // The cycle is a plan/commit scheduler. Planning — the per-client
 // eligibility scan over the window plus the Algorithm 6 closure walk —
 // only reads engine state, so it fans out over a bounded worker pool
-// (Config.PushWorkers). The commit phase then applies every plan in
+// (pushWorkerCount). The commit phase then applies every plan in
 // ascending client order: sent() marks, blind-write ids, per-client
 // batch sequence numbers, replies, counters. Because plans for
 // different clients are independent (sent() is per-client and nothing
@@ -61,7 +61,7 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 		return out
 	}
 
-	s.pushTicks++
+	s.stats.PushTicks++
 	plans := make([]ReplyPlan, len(recs))
 	workers := s.pushWorkerCount(len(recs))
 	if workers <= 1 {
@@ -70,7 +70,7 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 			plans[i] = s.planPush(rec, window, nowMs, sc)
 		}
 	} else {
-		s.pushParallelTicks++
+		s.stats.PushParallelTicks++
 		// Grow the scratch pool before fan-out: scratchFor appends to
 		// s.scratch, which must not happen concurrently.
 		s.scratchFor(workers - 1)
@@ -146,12 +146,12 @@ type ReplyPlan struct {
 // overlays; callers must not mutate the slice.
 func (p *ReplyPlan) Positions() []int { return p.positions }
 
-// pushWorkerCount resolves the pool width for n clients. An explicit
-// Config.PushWorkers is honored (capped at n); 0 selects up to
-// GOMAXPROCS workers but stays sequential for small client sets where
-// fan-out overhead would dominate.
+// pushWorkerCount resolves the pool width for n clients: up to
+// GOMAXPROCS workers, but sequential for small client sets where
+// fan-out overhead would dominate. A width forced by a test (pushWidth)
+// is honored, capped at n.
 func (s *Server) pushWorkerCount(n int) int {
-	w := s.cfg.PushWorkers
+	w := s.pushWidth
 	if w == 0 {
 		if n < 16 {
 			return 1

@@ -105,23 +105,19 @@ type Client struct {
 	quarantined bool
 	quarReason  uint8
 
-	// stats
-	reconciliations int
-	appliedRemote   int
-	appliedBlind    int
-	droppedBatches  int
-	reconcileCopies int
-	prunedBelow     uint64
-	resumes         int
-	resumesSnapshot int
-	staleBatches    int
-	ownRedelivered  int
-	// Superseding delivery queue observables (DESIGN.md §13):
-	// coalescedBatches counts merged batches applied; supersededSeqs
-	// counts the batch sequence numbers whose individual frames never
-	// arrived because a merge or snapshot covered them.
-	coalescedBatches int
-	supersededSeqs   int
+	// fullRollback makes Algorithm 3 roll back the full WS(Q) ∪ resolved
+	// write set from ζCS and re-clone every optimistic result, instead of
+	// copying only the tracked divergence set through scratch buffers —
+	// the reference leg of TestReconcileEquivalence; only this package's
+	// tests set it.
+	fullRollback bool
+
+	// stats holds the engine's cumulative counters, incremented in place;
+	// Metrics fills in the gauges.
+	stats metrics.ClientStats
+	// prunedBelow is the installed point ζCS was last pruned at (the
+	// Section III-C garbage collection watermark).
+	prunedBelow uint64
 }
 
 type pendingAction struct {
@@ -183,39 +179,28 @@ func (c *Client) Stable() *world.MVStore { return c.cs }
 func (c *Client) QueueLen() int { return len(c.queue) }
 
 // Reconciliations reports how many times Algorithm 3 ran.
-func (c *Client) Reconciliations() int { return c.reconciliations }
+func (c *Client) Reconciliations() int { return c.stats.Reconciliations }
 
 // AppliedRemote reports how many other-client actions were evaluated
 // against the stable state — the client-side compute load the Incomplete
 // World Model exists to bound. Server blind writes are counted
 // separately by AppliedBlind.
-func (c *Client) AppliedRemote() int { return c.appliedRemote }
+func (c *Client) AppliedRemote() int { return c.stats.AppliedRemote }
 
 // AppliedBlind reports how many server-generated blind writes were
 // applied to the stable state.
-func (c *Client) AppliedBlind() int { return c.appliedBlind }
+func (c *Client) AppliedBlind() int { return c.stats.AppliedBlind }
 
 // Metrics snapshots the client engine's counters.
 func (c *Client) Metrics() metrics.ClientStats {
-	return metrics.ClientStats{
-		Reconciliations: c.reconciliations,
-		AppliedRemote:   c.appliedRemote,
-		AppliedBlind:    c.appliedBlind,
-		QueueLen:        len(c.queue),
-		BufferedBatches: len(c.pendingBatches),
-		DroppedBatches:  c.droppedBatches,
-		ReconcileCopies: c.reconcileCopies,
-		DivergedObjects: c.div.Len(),
-		InternedObjects: c.intern.Len(),
-		StableVersions:  c.cs.Versions(),
-		PrunedBelow:     c.prunedBelow,
-		Resumes:         c.resumes,
-		ResumesSnapshot: c.resumesSnapshot,
-		StaleBatches:    c.staleBatches,
-		OwnRedelivered:  c.ownRedelivered,
-		Coalesced:       c.coalescedBatches,
-		Superseded:      c.supersededSeqs,
-	}
+	st := c.stats
+	st.QueueLen = len(c.queue)
+	st.BufferedBatches = len(c.pendingBatches)
+	st.DivergedObjects = c.div.Len()
+	st.InternedObjects = c.intern.Len()
+	st.StableVersions = c.cs.Versions()
+	st.PrunedBelow = c.prunedBelow
+	return st
 }
 
 // LastAppliedBatch returns the highest contiguously applied per-client
@@ -313,7 +298,7 @@ func (c *Client) HandleBatch(b *wire.Batch) ClientOutput {
 		// that arrived just before the connection died, and a relayed
 		// copy can trail a direct redelivery. Buffering a stale batch
 		// would pin it in pendingBatches forever.
-		c.staleBatches++
+		c.stats.StaleBatches++
 		return out
 	}
 	if start > c.nextBatchSeq {
@@ -324,7 +309,7 @@ func (c *Client) HandleBatch(b *wire.Batch) ClientOutput {
 		// Buffered under the first sequence it covers, where the drain
 		// loop below will look for it.
 		if _, dup := c.pendingBatches[start]; !dup && max > 0 && len(c.pendingBatches) >= max {
-			c.droppedBatches++
+			c.stats.DroppedBatches++
 			out.Violations = append(out.Violations, fmt.Sprintf(
 				"client %d: pending-batch buffer full (%d buffered, next expected %d); dropping batch %d",
 				c.id, len(c.pendingBatches), c.nextBatchSeq, b.ClientSeq))
@@ -348,8 +333,8 @@ func (c *Client) HandleBatch(b *wire.Batch) ClientOutput {
 // sequence past every number it covers, counting coalesced deliveries.
 func (c *Client) applySequenced(b *wire.Batch, out *ClientOutput) {
 	if b.CoversFrom != 0 && b.CoversFrom < b.ClientSeq {
-		c.coalescedBatches++
-		c.supersededSeqs += int(b.ClientSeq - b.CoversFrom)
+		c.stats.Coalesced++
+		c.stats.Superseded += int(b.ClientSeq - b.CoversFrom)
 	}
 	c.processBatch(b, out)
 	c.nextBatchSeq = b.ClientSeq + 1
@@ -375,7 +360,7 @@ func (c *Client) processBatch(b *wire.Batch, out *ClientOutput) {
 				// committed before the disconnect (the snapshot resume
 				// cleared our sent() bits, so its dependents drag it back
 				// in). Its writes are already ours; apply as remote.
-				c.ownRedelivered++
+				c.stats.OwnRedelivered++
 				c.handleRemote(env, out)
 				continue
 			}
@@ -419,9 +404,9 @@ func (c *Client) handleRemote(env action.Envelope, out *ClientOutput) {
 	completes := c.cfg.FailureTolerant && env.Origin != action.OriginServer
 	res := c.applyStable(env, out, completes)
 	if env.Origin == action.OriginServer {
-		c.appliedBlind++
+		c.stats.AppliedBlind++
 	} else {
-		c.appliedRemote++
+		c.stats.AppliedRemote++
 	}
 	out.Applied = append(out.Applied, env.Act)
 
@@ -647,7 +632,7 @@ func (c *Client) HandleCatchUp(m *wire.CatchUp) ClientOutput {
 			"client %d: resume rejected by server (token unknown or stale)", c.id))
 		return out
 	}
-	c.resumes++
+	c.stats.Resumes++
 
 	// Actions invalidated while we were away: their Drop notices died
 	// with the connection. Unknown ids are fine — the original Drop may
@@ -679,7 +664,7 @@ func (c *Client) HandleCatchUp(m *wire.CatchUp) ClientOutput {
 	}
 
 	if m.Snapshot {
-		c.resumesSnapshot++
+		c.stats.ResumesSnapshot++
 		c.rebuildFromSnapshot(m)
 	}
 
@@ -797,7 +782,7 @@ func (c *Client) rebuildFromSnapshot(m *wire.CatchUp) {
 	// (mid-session catch-up) or lost past the window — either way they
 	// were never individually delivered.
 	if m.NextBatchSeq > c.nextBatchSeq {
-		c.supersededSeqs += int(m.NextBatchSeq - c.nextBatchSeq)
+		c.stats.Superseded += int(m.NextBatchSeq - c.nextBatchSeq)
 	}
 	c.nextBatchSeq = m.NextBatchSeq
 	clear(c.pendingBatches)
@@ -874,13 +859,12 @@ func (c *Client) Quarantined() (reason uint8, ok bool) {
 // result in place. The divergence invariant (DESIGN.md §8) makes this
 // exactly equivalent to the full-union rollback: every object of the
 // rollback set outside the divergence set already has ζCO = ζCS, so the
-// copies skipped are precisely the no-ops. Config.
-// DisableIncrementalReconcile selects the literal full-union rollback
-// instead; TestReconcileEquivalence pins the two paths to identical
-// observable behaviour.
+// copies skipped are precisely the no-ops. fullRollback selects the
+// literal full-union rollback instead; TestReconcileEquivalence pins the
+// two paths to identical observable behaviour.
 func (c *Client) reconcile(resolvedWS world.IDSet) {
-	c.reconciliations++
-	if c.cfg.DisableIncrementalReconcile {
+	c.stats.Reconciliations++
+	if c.fullRollback {
 		ws := c.queueWriteSet().Union(resolvedWS)
 		c.co.CopyFrom(c.cs, ws)
 		for i := range c.queue {
@@ -918,7 +902,7 @@ func (c *Client) reconcile(resolvedWS world.IDSet) {
 			c.co.Delete(id)
 		}
 		c.div.Remove(idx)
-		c.reconcileCopies++
+		c.stats.ReconcileCopies++
 	}
 
 	// Re-apply the still-pending queue through the scratch transaction,

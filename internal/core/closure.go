@@ -31,7 +31,7 @@ import (
 //     the chain-set updates are O(|set|) array stamps with no per-step
 //     allocation (the sorted-slice IDSet ops allocated a fresh slice
 //     per union/subtract).
-//   - Unless Config.DisableConflictIndex is set, the walk visits only
+//   - Unless the fullScan reference switch is set, the walk visits only
 //     candidate positions drawn from the reverse conflict index: when
 //     an object enters S at position p, every live uncommitted writer
 //     of it below p becomes a candidate. Every popped candidate
@@ -50,7 +50,7 @@ import (
 // (pipeline.go) — seeds and returned positions are indexes into v.queue.
 func (s *Server) closureWalk(v *walkView, seeds []int, sc *closureScratch, already func(int, *entry) bool) (positions []int, writes []world.Write, st walkStats) {
 	sc.ensure(len(v.queue), s.intern.Len())
-	useIndex := !s.cfg.DisableConflictIndex
+	useIndex := !s.fullScan
 
 	maxSeed := -1
 	positions = make([]int, 0, len(seeds)+4)

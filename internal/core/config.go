@@ -127,7 +127,10 @@ type Config struct {
 
 	// DisableGC stops clients from pruning stable-store versions at the
 	// server's installed point (the Section III-C memory optimization).
-	// Exists for the GC ablation; leave false in real deployments.
+	// Set by the GC ablation (experiments.AblationGC) and by the churn,
+	// supersession and replica differentials, which keep every version so
+	// their per-version oracle stays exact; leave false in real
+	// deployments.
 	DisableGC bool
 
 	// HybridRelay delegates First Bound push fan-out to one relay client
@@ -136,33 +139,12 @@ type Config struct {
 	// ModeFirstBound or above.
 	HybridRelay bool
 
-	// PushWorkers bounds the worker pool the First Bound push scheduler
-	// fans per-client closure planning over. 0 picks a width automatically
-	// (up to GOMAXPROCS, sequential for small client sets); 1 forces the
-	// sequential path. The scheduler's output is byte-identical for every
-	// width — planning is read-only and commits happen in client order —
-	// so this is purely a throughput knob.
-	PushWorkers int
-
-	// DisableConflictIndex makes the analysis walks scan the full
-	// uncommitted queue instead of consulting the reverse conflict index.
-	// Exists for the index ablation and equivalence tests; leave false in
-	// real deployments.
-	DisableConflictIndex bool
-
 	// MaxPendingBatches caps the client's out-of-order batch buffer: a
 	// relayed batch whose predecessor never arrives would otherwise make
 	// the client buffer every later batch forever. 0 means
 	// DefaultMaxPendingBatches; negative means unbounded (tests only).
 	// Overflow drops the arriving batch and reports a violation.
 	MaxPendingBatches int
-
-	// DisableIncrementalReconcile makes Algorithm 3 roll back the full
-	// WS(Q) ∪ resolved write set from ζCS and re-clone every optimistic
-	// result, instead of copying only the tracked divergence set through
-	// scratch buffers. Exists for the reconciliation ablation and
-	// equivalence tests; leave false in real deployments.
-	DisableIncrementalReconcile bool
 
 	// Shards selects the spatially partitioned sharded serializer
 	// (package shard): N lanes own disjoint regions of the object space,
@@ -188,21 +170,14 @@ type Config struct {
 	// above: ModeBasic has no authoritative state to snapshot from.
 	ResumeWindow int
 
-	// DisableSuperseding forces the transport's per-client delivery queue
-	// back to plain bounded-FIFO-with-drops even when ResumeWindow would
-	// allow the superseding queue (DESIGN.md §13). Exists for the
-	// supersession ablation and the differential equivalence tests
-	// (TestSupersedingEquivalence); leave false in real deployments.
-	DisableSuperseding bool
-
 	// DisableIntegrity turns off the server-side semantic integrity
 	// layer (internal/integrity, DESIGN.md §16): completion validation
 	// against the declared WS ⊆ RS contract and footprint, sampled
 	// re-execution audits, replay cross-checks, and the per-client
-	// influence bounds below. Exists for the integrity ablation and the
-	// differential equivalence tests (TestIntegrityEquivalence); leave
-	// false in real deployments — a million-user service cannot trust
-	// client completion messages.
+	// influence bounds below. Set only by the control leg of
+	// transport.TestIntegrityEquivalence, the reference an honest fleet's
+	// byte stream is compared against; leave false in real deployments —
+	// a million-user service cannot trust client completion messages.
 	DisableIntegrity bool
 
 	// AuditRate is the fraction of completions the integrity auditor
@@ -263,9 +238,6 @@ func (c Config) Validate() error {
 	}
 	if c.Mode >= ModeInfoBound && c.Threshold <= 0 {
 		return fmt.Errorf("core: threshold must be positive, got %v", c.Threshold)
-	}
-	if c.PushWorkers < 0 {
-		return fmt.Errorf("core: push workers must be non-negative, got %d", c.PushWorkers)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: shards must be non-negative, got %d", c.Shards)

@@ -14,13 +14,17 @@ import (
 // conflicting spatial submissions, First Bound push ticks, and full
 // completion drains — and records every server→client message as
 // "recipient:encoded-bytes". Two configurations that claim to be
-// behaviorally identical must produce equal traces.
-func runEngineWorkload(t *testing.T, cfg Config, seed int64) ([]string, *loopback) {
+// behaviorally identical must produce equal traces. hook, when non-nil,
+// sets the server's unexported reference switches before any message.
+func runEngineWorkload(t *testing.T, cfg Config, seed int64, hook func(*Server)) ([]string, *loopback) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const nObjects, nClients, rounds = 60, 24, 10
 	init := initWorld(nObjects)
 	lb := newLoopback(t, cfg, init, nClients)
+	if hook != nil {
+		hook(lb.srv)
+	}
 
 	var trace []string
 	// Every reply is encoded twice: the reference per-recipient Encode
@@ -133,18 +137,19 @@ func diffTraces(t *testing.T, name string, a, b []string) {
 func TestTickParallelDeterminism(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
-			seq := cfgFor(ModeFirstBound)
-			seq.PushWorkers = 1
-			par := seq
-			par.PushWorkers = workers
-			trSeq, lbSeq := runEngineWorkload(t, seq, seed)
-			trPar, lbPar := runEngineWorkload(t, par, seed)
+			cfg := cfgFor(ModeFirstBound)
+			trSeq, lbSeq := runEngineWorkload(t, cfg, seed, func(s *Server) { s.pushWidth = 1 })
+			trPar, lbPar := runEngineWorkload(t, cfg, seed, func(s *Server) { s.pushWidth = workers })
 			diffTraces(t, fmt.Sprintf("workers=%d seed=%d", workers, seed), trSeq, trPar)
 			if !lbSeq.srv.Authoritative().Equal(lbPar.srv.Authoritative()) {
 				t.Fatalf("workers=%d seed=%d: authoritative states diverged", workers, seed)
 			}
-			if workers > 1 && lbPar.srv.pushParallelTicks == 0 {
+			if lbPar.srv.stats.PushParallelTicks == 0 {
 				t.Fatalf("workers=%d: parallel path never exercised", workers)
+			}
+			// A mis-wired width would compare the pool with itself.
+			if n := lbSeq.srv.stats.PushParallelTicks; n != 0 {
+				t.Fatalf("workers=%d: sequential leg fanned out %d ticks", workers, n)
 			}
 		}
 	}
@@ -163,10 +168,8 @@ func TestClosureIndexEquivalence(t *testing.T) {
 				// validity walk's early exit is exercised too.
 				indexed.Threshold = 60
 			}
-			full := indexed
-			full.DisableConflictIndex = true
-			trIdx, lbIdx := runEngineWorkload(t, indexed, seed)
-			trFull, lbFull := runEngineWorkload(t, full, seed)
+			trIdx, lbIdx := runEngineWorkload(t, indexed, seed, nil)
+			trFull, lbFull := runEngineWorkload(t, indexed, seed, func(s *Server) { s.fullScan = true })
 			diffTraces(t, fmt.Sprintf("mode=%v seed=%d", mode, seed), trIdx, trFull)
 			if lbIdx.srv.TotalDropped() != lbFull.srv.TotalDropped() {
 				t.Fatalf("mode=%v seed=%d: drops %d (indexed) vs %d (full)",
@@ -177,8 +180,20 @@ func TestClosureIndexEquivalence(t *testing.T) {
 			}
 			// The index must actually be saving work, or the whole
 			// apparatus is dead weight.
-			if st := lbIdx.srv.Metrics(); st.ScanSavedEntries == 0 {
+			st := lbIdx.srv.Metrics()
+			if st.ScanSavedEntries == 0 {
 				t.Fatalf("mode=%v seed=%d: index saved no scans", mode, seed)
+			}
+			// And the reference leg must have been the full scan, or the
+			// index was compared with itself: addCandidates is the only
+			// place that counts a lookup. (ScanSavedEntries is no use
+			// here — a validity walk that exits early on a drop books a
+			// saving without any index.)
+			if st.IndexLookups == 0 {
+				t.Fatalf("mode=%v seed=%d: indexed leg made no index lookups", mode, seed)
+			}
+			if n := lbFull.srv.Metrics().IndexLookups; n != 0 {
+				t.Fatalf("mode=%v seed=%d: full-scan leg made %d index lookups", mode, seed, n)
 			}
 		}
 	}
@@ -216,7 +231,7 @@ func TestQueueCompaction(t *testing.T) {
 // TestMetricsSnapshot sanity-checks the counters surfaced to operators.
 func TestMetricsSnapshot(t *testing.T) {
 	cfg := cfgFor(ModeInfoBound)
-	_, lb := runEngineWorkload(t, cfg, 42)
+	_, lb := runEngineWorkload(t, cfg, 42, nil)
 	st := lb.srv.Metrics()
 	if st.TotalSubmitted == 0 || st.CompletionsTaken == 0 {
 		t.Fatalf("protocol counters empty: %+v", st)

@@ -87,8 +87,8 @@ func TestWithoutFailureToleranceOnlyOwnCompletions(t *testing.T) {
 	lb.drain()
 	lb.requireNoViolations()
 	// Exactly 2 actions installed via exactly 2 completions.
-	if lb.srv.completionsTaken != 2 {
-		t.Fatalf("completions taken = %d, want 2", lb.srv.completionsTaken)
+	if lb.srv.stats.CompletionsTaken != 2 {
+		t.Fatalf("completions taken = %d, want 2", lb.srv.stats.CompletionsTaken)
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Server) ChainLength(rs world.IDSet) int {
 // globally relevant.
 //
 // Like the closure walk, the scan is driven by the reverse conflict
-// index unless Config.DisableConflictIndex is set: only positions that
+// index unless the fullScan reference switch is set: only positions that
 // write an object currently (or previously) in the chain set are
 // examined, and each re-checks WS ∩ S against the live S. And like it,
 // it runs over either the global queue or one lane's segment — under the
@@ -53,7 +53,7 @@ func (s *Server) ChainLength(rs world.IDSet) int {
 // so the two views visit the same conflicts.
 func (s *Server) validityWalk(v *walkView, rsd []uint32, hasPos bool, pos geom.Vec, threshold float64, sc *closureScratch) (invalid bool, chain int, st walkStats) {
 	sc.ensure(len(v.queue), s.intern.Len())
-	useIndex := !s.cfg.DisableConflictIndex
+	useIndex := !s.fullScan
 	n := len(v.queue)
 	st.baseline = n
 

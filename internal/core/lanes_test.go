@@ -240,8 +240,7 @@ func TestLanePipelineMatchesSequential(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			const nLanes = 2
 			cfg := cfgFor(mode)
-			cfg.Threshold = 30 // close neighbours pass, the far submission drops
-			cfg.PushWorkers = 2
+			cfg.Threshold = 30    // close neighbours pass, the far submission drops
 			cfg.ResumeWindow = 32 // sessions on: the duplicate round needs dedup
 			init := initWorld(8)
 
@@ -253,6 +252,7 @@ func TestLanePipelineMatchesSequential(t *testing.T) {
 				t.Fatal("EnablePartition did not partition")
 			}
 			seq := newPipeSide(cfg, init, 5)
+			par.srv.pushWidth, seq.srv.pushWidth = 2, 2
 
 			// One round of the script on both sides. Lane 0 owns objects
 			// 1–3 (clients 1 and 3), lane 1 owns 5–7 (clients 2 and 4);
@@ -356,18 +356,18 @@ func TestLanePipelineMatchesSequential(t *testing.T) {
 			if !par.srv.Authoritative().Equal(seq.srv.Authoritative()) {
 				t.Fatal("authoritative states diverged")
 			}
-			if par.srv.totalSubmitted != seq.srv.totalSubmitted ||
-				par.srv.totalDropped != seq.srv.totalDropped ||
-				par.srv.duplicateSubmits != seq.srv.duplicateSubmits {
+			if par.srv.stats.TotalSubmitted != seq.srv.stats.TotalSubmitted ||
+				par.srv.stats.TotalDropped != seq.srv.stats.TotalDropped ||
+				par.srv.stats.DuplicateSubmits != seq.srv.stats.DuplicateSubmits {
 				t.Fatalf("counters diverged: submitted %d/%d dropped %d/%d dup %d/%d",
-					par.srv.totalSubmitted, seq.srv.totalSubmitted,
-					par.srv.totalDropped, seq.srv.totalDropped,
-					par.srv.duplicateSubmits, seq.srv.duplicateSubmits)
+					par.srv.stats.TotalSubmitted, seq.srv.stats.TotalSubmitted,
+					par.srv.stats.TotalDropped, seq.srv.stats.TotalDropped,
+					par.srv.stats.DuplicateSubmits, seq.srv.stats.DuplicateSubmits)
 			}
-			if mode == ModeInfoBound && par.srv.totalDropped == 0 {
+			if mode == ModeInfoBound && par.srv.stats.TotalDropped == 0 {
 				t.Fatal("the far submission was not dropped")
 			}
-			if par.srv.duplicateSubmits == 0 {
+			if par.srv.stats.DuplicateSubmits == 0 {
 				t.Fatal("the duplicate submission was not detected")
 			}
 			if got, want := par.srv.Metrics(), seq.srv.Metrics(); got.TotalSubmitted != want.TotalSubmitted {

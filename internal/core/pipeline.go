@@ -309,9 +309,9 @@ func (s *Server) boundsCheck(p *Pending) integrity.Violation {
 //
 //seve:lane-seal
 func (s *Server) SealStamp(p *Pending, out *ServerOutput) bool {
-	s.totalSubmitted++
+	s.stats.TotalSubmitted++
 	if p.dup {
-		s.duplicateSubmits++
+		s.stats.DuplicateSubmits++
 		return false
 	}
 	if p.bound != integrity.OK {
@@ -320,7 +320,7 @@ func (s *Server) SealStamp(p *Pending, out *ServerOutput) bool {
 	}
 	s.noteWalk(p.stampStats, out)
 	if p.dropped {
-		s.totalDropped++
+		s.stats.TotalDropped++
 		p.rec.dropped++
 		s.replyDrop(p, out)
 		return false
@@ -352,14 +352,14 @@ func (s *Server) SealStamp(p *Pending, out *ServerOutput) bool {
 func (s *Server) sealBound(p *Pending, out *ServerOutput) {
 	switch p.bound {
 	case integrity.ViolationQuarantined:
-		s.quarantineRejected++
+		s.stats.QuarantineRejected++
 		return
 	case integrity.ViolationRate:
-		s.rateLimited++
+		s.stats.RateLimited++
 	case integrity.ViolationWriteSet:
-		s.writeSetViolations++
+		s.stats.WriteSetViolations++
 	case integrity.ViolationRadius:
-		s.radiusViolations++
+		s.stats.RadiusViolations++
 	}
 	s.replyDrop(p, out)
 }
@@ -562,10 +562,10 @@ func (s *Server) GrowScratch(n int) {
 // server's cumulative metrics.
 func (s *Server) noteWalk(st walkStats, out *ServerOutput) {
 	out.QueueScanned += st.scanned
-	s.totalQueueScans += st.scanned
-	s.indexLookups += st.lookups
+	s.stats.TotalQueueScans += st.scanned
+	s.stats.IndexLookups += st.lookups
 	if st.baseline > st.scanned {
-		s.scanSaved += st.baseline - st.scanned
+		s.stats.ScanSavedEntries += st.baseline - st.scanned
 	}
 }
 

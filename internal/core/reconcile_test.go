@@ -18,13 +18,17 @@ import (
 // output: messages to the server, peer forwards, commits with their
 // stable results, local drops, violations, and a digest of ζCO after
 // every handled message. Two configurations that claim identical client
-// behaviour must produce equal traces.
-func runReconcileWorkload(t *testing.T, cfg Config, seed int64) ([]string, *loopback) {
+// behaviour must produce equal traces. fullRollback puts every client on
+// the literal Algorithm 3 reference path.
+func runReconcileWorkload(t *testing.T, cfg Config, seed int64, fullRollback bool) ([]string, *loopback) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const nObjects, nClients, rounds = 40, 12, 8
 	init := initWorld(nObjects)
 	lb := newLoopback(t, cfg, init, nClients)
+	for _, c := range lb.clients {
+		c.fullRollback = fullRollback
+	}
 
 	var trace []string
 	// stepClient with full output recording; mirrors loopback.stepClient.
@@ -125,16 +129,14 @@ func runReconcileWorkload(t *testing.T, cfg Config, seed int64) ([]string, *loop
 // across drops, pushes, and out-of-order delivery.
 func TestReconcileEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		inc := cfgFor(ModeInfoBound)
-		inc.Threshold = 60 // low enough that long conflict chains get dropped
-		full := inc
-		full.DisableIncrementalReconcile = true
+		cfg := cfgFor(ModeInfoBound)
+		cfg.Threshold = 60 // low enough that long conflict chains get dropped
 
-		trInc, lbInc := runReconcileWorkload(t, inc, seed)
-		trFull, lbFull := runReconcileWorkload(t, full, seed)
+		trInc, lbInc := runReconcileWorkload(t, cfg, seed, false)
+		trFull, lbFull := runReconcileWorkload(t, cfg, seed, true)
 		diffTraces(t, fmt.Sprintf("seed=%d", seed), trInc, trFull)
 
-		recs, copies := 0, 0
+		recs, copies, fullCopies := 0, 0, 0
 		for _, cid := range lbInc.order {
 			ci, cf := lbInc.clients[cid], lbFull.clients[cid]
 			if !ci.Optimistic().Equal(cf.Optimistic()) {
@@ -151,6 +153,7 @@ func TestReconcileEquivalence(t *testing.T) {
 			}
 			recs += ci.Reconciliations()
 			copies += ci.Metrics().ReconcileCopies
+			fullCopies += cf.Metrics().ReconcileCopies
 		}
 		// The workload must actually exercise the machinery under test,
 		// or the equivalence proof is vacuous.
@@ -159,6 +162,11 @@ func TestReconcileEquivalence(t *testing.T) {
 		}
 		if copies == 0 {
 			t.Fatalf("seed=%d: incremental path copied nothing back", seed)
+		}
+		// Only the incremental path counts a copy: a reference fleet that
+		// counted one was the incremental path compared with itself.
+		if fullCopies != 0 {
+			t.Fatalf("seed=%d: full-rollback fleet made %d incremental copies", seed, fullCopies)
 		}
 		if lbInc.srv.TotalDropped() == 0 {
 			t.Fatalf("seed=%d: no Information Bound drops", seed)

@@ -65,19 +65,6 @@ func (sess *session) recordDrop(id action.ID) {
 	sess.drops = append(sess.drops, id)
 }
 
-// mixToken is splitmix64's finalizer: session tokens are deterministic
-// (the shard replay differential re-mints them identically) but not
-// trivially sequential on the wire.
-func mixToken(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e9b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // openSession creates or resets the client's session at registration.
 // A re-registration through RegisterClient is a fresh join (a resumed
 // client never re-registers — HandleResume revives its registration
@@ -89,8 +76,11 @@ func (s *Server) openSession(rec *clientRec, mask uint64) {
 	}
 	sess := rec.sess
 	if sess == nil {
+		// Tokens are the splitmix64 finalizer of a counter: deterministic
+		// (the shard replay differential re-mints them identically) but
+		// not trivially sequential on the wire.
 		s.sessionSeq++
-		sess = &session{token: mixToken(s.sessionSeq), seqNo: s.sessionSeq}
+		sess = &session{token: integrity.Mix(s.sessionSeq), seqNo: s.sessionSeq}
 		rec.sess = sess
 		s.tokens[sess.token] = rec
 	}
@@ -179,7 +169,7 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	// instead of rejecting.
 	ahead := rec != nil && m.LastBatchSeq > rec.sess.lastSeq
 	if rec == nil || (ahead && !rec.sess.recovered) {
-		s.resumesRejected++
+		s.stats.ResumesRejected++
 		out.Replies = append(out.Replies, Reply{
 			To: 0, Msg: &wire.CatchUp{},
 			// Resume verdicts are session control flow: never shed.
@@ -194,8 +184,8 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	// reconnecting client learns why, and the transport drops the
 	// connection like any other rejection (DESIGN.md §16).
 	if rec.led.Quarantined {
-		s.resumesRejected++
-		s.quarantineRejected++
+		s.stats.ResumesRejected++
+		s.stats.QuarantineRejected++
 		out.Replies = append(out.Replies, Reply{
 			To: 0, Msg: &wire.Quarantine{Reason: uint8(integrity.ViolationQuarantined)},
 			Deliver: Delivery{Class: DeliveryOrdered},
@@ -220,9 +210,9 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	covered := !ahead && (m.LastBatchSeq == sess.lastSeq ||
 		(len(sess.retained) > 0 && sess.retained[0].ClientSeq <= m.LastBatchSeq+1))
 	if covered {
-		s.resumesSuffix++
+		s.stats.ResumesSuffix++
 		if recovered {
-			s.resumesRecovered++
+			s.stats.ResumesRecovered++
 		}
 		out.Replies = append(out.Replies, Reply{To: cid, Msg: &wire.CatchUp{
 			OK:            true,
@@ -245,9 +235,9 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 
 	// Snapshot fallback. The client rebuilds from ζS at the install
 	// point, so every sent() bit it holds is void.
-	s.resumesSnapshot++
+	s.stats.ResumesSnapshot++
 	if recovered {
-		s.resumesRecovered++
+		s.stats.ResumesRecovered++
 	}
 	s.snapshotOut(rec, &out)
 	return cid, out
@@ -267,7 +257,9 @@ func (s *Server) snapshotOut(rec *clientRec, out *ServerOutput) {
 			seeds = append(seeds, i)
 		}
 	}
-	writes := s.snapshotWrites()
+	// The CatchUp blind-write payload: every object's authoritative
+	// value at the install point.
+	writes := s.zs.Writes()
 	fp := make([]world.ObjectID, len(writes))
 	for i, w := range writes {
 		fp[i] = w.ID
@@ -318,22 +310,7 @@ func (s *Server) SnapshotCatchUp(id action.ClientID, nowMs float64) ServerOutput
 	if rec == nil || !rec.registered || rec.sess == nil {
 		return out
 	}
-	s.snapshotFallbacks++
+	s.stats.SnapshotFallbacks++
 	s.snapshotOut(rec, &out)
 	return out
-}
-
-// snapshotWrites flattens ζS into the CatchUp blind-write payload:
-// every object's authoritative value at the install point, in
-// ascending id order (the deterministic-iteration contract every wire
-// emission obeys). Values are cloned — the payload outlives this call.
-func (s *Server) snapshotWrites() []world.Write {
-	ids := s.zs.IDs()
-	writes := make([]world.Write, 0, len(ids))
-	for _, id := range ids {
-		if v, ok := s.zs.Get(id); ok {
-			writes = append(writes, world.Write{ID: id, Val: v.Clone()})
-		}
-	}
-	return writes
 }

@@ -77,16 +77,9 @@ type Server struct {
 	lastPushMs float64
 	sessionSeq uint64
 
-	totalSubmitted   int
-	totalDropped     int
-	totalQueueScans  int
-	completionsTaken int
-
-	// Index and scheduler counters (see Metrics).
-	scanSaved         int
-	indexLookups      int
-	pushTicks         int
-	pushParallelTicks int
+	// stats holds the engine's cumulative counters, incremented in place
+	// on the sequential and seal paths; Metrics fills in the gauges.
+	stats metrics.ServerStats
 
 	// recent retains the last recentWindow installed results, slot
 	// seq % recentWindow, so a late completion report (failure-tolerant
@@ -112,6 +105,15 @@ type Server struct {
 	boot      uint64
 	bootFloor uint64
 
+	// fullScan makes the analysis walks scan the full uncommitted queue
+	// instead of consulting the reverse conflict index, and pushWidth,
+	// when non-zero, fixes the push scheduler's pool width (1 = the
+	// sequential path). They select the reference legs of
+	// TestClosureIndexEquivalence and TestTickParallelDeterminism; only
+	// this package's tests set them.
+	fullScan  bool
+	pushWidth int
+
 	// planExec, when set, runs read-only planning fan-outs on the
 	// caller's worker pool instead of ad-hoc goroutines (SetPlanExecutor).
 	planExec func(tasks []func())
@@ -124,26 +126,6 @@ type Server struct {
 	// quarOut stages the quarantine verdicts DrainQuarantines emits in
 	// effective-log order (DESIGN.md §16).
 	quarOut []Reply
-
-	resumesSuffix     int
-	resumesSnapshot   int
-	resumesRejected   int
-	duplicateSubmits  int
-	snapshotFallbacks int
-	staleCompletions  int
-	resumesRecovered  int
-
-	forgedCompletions  int
-	orphanCompletions  int
-	contractBreaches   int
-	auditsRun          int
-	auditDivergences   int
-	repairedResults    int
-	quarantinedClients int
-	quarantineRejected int
-	rateLimited        int
-	writeSetViolations int
-	radiusViolations   int
 }
 
 // recentWindow is how many installed results the server retains for
@@ -381,11 +363,11 @@ func (s *Server) Authoritative() *world.State { return s.zs }
 func (s *Server) QueueLen() int { return len(s.queue) }
 
 // TotalSubmitted reports all submissions received.
-func (s *Server) TotalSubmitted() int { return s.totalSubmitted }
+func (s *Server) TotalSubmitted() int { return s.stats.TotalSubmitted }
 
 // TotalDropped reports submissions invalidated by the Information Bound
 // Model.
-func (s *Server) TotalDropped() int { return s.totalDropped }
+func (s *Server) TotalDropped() int { return s.stats.TotalDropped }
 
 // DroppedByClient reports per-origin drop counts, for the fairness
 // analysis of Section III-E.
@@ -401,7 +383,7 @@ func (s *Server) DroppedByClient() map[action.ClientID]int {
 
 // TotalQueueScans reports cumulative queue entries examined by closure
 // and validity analysis.
-func (s *Server) TotalQueueScans() int { return s.totalQueueScans }
+func (s *Server) TotalQueueScans() int { return s.stats.TotalQueueScans }
 
 // History returns the stamped envelopes in serial order. It requires
 // ModeBasic or Config.RecordHistory.
@@ -464,7 +446,7 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 	if !s.cfg.DisableIntegrity {
 		rec = s.recordOf(from)
 		if rec.led.Quarantined {
-			s.quarantineRejected++
+			s.stats.QuarantineRejected++
 			return
 		}
 	}
@@ -480,7 +462,7 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 		// stale re-send minted against a previous boot, racing ahead of
 		// the client's catch-up fencing. Accepting it would poison the
 		// position when a fresh stamp reuses it.
-		s.staleCompletions++
+		s.stats.StaleCompletions++
 		return
 	}
 	e := s.queue[m.Seq-s.installed-1]
@@ -494,7 +476,7 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 		// carries no information to compare against.
 		if rec != nil {
 			if _, ok := integrity.CheckFootprint(m.Res, e.env.Act.WriteSet()); !ok {
-				s.forgedCompletions++
+				s.stats.ForgedCompletions++
 				s.quarantine(rec, integrity.ViolationFootprint, m.Seq, 0)
 				return
 			}
@@ -503,20 +485,20 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 		// Blind writes are server-minted (WS with no RS by design);
 		// client-originated actions must honor the declared contract.
 		if e.env.Origin != action.OriginServer && !integrity.CheckContract(e.env.Act) {
-			s.contractBreaches++
+			s.stats.ContractBreaches++
 			s.quarantine(rec, integrity.ViolationContract, m.Seq, 0)
 			s.holdForRepair(e, rec, m)
 			return
 		}
 		if id, ok := integrity.CheckFootprint(m.Res, e.env.Act.WriteSet()); !ok {
-			s.forgedCompletions++
+			s.stats.ForgedCompletions++
 			s.quarantine(rec, integrity.ViolationFootprint, m.Seq, uint64(id))
 			s.holdForRepair(e, rec, m)
 			return
 		}
 	}
 	e.hold(m.Res, rec)
-	s.completionsTaken++
+	s.stats.CompletionsTaken++
 }
 
 // holdForRepair accepts a completion that failed validation into the
@@ -529,7 +511,7 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 func (s *Server) holdForRepair(e *entry, from *clientRec, m *wire.Completion) {
 	e.hold(m.Res, from)
 	e.forceAudit = true
-	s.completionsTaken++
+	s.stats.CompletionsTaken++
 }
 
 // InstallContiguous installs the contiguous prefix of the queue whose
@@ -647,20 +629,20 @@ func (s *Server) auditEntry(e *entry) {
 		// seq−1) IS the result.
 		e.res = action.Eval(e.env.Act, world.StateView{S: s.zs})
 		e.selfComplete = false
-		s.orphanCompletions++
+		s.stats.OrphanCompletions++
 		return
 	}
-	s.auditsRun++
+	s.stats.AuditsRun++
 	got, ok := integrity.Audit(e.env.Act, world.StateView{S: s.zs}, e.res)
 	if ok {
 		return
 	}
-	s.auditDivergences++
+	s.stats.AuditDivergences++
 	if e.reporter != nil {
 		s.quarantine(e.reporter, integrity.ViolationAudit, e.env.Seq, 0)
 	}
 	e.res = got
-	s.repairedResults++
+	s.stats.RepairedResults++
 }
 
 // applyWrites installs the accepted writes of an install batch into ζS.
@@ -743,7 +725,7 @@ func (s *Server) quarantine(rec *clientRec, reason integrity.Violation, seq, det
 		return
 	}
 	rec.led.Quarantined = true
-	s.quarantinedClients++
+	s.stats.QuarantinedClients++
 	// Positions this origin stamped but never completed are abandoned —
 	// its future reports will be rejected — so mark them for server
 	// self-completion at install time rather than wedging the queue.
@@ -831,48 +813,18 @@ func (s *Server) internEntry(e *entry) {
 //
 //seve:lane-seal
 func (s *Server) Metrics() metrics.ServerStats {
-	queueComp, writerComp := s.compactions, s.writerCompactions
+	st := s.stats
+	st.Installed = s.installed
+	st.QueueLen = len(s.queue)
+	st.QueueCompactions, st.WriterCompactions = s.compactions, s.writerCompactions
 	for i := range s.lanes {
-		queueComp += s.lanes[i].compactions
-		writerComp += s.lanes[i].writerCompactions
+		st.QueueCompactions += s.lanes[i].compactions
+		st.WriterCompactions += s.lanes[i].writerCompactions
 	}
-	return metrics.ServerStats{
-		TotalSubmitted:    s.totalSubmitted,
-		TotalDropped:      s.totalDropped,
-		CompletionsTaken:  s.completionsTaken,
-		Installed:         s.installed,
-		QueueLen:          len(s.queue),
-		TotalQueueScans:   s.totalQueueScans,
-		ScanSavedEntries:  s.scanSaved,
-		IndexLookups:      s.indexLookups,
-		QueueCompactions:  queueComp,
-		WriterCompactions: writerComp,
-		InternedObjects:   s.intern.Len(),
-		TrackedClients:    len(s.live),
-		PushTicks:         s.pushTicks,
-		PushParallelTicks: s.pushParallelTicks,
-		PushWorkers:       s.cfg.PushWorkers,
-		ResumesSuffix:     s.resumesSuffix,
-		ResumesSnapshot:   s.resumesSnapshot,
-		ResumesRejected:   s.resumesRejected,
-		DuplicateSubmits:  s.duplicateSubmits,
-		RetainedBatches:   s.retainedBatches(),
-		SnapshotFallbacks: s.snapshotFallbacks,
-		StaleCompletions:  s.staleCompletions,
-		ResumesRecovered:  s.resumesRecovered,
-
-		ForgedCompletions:  s.forgedCompletions,
-		ContractBreaches:   s.contractBreaches,
-		AuditsRun:          s.auditsRun,
-		AuditDivergences:   s.auditDivergences,
-		RepairedResults:    s.repairedResults,
-		QuarantinedClients: s.quarantinedClients,
-		QuarantineRejected: s.quarantineRejected,
-		OrphanCompletions:  s.orphanCompletions,
-		RateLimited:        s.rateLimited,
-		WriteSetViolations: s.writeSetViolations,
-		RadiusViolations:   s.radiusViolations,
-	}
+	st.InternedObjects = s.intern.Len()
+	st.TrackedClients = len(s.live)
+	st.RetainedBatches = s.retainedBatches()
+	return st
 }
 
 func (s *Server) nextBlindID() action.ID {

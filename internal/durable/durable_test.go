@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"seve/internal/action"
 	"seve/internal/core"
@@ -275,6 +277,88 @@ func TestCheckpointRollsAndKeepsTwoGenerations(t *testing.T) {
 	}
 	if v, _ := rec.State.Get(3); v[0] != 4 {
 		t.Fatalf("obj 3 = %v", v)
+	}
+}
+
+// TestEveryFsyncPolicyRecovers drives the same commit groups through
+// Open → journal → Close → Open under each fsync policy. Every policy
+// records the group commits and cuts checkpoints, all three recover the
+// same state and RestoreState, and — what makes the policy a policy —
+// with groups outnumbering checkpoints FsyncCheckpoint fsyncs strictly
+// fewer times than FsyncBatch over the same groups.
+func TestEveryFsyncPolicyRecovers(t *testing.T) {
+	const groups, snapshotEvery = 48, 16
+	run := func(t *testing.T, opts Options) (Stats, *Recovery) {
+		t.Helper()
+		opts.SnapshotEvery = snapshotEvery
+		dir := t.TempDir()
+		s, _, err := Open(dir, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The boot checkpoint of a virgin directory is not the policy's.
+		boot := s.Stats().Checkpoints
+		s.SessionOpen(7, 0xBEEF, 0, 1, 0)
+		for seq := uint64(1); seq <= groups; seq++ {
+			s.CommitGroup(seq, uint32(seq), []core.CommitRecord{{
+				Seq: seq, Origin: 7, ActSeq: uint32(seq),
+				Res: action.Result{OK: true, Writes: []world.Write{write(world.ObjectID(1+seq%5), float64(seq))}},
+			}})
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		st.Checkpoints -= boot
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, rec, err := Open(dir, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return st, rec
+	}
+
+	policies := []struct {
+		name string
+		opts Options
+	}{
+		{"batch", Options{Fsync: FsyncBatch}},
+		{"interval", Options{Fsync: FsyncInterval, FsyncEvery: time.Millisecond}},
+		{"checkpoint", Options{Fsync: FsyncCheckpoint}},
+	}
+	stats := make([]Stats, len(policies))
+	recs := make([]*Recovery, len(policies))
+	for i, p := range policies {
+		stats[i], recs[i] = run(t, p.opts)
+		if st := stats[i]; st.GroupCommits != groups || st.Durable != groups || st.Checkpoints == 0 {
+			t.Fatalf("%s: %d group commits through seq %d with %d checkpoints, want %d through %d and at least one",
+				p.name, st.GroupCommits, st.Durable, st.Checkpoints, groups, groups)
+		}
+		if recs[i].Restore.UpTo != groups || recs[i].Restore.NextBlind != groups || len(recs[i].Restore.Sessions) != 1 {
+			t.Fatalf("%s: recovered %+v", p.name, recs[i].Restore)
+		}
+		if !recs[i].State.Equal(recs[0].State) {
+			t.Fatalf("%s: recovered state differs from %s's", p.name, policies[0].name)
+		}
+		if !reflect.DeepEqual(recs[i].Restore, recs[0].Restore) {
+			t.Fatalf("%s: RestoreState differs from %s's:\n%+v\n%+v",
+				p.name, policies[0].name, recs[i].Restore, recs[0].Restore)
+		}
+	}
+	batch, ckpt := stats[0], stats[2]
+	if ckpt.Checkpoints >= groups {
+		t.Fatalf("checkpoints (%d) do not leave groups (%d) in the majority", ckpt.Checkpoints, groups)
+	}
+	if batch.Fsyncs < groups {
+		t.Fatalf("FsyncBatch: %d fsyncs for %d groups, want one per group boundary", batch.Fsyncs, groups)
+	}
+	if ckpt.Fsyncs >= batch.Fsyncs {
+		t.Fatalf("FsyncCheckpoint made %d fsyncs, FsyncBatch %d over the same groups", ckpt.Fsyncs, batch.Fsyncs)
 	}
 }
 

@@ -292,8 +292,8 @@ func (r *advRig) drain(cid action.ClientID) error {
 
 // runAdversarial drives one scenario through the delivery rig. The
 // control loop is delivery-independent: completions are synthesized
-// from the engine's closure replies (shardscale's mirror-evaluation
-// trick) the moment they are produced, so install progress — and with
+// from the engine's closure replies (evaluated against a shared mirror
+// state) the moment they are produced, so install progress — and with
 // it every reply the server generates — is identical whether the
 // queues supersede, drop, or stall.
 func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {

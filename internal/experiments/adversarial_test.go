@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 // TestAdversarialShape regenerates the adversarial delivery table in
-// quick mode and asserts the qualitative claims BENCH_PR7.json records:
+// quick mode and asserts the qualitative claims DESIGN.md §13 makes:
 // the keep-up control is byte-identical across disciplines, every
 // stall scenario trades all of its drops for supersessions, and the
 // stalled cohort's delivered bytes shrink.

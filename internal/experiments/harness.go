@@ -381,7 +381,6 @@ func (h *harness) finish() {
 		if v := cl.Stable().Versions(); v > r.MaxStableVersions {
 			r.MaxStableVersions = v
 		}
-		r.ClientStats.Merge(cl.Metrics())
 	}
 	if h.ownSrv != nil {
 		r.Divergence = h.ownershipDivergence()

@@ -33,7 +33,7 @@ func Limit(opt Options) (*metrics.Table, error) {
 		Header: []string{"clients", "server-ms/round", "headroom-x"},
 	}
 	for _, n := range counts {
-		ms, _, err := measureServerRound(n, rounds)
+		ms, err := measureServerRound(n, rounds)
 		if err != nil {
 			return nil, fmt.Errorf("limit %d clients: %w", n, err)
 		}
@@ -44,26 +44,9 @@ func Limit(opt Options) (*metrics.Table, error) {
 	return t, nil
 }
 
-// EngineStats runs the Limit workload at a single scale and reports the
-// engine's cumulative counters — the operator-facing view of the
-// conflict-index and push-scheduler internals (scans saved, compactions,
-// parallel ticks) that the Metrics snapshot exposes.
-func EngineStats(opt Options) (*metrics.Table, error) {
-	clients := pick(opt, 1000, 250)
-	rounds := pick(opt, 8, 3)
-	ms, st, err := measureServerRound(clients, rounds)
-	if err != nil {
-		return nil, fmt.Errorf("serverstats: %w", err)
-	}
-	t := st.Table()
-	t.Title = fmt.Sprintf("Engine counters: %d clients × %d move rounds (%.2f server-ms/round)",
-		clients, rounds, ms)
-	return t, nil
-}
-
 // measureServerRound runs the synthetic rounds and returns the mean real
-// milliseconds of server compute per round plus the engine's counters.
-func measureServerRound(clients, rounds int) (float64, metrics.ServerStats, error) {
+// milliseconds of server compute per round.
+func measureServerRound(clients, rounds int) (float64, error) {
 	wcfg := manhattan.DefaultConfig()
 	wcfg.Width, wcfg.Height = 10_000, 10_000 // MMO-scale sparsity
 	wcfg.NumWalls = 5_000
@@ -103,7 +86,7 @@ func measureServerRound(clients, rounds int) (float64, metrics.ServerStats, erro
 			nextSeq[i]++
 			mv, err := w.NewMove(action.ID{Client: cid, Seq: nextSeq[i]}, manhattan.AvatarID(i), mirror)
 			if err != nil {
-				return 0, metrics.ServerStats{}, err
+				return 0, err
 			}
 			sub := &wire.Submit{Env: action.Envelope{Origin: cid, Act: mv}}
 
@@ -129,7 +112,7 @@ func measureServerRound(clients, rounds int) (float64, metrics.ServerStats, erro
 		srv.Tick(nowMs)
 		serverTime += time.Since(start)
 	}
-	return serverTime.Seconds() * 1000 / float64(rounds), srv.Metrics(), nil
+	return serverTime.Seconds() * 1000 / float64(rounds), nil
 }
 
 // evalReplyTail extracts the submitted move's stamped position from the

@@ -229,10 +229,6 @@ type Result struct {
 	// count at the end of the run — the memory the Section III-C garbage
 	// collection bounds.
 	MaxStableVersions int
-	// ClientStats aggregates the client engines' cumulative counters
-	// (reconciliations, remote/blind applications, divergence tracking)
-	// across the fleet, for architectures that run core.Client engines.
-	ClientStats metrics.ClientStats
 
 	SimEndMs   float64
 	Violations []string

@@ -7,8 +7,8 @@ import "fmt"
 // blind applications) plus the delivery-path internals added with the
 // incremental reconciliation work (divergence-set rollback copies,
 // buffered out-of-order batches, overflow drops). Produced by
-// core.Client.Metrics and surfaced by cmd/seve-bench -experiment
-// clientstats; Merge aggregates a fleet.
+// core.Client.Metrics and read by `go run ./bench -trace 1`; Merge
+// aggregates a fleet.
 type ClientStats struct {
 	// Protocol totals.
 	Reconciliations int

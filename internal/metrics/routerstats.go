@@ -16,8 +16,8 @@ type LaneStats struct {
 // how submissions were routed across the spatial-partition lanes, how
 // often epochs flushed and why, how many ran the partitioned per-lane
 // pipeline, and where the pipeline's time went. Produced by
-// shard.Router.RouterMetrics and surfaced by cmd/seve-bench
-// -experiment shardscale.
+// shard.Router.RouterMetrics and surfaced by cmd/seve-server on
+// shutdown and by `go run ./bench -trace 1` (the shard.* metrics).
 type RouterStats struct {
 	// Shards is the configured lane count.
 	Shards int

@@ -7,7 +7,7 @@ import "fmt"
 // completions) plus the analysis-engine internals (conflict-index hit
 // rates, scan savings, compactions, push scheduler activity) that back
 // the DESIGN.md performance claims. Produced by core.Server.Metrics and
-// surfaced by cmd/seve-server on shutdown and cmd/seve-bench.
+// surfaced by cmd/seve-server on shutdown and by `go run ./bench -trace 1`.
 type ServerStats struct {
 	// Protocol totals.
 	TotalSubmitted   int
@@ -33,7 +33,6 @@ type ServerStats struct {
 	// First Bound push scheduler.
 	PushTicks         int
 	PushParallelTicks int
-	PushWorkers       int
 
 	// Session resume (Config.ResumeWindow). ResumesSuffix counts
 	// reconnects served by replaying the retained batch suffix;
@@ -143,7 +142,6 @@ func (st ServerStats) Table() *Table {
 	row("tracked clients", st.TrackedClients)
 	row("push ticks", st.PushTicks)
 	row("parallel push ticks", st.PushParallelTicks)
-	row("configured push workers", st.PushWorkers)
 	row("resumes (suffix replay)", st.ResumesSuffix)
 	row("resumes (snapshot fallback)", st.ResumesSnapshot)
 	row("resumes rejected", st.ResumesRejected)

@@ -312,8 +312,8 @@ func TestCheatResultTampering(t *testing.T) {
 
 // TestCheatSampledAuditEventuallyDetects: at a partial audit rate the
 // tampering survives unsampled installs but the deterministic sampling
-// stream catches it within the run — the latency/cost trade the
-// cheataudit experiment quantifies. The cheater owns a disjoint object
+// stream catches it within the run — the latency/cost trade AuditRate
+// dials (detection after ~1/rate tampered installs). The cheater owns a disjoint object
 // region (11..12): until detection its unsampled tampered installs may
 // legitimately poison those objects, but the honest region must track
 // the serial oracle exactly and no honest client may be punished.

@@ -500,8 +500,7 @@ func (r *Router) takePending() core.ServerOutput {
 // buffered completions install first; the buffered submissions then run
 // the pipeline partitioned — one view per lane — when every live queue
 // entry is lane-owned, or all on the global view (a fallback epoch) while
-// a spanning bridge is live (or the conflict index — which the lane
-// views are built on — is disabled).
+// a spanning bridge is live.
 func (r *Router) flushInto(out core.ServerOutput, cause *int) core.ServerOutput {
 	if r.bufN == 0 && len(r.comps) == 0 {
 		return out
@@ -517,7 +516,7 @@ func (r *Router) flushInto(out core.ServerOutput, cause *int) core.ServerOutput 
 		return out
 	}
 	r.stats.Epochs++
-	partitioned := r.inner.Partitioned() && len(r.spanning) == 0 && !r.cfg.DisableConflictIndex
+	partitioned := r.inner.Partitioned() && len(r.spanning) == 0
 	if partitioned {
 		r.stats.PartitionedEpochs++
 	} else {

@@ -59,10 +59,9 @@ func keyOf(v geom.Vec, cell float64) cellKey {
 // through it the partitioned store) keys object ownership by. A cell is
 // assigned on first lookup to the least-loaded lane — fewest pinned
 // cells, preferring the Partitioner's arithmetic Region on a tie and
-// the lowest lane index after that — and remembered, so a later
-// rebalance (MoveCell) changes only the cells explicitly moved: every
-// other cell — and every object already pinned through one — keeps its
-// lane. Least-loaded beats the bare Region hash because the lanes a
+// the lowest lane index after that — and remembered: every cell — and
+// every object already pinned through one — keeps its lane.
+// Least-loaded beats the bare Region hash because the lanes a
 // world actually uses are decided by a handful of occupied cells, not a
 // uniform scatter: hashing 2n cells onto n lanes leaves some lane
 // owning Θ(log n / log log n) of them, and the slowest lane bounds
@@ -70,8 +69,7 @@ func keyOf(v geom.Vec, cell float64) cellKey {
 // the router's sequential routing path, so assignments are a pure
 // function of the submission stream — the determinism the reproducible
 // merge order needs. That stability is what lets the router treat
-// object→lane assignments as sticky while still allowing an operator
-// (or a future load balancer) to migrate hot cells.
+// object→lane assignments as sticky.
 type LaneMap struct {
 	part   *Partitioner
 	cells  map[cellKey]int
@@ -107,25 +105,6 @@ func (m *LaneMap) LaneOf(v geom.Vec) int {
 	m.cells[k] = lane
 	m.counts[lane]++
 	return lane
-}
-
-// MoveCell reassigns the cell containing v to lane, pinning it if it
-// was never looked up. Future LaneOf calls for the cell return lane;
-// ownership already derived from the old assignment is not rewritten
-// (the caller decides when in-flight state makes that safe).
-func (m *LaneMap) MoveCell(v geom.Vec, lane int) {
-	if lane < 0 || lane >= m.part.Shards() {
-		return
-	}
-	k := keyOf(v, m.part.CellSize())
-	if prev, ok := m.cells[k]; ok {
-		if prev == lane {
-			return
-		}
-		m.counts[prev]--
-	}
-	m.cells[k] = lane
-	m.counts[lane]++
 }
 
 // CellCounts reports, per lane, how many pinned cells it owns.

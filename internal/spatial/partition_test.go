@@ -100,56 +100,3 @@ func TestLaneMapLeastLoaded(t *testing.T) {
 		}
 	}
 }
-
-// TestLaneMapMigration is the lane-ownership-migration contract: a
-// cell's lane is stable across lookups, MoveCell rebinds exactly the
-// moved cell (future lookups see the new lane, per-lane cell counts
-// shift by one), and every other cell keeps its original owner.
-func TestLaneMapMigration(t *testing.T) {
-	m := NewLaneMap(NewPartitioner(10, 4))
-	hot := geom.Vec{X: 5, Y: 5}
-	other := geom.Vec{X: 105, Y: 205}
-
-	orig := m.LaneOf(hot)
-	otherLane := m.LaneOf(other)
-	for i := 0; i < 3; i++ {
-		if m.LaneOf(hot) != orig {
-			t.Fatal("lane assignment not stable across lookups")
-		}
-	}
-	if got := m.CellCounts(); got[orig] < 1 {
-		t.Fatalf("pinned cell not counted: %v", got)
-	}
-
-	dst := (orig + 1) % m.Shards()
-	before := m.CellCounts()
-	m.MoveCell(hot, dst)
-	if got := m.LaneOf(hot); got != dst {
-		t.Fatalf("after MoveCell: lane %d, want %d", got, dst)
-	}
-	after := m.CellCounts()
-	if after[dst] != before[dst]+1 {
-		t.Fatalf("destination count: %v -> %v", before, after)
-	}
-	if orig != dst && after[orig] != before[orig]-1 {
-		t.Fatalf("source count: %v -> %v", before, after)
-	}
-	// The untouched cell keeps its owner; a same-lane or out-of-range
-	// move is a no-op.
-	if m.LaneOf(other) != otherLane {
-		t.Fatal("migration moved an unrelated cell")
-	}
-	m.MoveCell(hot, dst)
-	m.MoveCell(hot, -1)
-	m.MoveCell(hot, m.Shards())
-	if m.LaneOf(hot) != dst || m.CellCounts()[dst] != after[dst] {
-		t.Fatal("no-op moves changed state")
-	}
-
-	// A cell never looked up can be pre-pinned by MoveCell.
-	fresh := geom.Vec{X: -55, Y: -55}
-	m.MoveCell(fresh, 2)
-	if m.LaneOf(fresh) != 2 {
-		t.Fatal("MoveCell did not pre-pin an unseen cell")
-	}
-}

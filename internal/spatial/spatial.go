@@ -1,8 +1,9 @@
-// Package spatial provides uniform-grid spatial indexes over segments
-// (walls) and points (avatars). Manhattan People move evaluation queries
-// "the walls closest to the client's avatar and all other avatars within
-// walk-able range" (Section V-A2); these indexes make those queries cheap
-// enough to run hundreds of thousands of times per experiment.
+// Package spatial provides the uniform grids the world is cut into: an
+// index over segments (walls) and the cell→lane ownership map of the
+// sharded serializer. Manhattan People move evaluation queries "the
+// walls closest to the client's avatar" (Section V-A2); the segment
+// index makes that query cheap enough to run hundreds of thousands of
+// times per experiment.
 package spatial
 
 import (
@@ -65,29 +66,6 @@ func (idx *SegmentIndex) Len() int { return len(idx.segs) }
 // Segment returns the i-th indexed segment.
 func (idx *SegmentIndex) Segment(i int) geom.Segment { return idx.segs[i] }
 
-// Within appends to dst the indices of all segments whose distance to p is
-// at most r, and returns the extended slice. Passing a reused dst[:0]
-// avoids allocation in the per-move hot path.
-func (idx *SegmentIndex) Within(p geom.Vec, r float64, dst []int32) []int32 {
-	k0 := idx.key(geom.Vec{X: p.X - r, Y: p.Y - r})
-	k1 := idx.key(geom.Vec{X: p.X + r, Y: p.Y + r})
-	seen := map[int32]bool{}
-	for x := k0.x; x <= k1.x; x++ {
-		for y := k0.y; y <= k1.y; y++ {
-			for _, i := range idx.cells[cellKey{x, y}] {
-				if seen[i] {
-					continue
-				}
-				seen[i] = true
-				if idx.segs[i].DistTo(p) <= r {
-					dst = append(dst, i)
-				}
-			}
-		}
-	}
-	return dst
-}
-
 // CountWithin reports how many segments lie within r of p. This is the
 // "visible walls" count that calibrates per-move compute cost (6.95 ms per
 // 1000 visible walls, Section V-A2).
@@ -104,105 +82,6 @@ func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
 				}
 				seen[i] = true
 				if idx.segs[i].DistTo(p) <= r {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// PointIndex is a mutable uniform grid over identified points — the
-// avatars. Updates move a point between cells in O(1) amortized.
-type PointIndex struct {
-	cell   float64
-	points map[int64]geom.Vec
-	cells  map[cellKey]map[int64]struct{}
-}
-
-// NewPointIndex returns an empty index with the given cell size.
-func NewPointIndex(cellSize float64) *PointIndex {
-	if cellSize <= 0 {
-		cellSize = 1
-	}
-	return &PointIndex{
-		cell:   cellSize,
-		points: make(map[int64]geom.Vec),
-		cells:  make(map[cellKey]map[int64]struct{}),
-	}
-}
-
-func (idx *PointIndex) key(p geom.Vec) cellKey {
-	return cellKey{int32(math.Floor(p.X / idx.cell)), int32(math.Floor(p.Y / idx.cell))}
-}
-
-// Upsert inserts or moves the point with the given id.
-func (idx *PointIndex) Upsert(id int64, p geom.Vec) {
-	if old, ok := idx.points[id]; ok {
-		ok0, k1 := idx.key(old), idx.key(p)
-		if ok0 == k1 {
-			idx.points[id] = p
-			return
-		}
-		delete(idx.cells[ok0], id)
-	}
-	idx.points[id] = p
-	k := idx.key(p)
-	cell, ok := idx.cells[k]
-	if !ok {
-		cell = make(map[int64]struct{})
-		idx.cells[k] = cell
-	}
-	cell[id] = struct{}{}
-}
-
-// Remove deletes the point with the given id, if present.
-func (idx *PointIndex) Remove(id int64) {
-	p, ok := idx.points[id]
-	if !ok {
-		return
-	}
-	delete(idx.cells[idx.key(p)], id)
-	delete(idx.points, id)
-}
-
-// Len reports the number of indexed points.
-func (idx *PointIndex) Len() int { return len(idx.points) }
-
-// Get returns the position of id and whether it is present.
-func (idx *PointIndex) Get(id int64) (geom.Vec, bool) {
-	p, ok := idx.points[id]
-	return p, ok
-}
-
-// Within appends to dst the ids of all points within r of p (including a
-// point exactly at p), and returns the extended slice.
-func (idx *PointIndex) Within(p geom.Vec, r float64, dst []int64) []int64 {
-	k0 := idx.key(geom.Vec{X: p.X - r, Y: p.Y - r})
-	k1 := idx.key(geom.Vec{X: p.X + r, Y: p.Y + r})
-	r2 := r * r
-	for x := k0.x; x <= k1.x; x++ {
-		for y := k0.y; y <= k1.y; y++ {
-			for id := range idx.cells[cellKey{x, y}] {
-				if idx.points[id].Dist2(p) <= r2 {
-					dst = append(dst, id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// CountWithin reports how many points lie within r of p.
-func (idx *PointIndex) CountWithin(p geom.Vec, r float64) int {
-	k0 := idx.key(geom.Vec{X: p.X - r, Y: p.Y - r})
-	k1 := idx.key(geom.Vec{X: p.X + r, Y: p.Y + r})
-	r2 := r * r
-	n := 0
-	for x := k0.x; x <= k1.x; x++ {
-		for y := k0.y; y <= k1.y; y++ {
-			for id := range idx.cells[cellKey{x, y}] {
-				if idx.points[id].Dist2(p) <= r2 {
 					n++
 				}
 			}

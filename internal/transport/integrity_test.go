@@ -21,7 +21,7 @@ import (
 func TestIntegrityEquivalence(t *testing.T) {
 	off := supConfig()
 	off.DisableIntegrity = true
-	control := runKeepUp(t, off)
+	control := runKeepUp(t, off, false)
 	if cs := control.srv.Metrics(); cs.AuditsRun != 0 {
 		t.Fatalf("DisableIntegrity did not disarm the auditor: %d audits", cs.AuditsRun)
 	}
@@ -36,7 +36,7 @@ func TestIntegrityEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			on := supConfig()
 			on.AuditRate = tc.rate
-			subject := runKeepUp(t, on)
+			subject := runKeepUp(t, on, false)
 
 			for _, id := range subject.ids {
 				got, want := subject.streams[id].Bytes(), control.streams[id].Bytes()

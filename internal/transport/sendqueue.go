@@ -37,9 +37,9 @@ import (
 // superseding mode) dropped: they carry session control flow and may
 // exceed the capacity bound.
 //
-// Without superseding (ResumeWindow 0, DisableSuperseding, or an engine
-// that cannot snapshot) a full queue drops the incoming frame, the
-// pre-§13 behavior.
+// Without superseding (ResumeWindow 0, HybridRelay, or an engine that
+// cannot snapshot) a full queue drops the incoming frame, the pre-§13
+// behavior.
 //
 // Enqueue consumes the caller's frame reference in every outcome;
 // popped frames transfer their reference to the popper. All methods are

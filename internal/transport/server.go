@@ -82,10 +82,11 @@ type Server struct {
 	// server, so the log line fires once.
 	durableStalled bool
 	// superseding selects the SendQueue delivery mode (DESIGN.md §13):
-	// true when the engine retains sessions (ResumeWindow > 0), can
-	// answer a mid-session SnapshotCatchUp, and the ablation knob
-	// Config.DisableSuperseding is off. HybridRelay fan-out bypasses the
-	// per-client plan metadata, so it also forces plain FIFO.
+	// true when the engine retains sessions (ResumeWindow > 0) and can
+	// answer a mid-session SnapshotCatchUp. HybridRelay fan-out bypasses
+	// the per-client plan metadata, so it forces plain FIFO.
+	// TestSupersedingEquivalence clears it on its control harness to get
+	// the plain-FIFO reference; nothing else writes it after NewServer.
 	superseding bool
 
 	events chan serverEvent
@@ -163,8 +164,7 @@ func NewServer(cfg ServerConfig) *Server {
 		s.engine.SetJournal(cfg.Durable)
 	}
 	if _, ok := s.engine.(core.Superseder); ok {
-		s.superseding = cfg.Core.ResumeWindow > 0 &&
-			!cfg.Core.DisableSuperseding && !cfg.Core.HybridRelay
+		s.superseding = cfg.Core.ResumeWindow > 0 && !cfg.Core.HybridRelay
 	}
 	return s
 }
@@ -518,7 +518,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		var token uint64
 		s.mu.Lock()
 		s.writers[id] = writeQ
-		initWrites := stateWrites(s.init)
+		initWrites := s.init.Writes()
 		if r, ok := s.engine.(core.Resumer); ok {
 			token = r.SessionToken(id)
 		}
@@ -635,17 +635,6 @@ func (s *Server) armReadDeadline(conn net.Conn) {
 	if s.cfg.ReadTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	}
-}
-
-// stateWrites flattens a state into write records for the Welcome.
-func stateWrites(st *world.State) []world.Write {
-	ids := st.IDs()
-	ws := make([]world.Write, 0, len(ids))
-	for _, id := range ids {
-		v, _ := st.Get(id)
-		ws = append(ws, world.Write{ID: id, Val: v.Clone()})
-	}
-	return ws
 }
 
 var _ = log.Printf // reserved for debug builds

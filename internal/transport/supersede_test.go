@@ -46,7 +46,10 @@ type supHarness struct {
 	now     float64
 }
 
-func newSupHarness(t *testing.T, cfg core.Config, nClients int, caps map[action.ClientID]int) *supHarness {
+// plainFIFO disarms the superseding queue cfg would arm, before any
+// client's SendQueue is built: the reference leg of
+// TestSupersedingEquivalence.
+func newSupHarness(t *testing.T, cfg core.Config, nClients int, caps map[action.ClientID]int, plainFIFO bool) *supHarness {
 	w := testWorld()
 	h := &supHarness{
 		t:       t,
@@ -59,6 +62,9 @@ func newSupHarness(t *testing.T, cfg core.Config, nClients int, caps map[action.
 		stalled: make(map[action.ClientID]bool),
 		commits: make(map[action.ClientID][]core.Commit),
 		sent:    make(map[action.ClientID]int),
+	}
+	if plainFIFO {
+		h.srv.superseding = false
 	}
 	init := h.srv.cfg.Init
 	for i := 1; i <= nClients; i++ {
@@ -75,17 +81,13 @@ func newSupHarness(t *testing.T, cfg core.Config, nClients int, caps map[action.
 		h.srv.mu.Unlock()
 		h.queues[id] = q
 
-		st := world.NewState()
-		for _, wr := range stateWrites(init) {
-			st.Set(wr.ID, wr.Val)
-		}
 		// GC off keeps the per-version oracle exact: pruning re-stamps a
 		// surviving stale version at the prune position, which the
 		// Incomplete World Model allows but the strict as-of check does
 		// not. Client-local, so it changes no wire traffic.
 		clientCfg := cfg
 		clientCfg.DisableGC = true
-		h.engines[id] = core.NewClient(id, clientCfg, st)
+		h.engines[id] = core.NewClient(id, clientCfg, init)
 		h.streams[id] = &bytes.Buffer{}
 	}
 	return h
@@ -178,8 +180,8 @@ func (h *supHarness) settle() {
 
 // runKeepUp runs the scripted keep-up trace: every round each client
 // submits one move, the push tick fires, and everyone drains.
-func runKeepUp(t *testing.T, cfg core.Config) *supHarness {
-	h := newSupHarness(t, cfg, 3, nil)
+func runKeepUp(t *testing.T, cfg core.Config, plainFIFO bool) *supHarness {
+	h := newSupHarness(t, cfg, 3, nil, plainFIFO)
 	for round := 0; round < 12; round++ {
 		h.now += h.cfg.PushIntervalMs()
 		for _, id := range h.ids {
@@ -197,20 +199,20 @@ func runKeepUp(t *testing.T, cfg core.Config) *supHarness {
 // that keep up receive byte-identical streams whether superseding is
 // armed or disabled, and none of the supersession machinery fires.
 func TestSupersedingEquivalence(t *testing.T) {
-	off := supConfig()
-	off.DisableSuperseding = true
-	control := runKeepUp(t, off)
-	if control.srv.superseding {
-		t.Fatal("DisableSuperseding did not disarm the server")
-	}
-
-	on := supConfig()
-	subject := runKeepUp(t, on)
+	control := runKeepUp(t, supConfig(), true)
+	subject := runKeepUp(t, supConfig(), false)
 	if !subject.srv.superseding {
-		t.Fatal("superseding not armed despite ResumeWindow and no ablation knob")
+		t.Fatal("superseding not armed despite ResumeWindow")
 	}
 
 	for _, id := range subject.ids {
+		// A mis-wired harness would compare one queue mode with itself.
+		if control.srv.superseding || control.queues[id].sup {
+			t.Fatalf("client %d: control leg did not run the plain FIFO queue", id)
+		}
+		if !subject.queues[id].sup {
+			t.Fatalf("client %d: subject leg did not run the superseding queue", id)
+		}
 		got, want := subject.streams[id].Bytes(), control.streams[id].Bytes()
 		if !bytes.Equal(got, want) {
 			t.Fatalf("client %d: superseding stream (%d bytes) diverges from control (%d bytes)",
@@ -233,7 +235,7 @@ func TestSupersedingEquivalence(t *testing.T) {
 // comes back and drains.
 func runLaggy(t *testing.T, cfg core.Config) *supHarness {
 	const laggard = action.ClientID(3)
-	h := newSupHarness(t, cfg, 3, map[action.ClientID]int{laggard: 4})
+	h := newSupHarness(t, cfg, 3, map[action.ClientID]int{laggard: 4}, false)
 	for round := 0; round < 24; round++ {
 		h.now += h.cfg.PushIntervalMs()
 		if round == 3 {

@@ -165,6 +165,20 @@ func (s *State) IDs() IDSet {
 	return ids
 }
 
+// Writes flattens the state into write records: every object's value in
+// ascending id order (the deterministic-iteration contract every wire
+// emission obeys). Values are cloned — the records outlive the call.
+// It is the payload of a Welcome and of a snapshot CatchUp.
+func (s *State) Writes() []Write {
+	ids := s.IDs()
+	writes := make([]Write, 0, len(ids))
+	for _, id := range ids {
+		v, _ := s.Get(id)
+		writes = append(writes, Write{ID: id, Val: v.Clone()})
+	}
+	return writes
+}
+
 // Clone returns a deep copy of the state as a single segment (the
 // partitioning is an engine-side layout choice, not part of the value).
 // Clients initialize ζCO as a clone of the initial world.

@@ -81,6 +81,22 @@ func TestStateClone(t *testing.T) {
 	}
 }
 
+func TestStateWrites(t *testing.T) {
+	s := NewState()
+	s.Partition(2) // id order must hold across segments too
+	for _, id := range []ObjectID{9, 2, 5} {
+		s.Set(id, Value{float64(id)})
+	}
+	ws := s.Writes()
+	if len(ws) != 3 || ws[0].ID != 2 || ws[1].ID != 5 || ws[2].ID != 9 {
+		t.Fatalf("Writes = %v, want ids 2 5 9", ws)
+	}
+	ws[0].Val[0] = -1
+	if v, _ := s.Get(2); v[0] != 2 {
+		t.Fatal("Writes aliased the state's value")
+	}
+}
+
 func TestStateCopyFrom(t *testing.T) {
 	dst := NewState()
 	dst.Set(1, Value{0})

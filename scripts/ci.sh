@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI gate: gofmt, vet (generic + domain-specific), the full test suite under
 # the race detector and again with shuffled test order, short fuzz
-# smokes of the wire codec and of journal recovery, and two one-second
-# benchmark runs as correctness smokes. The engine's push scheduler fans closure
+# smokes of the wire codec and of journal recovery, and a one-second
+# run of every benchmark workload as a correctness smoke. The engine's
+# push scheduler fans closure
 # planning over goroutines and the shard router plans epochs on
 # persistent lane workers, so every change must pass -race, not just
 # plain `go test` — the -race run covers TestShardedEquivalence, the
@@ -16,8 +17,8 @@
 # fuzz passes keep Decode honest against hostile frames, and recovery
 # against hostile store directories in either segment layout, beyond
 # the checked-in corpora; the benchmark smokes run the whole action
-# journey with the journal attached (lanes4_wal) and at a thousand
-# clients (tick1024) and fail on the per-pass correctness gate — no
+# journey on all five workloads — the benchmark is the repository's only
+# meter, so its per-pass correctness gate guards each of them — and no
 # timing is read; the coverage gate keeps the protocol engine and
 # the reconnect-capable transport from losing test reach as they grow
 # (baselines sit a little under the measured coverage so legitimate
@@ -51,9 +52,10 @@ go test -run '^$' -fuzz '^FuzzRecover$' -fuzztime 10s ./internal/durable
 # Correctness smokes: a pass exits non-zero when its gate fails
 # (violations, unresolved submissions, Installed != commits, ζCS != ζS,
 # a journal that does not recover to ζS, counts differing across passes).
-go run ./bench -workload lanes4_wal -seconds 1 >/dev/null
-go run ./bench -workload tick1024 -seconds 1 >/dev/null
-echo "bench smokes: lanes4_wal and tick1024 pass their gates"
+for w in walk64 crowd128 tick1024 lanes4_wal churn64; do
+    go run ./bench -workload "$w" -seconds 1 >/dev/null
+done
+echo "bench smokes: all five workloads pass their gates"
 
 # Coverage gate: statement coverage of the two packages the resume
 # protocol cuts through must not regress below the floor.
