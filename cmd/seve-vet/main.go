@@ -1,38 +1,26 @@
 // Command seve-vet is the engine's domain-specific static analyzer. It
-// enforces the seven contracts the test suite can only spot-check:
-// action read/write-set confinement (rwset), pooled buffer and frame
-// ownership (pooldiscipline), no by-value copies of address-identity
-// state (nocopy), no map-iteration nondeterminism on byte-identical
-// output paths (detorder), no blocking operations inside mutex regions
-// (lockscope), lane-partitioned state touched only from its lane's
-// worker or the sequential seal passes (laneaffinity), and explicit
-// supersession metadata on every transport-bound reply with Ordered
-// frames provably unshedable (deliveryclass). See DESIGN.md §9 and §14.
+// enforces the contracts a seeded-defect study (DESIGN.md §9) showed no
+// test, stock `go vet` pass or -race run catching: pooled buffer and
+// frame ownership (pooldiscipline), no map-iteration nondeterminism on
+// byte-identical output paths (detorder), no blocking operations inside
+// mutex regions (lockscope), lane-partitioned state touched only from
+// its lane's worker or the sequential seal passes (laneaffinity), and
+// explicit delivery metadata on every transport-bound reply
+// (deliveryclass).
 //
 // Usage:
 //
 //	go run ./cmd/seve-vet ./...
-//	go run ./cmd/seve-vet -c rwset,detorder ./internal/core
-//	go run ./cmd/seve-vet -json -baseline vet-baseline.json -audit-ignores ./...
-//	go run ./cmd/seve-vet -sarif ./... > seve-vet.sarif
+//	go run ./cmd/seve-vet ./internal/core
 //
 // Packages are named by directory pattern; the trailing "..." wildcard
 // matches the go tool's. In-package and external test files are
-// analyzed alongside the code they test.
+// analyzed alongside the code they test. There are no flags: findings
+// and //seve:vet-ignore directives that no longer suppress anything are
+// printed one per line.
 //
-// -json and -sarif switch stdout to machine-readable output (the JSON
-// form doubles as the baseline format). -baseline diffs the run against
-// a checked-in findings baseline and fails on changes in either
-// direction: fresh findings are regressions, vanished entries are
-// paid-off debt whose baseline lines must be deleted. -write-baseline
-// rewrites the baseline from the current run. -audit-ignores
-// additionally fails on //seve:vet-ignore directives that no longer
-// suppress anything.
-//
-// Exit status is 1 when any finding survives the //seve:vet-ignore
-// directives (with -baseline: when the diff is non-empty; with
-// -audit-ignores: also when a stale directive exists), 2 on usage or
-// load errors.
+// Exit status is 1 when a finding survives the directives or a
+// directive is stale, 2 on usage or load errors.
 package main
 
 import (
@@ -46,15 +34,8 @@ import (
 )
 
 func main() {
-	checkerFlag := flag.String("c", "", "comma-separated checker subset (default: all)")
-	jsonFlag := flag.Bool("json", false, "emit findings as JSON (the baseline format) on stdout")
-	sarifFlag := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	baselineFlag := flag.String("baseline", "", "diff findings against this baseline file; fail on any change")
-	writeBaselineFlag := flag.String("write-baseline", "", "write the current findings to this baseline file and exit clean")
-	auditFlag := flag.Bool("audit-ignores", false, "fail on //seve:vet-ignore directives that suppress nothing")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: seve-vet [-c checkers] [-json|-sarif] [-baseline file] [-write-baseline file] [-audit-ignores] [packages]\ncheckers: %s\n",
-			strings.Join(vet.CheckerNames(), ", "))
+		fmt.Fprintf(os.Stderr, "usage: seve-vet [packages]\ncheckers: %s\n", strings.Join(vet.CheckerNames(), ", "))
 	}
 	flag.Parse()
 
@@ -62,121 +43,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, "seve-vet:", err)
 		os.Exit(2)
 	}
-	if *jsonFlag && *sarifFlag {
-		fail(fmt.Errorf("-json and -sarif are mutually exclusive"))
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"."}
 	}
-
 	loader, err := vet.NewLoader(".")
 	if err != nil {
 		fail(err)
 	}
-
-	checkers, err := selectCheckers(*checkerFlag)
-	if err != nil {
-		fail(err)
-	}
-	if *auditFlag && checkers != nil {
-		fail(fmt.Errorf("-audit-ignores needs the full checker set; drop -c"))
-	}
-
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		fail(err)
 	}
-
-	var findings []vet.Finding
-	var stale []vet.StaleIgnore
-	if *auditFlag {
-		findings, stale, err = vet.RunDirsAudit(loader, dirs)
-	} else {
-		findings, err = vet.RunDirs(loader, dirs, checkers)
-	}
+	findings, stale, err := vet.Run(loader, dirs)
 	if err != nil {
 		fail(err)
 	}
-
-	switch {
-	case *jsonFlag:
-		if err := vet.WriteJSON(os.Stdout, loader.ModRoot, findings); err != nil {
-			fail(err)
-		}
-	case *sarifFlag:
-		if err := vet.WriteSARIF(os.Stdout, loader.ModRoot, findings); err != nil {
-			fail(err)
-		}
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	for _, s := range stale {
-		fmt.Fprintln(os.Stderr, s)
+		fmt.Println(s)
 	}
-
-	if *writeBaselineFlag != "" {
-		f, err := os.Create(*writeBaselineFlag)
-		if err != nil {
-			fail(err)
-		}
-		if err := vet.WriteJSON(f, loader.ModRoot, findings); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		// A freshly written baseline is by definition in sync; only the
-		// stale-ignore audit can still fail the run.
-		if len(stale) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	bad := len(stale) > 0
-	if *baselineFlag != "" {
-		base, err := vet.ReadBaseline(*baselineFlag)
-		if err != nil {
-			fail(err)
-		}
-		fresh, gone := vet.DiffBaseline(base, loader.ModRoot, findings)
-		for _, f := range fresh {
-			fmt.Fprintf(os.Stderr, "seve-vet: new finding not in baseline: %s:%d: [%s] %s\n", f.File, f.Line, f.Checker, f.Message)
-		}
-		for _, f := range gone {
-			fmt.Fprintf(os.Stderr, "seve-vet: baseline entry no longer produced (delete it): %s:%d: [%s] %s\n", f.File, f.Line, f.Checker, f.Message)
-		}
-		bad = bad || len(fresh) > 0 || len(gone) > 0
-	} else {
-		bad = bad || len(findings) > 0
-	}
-	if bad {
+	if len(findings)+len(stale) > 0 {
 		os.Exit(1)
 	}
-}
-
-// selectCheckers resolves the -c flag; empty means all.
-func selectCheckers(names string) ([]vet.Checker, error) {
-	if names == "" {
-		return nil, nil
-	}
-	byName := make(map[string]vet.Checker)
-	for _, c := range vet.AllCheckers() {
-		byName[c.Name()] = c
-	}
-	var out []vet.Checker
-	for _, n := range strings.Split(names, ",") {
-		c, ok := byName[strings.TrimSpace(n)]
-		if !ok {
-			return nil, fmt.Errorf("unknown checker %q (known: %s)", n, strings.Join(vet.CheckerNames(), ", "))
-		}
-		out = append(out, c)
-	}
-	return out, nil
 }
 
 // expandPatterns turns go-style package patterns into directories.

@@ -71,6 +71,7 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.Mode = core.ModeFirstBound
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 	cfg.InterestFilter = true
 	cfg.MaxSpeed = 0 // keep Equation (1) spheres tight for the demo
 	now := 10.0
@@ -95,6 +96,9 @@ func main() {
 	deliver := func(out core.ServerOutput) {
 		for _, rep := range out.Replies {
 			cout := clients[rep.To].HandleMsg(rep.Msg)
+			if len(cout.Violations) > 0 {
+				panic(fmt.Sprintf("interest: %v", cout.Violations))
+			}
 			for _, m := range cout.ToServer {
 				completions = append(completions, inflight{rep.To, m})
 			}

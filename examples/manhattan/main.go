@@ -49,6 +49,9 @@ func main() {
 		rc.World.BaseCostMs = 7.44
 		rc.World.PerWallCostMs = 0
 		rc.SlackMs = 40_000
+		// SEVE runs strict and verified: an access outside a move's declared
+		// sets, or a replica the serial oracle disagrees with, fails the run.
+		rc.Verify = arch == experiments.ArchSEVE
 		res, err := experiments.Run(rc)
 		if err != nil {
 			log.Fatalf("manhattan: %s: %v", arch, err)

@@ -102,6 +102,7 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Mode = core.ModeInfoBound
 	cfg.Threshold = 150
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 
 	srv := core.NewServer(cfg, init)
 	clients := make(map[action.ClientID]*core.Client, n)
@@ -135,6 +136,9 @@ func main() {
 	ate, starved, dropped := 0, 0, 0
 	for _, rep := range replies {
 		cout := clients[rep.To].HandleMsg(rep.Msg)
+		if len(cout.Violations) > 0 {
+			panic(fmt.Sprintf("philosophers: %v", cout.Violations))
+		}
 		for _, m := range cout.ToServer {
 			srv.HandleMsg(rep.To, m, 0)
 		}

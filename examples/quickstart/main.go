@@ -59,6 +59,7 @@ func main() {
 	// Protocol level: the Incomplete World Model (Algorithms 4-6).
 	cfg := core.DefaultConfig()
 	cfg.Mode = core.ModeIncomplete
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 
 	server := core.NewServer(cfg, init)
 	alice := core.NewClient(1, cfg, init)
@@ -77,6 +78,9 @@ func main() {
 				target = bob
 			}
 			cout := target.HandleMsg(rep.Msg)
+			if len(cout.Violations) > 0 {
+				panic(fmt.Sprintf("quickstart: %v", cout.Violations))
+			}
 			for _, m := range cout.ToServer {
 				server.HandleMsg(target.ID(), m, 0)
 			}

@@ -143,6 +143,7 @@ func runRing() world.ObjectID {
 	init := battlefield()
 	srv := baseline.NewRingServer(50, false)
 	cfg := baseline.NewRingClientConfig()
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 	healer := core.NewClient(1, cfg, init)
 	archer := core.NewClient(2, cfg, init)
 	srv.RegisterClient(1)
@@ -155,6 +156,9 @@ func runRing() world.ObjectID {
 		out := srv.HandleSubmit(c.ID(), msg)
 		for _, rep := range out.Replies {
 			cout := clients[rep.To].HandleMsg(rep.Msg)
+			if len(cout.Violations) > 0 {
+				panic(fmt.Sprintf("scrying: %v", cout.Violations))
+			}
 			for i := range cout.Commits {
 				lastCommit = &cout.Commits[i]
 			}
@@ -185,6 +189,7 @@ func runSEVE() world.ObjectID {
 	init := battlefield()
 	cfg := core.DefaultConfig()
 	cfg.Mode = core.ModeIncomplete
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 	srv := core.NewServer(cfg, init)
 	healer := core.NewClient(1, cfg, init)
 	archer := core.NewClient(2, cfg, init)
@@ -198,6 +203,9 @@ func runSEVE() world.ObjectID {
 		out := srv.HandleMsg(c.ID(), msg, 0)
 		for _, rep := range out.Replies {
 			cout := clients[rep.To].HandleMsg(rep.Msg)
+			if len(cout.Violations) > 0 {
+				panic(fmt.Sprintf("scrying: %v", cout.Violations))
+			}
 			for _, m := range cout.ToServer {
 				srv.HandleMsg(rep.To, m, 0)
 			}

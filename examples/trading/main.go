@@ -165,6 +165,7 @@ func runRing() int {
 	init := market()
 	srv := baseline.NewRingServer(50, false)
 	cfg := baseline.NewRingClientConfig()
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 	buyerA := core.NewClient(1, cfg, init)
 	buyerB := core.NewClient(2, cfg, init)
 	srv.RegisterClient(1)
@@ -175,7 +176,9 @@ func runRing() int {
 		msg, _ := c.Submit(a)
 		out := srv.HandleSubmit(c.ID(), msg)
 		for _, rep := range out.Replies {
-			clients[rep.To].HandleMsg(rep.Msg)
+			if cout := clients[rep.To].HandleMsg(rep.Msg); len(cout.Violations) > 0 {
+				panic(fmt.Sprintf("trading: %v", cout.Violations))
+			}
 		}
 	}
 	// Register the buyers' distant stall positions first (a client with
@@ -199,6 +202,7 @@ func runSEVE() int {
 	init := market()
 	cfg := core.DefaultConfig()
 	cfg.Mode = core.ModeIncomplete
+	cfg.Strict = true // an access outside ReadSet/WriteSet is a Violation, and a Violation panics
 	srv := core.NewServer(cfg, init)
 	buyerA := core.NewClient(1, cfg, init)
 	buyerB := core.NewClient(2, cfg, init)
@@ -217,6 +221,9 @@ func runSEVE() int {
 	replies = append(replies, out.Replies...)
 	for _, rep := range replies {
 		cout := clients[rep.To].HandleMsg(rep.Msg)
+		if len(cout.Violations) > 0 {
+			panic(fmt.Sprintf("trading: %v", cout.Violations))
+		}
 		for _, m := range cout.ToServer {
 			srv.HandleMsg(rep.To, m, 0)
 		}

@@ -43,7 +43,7 @@ func (a *incr) Apply(tx *world.Tx) bool {
 	nv[0] += a.Delta
 	tx.Write(a.Target, nv)
 	if a.rogue {
-		//seve:vet-ignore rwset deliberate out-of-set write; this fixture exists to trip CheckAccess
+		// Deliberate out-of-set write: this fixture exists to trip CheckAccess.
 		tx.Write(a.Target+1000, world.Value{1})
 	}
 	return true

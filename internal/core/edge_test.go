@@ -106,8 +106,7 @@ func TestStrictModeFlagsRogueAction(t *testing.T) {
 type rogueAction struct{ testAction }
 
 func (a *rogueAction) Apply(tx *world.Tx) bool {
-	//seve:vet-ignore rwset deliberate undeclared read; this fixture proves strict mode flags it
-	tx.Read(3) // undeclared
+	tx.Read(3) // undeclared on purpose: this fixture proves strict mode flags it
 	return a.testAction.Apply(tx)
 }
 

@@ -361,7 +361,13 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 					objs: sc.footprint(c, round),
 					pos:  sc.position(c, round),
 				}
-				res := action.Eval(a, world.StateView{S: mirror})
+				// The mirror run doubles as the strict-mode gate on
+				// tradeAction: no core.Client ever evaluates it here.
+				tx := world.NewTx(world.StateView{S: mirror})
+				res := action.EvalTx(a, tx)
+				if err := action.CheckAccess(a, tx); err != nil {
+					return err
+				}
 				for _, wr := range res.Writes {
 					mirror.Set(wr.ID, wr.Val)
 				}

@@ -106,10 +106,3 @@ func (m *LaneMap) LaneOf(v geom.Vec) int {
 	m.counts[lane]++
 	return lane
 }
-
-// CellCounts reports, per lane, how many pinned cells it owns.
-func (m *LaneMap) CellCounts() []int {
-	out := make([]int, len(m.counts))
-	copy(out, m.counts)
-	return out
-}

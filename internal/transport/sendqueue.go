@@ -190,7 +190,9 @@ func (q *SendQueue) Enqueue(f *wire.Frame, d core.Delivery) Verdict {
 	q.mu.Lock()
 	if q.closed || q.poisoned {
 		q.mu.Unlock()
-		//seve:vet-ignore deliveryclass a poisoned queue belongs to a quarantined client: nothing after the verdict may deliver, ordered or not, so dropping here is the contract
+		// A poisoned queue belongs to a quarantined client: nothing after
+		// the verdict may deliver, ordered or not, so dropping here is the
+		// contract — as it is once the queue is closed.
 		f.Release()
 		return Closed
 	}
@@ -241,7 +243,6 @@ func (q *SendQueue) Enqueue(f *wire.Frame, d core.Delivery) Verdict {
 		// Non-superseding queues keep the pre-§13 drop-on-full contract:
 		// the caller sees Dropped and owns recovery, and retaining
 		// Ordered frames here would grow the queue without bound.
-		//seve:vet-ignore deliveryclass non-superseding drop-on-full is the documented pre-supersession contract; the caller observes Dropped
 		f.Release()
 		q.ctrs.Drops.Add(1)
 		return Dropped

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -382,4 +383,117 @@ func TestSendQueueStaleGauge(t *testing.T) {
 		t.Fatalf("MaxStale high-water = %d after drain, want 3", got)
 	}
 	q.Close()
+}
+
+// TestSendQueueOrderedNeverShed states the superseding queue's safety
+// contract (DESIGN.md §13, UQP arXiv:1111.1628) as a property over
+// seeded random Enqueue/PopAll sequences of all four delivery classes:
+// every DeliveryOrdered frame an open, unpoisoned queue is handed is
+// accepted, then popped exactly once, byte-identical, in arrival order;
+// only DeliveryBatch frames are ever merged; Close is the one legal
+// Ordered shed. Every frame is a sequenced push Batch off one counter,
+// so the coalesce rung is within reach whatever class the tail carries.
+func TestSendQueueOrderedNeverShed(t *testing.T) {
+	type sent struct {
+		class  core.DeliveryClass
+		bytes  []byte
+		popped bool
+	}
+	for _, limit := range []int{1, 2, 4} {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var ctrs DeliveryCounters
+			q := NewSendQueue(limit, true, &ctrs)
+			frames := map[uint64]*sent{} // by ClientSeq
+			var owed []uint64            // accepted Ordered frames not yet popped, arrival order
+			var seq, lastPopped uint64
+			poisoned := false
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("limit=%d seed=%d seq=%d: "+format, append([]any{limit, seed, seq}, args...)...)
+			}
+
+			pop := func(maxBytes int) int {
+				popped := q.PopAll(nil, maxBytes)
+				for _, f := range popped {
+					msg, err := wire.ReadFrame(bytes.NewReader(f.Bytes()))
+					if err != nil {
+						fail("popped frame does not decode: %v", err)
+					}
+					b := msg.(*wire.Batch)
+					if b.ClientSeq <= lastPopped {
+						fail("frame %d popped after frame %d", b.ClientSeq, lastPopped)
+					}
+					lastPopped = b.ClientSeq
+					from := b.ClientSeq
+					if b.CoversFrom != 0 {
+						from = b.CoversFrom
+					}
+					for n := from; n <= b.ClientSeq; n++ {
+						fr := frames[n]
+						if fr == nil || fr.popped {
+							fail("frame %d popped twice or never enqueued", n)
+						}
+						fr.popped = true
+						if from != b.ClientSeq && fr.class != core.DeliveryBatch {
+							fail("frame %d of class %d was merged into [%d,%d]", n, fr.class, from, b.ClientSeq)
+						}
+					}
+					if fr := frames[b.ClientSeq]; from == b.ClientSeq && !bytes.Equal(fr.bytes, f.Bytes()) {
+						fail("frame %d popped with different bytes", b.ClientSeq)
+					}
+					if len(owed) > 0 && b.ClientSeq >= owed[0] {
+						if b.ClientSeq > owed[0] {
+							fail("ordered frame %d was accepted and skipped: frame %d popped first", owed[0], b.ClientSeq)
+						}
+						owed = owed[1:]
+					}
+					f.Release()
+				}
+				return len(popped)
+			}
+
+			for op := 0; op < 200; op++ {
+				switch r := rng.Intn(100); {
+				case r < 70:
+					seq++
+					class := []core.DeliveryClass{
+						core.DeliveryBatch, core.DeliveryBatch, core.DeliveryBatch, core.DeliveryOrdered,
+						core.DeliveryOrdered, core.DeliveryCovered, core.DeliverySnapshot,
+					}[rng.Intn(7)]
+					f := wire.NewFrame(&wire.Batch{Push: true, InstalledUpTo: seq, ClientSeq: seq})
+					frames[seq] = &sent{class: class, bytes: bytes.Clone(f.Bytes())}
+					v := q.Enqueue(f, core.Delivery{Class: class, Epoch: seq})
+					switch {
+					case poisoned && v != Closed:
+						fail("poisoned queue answered %v, want Closed", v)
+					case !poisoned && class == core.DeliveryOrdered && v != Enqueued:
+						fail("ordered frame shed: verdict %v, want Enqueued", v)
+					case !poisoned && class == core.DeliveryOrdered:
+						owed = append(owed, seq)
+					}
+				case r < 97:
+					pop([]int{1, 64, 1 << 30}[rng.Intn(3)])
+				case !poisoned:
+					q.PoisonAfterDrain()
+					poisoned = true
+				}
+			}
+
+			if seed%2 == 0 {
+				// Close sheds whatever is queued, Ordered included.
+				q.Close()
+				if n := pop(1 << 30); n != 0 {
+					fail("closed queue popped %d frames", n)
+				}
+				continue
+			}
+			for pop(1<<30) > 0 {
+			}
+			if len(owed) > 0 {
+				fail("ordered frames %v were accepted and never delivered", owed)
+			}
+			q.Close()
+		}
+	}
 }

@@ -2,55 +2,23 @@ package vet
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
-	"go/types"
-	"sort"
 	"strings"
 )
 
-// deliveryClassChecker enforces the supersession contract of the PR 7
-// delivery queue (DESIGN.md §13): every reply headed for
-// transport.SendQueue must carry explicit core.Delivery metadata, and a
-// DeliveryOrdered frame — session control flow — must be provably
-// unreachable from any shed or coalesce path. The zero value of
-// core.Delivery is DeliveryOrdered, so an untagged Reply silently opts
-// its frame out of supersession and into the unbounded control-flow
-// queue; the contract is that the choice is always written down.
+// deliveryClassChecker keeps supersession metadata explicit (DESIGN.md
+// §13): the zero value of core.Delivery is DeliveryOrdered, so an
+// untagged core.Reply silently opts its frame out of supersession and
+// into the unbounded control-flow queue. A keyed core.Reply composite
+// literal with elements but no Deliver key is a finding. Positional
+// literals necessarily spell out every field and empty literals are
+// zero-value sentinels; both pass.
 //
-// Three rules:
+// What the queue then does with a class — Ordered frames never shed,
+// only Batch frames merged — is one Enqueue ladder's behaviour and is
+// held by transport.TestSendQueueOrderedNeverShed, not here.
 //
-//  1. A keyed core.Reply composite literal with elements but no Deliver
-//     key is a finding. Positional literals necessarily spell out every
-//     field and empty literals are zero-value sentinels; both pass.
-//
-//  2. wire.CoalesceFrames may only be handed frames whose delivery
-//     class is provably DeliveryBatch — coalescing a Covered or
-//     Snapshot frame would merge bytes the client must not replay.
-//
-//  3. Frame.Release on a frame with supersession metadata in scope is a
-//     shed; the path must prove the class is not DeliveryOrdered, or
-//     hold a queue-closed fact (releasing everything at Close is the
-//     one legal Ordered shed).
-//
-// Rules 2 and 3 run a path-constraint interpreter over the statement
-// tree. Conditions of enclosing ifs accumulate as constraints (with the
-// negation kept on the fall-through of a terminated branch — the
-// `if c { continue }` shape), boolean assignments like q.closed = true
-// become facts, and loop bodies first havoc every fact a body
-// assignment could change across iterations. A sink asks "is class C
-// feasible here?": single-literal constraints unit-propagate into
-// facts, then every constraint is evaluated three-valued with the
-// candidate class plugged in; one definitely-false constraint makes C
-// infeasible. The metadata companion of a frame expression is resolved
-// structurally: a lone *wire.Frame parameter pairs with the lone
-// core.Delivery parameter, and a struct field pairs with its sibling
-// Delivery field (the queuedFrame shape). Frames without a resolvable
-// companion are out of scope here — pooldiscipline owns their
-// refcounts.
-//
-// Test files are exempt: tests construct bare replies for assertions
-// and shed Ordered frames deliberately to pin the FIFO semantics.
+// Test files are exempt: tests construct bare replies for assertions.
 type deliveryClassChecker struct{}
 
 func (deliveryClassChecker) Name() string { return "deliveryclass" }
@@ -60,721 +28,26 @@ func (deliveryClassChecker) Check(u *Unit, report func(pos token.Pos, format str
 		if strings.HasSuffix(u.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
-		checkReplyLiterals(u, f, report)
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				a := &dcAnalyzer{u: u, report: report, fnType: fd.Type}
-				a.run(fd.Body)
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				a := &dcAnalyzer{u: u, report: report, fnType: fl.Type}
-				a.run(fl.Body)
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
 			}
+			t := u.Info.TypeOf(lit)
+			if t == nil || !isModType(t, "internal/core", "Reply") || len(lit.Elts) == 0 {
+				return true
+			}
+			for _, el := range lit.Elts {
+				kv, ok := el.(*ast.KeyValueExpr)
+				if !ok {
+					return true // positional: every field, Deliver included
+				}
+				if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Deliver" {
+					return true
+				}
+			}
+			report(lit.Pos(), "core.Reply literal without Deliver metadata; the zero class is DeliveryOrdered — spell the delivery class out")
 			return true
 		})
 	}
-}
-
-// checkReplyLiterals applies rule 1 to one file.
-func checkReplyLiterals(u *Unit, f *ast.File, report func(pos token.Pos, format string, args ...any)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		lit, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		t := u.Info.TypeOf(lit)
-		if t == nil || !isModType(t, "internal/core", "Reply") || len(lit.Elts) == 0 {
-			return true
-		}
-		keyed := false
-		for _, el := range lit.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				return true // positional: every field, Deliver included
-			}
-			keyed = true
-			if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Deliver" {
-				return true
-			}
-		}
-		if keyed {
-			report(lit.Pos(), "core.Reply literal without Deliver metadata; the zero class is DeliveryOrdered — spell the delivery class out")
-		}
-		return true
-	})
-}
-
-// dcCond is one accumulated path constraint: expr held true (or, with
-// neg, false) on every execution reaching the current point.
-type dcCond struct {
-	expr ast.Expr
-	neg  bool
-}
-
-type dcState struct {
-	conds []dcCond
-	facts map[string]bool
-}
-
-func newDCState() *dcState { return &dcState{facts: make(map[string]bool)} }
-
-func (st *dcState) clone() *dcState {
-	c := &dcState{
-		conds: append([]dcCond(nil), st.conds...),
-		facts: make(map[string]bool, len(st.facts)),
-	}
-	for k, v := range st.facts {
-		c.facts[k] = v
-	}
-	return c
-}
-
-// mergeDCStates intersects two surviving paths: only constraints and
-// facts established on both remain. Cond slices from clones share a
-// structural prefix, so the intersection is the longest common prefix.
-func mergeDCStates(a, b *dcState) *dcState {
-	n := 0
-	for n < len(a.conds) && n < len(b.conds) && a.conds[n] == b.conds[n] {
-		n++
-	}
-	out := &dcState{conds: append([]dcCond(nil), a.conds[:n]...), facts: make(map[string]bool)}
-	for k, v := range a.facts {
-		if bv, ok := b.facts[k]; ok && bv == v {
-			out.facts[k] = v
-		}
-	}
-	return out
-}
-
-type dcAnalyzer struct {
-	u      *Unit
-	report func(pos token.Pos, format string, args ...any)
-	fnType *ast.FuncType
-}
-
-func (a *dcAnalyzer) run(body *ast.BlockStmt) {
-	a.block(newDCState(), body.List)
-}
-
-func (a *dcAnalyzer) block(st *dcState, stmts []ast.Stmt) bool {
-	for _, s := range stmts {
-		if a.stmt(st, s) {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *dcAnalyzer) stmt(st *dcState, s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		a.scanSinks(st, s.X)
-		if call, ok := s.X.(*ast.CallExpr); ok && isTerminalCall(a.u.Info, call) {
-			return true
-		}
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			a.scanSinks(st, r)
-		}
-		a.applyAssign(st, s)
-	case *ast.DeclStmt:
-		a.scanSinks(st, s)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			a.scanSinks(st, r)
-		}
-		return true
-	case *ast.DeferStmt:
-		a.scanSinks(st, s.Call)
-	case *ast.GoStmt:
-		a.scanSinks(st, s.Call)
-	case *ast.SendStmt:
-		a.scanSinks(st, s.Chan)
-		a.scanSinks(st, s.Value)
-	case *ast.IncDecStmt:
-		a.scanSinks(st, s.X)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			a.stmt(st, s.Init)
-		}
-		a.scanSinks(st, s.Cond)
-		thenSt := st.clone()
-		thenSt.conds = append(thenSt.conds, dcCond{expr: s.Cond})
-		thenTerm := a.block(thenSt, s.Body.List)
-		elseSt := st.clone()
-		elseSt.conds = append(elseSt.conds, dcCond{expr: s.Cond, neg: true})
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = a.stmt(elseSt, s.Else)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*st = *elseSt
-		case elseTerm:
-			*st = *thenSt
-		default:
-			*st = *mergeDCStates(thenSt, elseSt)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			a.stmt(st, s.Init)
-		}
-		if s.Cond != nil {
-			a.scanSinks(st, s.Cond)
-		}
-		a.havocLoop(st, s.Body)
-		bodySt := st.clone()
-		if s.Cond != nil {
-			bodySt.conds = append(bodySt.conds, dcCond{expr: s.Cond})
-		}
-		if !a.block(bodySt, s.Body.List) {
-			if s.Post != nil {
-				a.stmt(bodySt, s.Post)
-			}
-			*st = *mergeDCStates(st, bodySt)
-		}
-	case *ast.RangeStmt:
-		a.scanSinks(st, s.X)
-		a.havocLoop(st, s.Body)
-		bodySt := st.clone()
-		if !a.block(bodySt, s.Body.List) {
-			*st = *mergeDCStates(st, bodySt)
-		}
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			a.stmt(st, s.Init)
-		}
-		if s.Tag != nil {
-			a.scanSinks(st, s.Tag)
-		}
-		return a.clauses(st, s, s.Body.List)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			a.stmt(st, s.Init)
-		}
-		return a.clauses(st, s, s.Body.List)
-	case *ast.SelectStmt:
-		return a.clauses(st, s, s.Body.List)
-	case *ast.BlockStmt:
-		return a.block(st, s.List)
-	case *ast.LabeledStmt:
-		return a.stmt(st, s.Stmt)
-	case *ast.BranchStmt:
-		// continue/break leave the enclosing structure; dropping the
-		// path keeps the `if cond { continue }` negation alive on the
-		// fall-through, which is what the replace-in-place loop relies
-		// on to prove Ordered frames survive.
-		return true
-	}
-	return false
-}
-
-// clauses clones per clause and intersects the survivors.
-func (a *dcAnalyzer) clauses(st *dcState, parent ast.Node, list []ast.Stmt) bool {
-	var survivors []*dcState
-	hasDefault := false
-	for _, c := range list {
-		cs := st.clone()
-		var body []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				a.scanSinks(cs, e)
-			}
-			body = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				a.stmt(cs, c.Comm)
-			}
-			body = c.Body
-		default:
-			continue
-		}
-		if !a.block(cs, body) {
-			survivors = append(survivors, cs)
-		}
-	}
-	if !hasDefault {
-		if _, isSelect := parent.(*ast.SelectStmt); !isSelect || len(list) == 0 {
-			survivors = append(survivors, st.clone())
-		}
-	}
-	if len(survivors) == 0 {
-		return true
-	}
-	merged := survivors[0]
-	for _, s := range survivors[1:] {
-		merged = mergeDCStates(merged, s)
-	}
-	*st = *merged
-	return false
-}
-
-// applyAssign records boolean facts (q.closed = true) and havocs
-// constraints and facts that mention a reassigned path.
-func (a *dcAnalyzer) applyAssign(st *dcState, s *ast.AssignStmt) {
-	for i, l := range s.Lhs {
-		path := lockPath(l)
-		if path == "" {
-			continue
-		}
-		a.havocPath(st, path)
-		if len(s.Lhs) == len(s.Rhs) && s.Tok != token.DEFINE {
-			if id, ok := unparen(s.Rhs[i]).(*ast.Ident); ok {
-				switch id.Name {
-				case "true":
-					st.facts[path] = true
-				case "false":
-					st.facts[path] = false
-				}
-			}
-		}
-	}
-}
-
-// havocPath drops every fact and constraint whose atoms a write to path
-// may invalidate.
-func (a *dcAnalyzer) havocPath(st *dcState, path string) {
-	delete(st.facts, path)
-	kept := st.conds[:0]
-	for _, c := range st.conds {
-		if !mentionsPath(c.expr, path) {
-			kept = append(kept, c)
-		}
-	}
-	st.conds = kept
-}
-
-// havocLoop invalidates state any assignment inside a loop body could
-// change on a later iteration, before the body is interpreted once.
-func (a *dcAnalyzer) havocLoop(st *dcState, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				if p := lockPath(l); p != "" {
-					a.havocPath(st, p)
-				}
-			}
-		case *ast.IncDecStmt:
-			if p := lockPath(n.X); p != "" {
-				a.havocPath(st, p)
-			}
-		}
-		return true
-	})
-}
-
-// mentionsPath reports whether expr contains path or a prefix of it as
-// an identifier chain (writing q invalidates knowledge about q.closed).
-func mentionsPath(e ast.Expr, path string) bool {
-	hit := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if hit {
-			return false
-		}
-		ne, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		p := lockPath(ne)
-		if p == "" {
-			return true
-		}
-		if p == path || strings.HasPrefix(p, path+".") || strings.HasPrefix(path, p+".") {
-			hit = true
-		}
-		// A nonempty p is a maximal identifier chain; its sub-chains are
-		// narrower reads of the same base and must not re-match as bare
-		// prefixes (q inside q.sup is not invalidated by q.wantSnap = x).
-		return false
-	})
-	return hit
-}
-
-// scanSinks walks an expression (or declaration) for rule 2/3 sinks
-// under the current path state. Function literals are skipped — they
-// run on their own schedule and are analyzed as their own scopes.
-func (a *dcAnalyzer) scanSinks(st *dcState, n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if wireFunc(a.u.Info, call) == "CoalesceFrames" {
-			for _, arg := range call.Args {
-				comp, dt := a.companionOf(arg)
-				if comp == "" {
-					continue
-				}
-				for _, cl := range a.classesOf(dt) {
-					if cl.name == "DeliveryBatch" {
-						continue
-					}
-					if a.feasible(st, comp, cl.value) {
-						a.report(arg.Pos(), "frame %s may reach wire.CoalesceFrames with class %s; only DeliveryBatch frames may coalesce",
-							exprText(arg), cl.name)
-						break
-					}
-				}
-			}
-			return true
-		}
-		if recv := frameReleaseRecv(a.u.Info, call); recv != nil {
-			comp, dt := a.companionOf(recv)
-			if comp == "" {
-				return true
-			}
-			ordered, ok := a.classValue(dt, "DeliveryOrdered")
-			if !ok {
-				return true
-			}
-			if a.closedFact(st) {
-				return true
-			}
-			if a.feasible(st, comp, ordered) {
-				a.report(call.Pos(), "frame %s shed on a path where %s.Class may be DeliveryOrdered; ordered frames carry session control flow and must never be dropped",
-					exprText(recv), comp)
-			}
-		}
-		return true
-	})
-}
-
-// frameReleaseRecv matches recv.Release() on a *wire.Frame receiver of
-// any expression shape (frameMethod only resolves ident receivers).
-func frameReleaseRecv(info *types.Info, call *ast.CallExpr) ast.Expr {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" {
-		return nil
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return nil
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	if !isModType(rt, "internal/wire", "Frame") {
-		return nil
-	}
-	return sel.X
-}
-
-// companionOf resolves a frame expression's supersession metadata: the
-// lone core.Delivery parameter beside a lone *wire.Frame parameter, or
-// the lone Delivery field beside a lone Frame field of the same struct.
-// Returns the companion's identifier path and its Delivery type.
-func (a *dcAnalyzer) companionOf(e ast.Expr) (string, types.Type) {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		obj := a.u.Info.Uses[e]
-		if obj == nil || !isFramePtr(obj.Type()) {
-			return "", nil
-		}
-		return a.paramCompanion(obj)
-	case *ast.SelectorExpr:
-		base := lockPath(e.X)
-		if base == "" {
-			return "", nil
-		}
-		bt := a.u.Info.TypeOf(e.X)
-		if bt == nil {
-			return "", nil
-		}
-		if p, ok := bt.Underlying().(*types.Pointer); ok {
-			bt = p.Elem()
-		}
-		str, ok := bt.Underlying().(*types.Struct)
-		if !ok {
-			return "", nil
-		}
-		frames, deliveries := 0, ""
-		var dt types.Type
-		for i := 0; i < str.NumFields(); i++ {
-			f := str.Field(i)
-			switch {
-			case isFramePtr(f.Type()):
-				frames++
-			case isModType(f.Type(), "internal/core", "Delivery"):
-				if deliveries != "" {
-					return "", nil
-				}
-				deliveries, dt = f.Name(), f.Type()
-			}
-		}
-		if frames != 1 || deliveries == "" {
-			return "", nil
-		}
-		return base + "." + deliveries, dt
-	}
-	return "", nil
-}
-
-// paramCompanion pairs a *wire.Frame parameter with the enclosing
-// function's lone core.Delivery parameter.
-func (a *dcAnalyzer) paramCompanion(frameObj types.Object) (string, types.Type) {
-	if a.fnType == nil || a.fnType.Params == nil {
-		return "", nil
-	}
-	frameParams, deliveryName := 0, ""
-	var dt types.Type
-	isParam := false
-	for _, field := range a.fnType.Params.List {
-		for _, name := range field.Names {
-			obj := a.u.Info.Defs[name]
-			if obj == nil {
-				continue
-			}
-			switch {
-			case isFramePtr(obj.Type()):
-				frameParams++
-				if obj == frameObj {
-					isParam = true
-				}
-			case isModType(obj.Type(), "internal/core", "Delivery"):
-				if deliveryName != "" {
-					return "", nil
-				}
-				deliveryName, dt = name.Name, obj.Type()
-			}
-		}
-	}
-	if !isParam || frameParams != 1 || deliveryName == "" {
-		return "", nil
-	}
-	return deliveryName, dt
-}
-
-func isFramePtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	return ok && isModType(p.Elem(), "internal/wire", "Frame")
-}
-
-// dcClass is one delivery class constant of the companion's type.
-type dcClass struct {
-	name  string
-	value int64
-}
-
-// classesOf enumerates the constants of the Delivery type's Class
-// field type from its declaring package, sorted by value so findings
-// are deterministic.
-func (a *dcAnalyzer) classesOf(deliveryType types.Type) []dcClass {
-	ct := classFieldType(deliveryType)
-	if ct == nil {
-		return nil
-	}
-	pkg := ct.Obj().Pkg()
-	if pkg == nil {
-		return nil
-	}
-	var out []dcClass
-	for _, name := range pkg.Scope().Names() {
-		c, ok := pkg.Scope().Lookup(name).(*types.Const)
-		if !ok || !types.Identical(c.Type(), ct) {
-			continue
-		}
-		if v, ok := constant.Int64Val(constant.ToInt(c.Val())); ok {
-			out = append(out, dcClass{name: name, value: v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
-	return out
-}
-
-func (a *dcAnalyzer) classValue(deliveryType types.Type, name string) (int64, bool) {
-	for _, c := range a.classesOf(deliveryType) {
-		if c.name == name {
-			return c.value, true
-		}
-	}
-	return 0, false
-}
-
-func classFieldType(deliveryType types.Type) *types.Named {
-	if deliveryType == nil {
-		return nil
-	}
-	str, ok := deliveryType.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < str.NumFields(); i++ {
-		if str.Field(i).Name() == "Class" {
-			n, _ := str.Field(i).Type().(*types.Named)
-			return n
-		}
-	}
-	return nil
-}
-
-// closedFact reports a proven queue-closed fact on the path — the one
-// condition under which shedding Ordered frames is the contract.
-func (a *dcAnalyzer) closedFact(st *dcState) bool {
-	for k, v := range a.effectiveFacts(st) {
-		if v && (k == "closed" || strings.HasSuffix(k, ".closed")) {
-			return true
-		}
-	}
-	return false
-}
-
-// effectiveFacts is the assignment facts plus one round of unit
-// propagation over single-literal constraints: a constraint that is a
-// bare boolean path (possibly negated) pins that path's value.
-func (a *dcAnalyzer) effectiveFacts(st *dcState) map[string]bool {
-	facts := make(map[string]bool, len(st.facts))
-	for k, v := range st.facts {
-		facts[k] = v
-	}
-	for _, c := range st.conds {
-		e, val := unparen(c.expr), !c.neg
-		for {
-			u, ok := e.(*ast.UnaryExpr)
-			if !ok || u.Op != token.NOT {
-				break
-			}
-			e, val = unparen(u.X), !val
-		}
-		if p := lockPath(e); p != "" {
-			if t := a.u.Info.TypeOf(e); t != nil {
-				if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsBoolean != 0 {
-					facts[p] = val
-				}
-			}
-		}
-	}
-	return facts
-}
-
-// tri is a three-valued truth value.
-type tri int
-
-const (
-	triUnknown tri = iota
-	triTrue
-	triFalse
-)
-
-func triOf(b bool) tri {
-	if b {
-		return triTrue
-	}
-	return triFalse
-}
-
-func (t tri) not() tri {
-	switch t {
-	case triTrue:
-		return triFalse
-	case triFalse:
-		return triTrue
-	}
-	return triUnknown
-}
-
-// feasible reports whether the companion's class can be classVal under
-// the accumulated constraints: false only when some constraint is
-// definitely violated.
-func (a *dcAnalyzer) feasible(st *dcState, companion string, classVal int64) bool {
-	facts := a.effectiveFacts(st)
-	classPath := companion + ".Class"
-	for _, c := range st.conds {
-		v := a.eval3(c.expr, classPath, classVal, facts)
-		if c.neg {
-			v = v.not()
-		}
-		if v == triFalse {
-			return false
-		}
-	}
-	return true
-}
-
-// eval3 evaluates a constraint three-valued with the candidate class
-// plugged in for the companion's Class selector and boolean paths read
-// from the fact table.
-func (a *dcAnalyzer) eval3(e ast.Expr, classPath string, classVal int64, facts map[string]bool) tri {
-	switch e := unparen(e).(type) {
-	case *ast.UnaryExpr:
-		if e.Op == token.NOT {
-			return a.eval3(e.X, classPath, classVal, facts).not()
-		}
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LAND:
-			x, y := a.eval3(e.X, classPath, classVal, facts), a.eval3(e.Y, classPath, classVal, facts)
-			if x == triFalse || y == triFalse {
-				return triFalse
-			}
-			if x == triTrue && y == triTrue {
-				return triTrue
-			}
-			return triUnknown
-		case token.LOR:
-			x, y := a.eval3(e.X, classPath, classVal, facts), a.eval3(e.Y, classPath, classVal, facts)
-			if x == triTrue || y == triTrue {
-				return triTrue
-			}
-			if x == triFalse && y == triFalse {
-				return triFalse
-			}
-			return triUnknown
-		case token.EQL, token.NEQ:
-			if v, ok := a.classCompare(e.X, e.Y, classPath, classVal); ok {
-				if e.Op == token.NEQ {
-					return v.not()
-				}
-				return v
-			}
-		}
-	case *ast.Ident, *ast.SelectorExpr:
-		if p := lockPath(e); p != "" {
-			if v, ok := facts[p]; ok {
-				return triOf(v)
-			}
-		}
-	}
-	return triUnknown
-}
-
-// classCompare resolves `companion.Class ==/!= <constant>` atoms (in
-// either operand order) against the candidate class value.
-func (a *dcAnalyzer) classCompare(x, y ast.Expr, classPath string, classVal int64) (tri, bool) {
-	for _, pair := range [2][2]ast.Expr{{x, y}, {y, x}} {
-		if lockPath(unparen(pair[0])) != classPath {
-			continue
-		}
-		tv, ok := a.u.Info.Types[pair[1]]
-		if !ok || tv.Value == nil {
-			continue
-		}
-		if v, ok := constant.Int64Val(constant.ToInt(tv.Value)); ok {
-			return triOf(v == classVal), true
-		}
-	}
-	return triUnknown, false
 }

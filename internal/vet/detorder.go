@@ -28,7 +28,7 @@ func (detorderChecker) Name() string { return "detorder" }
 var wireEncodeFuncs = map[string]bool{
 	"Encode": true, "EncodeTo": true, "AppendMsg": true, "AppendFrame": true,
 	"WriteFrame": true, "NewFrame": true, "NewFrameCached": true,
-	"appendMsg": true, "appendMsgCached": true, "appendEnvelope": true,
+	"appendMsgCached": true, "appendEnvelope": true,
 }
 
 // pushPlanFuncs are the internal/core planning and sequencing stages

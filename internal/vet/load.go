@@ -38,7 +38,8 @@ type Unit struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	// Loader grants checkers access to the ASTs of dependency packages
-	// inside the module (e.g. the declaring body of a promoted method).
+	// inside the module (laneaffinity reads the lane markers on the
+	// core functions the shard router calls).
 	Loader *Loader
 }
 
@@ -61,9 +62,10 @@ type Loader struct {
 }
 
 // basePkg is a cached dependency package: the directory's non-test
-// files. Type info is retained so checkers can analyze method bodies
-// promoted into analyzed types from dependency packages. done closes
-// when the load completes; fields are immutable afterwards.
+// files. Files and type info are retained so a checker can read
+// declarations (doc-comment markers) of the functions a unit calls
+// across packages. done closes when the load completes; fields are
+// immutable afterwards.
 type basePkg struct {
 	pkg   *types.Package
 	files []*ast.File
@@ -110,13 +112,6 @@ func findModule(dir string) (root, modPath string, err error) {
 			return "", "", fmt.Errorf("vet: no go.mod above %s", abs)
 		}
 	}
-}
-
-// Import implements types.Importer for sequential use; concurrent
-// loads go through per-request importView chains that carry the cycle
-// detection set.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.newView().Import(path)
 }
 
 // importView is one import-resolution chain: a view of the loader that

@@ -1,8 +1,6 @@
 // Corpus for the deliveryclass checker. Lines with a `// want` comment
 // must be flagged with a message matching the regexp; everything else
-// must stay clean. The queue type mirrors transport.SendQueue's shapes:
-// a frame/delivery struct pair, the supersession escalation ladder, and
-// the replace-in-place loop.
+// must stay clean.
 package dctest
 
 import (
@@ -13,6 +11,14 @@ import (
 // bareReply omits the Deliver key, silently inheriting DeliveryOrdered.
 func bareReply(m wire.Msg) core.Reply {
 	return core.Reply{Msg: m} // want `core.Reply literal without Deliver metadata`
+}
+
+// bareInSlice is the engine's shape: the literal appended to an output.
+func bareInSlice(out *core.ServerOutput, m wire.Msg) {
+	out.Replies = append(out.Replies, core.Reply{ // want `core.Reply literal without Deliver metadata`
+		To:  1,
+		Msg: m,
+	})
 }
 
 // taggedReply spells the class out.
@@ -26,92 +32,4 @@ func zeroReply() core.Reply { return core.Reply{} }
 
 func positionalReply(m wire.Msg) core.Reply {
 	return core.Reply{0, m, core.Delivery{Class: core.DeliveryOrdered}}
-}
-
-type item struct {
-	f *wire.Frame
-	d core.Delivery
-}
-
-type queue struct {
-	closed bool
-	sup    bool
-	limit  int
-	items  []item
-}
-
-// replaceInPlace is the UQP snapshot shape: Ordered frames survive via
-// the continue, so the release below it is proven non-ordered.
-func (q *queue) replaceInPlace() {
-	kept := q.items[:0]
-	for _, it := range q.items {
-		if it.d.Class == core.DeliveryOrdered {
-			kept = append(kept, it)
-			continue
-		}
-		it.f.Release()
-	}
-	q.items = kept
-}
-
-// dropAll sheds without looking at the class at all.
-func (q *queue) dropAll() {
-	for _, it := range q.items {
-		it.f.Release() // want `frame it.f shed on a path where it.d.Class may be DeliveryOrdered`
-	}
-	q.items = nil
-}
-
-// closeAll may shed anything: the queue-closed fact is the one legal
-// Ordered shed.
-func (q *queue) closeAll() {
-	q.closed = true
-	for _, it := range q.items {
-		it.f.Release()
-	}
-	q.items = nil
-}
-
-// guarded pairs a frame parameter with its delivery parameter.
-func guarded(f *wire.Frame, d core.Delivery) {
-	if d.Class != core.DeliveryOrdered {
-		f.Release()
-	}
-}
-
-func unguarded(f *wire.Frame, d core.Delivery) {
-	f.Release() // want `frame f shed on a path where d.Class may be DeliveryOrdered`
-}
-
-// enqueue is the escalation ladder: the FIFO guard's negation plus the
-// terminated !q.sup branch unit-propagate into a proof that the final
-// shed never sees an Ordered frame. The shed inside !q.sup itself is
-// the real pre-supersession drop and must be flagged.
-func (q *queue) enqueue(f *wire.Frame, d core.Delivery) {
-	if q.closed {
-		f.Release()
-		return
-	}
-	if len(q.items) < q.limit || (q.sup && d.Class == core.DeliveryOrdered) {
-		q.items = append(q.items, item{f: f, d: d})
-		return
-	}
-	if !q.sup {
-		f.Release() // want `frame f shed on a path where d.Class may be DeliveryOrdered`
-		return
-	}
-	f.Release()
-}
-
-// coalesce may only merge two provably-Batch frames.
-func (q *queue) coalesce(f *wire.Frame, d core.Delivery) {
-	tail := &q.items[len(q.items)-1]
-	if d.Class == core.DeliveryBatch && tail.d.Class == core.DeliveryBatch {
-		if merged, ok := wire.CoalesceFrames(tail.f, f); ok {
-			tail.f = merged
-		}
-	}
-	if merged, ok := wire.CoalesceFrames(tail.f, f); ok { // want `frame tail.f may reach wire.CoalesceFrames with class DeliveryOrdered` // want `frame f may reach wire.CoalesceFrames with class DeliveryOrdered`
-		_ = merged
-	}
 }

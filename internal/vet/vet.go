@@ -1,20 +1,12 @@
 // Package vet implements seve-vet, the engine's domain-specific static
-// analyzer. Seven checkers turn the engine's informal contracts into
-// compile-time gates:
+// analyzer. It keeps the checkers a seeded-defect study (DESIGN.md §9)
+// showed catching what no test, no stock `go vet` pass and no -race run
+// catches:
 //
-//   - rwset: an action's Apply/Eval body must confine its Tx accesses to
-//     object ids traceable to the declared ReadSet()/WriteSet(). The
-//     runtime enforces this only in strict mode (action.CheckAccess);
-//     undeclared accesses silently break the Algorithm 6/7 closure
-//     analysis, so in-tree actions are gated statically.
 //   - pooldiscipline: wire.GetBuf must be balanced by PutBuf on every
 //     return path, Frame references must be released or handed off, and
 //     a pooled buffer must not be touched after it is Put. Violations
 //     are use-after-free bugs that only surface under load.
-//   - nocopy: epoch-stamped scratch sets (world.ScratchSet), the
-//     world.CountedSet multiset and any struct carrying a sync primitive
-//     must not be copied by value — a copy silently forks the epoch or
-//     refcount state beyond what go vet's copylocks catches.
 //   - detorder: ranging over a map while feeding wire encoding, serial
 //     order assignment or push planning injects map-iteration
 //     nondeterminism into paths whose byte-identity the engine proves
@@ -25,10 +17,14 @@
 //   - laneaffinity: per-lane engine state is only touched from its
 //     lane's worker (//seve:lane-affine, or an int "lane" parameter)
 //     or the sequential seal passes (//seve:lane-seal).
-//   - deliveryclass: transport-bound replies carry explicit
-//     core.Delivery metadata, and DeliveryOrdered frames are provably
-//     unreachable from shed/coalesce paths (a path-constraint
-//     interpreter over the delivery escalation ladder).
+//   - deliveryclass: a transport-bound core.Reply literal spells out
+//     its core.Delivery metadata.
+//
+// The contracts the study found a cheaper gate for are held elsewhere:
+// read/write-set confinement by action.CheckAccess under Config.Strict,
+// by-value copies of epoch/refcount state by `go vet` copylocks over
+// world's noCopy marker, and the delivery queue's never-shed-Ordered
+// rule by transport.TestSendQueueOrderedNeverShed.
 //
 // Audited exceptions are allowed with a directive on the offending line
 // or the line above it:
@@ -36,8 +32,8 @@
 //	//seve:vet-ignore <checker> <reason>
 //
 // The reason is mandatory: an unexplained suppression is itself
-// flagged, and RunDirsAudit reports directives that no longer suppress
-// anything so suppressions cannot outlive the code they excused.
+// flagged, and Run reports directives that no longer suppress anything
+// so suppressions cannot outlive the code they excused.
 package vet
 
 import (
@@ -71,8 +67,8 @@ type Checker interface {
 // AllCheckers returns the production checkers.
 func AllCheckers() []Checker {
 	return []Checker{
-		rwsetChecker{}, poolChecker{}, nocopyChecker{}, detorderChecker{},
-		lockscopeChecker{}, laneAffinityChecker{}, deliveryClassChecker{},
+		poolChecker{}, detorderChecker{}, lockscopeChecker{},
+		laneAffinityChecker{}, deliveryClassChecker{},
 	}
 }
 
@@ -157,20 +153,11 @@ func suppressed(f Finding, dirs []*ignoreDirective) bool {
 	return hit
 }
 
-// RunDirs loads every directory and runs the given checkers, returning
-// surviving findings sorted by position. A nil checker list runs all of
-// them.
-func RunDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, error) {
-	findings, _, err := runDirs(l, dirs, checkers, false)
-	return findings, err
-}
-
-// RunDirsAudit runs every checker and additionally returns the stale
-// //seve:vet-ignore directives — those that no longer suppress any raw
-// finding of their named checker. The audit is only meaningful with the
-// full checker set, so the checker list is not a parameter.
-func RunDirsAudit(l *Loader, dirs []string) ([]Finding, []StaleIgnore, error) {
-	return runDirs(l, dirs, nil, true)
+// Run loads every directory and runs every checker, returning the
+// findings that survive the //seve:vet-ignore directives and the
+// directives that suppressed nothing, each sorted by position.
+func Run(l *Loader, dirs []string) ([]Finding, []StaleIgnore, error) {
+	return runDirs(l, dirs, AllCheckers())
 }
 
 // dirResult is one directory's outcome, kept per-index so the parallel
@@ -185,10 +172,7 @@ type dirResult struct {
 // dominates the wall time and the loader is safe for concurrent loads
 // (see load.go), so directories check independently and the findings
 // are reassembled in a deterministic order.
-func runDirs(l *Loader, dirs []string, checkers []Checker, audit bool) ([]Finding, []StaleIgnore, error) {
-	if checkers == nil {
-		checkers = AllCheckers()
-	}
+func runDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, []StaleIgnore, error) {
 	known := make(map[string]bool)
 	for _, c := range AllCheckers() {
 		known[c.Name()] = true
@@ -219,7 +203,7 @@ func runDirs(l *Loader, dirs []string, checkers []Checker, audit bool) ([]Findin
 					continue
 				}
 				for _, u := range units {
-					fs, st := checkUnit(u, checkers, known, audit)
+					fs, st := checkUnit(u, checkers, known)
 					results[i].findings = append(results[i].findings, fs...)
 					results[i].stale = append(results[i].stale, st...)
 				}
@@ -261,9 +245,8 @@ func runDirs(l *Loader, dirs []string, checkers []Checker, audit bool) ([]Findin
 }
 
 // checkUnit runs checkers over one unit, filters out suppressed
-// findings, and (when auditing) reports directives that suppressed
-// nothing.
-func checkUnit(u *Unit, checkers []Checker, known map[string]bool, audit bool) ([]Finding, []StaleIgnore) {
+// findings, and reports directives that suppressed nothing.
+func checkUnit(u *Unit, checkers []Checker, known map[string]bool) ([]Finding, []StaleIgnore) {
 	var raw []Finding
 	collect := func(name string) func(pos token.Pos, format string, args ...any) {
 		return func(pos token.Pos, format string, args ...any) {
@@ -286,14 +269,12 @@ func checkUnit(u *Unit, checkers []Checker, known map[string]bool, audit bool) (
 		out = append(out, f)
 	}
 	var stale []StaleIgnore
-	if audit {
-		for _, d := range dirs {
-			if !d.used {
-				stale = append(stale, StaleIgnore{
-					Pos:     token.Position{Filename: d.file, Line: d.line, Column: d.col},
-					Checker: d.checker,
-				})
-			}
+	for _, d := range dirs {
+		if !d.used {
+			stale = append(stale, StaleIgnore{
+				Pos:     token.Position{Filename: d.file, Line: d.line, Column: d.col},
+				Checker: d.checker,
+			})
 		}
 	}
 	return out, stale

@@ -3,6 +3,7 @@ package vet
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -78,7 +79,7 @@ func loadWants(t *testing.T, dir string) []*wantAt {
 // comments: every finding must be expected, every expectation met.
 func runCorpus(t *testing.T, dir string, checker Checker) {
 	t.Helper()
-	findings, err := RunDirs(sharedLoader(t), []string{dir}, []Checker{checker})
+	findings, _, err := runDirs(sharedLoader(t), []string{dir}, []Checker{checker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +109,8 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && aa == bb
 }
 
-func TestRWSetCorpus(t *testing.T) {
-	runCorpus(t, "testdata/rwset", rwsetChecker{})
-}
-
 func TestPoolDisciplineCorpus(t *testing.T) {
 	runCorpus(t, "testdata/pooldiscipline", poolChecker{})
-}
-
-func TestNoCopyCorpus(t *testing.T) {
-	runCorpus(t, "testdata/nocopy", nocopyChecker{})
 }
 
 func TestDetOrderCorpus(t *testing.T) {
@@ -140,7 +133,7 @@ func TestDeliveryClassCorpus(t *testing.T) {
 // silences its finding, an unknown checker or missing reason is itself
 // reported, and an invalid directive suppresses nothing.
 func TestDirectives(t *testing.T) {
-	findings, err := RunDirs(sharedLoader(t), []string{"testdata/directives"}, nil)
+	findings, _, err := Run(sharedLoader(t), []string{"testdata/directives"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +159,7 @@ func TestDirectives(t *testing.T) {
 // directive that suppresses a live finding survives, one that
 // suppresses nothing is reported.
 func TestStaleIgnoreAudit(t *testing.T) {
-	findings, stale, err := RunDirsAudit(sharedLoader(t), []string{"testdata/staleignore"})
+	findings, stale, err := Run(sharedLoader(t), []string{"testdata/staleignore"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,15 +175,15 @@ func TestStaleIgnoreAudit(t *testing.T) {
 }
 
 // TestRepoClean asserts seve-vet exits clean on the real module — zero
-// unsuppressed findings and zero stale suppressions, the same gates
-// scripts/ci.sh enforces.
+// unsuppressed findings and zero stale suppressions, the same gate
+// scripts/ci.sh runs.
 func TestRepoClean(t *testing.T) {
 	l := sharedLoader(t)
 	dirs, err := ListPackageDirs(l.ModRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, stale, err := RunDirsAudit(l, dirs)
+	findings, stale, err := Run(l, dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,5 +192,33 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, s := range stale {
 		t.Errorf("repo not clean: %s", s)
+	}
+}
+
+// TestDetOrderNamesExist keeps detorder's name lists honest: a listed
+// function that no longer exists in its package is a sink the checker
+// silently stopped seeing.
+func TestDetOrderNamesExist(t *testing.T) {
+	l := sharedLoader(t)
+	for _, tc := range []struct {
+		dir   string
+		lists []map[string]bool
+	}{
+		{"internal/wire", []map[string]bool{wireEncodeFuncs}},
+		{"internal/core", []map[string]bool{pushPlanFuncs, mergeFuncs}},
+	} {
+		units, err := l.LoadDir(filepath.Join(l.ModRoot, tc.dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := make(map[string]bool)
+		funcBodies(units[0], func(fd *ast.FuncDecl) { declared[fd.Name.Name] = true })
+		for _, list := range tc.lists {
+			for name := range list {
+				if !declared[name] {
+					t.Errorf("detorder lists %s.%s, which %s no longer declares", filepath.Base(tc.dir), name, tc.dir)
+				}
+			}
+		}
 	}
 }

@@ -57,6 +57,16 @@ func (it *Interner) InternSet(s IDSet, dst []uint32) []uint32 {
 	return dst
 }
 
+// noCopy marks a struct that must not be copied by value: stock `go vet`
+// copylocks flags a copy of any struct holding a field whose pointer type
+// has Lock and Unlock (the sync package's own idiom). Zero-size and kept
+// as the first field, it moves neither the struct's size nor a hot
+// field's offset. TestNoCopyMarkerIsLive proves the gate fires.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // ScratchSet is a set of dense indices with O(1) clear: membership is
 // "stamp[i] == epoch", so Reset just bumps the epoch instead of touching
 // memory. One ScratchSet per walk (or per worker) makes the Algorithm 6/7
@@ -66,7 +76,12 @@ func (it *Interner) InternSet(s IDSet, dst []uint32) []uint32 {
 //
 // Reset must be called before the first use of an epoch (the zero value
 // needs one Reset before any Add).
+//
+// A ScratchSet's identity is its address: a by-value copy forks the
+// epoch, and a Reset on either side then resurrects stale members on
+// the other. The noCopy field makes `go vet` (copylocks) refuse copies.
 type ScratchSet struct {
+	_     noCopy
 	stamp []uint64 // stamp[i] == epoch ⇔ i is a member
 	added []uint64 // added[i] == epoch ⇔ i was appended to members this epoch
 	epoch uint64
@@ -177,7 +192,11 @@ func (s *ScratchSet) AppendMembers(dst []uint32) []uint32 {
 // enqueue and Decs it on resolution, replacing the O(k²) sorted-slice
 // Union rebuild that Algorithm 3 membership tests used to pay per
 // remote envelope.
+//
+// Not to be copied after first use (a copy forks distinct from the
+// shared counts); noCopy holds that through `go vet`.
 type CountedSet struct {
+	_        noCopy
 	count    []uint32
 	distinct int
 }

@@ -2,8 +2,11 @@ package world
 
 import (
 	"math/rand"
+	"os/exec"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestInternerAssignsDenseStableIndices(t *testing.T) {
@@ -201,4 +204,34 @@ func TestCountedSet(t *testing.T) {
 		}
 	}()
 	cs.Dec(2)
+}
+
+// TestNoCopyMarkerIsLive proves the gate that replaced seve-vet's nocopy
+// checker: stock `go vet` refuses a package that copies a ScratchSet or
+// a CountedSet by value. It fails if someone removes the marker.
+func TestNoCopyMarkerIsLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	out, err := exec.Command("go", "vet", "./testdata/copycheck").CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet accepted by-value copies of ScratchSet and CountedSet:\n%s", out)
+	}
+	for _, typ := range []string{"ScratchSet", "CountedSet"} {
+		want := "copies lock value to cp: seve/internal/world." + typ + " contains seve/internal/world.noCopy"
+		if !strings.Contains(string(out), want) {
+			t.Errorf("go vet output misses %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestNoCopyMarkerIsFree pins what "first field, zero size" buys: the
+// marker adds no bytes to either struct.
+func TestNoCopyMarkerIsFree(t *testing.T) {
+	if got := unsafe.Sizeof(ScratchSet{}); got != 3*unsafe.Sizeof([]uint64(nil))+8 {
+		t.Errorf("ScratchSet is %d bytes, want three slices and an epoch", got)
+	}
+	if got := unsafe.Sizeof(CountedSet{}); got != unsafe.Sizeof([]uint32(nil))+unsafe.Sizeof(int(0)) {
+		t.Errorf("CountedSet is %d bytes, want one slice and a count", got)
+	}
 }

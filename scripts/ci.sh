@@ -11,10 +11,25 @@
 # cheat-injection matrix (TestCheat*: every cheat class detected, zero
 # false quarantines on honest churn, across shards × seeds);
 # -shuffle=on keeps tests honest about shared state
-# (the wire pool is process-global); seve-vet enforces the action
-# read/write-set, pool-ownership, nocopy, determinism, lock-region,
-# lane-affinity and delivery-class contracts (DESIGN.md §9, §14); the
-# fuzz passes keep Decode honest against hostile frames, and recovery
+# (the wire pool is process-global).
+#
+# Contracts and their gates (DESIGN.md §9 has the seeded-defect table
+# that decided which gate holds which):
+#   seve-vet         pool ownership (pooldiscipline), no map order on
+#                    byte-identical paths (detorder), no blocking under
+#                    a mutex (lockscope), lane-owned state on its lane
+#                    (laneaffinity), explicit Delivery on every Reply
+#                    literal (deliveryclass)
+#   go vet           no by-value copy of world.ScratchSet/CountedSet
+#                    (copylocks over the noCopy marker; was nocopy)
+#   go test          actions confined to their declared read/write sets
+#                    (action.CheckAccess under Config.Strict in every
+#                    harness and example; was rwset); Ordered frames
+#                    never shed, only Batch frames merged
+#                    (TestSendQueueOrderedNeverShed; was deliveryclass
+#                    rules 2-3)
+#
+# The fuzz passes keep Decode honest against hostile frames, and recovery
 # against hostile store directories in either segment layout, beyond
 # the checked-in corpora; the benchmark smokes run the whole action
 # journey on all five workloads — the benchmark is the repository's only
@@ -36,14 +51,10 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 
-# seve-vet: one run produces the machine-readable findings artifact,
-# diffs it against the checked-in baseline (failing on regressions AND
-# on paid-off entries that should be deleted from the baseline), and
-# audits for //seve:vet-ignore directives that suppress nothing. To
-# intentionally accept a finding, prefer a reasoned //seve:vet-ignore;
-# the baseline is for debt that cannot be suppressed at a single line.
-go run ./cmd/seve-vet -json -baseline vet-baseline.json -audit-ignores ./... > seve-vet.json
-echo "seve-vet: clean against vet-baseline.json (artifact: seve-vet.json)"
+# seve-vet prints findings and stale //seve:vet-ignore directives and
+# exits 1 on either. To accept a finding on purpose, put a reasoned
+# //seve:vet-ignore on its line.
+go run ./cmd/seve-vet ./...
 go test -race ./...
 go test -shuffle=on ./...
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/wire
