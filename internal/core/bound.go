@@ -25,12 +25,16 @@ import (
 // in closure replies — are skipped via the sent(a) bookkeeping shared
 // with Algorithm 6.
 //
-// The cycle is a plan/commit scheduler. Planning — the per-client
-// eligibility scan over the window plus the Algorithm 6 closure walk —
-// only reads engine state, so it fans out over a bounded worker pool
-// (pushWorkerCount). The commit phase then applies every plan in
-// ascending client order: sent() marks, blind-write ids, per-client
-// batch sequence numbers, replies, counters. Because plans for
+// Planning reads the push window through a per-tick entry grid
+// (grid.go): a client tests only the entries in the 3×3 cells around its
+// own, plus those the grid cannot place, instead of the whole window.
+//
+// The cycle is a plan/commit scheduler. Planning — each client's
+// eligibility tests plus the Algorithm 6 closure walk — only reads engine
+// state (the grid is built before the fan-out), so it fans out over a
+// bounded worker pool (pushWorkerCount). The commit phase then applies
+// every plan in ascending client order: sent() marks, blind-write ids,
+// per-client batch sequence numbers, replies, counters. Because plans for
 // different clients are independent (sent() is per-client and nothing
 // else mutates during planning), the output is byte-identical whatever
 // the pool width — TestTickParallelDeterminism holds the scheduler to
@@ -40,29 +44,22 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 	if s.cfg.Mode < ModeFirstBound {
 		return out
 	}
+	window := s.pushWindow(nowMs)
 	if s.cfg.HybridRelay {
-		s.hybridTick(nowMs, &out)
+		s.hybridTick(window, nowMs, &out)
 		return out
 	}
-	windowStart := s.lastPushMs
-	s.lastPushMs = nowMs
-
-	// The push window is shared by every client; collect it once
-	// instead of once per client.
-	window := s.tickWindow[:0]
-	for i, e := range s.queue {
-		if e.stampedMs > windowStart && e.stampedMs <= nowMs {
-			window = append(window, i)
-		}
-	}
-	s.tickWindow = window
 	recs := s.live // ascending id: the deterministic client order
 	if len(window) == 0 || len(recs) == 0 {
 		return out
 	}
 
 	s.stats.PushTicks++
-	plans := make([]ReplyPlan, len(recs))
+	s.buildPushGrid(window, recs)
+	if cap(s.plans) < len(recs) {
+		s.plans = make([]ReplyPlan, len(recs))
+	}
+	plans := s.plans[:len(recs)]
 	workers := s.pushWorkerCount(len(recs))
 	if workers <= 1 {
 		sc := s.scratchFor(0)
@@ -90,7 +87,26 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 	for i, rec := range recs {
 		s.commitPush(rec, &plans[i], &out)
 	}
+	// The replies own their slices; zeroing the reused plans keeps none
+	// of them reachable from the next tick.
+	clear(plans)
 	return out
+}
+
+// pushWindow advances the push clock to nowMs and returns the queue
+// positions stamped since the previous tick, in ascending order — the
+// one window both tick paths read. The slice is reused across ticks.
+func (s *Server) pushWindow(nowMs float64) []int {
+	windowStart := s.lastPushMs
+	s.lastPushMs = nowMs
+	window := s.tickWindow[:0]
+	for i, e := range s.queue {
+		if e.stampedMs > windowStart && e.stampedMs <= nowMs {
+			window = append(window, i)
+		}
+	}
+	s.tickWindow = window
+	return window
 }
 
 // SetPlanExecutor registers a parallel executor for the engine's
@@ -164,30 +180,22 @@ func (s *Server) pushWorkerCount(n int) int {
 	return w
 }
 
-// planPush scans the push window for entries eligible for rec and runs
-// the closure walk over the seeds. Read-only apart from its private
-// scratch, so it is safe on a worker goroutine: the queue, the conflict
-// index, the interner, ζS, and the sent() bitmaps are all frozen for
-// the duration of the planning phase.
+// planPush collects rec's push seeds (pushSeeds) and runs the closure
+// walk over them. Read-only apart from its private scratch, so it is
+// safe on a worker goroutine: the queue, the entry grid, the conflict
+// index, the interner, ζS, and the sent() bitmaps are all frozen for the
+// duration of the planning phase.
 func (s *Server) planPush(rec *clientRec, window []int, nowMs float64, sc *closureScratch) ReplyPlan {
-	slot := rec.slot
-	seeds := sc.seeds[:0]
-	for _, i := range window {
-		e := s.queue[i]
-		if e.sent.has(slot) {
-			continue
-		}
-		if !s.pushEligible(e, &rec.clientInfo, nowMs) {
-			continue
-		}
-		seeds = append(seeds, i)
-	}
+	var st walkStats
+	seeds := s.pushSeeds(rec, window, nowMs, sc, &st)
 	sc.seeds = seeds
 	if len(seeds) == 0 {
-		return ReplyPlan{}
+		return ReplyPlan{stats: st}
 	}
 	v := s.segment.view()
-	return s.planBatch(&v, seeds, sc, sentTo(slot))
+	p := s.planBatch(&v, seeds, sc, sentTo(rec.slot))
+	p.stats.pushTests, p.stats.gridLookups = st.pushTests, st.gridLookups
+	return p
 }
 
 // commitPush applies one client's plan: marks the batch entries sent,
@@ -218,10 +226,7 @@ func (s *Server) pushEligible(e *entry, ci *clientInfo, nowMs float64) bool {
 		// No spatial information: conservatively reachable.
 		return true
 	}
-	rC := ci.radius
-	if rC == 0 {
-		rC = s.cfg.DefaultRadius
-	}
+	rC := s.clientRadius(ci)
 	if s.cfg.AreaCulling && e.hasVel {
 		dt := e.stampedMs - ci.posAtMs
 		return geom.MovingInfluenceReachable(
@@ -229,4 +234,13 @@ func (s *Server) pushEligible(e *entry, ci *clientInfo, nowMs float64) bool {
 	}
 	return geom.InfluenceReachable(
 		e.pos, ci.pos, e.radius, rC, s.cfg.MaxSpeed, s.cfg.Omega, s.cfg.RTTMs)
+}
+
+// clientRadius is rC, the client's action radius in Equation (1): the
+// largest radius it has declared, DefaultRadius until it declares one.
+func (s *Server) clientRadius(ci *clientInfo) float64 {
+	if ci.radius == 0 {
+		return s.cfg.DefaultRadius
+	}
+	return ci.radius
 }

@@ -174,7 +174,7 @@ func TestInterestFilterSkipsClass(t *testing.T) {
 // arrow is a directed test action for area culling: its influence point
 // moves along a velocity vector (Section IV-B).
 type arrow struct {
-	testAction
+	*testAction
 	vel geom.Vec
 }
 
@@ -204,7 +204,7 @@ func TestAreaCullingDirectionFull(t *testing.T) {
 		// velocity projection can bring it into reach.
 		lb.nowMs += 10
 		a := &arrow{vel: geom.Vec{X: velX, Y: 0}}
-		a.testAction = *spatialAt(&testAction{rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 1}, 50, 0, 5)
+		a.testAction = spatialAt(&testAction{rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 1}, 50, 0, 5)
 		lb.submitAction(1, a, func(id action.ID) { a.id = id })
 		for lb.stepServer() {
 		}

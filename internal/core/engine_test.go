@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"seve/internal/action"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -17,11 +18,33 @@ import (
 // behaviorally identical must produce equal traces. hook, when non-nil,
 // sets the server's unexported reference switches before any message.
 func runEngineWorkload(t *testing.T, cfg Config, seed int64, hook func(*Server)) ([]string, *loopback) {
+	return runShapedWorkload(t, cfg, seed, hook, workloadShape{})
+}
+
+// workloadShape overrides runEngineWorkload's geometry. masks are the
+// clients' interest masks (nil: 24 clients subscribed to every class);
+// act, called with the round, the submitter and its drawn read/write
+// sets, returns the action to submit (nil: the sets placed uniformly in
+// a 120×120 square with radius 5).
+type workloadShape struct {
+	masks map[int32]uint64
+	act   func(rng *rand.Rand, round int, cid action.ClientID, a *testAction) action.Action
+}
+
+// engineRounds is the number of push rounds runShapedWorkload drives.
+const engineRounds = 10
+
+func runShapedWorkload(t *testing.T, cfg Config, seed int64, hook func(*Server), shape workloadShape) ([]string, *loopback) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	const nObjects, nClients, rounds = 60, 24, 10
+	const nObjects, nClients, rounds = 60, 24, engineRounds
 	init := initWorld(nObjects)
-	lb := newLoopback(t, cfg, init, nClients)
+	var lb *loopback
+	if shape.masks != nil {
+		lb = newLoopbackMasks(t, cfg, init, shape.masks)
+	} else {
+		lb = newLoopback(t, cfg, init, nClients)
+	}
 	if hook != nil {
 		hook(lb.srv)
 	}
@@ -99,8 +122,12 @@ func runEngineWorkload(t *testing.T, cfg Config, seed int64, hook func(*Server))
 				ws:    world.NewIDSet(ws...),
 				delta: float64(rng.Intn(100)),
 			}
-			spatialAt(a, rng.Float64()*120, rng.Float64()*120, 5)
-			lb.submit(cid, a)
+			if shape.act == nil {
+				spatialAt(a, rng.Float64()*120, rng.Float64()*120, 5)
+				lb.submit(cid, a)
+			} else {
+				lb.submitAction(cid, shape.act(rng, round, cid, a), func(id action.ID) { a.id = id })
+			}
 			// Interleave server processing with submissions half the time
 			// so the queue depth at each analysis varies.
 			if rng.Intn(2) == 0 {
@@ -147,6 +174,11 @@ func TestTickParallelDeterminism(t *testing.T) {
 			if lbPar.srv.stats.PushParallelTicks == 0 {
 				t.Fatalf("workers=%d: parallel path never exercised", workers)
 			}
+			// Both legs plan through the entry grid; the pool reads it
+			// concurrently.
+			if lbSeq.srv.stats.PushGridLookups == 0 || lbPar.srv.stats.PushGridLookups == 0 {
+				t.Fatalf("workers=%d seed=%d: a leg never consulted the entry grid", workers, seed)
+			}
 			// A mis-wired width would compare the pool with itself.
 			if n := lbSeq.srv.stats.PushParallelTicks; n != 0 {
 				t.Fatalf("workers=%d: sequential leg fanned out %d ticks", workers, n)
@@ -158,7 +190,8 @@ func TestTickParallelDeterminism(t *testing.T) {
 // TestClosureIndexEquivalence holds the reverse conflict index to its
 // contract: the indexed Algorithm 6/7 walks produce byte-identical
 // output to the full-queue scans they replace, including Information
-// Bound drop decisions.
+// Bound drop decisions. The reference leg also plans pushes without the
+// entry grid (TestPushGridEquivalence aims at the grid itself).
 func TestClosureIndexEquivalence(t *testing.T) {
 	for _, mode := range []Mode{ModeIncomplete, ModeFirstBound, ModeInfoBound} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -194,6 +227,12 @@ func TestClosureIndexEquivalence(t *testing.T) {
 			}
 			if n := lbFull.srv.Metrics().IndexLookups; n != 0 {
 				t.Fatalf("mode=%v seed=%d: full-scan leg made %d index lookups", mode, seed, n)
+			}
+			if mode >= ModeFirstBound && st.PushGridLookups == 0 {
+				t.Fatalf("mode=%v seed=%d: indexed leg never consulted the entry grid", mode, seed)
+			}
+			if n := lbFull.srv.Metrics().PushGridLookups; n != 0 {
+				t.Fatalf("mode=%v seed=%d: full-scan leg made %d grid lookups", mode, seed, n)
 			}
 		}
 	}

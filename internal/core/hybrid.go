@@ -27,11 +27,12 @@ import (
 // paper's sketch; production hardening (acks, re-push on relay failure)
 // is intentionally out of scope.
 
-// hybridTick runs one push cycle with relay delegation.
-func (s *Server) hybridTick(nowMs float64, out *ServerOutput) {
-	windowStart := s.lastPushMs
-	s.lastPushMs = nowMs
-
+// hybridTick runs one push cycle with relay delegation over the tick's
+// window (pushWindow).
+func (s *Server) hybridTick(window []int, nowMs float64, out *ServerOutput) {
+	if len(window) == 0 {
+		return
+	}
 	// Cell size: the reach of Equation (1) — two max-speed cones plus
 	// both influence radii.
 	cell := 2*s.cfg.MaxSpeed*(1+s.cfg.Omega)*s.cfg.RTTMs + 2*s.cfg.DefaultRadius
@@ -65,24 +66,22 @@ func (s *Server) hybridTick(nowMs float64, out *ServerOutput) {
 	})
 
 	for _, k := range keys {
-		s.pushGroup(groups[k], windowStart, nowMs, out)
+		s.pushGroup(groups[k], window, nowMs, out)
 	}
 	// Clients with unknown positions are served individually (they are
 	// conservatively interested in everything, and grouping strangers
 	// under one relay would couple unrelated players).
 	for _, rec := range unplaced {
-		s.pushGroup([]*clientRec{rec}, windowStart, nowMs, out)
+		s.pushGroup([]*clientRec{rec}, window, nowMs, out)
 	}
 }
 
 // pushGroup computes the shared seed set and closure for one cell and
 // emits either a direct Batch (single member) or a Relay.
-func (s *Server) pushGroup(members []*clientRec, windowStart, nowMs float64, out *ServerOutput) {
+func (s *Server) pushGroup(members []*clientRec, window []int, nowMs float64, out *ServerOutput) {
 	var seeds []int
-	for i, e := range s.queue {
-		if e.stampedMs <= windowStart || e.stampedMs > nowMs {
-			continue
-		}
+	for _, i := range window {
+		e := s.queue[i]
 		wanted := false
 		for _, rec := range members {
 			if e.sent.has(rec.slot) {

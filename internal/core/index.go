@@ -141,6 +141,9 @@ type walkStats struct {
 	// baseline is what a full-queue walk would have examined, for the
 	// scan-savings counter.
 	baseline int
+	// pushTests counts First Bound eligibility tests and gridLookups the
+	// clients served from the entry grid (planPush only).
+	pushTests, gridLookups int
 }
 
 // closureScratch is the reusable per-walk (and, during parallel pushes,
@@ -158,6 +161,9 @@ type closureScratch struct {
 	cand []uint64
 	// seeds buffers per-client push seed positions.
 	seeds []int
+	// mark flags accepted grid candidates by window ordinal (gridSeeds);
+	// all-zero between uses.
+	mark []uint64
 	// memb buffers the final chain-set members.
 	memb []uint32
 	// objs buffers the materialized blind-write object ids.

@@ -564,6 +564,8 @@ func (s *Server) noteWalk(st walkStats, out *ServerOutput) {
 	out.QueueScanned += st.scanned
 	s.stats.TotalQueueScans += st.scanned
 	s.stats.IndexLookups += st.lookups
+	s.stats.PushTests += st.pushTests
+	s.stats.PushGridLookups += st.gridLookups
 	if st.baseline > st.scanned {
 		s.stats.ScanSavedEntries += st.baseline - st.scanned
 	}

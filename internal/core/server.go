@@ -51,9 +51,12 @@ type Server struct {
 	// scratch pools the per-walk state; scratch[0] serves the sequential
 	// paths and scratch[w] serves push worker w.
 	scratch []*closureScratch
-	// tickWindow buffers the queue positions inside the current push
-	// window across Tick calls.
+	// tickWindow (pushWindow's queue positions), grid (the entry grid
+	// under planPush) and plans (one ReplyPlan per live client) are Tick's
+	// scratch, reused across ticks.
 	tickWindow []int
+	grid       pushGrid
+	plans      []ReplyPlan
 
 	// recs holds everything the server knows per client id, live or not,
 	// and tokens indexes the records that have a session by resume token.
@@ -106,11 +109,12 @@ type Server struct {
 	bootFloor uint64
 
 	// fullScan makes the analysis walks scan the full uncommitted queue
-	// instead of consulting the reverse conflict index, and pushWidth,
+	// instead of consulting the reverse conflict index, and planPush test
+	// every window entry instead of consulting the entry grid; pushWidth,
 	// when non-zero, fixes the push scheduler's pool width (1 = the
 	// sequential path). They select the reference legs of
-	// TestClosureIndexEquivalence and TestTickParallelDeterminism; only
-	// this package's tests set them.
+	// TestClosureIndexEquivalence, TestPushGridEquivalence and
+	// TestTickParallelDeterminism; only this package's tests set them.
 	fullScan  bool
 	pushWidth int
 
@@ -254,9 +258,9 @@ type entry struct {
 	stampedMs float64
 
 	// The hold (Algorithm 5 step 5: "the server holds it until ζS(i−1) is
-	// available"). Kept after the fields above on purpose: the push scan
-	// reads sent, pos, radius and stampedMs for every client × window
-	// entry, and these are touched once per action.
+	// available"). Kept after the fields above on purpose: the push
+	// planner reads sent, pos, radius and stampedMs for every grid
+	// candidate of every client, and these are touched once per action.
 	//
 	// res is the held completion result and held whether there is one;
 	// reporter is the client behind it (audit attribution; nil with

@@ -30,9 +30,14 @@ type ServerStats struct {
 	InternedObjects   int
 	TrackedClients    int
 
-	// First Bound push scheduler.
+	// First Bound push scheduler. PushTests counts the Equation (1)
+	// eligibility tests run; PushGridLookups counts the per-client
+	// candidate queries the entry grid answered (the rest scanned the
+	// whole window).
 	PushTicks         int
 	PushParallelTicks int
+	PushTests         int
+	PushGridLookups   int
 
 	// Session resume (Config.ResumeWindow). ResumesSuffix counts
 	// reconnects served by replaying the retained batch suffix;
@@ -142,6 +147,8 @@ func (st ServerStats) Table() *Table {
 	row("tracked clients", st.TrackedClients)
 	row("push ticks", st.PushTicks)
 	row("parallel push ticks", st.PushParallelTicks)
+	row("push eligibility tests", st.PushTests)
+	row("push grid lookups", st.PushGridLookups)
 	row("resumes (suffix replay)", st.ResumesSuffix)
 	row("resumes (snapshot fallback)", st.ResumesSnapshot)
 	row("resumes rejected", st.ResumesRejected)

@@ -35,6 +35,7 @@ var wireEncodeFuncs = map[string]bool{
 // whose invocation order decides serial order and batch layout.
 var pushPlanFuncs = map[string]bool{
 	"sequence": true, "commitPlan": true, "batchReply": true, "planPush": true, "commitPush": true,
+	"buildPushGrid": true, "pushSeeds": true, "gridSeeds": true, "pushWindow": true,
 	"pushGroup": true, "closureShared": true, "closureWalk": true,
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: gofmt, vet (generic + domain-specific), the full test suite under
 # the race detector and again with shuffled test order, short fuzz
-# smokes of the wire codec and of journal recovery, and a one-second
+# smokes of the wire codec, of journal recovery and of the push planner's
+# entry grid, and a one-second
 # run of every benchmark workload as a correctness smoke. The engine's
 # push scheduler fans closure
 # planning over goroutines and the shard router plans epochs on
@@ -27,11 +28,15 @@
 #                    harness and example; was rwset); Ordered frames
 #                    never shed, only Batch frames merged
 #                    (TestSendQueueOrderedNeverShed; was deliveryclass
-#                    rules 2-3)
+#                    rules 2-3); the push planner's entry grid never
+#                    omits an entry Equation (1) accepts, whatever the
+#                    declared positions and radii (TestPushGridEquivalence,
+#                    FuzzPushGrid)
 #
-# The fuzz passes keep Decode honest against hostile frames, and recovery
-# against hostile store directories in either segment layout, beyond
-# the checked-in corpora; the benchmark smokes run the whole action
+# The fuzz passes keep Decode honest against hostile frames, recovery
+# against hostile store directories in either segment layout, and the
+# entry grid against hostile coordinates and radii, beyond the checked-in
+# corpora; the benchmark smokes run the whole action
 # journey on all five workloads — the benchmark is the repository's only
 # meter, so its per-pass correctness gate guards each of them — and no
 # timing is read; the coverage gate keeps the protocol engine and
@@ -59,6 +64,7 @@ go test -race ./...
 go test -shuffle=on ./...
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzRecover$' -fuzztime 10s ./internal/durable
+go test -run '^$' -fuzz '^FuzzPushGrid$' -fuzztime 10s ./internal/core
 
 # Correctness smokes: a pass exits non-zero when its gate fails
 # (violations, unresolved submissions, Installed != commits, ζCS != ζS,
