@@ -1,12 +1,12 @@
 // Command seve-vet is the engine's domain-specific static analyzer. It
 // enforces the contracts a seeded-defect study (DESIGN.md §9) showed no
-// test, stock `go vet` pass or -race run catching: pooled buffer and
-// frame ownership (pooldiscipline), no map-iteration nondeterminism on
-// byte-identical output paths (detorder), no blocking operations inside
-// mutex regions (lockscope), lane-partitioned state touched only from
-// its lane's worker or the sequential seal passes (laneaffinity), and
-// explicit delivery metadata on every transport-bound reply
-// (deliveryclass).
+// test, stock `go vet` pass or -race run catching: no blocking
+// operations inside mutex regions (lockscope), lane-partitioned state
+// touched only from its lane's worker or the sequential seal passes
+// (laneaffinity), and explicit delivery metadata on every
+// transport-bound reply (deliveryclass). Pool ownership and map-order
+// independence, once checked here too, are held by tests (wire's
+// outstanding count, the pinned digests, the run-twice tests).
 //
 // Usage:
 //

@@ -84,9 +84,14 @@ type ServerStats struct {
 
 	// Transport delivery. WriteQueueDrops counts replies discarded
 	// because the recipient's write queue was full (a client too slow to
-	// drain its connection). Maintained by the transport layer, not the
-	// engine; zero under the simulator.
+	// drain its connection). PoolOutstanding gauges the process's pooled
+	// buffers and frames not yet back in wire's pool (wire.Outstanding):
+	// frames queued for clients and records on their way to the journal.
+	// It reads zero on a drained, idle server; one that only grows is a
+	// leak. Maintained by the transport layer, not the engine; zero under
+	// the simulator.
 	WriteQueueDrops int
+	PoolOutstanding int
 
 	// Superseding delivery queue (DESIGN.md §13). FramesSuperseded counts
 	// queued frames released because a newer frame replaced their content
@@ -166,6 +171,7 @@ func (st ServerStats) Table() *Table {
 	row("wal fsyncs", st.WALFsyncs)
 	row("wal engine blocked (ns)", st.WALBlockedNs)
 	row("write queue drops", st.WriteQueueDrops)
+	row("pooled buffers+frames outstanding", st.PoolOutstanding)
 	row("frames superseded", st.FramesSuperseded)
 	row("frames coalesced", st.FramesCoalesced)
 	row("snapshot fallbacks", st.SnapshotFallbacks)

@@ -14,9 +14,11 @@ import (
 
 // TestWriteQueueDropCounter pins the slow-client accounting: replies
 // that cannot be queued are dropped (never block the engine loop) and
-// every drop lands in ServerStats.WriteQueueDrops.
+// every drop lands in ServerStats.WriteQueueDrops, while the one queued
+// frame shows in the PoolOutstanding gauge until the queue lets it go.
 func TestWriteQueueDropCounter(t *testing.T) {
 	srv := NewServer(ServerConfig{Core: protocolConfig(), Init: world.NewState()})
+	idle := srv.Metrics().PoolOutstanding
 	// A writer whose pump never runs: one slot, then the queue is full.
 	// Built non-superseding so a full queue drops (the FIFO ladder rung).
 	q := NewSendQueue(1, false, &srv.ctrs)
@@ -40,7 +42,13 @@ func TestWriteQueueDropCounter(t *testing.T) {
 	if got := srv.Metrics().WriteQueueDrops; got != 3 {
 		t.Fatalf("WriteQueueDrops = %d after second burst, want 3", got)
 	}
+	if got := srv.Metrics().PoolOutstanding; got != idle+1 {
+		t.Fatalf("PoolOutstanding = %d with one frame queued, want %d", got, idle+1)
+	}
 	q.Close()
+	if got := srv.Metrics().PoolOutstanding; got != idle {
+		t.Fatalf("PoolOutstanding = %d after Close, want %d", got, idle)
+	}
 }
 
 // TestReadTimeoutDisconnectsSilentClient: with ReadTimeout set, a

@@ -221,6 +221,8 @@ func (s *Server) Metrics() metrics.ServerStats {
 	st := s.engine.Metrics()
 	s.mu.Unlock()
 	st.WriteQueueDrops = int(s.ctrs.Drops.Load())
+	bufs, frames := wire.Outstanding()
+	st.PoolOutstanding = int(bufs + frames)
 	st.FramesSuperseded = int(s.ctrs.Superseded.Load())
 	st.FramesCoalesced = int(s.ctrs.Coalesced.Load())
 	st.MaxStaleObjects = int(s.ctrs.MaxStale.Load())

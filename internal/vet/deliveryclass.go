@@ -3,6 +3,7 @@ package vet
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -50,4 +51,15 @@ func (deliveryClassChecker) Check(u *Unit, report func(pos token.Pos, format str
 			return true
 		})
 	}
+}
+
+// isModType reports whether t is the named type pkgSuffix.name inside
+// this module.
+func isModType(t types.Type, pkgSuffix, name string) bool {
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), pkgSuffix)
 }

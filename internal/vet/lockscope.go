@@ -4,21 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // lockscopeChecker flags blocking operations performed while a
-// sync.Mutex or sync.RWMutex is held (DESIGN.md §14). The transport
+// sync.Mutex or sync.RWMutex is held (DESIGN.md §9). The transport
 // layer's locks guard in-memory maps and counters; holding one across a
 // channel operation, a network write, or a pooled encode loop turns a
 // per-connection stall into a server-wide convoy — PR 7 shipped exactly
 // this bug in dispatchReplies, fanning out encodes under s.mu.
 //
 // The analysis is an intra-procedural abstract interpretation over the
-// statement tree (the pooldiscipline machinery's sibling). The abstract
-// domain maps lock expressions — identifier paths like s.mu or c.mu —
-// to a held-state {locked, rlocked}. X.Lock()/RLock() enter the state,
-// X.Unlock()/RUnlock() leave it, defer X.Unlock() pins it to function
-// end. Branch merge is held-if-any-path: a lock held on either arm of
+// statement tree. The abstract domain maps lock expressions — identifier
+// paths like s.mu or c.mu — to a held-state {locked, rlocked}.
+// X.Lock()/RLock() enter the state, X.Unlock()/RUnlock() leave it, defer
+// X.Unlock() pins it to function end. Branch merge is held-if-any-path: a lock held on either arm of
 // an if is treated as held after the join, which biases toward
 // reporting exactly the convoy-prone paths. Function literals start
 // from an empty lock set (a goroutine or deferred closure does not
@@ -164,13 +164,10 @@ func (st *lockState) anyHeld() string {
 // work (map access, append, encode-into-buffer) is not here — holding a
 // lock for CPU work is a throughput question, not a convoy.
 func blockingCall(info *types.Info, call *ast.CallExpr) string {
-	switch wireFunc(info, call) {
-	case "ReadFrame":
-		return "wire.ReadFrame"
-	case "WriteFrame":
-		return "wire.WriteFrame"
-	}
 	name, pkg := calleeIn(info, call)
+	if strings.HasSuffix(pkg, "internal/wire") && (name == "ReadFrame" || name == "WriteFrame") {
+		return "wire." + name
+	}
 	switch pkg {
 	case "net":
 		return "net." + name
@@ -195,6 +192,43 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	return ""
+}
+
+// calleeIn resolves a call to its function name and defining package.
+func calleeIn(info *types.Info, call *ast.CallExpr) (name, pkg string) {
+	var id *ast.Ident
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return "", ""
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", ""
+	}
+	return fn.Name(), fn.Pkg().Path()
+}
+
+// isTerminalCall recognizes calls that never return: panic, os.Exit,
+// runtime.Goexit, and the testing.TB Fatal/Skip family (matched by
+// name). Control does not fall past them, so a lock held there is not
+// held after.
+func isTerminalCall(info *types.Info, call *ast.CallExpr) bool {
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		if _, ok := info.Uses[f].(*types.Builtin); ok && f.Name == "panic" {
+			return true
+		}
+	case *ast.SelectorExpr:
+		switch f.Sel.Name {
+		case "Fatal", "Fatalf", "Fatalln", "FailNow", "Skip", "Skipf", "SkipNow", "Goexit", "Exit":
+			return true
+		}
+	}
+	return false
 }
 
 // isNetConn reports whether t is net.Conn or a type from package net.
@@ -364,7 +398,7 @@ func (a *lockAnalyzer) stmt(st *lockState, s ast.Stmt) bool {
 	return false
 }
 
-// clauses mirrors the pooldiscipline walk: clone per clause, merge
+// clauses walks switch/select bodies: clone per clause, merge
 // survivors. Comm-clause channel ops are evaluated for nested
 // expressions only — the enclosing select already reported the block.
 func (a *lockAnalyzer) clauses(st *lockState, parent ast.Node, list []ast.Stmt) bool {
@@ -465,7 +499,7 @@ func (a *lockAnalyzer) expr(st *lockState, e ast.Expr) {
 		}
 		// TryLock in condition position still opens a region on the
 		// true path; modeled conservatively as not held (the checker
-		// has no value tracking for the bool), noted in DESIGN.md §14.
+		// has no value tracking for the bool), noted in DESIGN.md §9.
 		a.expr(st, e.Fun)
 		for _, arg := range e.Args {
 			a.expr(st, arg)

@@ -4,19 +4,22 @@
 // and the underlying finding then survives.
 package dirtest
 
-import "seve/internal/wire"
+import "sync"
 
-func suppressed() {
-	//seve:vet-ignore pooldiscipline deliberate leak to prove suppression works
-	wire.GetBuf(8)
+func suppressed(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	//seve:vet-ignore lockscope deliberate send under the lock to prove suppression works
+	ch <- 1
 }
 
-func unknownChecker() {
+func unknownChecker(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
 	//seve:vet-ignore nosuchchecker some reason
-	wire.GetBuf(8)
+	ch <- 1
 }
 
-func missingReason() {
-	//seve:vet-ignore pooldiscipline
-	wire.GetBuf(8)
+func missingReason(mu *sync.Mutex, ch chan int) {
+	mu.Lock()
+	//seve:vet-ignore lockscope
+	ch <- 1
 }

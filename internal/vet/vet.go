@@ -3,14 +3,6 @@
 // showed catching what no test, no stock `go vet` pass and no -race run
 // catches:
 //
-//   - pooldiscipline: wire.GetBuf must be balanced by PutBuf on every
-//     return path, Frame references must be released or handed off, and
-//     a pooled buffer must not be touched after it is Put. Violations
-//     are use-after-free bugs that only surface under load.
-//   - detorder: ranging over a map while feeding wire encoding, serial
-//     order assignment or push planning injects map-iteration
-//     nondeterminism into paths whose byte-identity the engine proves
-//     (TestTickParallelDeterminism, TestEncodeCacheFanOut).
 //   - lockscope: no blocking operation (channel ops, frame/net I/O,
 //     sync waits) inside a sync.Mutex/RWMutex region — an abstract
 //     interpretation of lock regions over the statement tree.
@@ -23,8 +15,12 @@
 // The contracts the study found a cheaper gate for are held elsewhere:
 // read/write-set confinement by action.CheckAccess under Config.Strict,
 // by-value copies of epoch/refcount state by `go vet` copylocks over
-// world's noCopy marker, and the delivery queue's never-shed-Ordered
-// rule by transport.TestSendQueueOrderedNeverShed.
+// world's noCopy marker, the delivery queue's never-shed-Ordered rule by
+// transport.TestSendQueueOrderedNeverShed, pool ownership by wire's
+// outstanding count (asserted zero after every test binary on the
+// pooled path) and its use-after-release sentinels, and map-order
+// independence of the bytes by the pinned digests and the run-twice
+// tests.
 //
 // Audited exceptions are allowed with a directive on the offending line
 // or the line above it:
@@ -66,10 +62,7 @@ type Checker interface {
 
 // AllCheckers returns the production checkers.
 func AllCheckers() []Checker {
-	return []Checker{
-		poolChecker{}, detorderChecker{}, lockscopeChecker{},
-		laneAffinityChecker{}, deliveryClassChecker{},
-	}
+	return []Checker{lockscopeChecker{}, laneAffinityChecker{}, deliveryClassChecker{}}
 }
 
 // CheckerNames lists the valid checker names.

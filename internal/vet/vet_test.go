@@ -3,7 +3,6 @@ package vet
 import (
 	"bufio"
 	"fmt"
-	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -109,14 +108,6 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && aa == bb
 }
 
-func TestPoolDisciplineCorpus(t *testing.T) {
-	runCorpus(t, "testdata/pooldiscipline", poolChecker{})
-}
-
-func TestDetOrderCorpus(t *testing.T) {
-	runCorpus(t, "testdata/detorder", detorderChecker{})
-}
-
 func TestLockScopeCorpus(t *testing.T) {
 	runCorpus(t, "testdata/lockscope", lockscopeChecker{})
 }
@@ -142,14 +133,14 @@ func TestDirectives(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s@%d", f.Checker, f.Pos.Line))
 	}
 	// suppressed() produces nothing; unknownChecker and missingReason
-	// each produce a directive finding plus the surviving discard
+	// each produce a directive finding plus the surviving channel-send
 	// finding on the next line.
-	want := []string{"directive@15", "pooldiscipline@16", "directive@20", "pooldiscipline@21"}
+	want := []string{"directive@17", "lockscope@18", "directive@23", "lockscope@24"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("directive findings = %v, want %v\nfull: %v", got, want, findings)
 	}
 	for _, f := range findings {
-		if f.Checker == "pooldiscipline" && !strings.Contains(f.Message, "discarded") {
+		if f.Checker == "lockscope" && !strings.Contains(f.Message, "channel send") {
 			t.Errorf("surviving finding changed shape: %s", f)
 		}
 	}
@@ -192,33 +183,5 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, s := range stale {
 		t.Errorf("repo not clean: %s", s)
-	}
-}
-
-// TestDetOrderNamesExist keeps detorder's name lists honest: a listed
-// function that no longer exists in its package is a sink the checker
-// silently stopped seeing.
-func TestDetOrderNamesExist(t *testing.T) {
-	l := sharedLoader(t)
-	for _, tc := range []struct {
-		dir   string
-		lists []map[string]bool
-	}{
-		{"internal/wire", []map[string]bool{wireEncodeFuncs}},
-		{"internal/core", []map[string]bool{pushPlanFuncs, mergeFuncs}},
-	} {
-		units, err := l.LoadDir(filepath.Join(l.ModRoot, tc.dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		declared := make(map[string]bool)
-		funcBodies(units[0], func(fd *ast.FuncDecl) { declared[fd.Name.Name] = true })
-		for _, list := range tc.lists {
-			for name := range list {
-				if !declared[name] {
-					t.Errorf("detorder lists %s.%s, which %s no longer declares", filepath.Base(tc.dir), name, tc.dir)
-				}
-			}
-		}
 	}
 }

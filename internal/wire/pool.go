@@ -28,9 +28,28 @@ var bufPool = sync.Pool{
 	},
 }
 
+// outBufs counts the buffers GetBuf handed out that no PutBuf has taken
+// back; outFrames counts the frames whose final Release has not run. A
+// frame's backing buffer belongs to the frame and is in neither count.
+// Both read zero once every pooled value is home.
+var outBufs, outFrames atomic.Int64
+
+// Outstanding reports the pooled buffers held outside frames and the
+// live frames: the pool's balance, which a running server reports as a
+// gauge and a test asserts is zero once everything it started has
+// stopped.
+func Outstanding() (bufs, frames int64) { return outBufs.Load(), outFrames.Load() }
+
 // GetBuf returns an empty buffer with capacity at least n from the
 // shared pool. Return it with PutBuf when done.
 func GetBuf(n int) []byte {
+	outBufs.Add(1)
+	return getBuf(n)
+}
+
+// getBuf is GetBuf for a frame's own backing buffer, which stays with
+// the frame and is not counted.
+func getBuf(n int) []byte {
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	if cap(b) > 0 {
@@ -57,15 +76,20 @@ var lastPut atomic.Pointer[byte]
 // PutBuf returns b's backing array to the pool. The caller must not use
 // b (or any slice aliasing it) afterwards; returning the same buffer
 // twice in a row panics. Oversized buffers are dropped on the floor for
-// the GC instead of pinning the pool.
+// the GC instead of pinning the pool; either way the ownership ends.
 func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledCap {
+	if cap(b) == 0 {
+		return
+	}
+	if cap(b) > maxPooledCap {
+		outBufs.Add(-1)
 		return
 	}
 	p := &b[:1][0]
 	if lastPut.Swap(p) == p {
 		panic("wire: buffer returned to the pool twice")
 	}
+	outBufs.Add(-1)
 	b = b[:0]
 	bufPool.Put(&b)
 }
@@ -96,22 +120,39 @@ func newFrame(msg Msg, c *EncodeCache) *Frame {
 	f := framePool.Get().(*Frame)
 	buf := f.b
 	if cap(buf) == 0 {
-		buf = GetBuf(minBufCap)
+		buf = getBuf(minBufCap)
 	}
 	buf = append(buf[:0], 0, 0, 0, 0, byte(msg.Type()))
 	buf = appendMsgCached(buf, msg, c)
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-frameHeaderSize))
 	f.b = buf
 	f.refs.Store(1)
+	outFrames.Add(1)
 	return f
 }
 
 // Bytes returns the full encoded frame (header + payload). The slice is
-// valid only while the caller holds a reference.
-func (f *Frame) Bytes() []byte { return f.b }
+// valid only while the caller holds a reference; reading a frame the
+// pool already owns panics.
+func (f *Frame) Bytes() []byte {
+	f.mustBeLive()
+	return f.b
+}
 
 // Len returns the total frame length in bytes.
-func (f *Frame) Len() int { return len(f.b) }
+func (f *Frame) Len() int {
+	f.mustBeLive()
+	return len(f.b)
+}
+
+// mustBeLive is the use-after-release sentinel: one atomic load. A
+// frame the pool has handed to a new owner reads live again, so it
+// catches the stale read that happens before the frame is reused.
+func (f *Frame) mustBeLive() {
+	if f.refs.Load() <= 0 {
+		panic("wire: frame used after its final release")
+	}
+}
 
 // frameFreed marks a frame whose final reference was released and which
 // now belongs to the pool. Parked far below zero so that racing or stale
@@ -142,6 +183,7 @@ func (f *Frame) Release() {
 			f.b = nil
 		}
 		f.refs.Store(frameFreed)
+		outFrames.Add(-1)
 		framePool.Put(f)
 	case n < 0:
 		if n <= frameFreed {
@@ -216,7 +258,7 @@ func CoalesceFrames(a, b *Frame) (*Frame, bool) {
 	f := framePool.Get().(*Frame)
 	buf := f.b
 	if cap(buf) == 0 {
-		buf = GetBuf(minBufCap)
+		buf = getBuf(minBufCap)
 	}
 	buf = append(buf[:0], 0, 0, 0, 0, byte(TypeBatch))
 	buf = append(buf, ab[5])                                                        // push flag
@@ -229,6 +271,7 @@ func CoalesceFrames(a, b *Frame) (*Frame, bool) {
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-frameHeaderSize))
 	f.b = buf
 	f.refs.Store(1)
+	outFrames.Add(1)
 	return f, true
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"seve/internal/action"
@@ -276,7 +277,6 @@ func TestFrameOverReleasePanics(t *testing.T) {
 			t.Fatal("over-release did not panic")
 		}
 	}()
-	//seve:vet-ignore pooldiscipline deliberate over-release; this test locks in the panic
 	f.Release()
 }
 
@@ -289,7 +289,7 @@ func TestGetPutBufRecycles(t *testing.T) {
 	}
 	b = append(b, 1, 2, 3)
 	PutBuf(b)
-	huge := make([]byte, 0, maxPooledCap+1)
+	huge := GetBuf(maxPooledCap + 1)
 	PutBuf(huge) // must not pin; just exercising the size gate
 	b2 := GetBuf(16)
 	if len(b2) != 0 {
@@ -313,7 +313,6 @@ func TestPutBufTwicePanics(t *testing.T) {
 			t.Fatal("double PutBuf did not panic")
 		}
 	}()
-	//seve:vet-ignore pooldiscipline deliberate double put; this test locks in the panic
 	PutBuf(b)
 }
 
@@ -327,6 +326,78 @@ func TestRetainAfterReleasePanics(t *testing.T) {
 			t.Fatal("Retain after final release did not panic")
 		}
 	}()
-	//seve:vet-ignore pooldiscipline deliberate retain after free; this test locks in the panic
 	f.Retain()
+}
+
+// TestFrameBytesAfterReleasePanics locks in the use-after-release
+// sentinel: reading a frame the pool owns panics instead of returning
+// bytes the next owner may be overwriting.
+func TestFrameBytesAfterReleasePanics(t *testing.T) {
+	for name, read := range map[string]func(*Frame){
+		"Bytes": func(f *Frame) { f.Bytes() },
+		"Len":   func(f *Frame) { f.Len() },
+	} {
+		f := NewFrame(&Hello{})
+		f.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after the final release did not panic", name)
+				}
+			}()
+			read(f)
+		}()
+	}
+}
+
+// TestOutstandingCount pins what the pool's balance counts: buffers
+// handed out by GetBuf until PutBuf (the oversize drop included), and
+// frames until their final Release (a coalesced frame is a new one). A
+// frame's own backing buffer is not a counted buffer.
+func TestOutstandingCount(t *testing.T) {
+	want := func(step string, bufs, frames int64) {
+		t.Helper()
+		if b, f := Outstanding(); b != bufs || f != frames {
+			t.Fatalf("%s: outstanding = %d buffers, %d frames; want %d, %d", step, b, f, bufs, frames)
+		}
+	}
+	b0, f0 := Outstanding()
+	buf, big := GetBuf(16), GetBuf(maxPooledCap+1)
+	want("two GetBufs", b0+2, f0)
+	PutBuf(buf)
+	PutBuf(big)
+	want("PutBuf, pooled and dropped", b0, f0)
+
+	a := NewFrame(&Batch{Push: true, ClientSeq: 1})
+	b := NewFrame(&Batch{Push: true, ClientSeq: 2})
+	want("two frames", b0, f0+2)
+	m, ok := CoalesceFrames(a, b)
+	if !ok {
+		t.Fatal("contiguous batches did not coalesce")
+	}
+	m.Retain()
+	want("coalesced", b0, f0+3)
+	a.Release()
+	b.Release()
+	m.Release()
+	want("inputs released, merged retained", b0, f0+1)
+	m.Release()
+	want("all released", b0, f0)
+}
+
+// failingWriter fails every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestWriteFrameErrorReturnsBuffer: a frame write that fails still
+// returns its staging buffer to the pool.
+func TestWriteFrameErrorReturnsBuffer(t *testing.T) {
+	bufs, frames := Outstanding()
+	if err := WriteFrame(failingWriter{}, &Hello{}); err == nil {
+		t.Fatal("WriteFrame to a failing writer reported no error")
+	}
+	if b, f := Outstanding(); b != bufs || f != frames {
+		t.Fatalf("outstanding after a failed WriteFrame = %d buffers, %d frames; want %d, %d", b, f, bufs, frames)
+	}
 }

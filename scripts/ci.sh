@@ -16,14 +16,19 @@
 #
 # Contracts and their gates (DESIGN.md §9 has the seeded-defect table
 # that decided which gate holds which):
-#   seve-vet         pool ownership (pooldiscipline), no map order on
-#                    byte-identical paths (detorder), no blocking under
-#                    a mutex (lockscope), lane-owned state on its lane
-#                    (laneaffinity), explicit Delivery on every Reply
-#                    literal (deliveryclass)
+#   seve-vet         no blocking under a mutex (lockscope), lane-owned
+#                    state on its lane (laneaffinity), explicit Delivery
+#                    on every Reply literal (deliveryclass)
 #   go vet           no by-value copy of world.ScratchSet/CountedSet
 #                    (copylocks over the noCopy marker; was nocopy)
-#   go test          actions confined to their declared read/write sets
+#   go test          pool ownership: wire.Outstanding reads zero when the
+#                    tests of wire, transport, durable, core, shard and
+#                    netsim end (wiretest.Main), and a released frame
+#                    panics when read (was pooldiscipline); no map order
+#                    on byte-identical paths: the pinned digests
+#                    (TestPinnedBytes, TestClientReplicaEquivalence) and
+#                    TestBaselinesRunTwice (was detorder); actions
+#                    confined to their declared read/write sets
 #                    (action.CheckAccess under Config.Strict in every
 #                    harness and example; was rwset); Ordered frames
 #                    never shed, only Batch frames merged
@@ -32,6 +37,11 @@
 #                    omits an entry Equation (1) accepts, whatever the
 #                    declared positions and radii (TestPushGridEquivalence,
 #                    FuzzPushGrid)
+#
+# The pool balance is checked once per test binary, after all its tests,
+# so test order does not matter and it holds under -shuffle=on. The fuzz
+# smokes skip it on purpose: the targets run in fuzz workers, whose exit
+# status the coordinating process does not read (wiretest.Main).
 #
 # The fuzz passes keep Decode honest against hostile frames, recovery
 # against hostile store directories in either segment layout, and the
