@@ -1,12 +1,13 @@
 // Command seve-vet is the engine's domain-specific static analyzer. It
 // enforces the contracts a seeded-defect study (DESIGN.md §9) showed no
 // test, stock `go vet` pass or -race run catching: no blocking
-// operations inside mutex regions (lockscope), lane-partitioned state
-// touched only from its lane's worker or the sequential seal passes
-// (laneaffinity), and explicit delivery metadata on every
-// transport-bound reply (deliveryclass). Pool ownership and map-order
-// independence, once checked here too, are held by tests (wire's
-// outstanding count, the pinned digests, the run-twice tests).
+// operations inside mutex regions (lockscope), and lane-partitioned
+// state touched only from its lane's worker or the sequential seal
+// passes (laneaffinity). Pool ownership, map-order independence and
+// reply delivery classes, once checked here too, are held by tests and
+// a derivation (wire's outstanding count, the pinned digests, the
+// run-twice tests, core's type-derived classes that SendQueue.Enqueue
+// asserts).
 //
 // Usage:
 //

@@ -49,9 +49,8 @@ func (s *BroadcastServer) HandleSubmit(from action.ClientID, m *wire.Submit) Out
 	}
 	for _, cid := range s.clients {
 		out.Replies = append(out.Replies, core.Reply{
-			To:      cid,
-			Msg:     &wire.Batch{Envs: []action.Envelope{env}},
-			Deliver: core.Delivery{Class: core.DeliveryOrdered},
+			To:  cid,
+			Msg: &wire.Batch{Envs: []action.Envelope{env}},
 		})
 	}
 	return out

@@ -106,9 +106,8 @@ func (s *CentralServer) HandleSubmit(from action.ClientID, m *wire.Submit) Outpu
 
 	// Commit signal to the origin.
 	out.Replies = append(out.Replies, core.Reply{
-		To:      from,
-		Msg:     &wire.Completion{Seq: env.Seq, By: action.OriginServer, Res: res},
-		Deliver: core.Delivery{Class: core.DeliveryOrdered},
+		To:  from,
+		Msg: &wire.Completion{Seq: env.Seq, By: action.OriginServer, Res: res},
 	})
 
 	// Object updates to interested clients.
@@ -133,7 +132,6 @@ func (s *CentralServer) HandleSubmit(from action.ClientID, m *wire.Submit) Outpu
 				Msg: &wire.Batch{Envs: []action.Envelope{{
 					Seq: env.Seq, Origin: action.OriginServer, Act: bw,
 				}}},
-				Deliver: core.Delivery{Class: core.DeliveryOrdered},
 			})
 		}
 	}

@@ -101,7 +101,6 @@ func (s *LockServer) HandleEffect(from action.ClientID, m *wire.Completion) Outp
 			Msg: &wire.Batch{Envs: []action.Envelope{{
 				Seq: m.Seq, Origin: from, Act: bw,
 			}}},
-			Deliver: core.Delivery{Class: core.DeliveryOrdered},
 		})
 	}
 	// Release and re-grant.
@@ -136,9 +135,8 @@ func (s *LockServer) tryGrant(out *Output) bool {
 		s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
 		s.granted++
 		out.Replies = append(out.Replies, core.Reply{
-			To:      req.from,
-			Msg:     &wire.LockGrant{Seq: req.seq, ActID: req.env.Act.ID()},
-			Deliver: core.Delivery{Class: core.DeliveryOrdered},
+			To:  req.from,
+			Msg: &wire.LockGrant{Seq: req.seq, ActID: req.env.Act.ID()},
 		})
 		return true
 	}

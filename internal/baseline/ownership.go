@@ -80,9 +80,8 @@ func (s *OwnershipServer) HandleUpdate(from action.ClientID, m *wire.Submit) Out
 			continue
 		}
 		out.Replies = append(out.Replies, core.Reply{
-			To:      cid,
-			Msg:     &wire.Batch{Envs: []action.Envelope{env}},
-			Deliver: core.Delivery{Class: core.DeliveryOrdered},
+			To:  cid,
+			Msg: &wire.Batch{Envs: []action.Envelope{env}},
 		})
 	}
 	return out

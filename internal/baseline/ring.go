@@ -86,9 +86,8 @@ func (s *RingServer) HandleSubmit(from action.ClientID, m *wire.Submit) Output {
 		}
 		s.forwarded++
 		out.Replies = append(out.Replies, core.Reply{
-			To:      cid,
-			Msg:     &wire.Batch{Envs: []action.Envelope{env}},
-			Deliver: core.Delivery{Class: core.DeliveryOrdered},
+			To:  cid,
+			Msg: &wire.Batch{Envs: []action.Envelope{env}},
 		})
 	}
 	return out

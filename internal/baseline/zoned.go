@@ -124,9 +124,8 @@ func (s *ZoneServer) HandleSubmit(from action.ClientID, m *wire.Submit) ZoneOutp
 	out.Executed = append(out.Executed, env.Act)
 
 	out.Replies = append(out.Replies, core.Reply{
-		To:      from,
-		Msg:     &wire.Completion{Seq: env.Seq, By: action.OriginServer, Res: res},
-		Deliver: core.Delivery{Class: core.DeliveryOrdered},
+		To:  from,
+		Msg: &wire.Completion{Seq: env.Seq, By: action.OriginServer, Res: res},
 	})
 	if len(res.Writes) > 0 {
 		bw := action.NewBlindWrite(action.ID{Client: action.OriginServer, Seq: uint32(env.Seq)}, res.Writes)
@@ -137,7 +136,6 @@ func (s *ZoneServer) HandleSubmit(from action.ClientID, m *wire.Submit) ZoneOutp
 			if cid != from {
 				out.Replies = append(out.Replies, core.Reply{
 					To: cid, Msg: batch,
-					Deliver: core.Delivery{Class: core.DeliveryOrdered},
 				})
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"seve/internal/action"
@@ -29,42 +30,40 @@ import (
 // (grid.go): a client tests only the entries in the 3×3 cells around its
 // own, plus those the grid cannot place, instead of the whole window.
 //
-// The cycle is a plan/commit scheduler. Planning — each client's
-// eligibility tests plus the Algorithm 6 closure walk — only reads engine
+// The cycle is a plan/commit scheduler over recipient groups
+// (pushGroups): each live client alone, or under HybridRelay the clients
+// of one relay cell (hybrid.go). Planning — the members' eligibility
+// tests plus one Algorithm 6 closure walk per group — only reads engine
 // state (the grid is built before the fan-out), so it fans out over a
 // bounded worker pool (pushWorkerCount). The commit phase then applies
-// every plan in ascending client order: sent() marks, blind-write ids,
-// per-client batch sequence numbers, replies, counters. Because plans for
-// different clients are independent (sent() is per-client and nothing
-// else mutates during planning), the output is byte-identical whatever
-// the pool width — TestTickParallelDeterminism holds the scheduler to
-// that.
+// every plan in group order: sent() marks, blind-write ids, per-client
+// batch sequence numbers, replies, counters. Because plans for different
+// groups are independent (sent() is per-client, groups are disjoint and
+// nothing else mutates during planning), the output is byte-identical
+// whatever the pool width — TestTickParallelDeterminism holds the
+// scheduler to that.
 func (s *Server) Tick(nowMs float64) ServerOutput {
 	var out ServerOutput
 	if s.cfg.Mode < ModeFirstBound {
 		return out
 	}
 	window := s.pushWindow(nowMs)
-	if s.cfg.HybridRelay {
-		s.hybridTick(window, nowMs, &out)
-		return out
-	}
-	recs := s.live // ascending id: the deterministic client order
-	if len(window) == 0 || len(recs) == 0 {
+	if len(window) == 0 || len(s.live) == 0 {
 		return out
 	}
 
 	s.stats.PushTicks++
-	s.buildPushGrid(window, recs)
-	if cap(s.plans) < len(recs) {
-		s.plans = make([]ReplyPlan, len(recs))
+	s.buildPushGrid(window, s.live)
+	groups := s.pushGroups()
+	if cap(s.plans) < len(groups) {
+		s.plans = make([]ReplyPlan, len(groups))
 	}
-	plans := s.plans[:len(recs)]
-	workers := s.pushWorkerCount(len(recs))
+	plans := s.plans[:len(groups)]
+	workers := s.pushWorkerCount(len(groups))
 	if workers <= 1 {
 		sc := s.scratchFor(0)
-		for i, rec := range recs {
-			plans[i] = s.planPush(rec, window, nowMs, sc)
+		for i, members := range groups {
+			plans[i] = s.planPush(members, window, nowMs, sc)
 		}
 	} else {
 		s.stats.PushParallelTicks++
@@ -73,19 +72,18 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 		s.scratchFor(workers - 1)
 		tasks := make([]func(), workers)
 		for w := 0; w < workers; w++ {
-			w := w
 			tasks[w] = func() {
 				sc := s.scratchFor(w)
-				for i := w; i < len(recs); i += workers {
-					plans[i] = s.planPush(recs[i], window, nowMs, sc)
+				for i := w; i < len(groups); i += workers {
+					plans[i] = s.planPush(groups[i], window, nowMs, sc)
 				}
 			}
 		}
 		s.runPlanTasks(tasks)
 	}
 
-	for i, rec := range recs {
-		s.commitPush(rec, &plans[i], &out)
+	for i, members := range groups {
+		s.commitPush(members, &plans[i], &out)
 	}
 	// The replies own their slices; zeroing the reused plans keeps none
 	// of them reachable from the next tick.
@@ -94,8 +92,8 @@ func (s *Server) Tick(nowMs float64) ServerOutput {
 }
 
 // pushWindow advances the push clock to nowMs and returns the queue
-// positions stamped since the previous tick, in ascending order — the
-// one window both tick paths read. The slice is reused across ticks.
+// positions stamped since the previous tick, in ascending order. The
+// slice is reused across ticks.
 func (s *Server) pushWindow(nowMs float64) []int {
 	windowStart := s.lastPushMs
 	s.lastPushMs = nowMs
@@ -138,7 +136,7 @@ func (s *Server) runPlanTasks(tasks []func()) {
 }
 
 // ReplyPlan is the read-only result of planning one batch — a
-// submission reply (PlanReply) or one client's First Bound push
+// submission reply (PlanReply) or one recipient group's First Bound push
 // (planPush): the batch positions and blind-write payload computed by
 // the closure walk. Plans hold no references into mutable engine state,
 // which is what lets both schedulers compute them on worker goroutines
@@ -162,8 +160,8 @@ type ReplyPlan struct {
 // overlays; callers must not mutate the slice.
 func (p *ReplyPlan) Positions() []int { return p.positions }
 
-// pushWorkerCount resolves the pool width for n clients: up to
-// GOMAXPROCS workers, but sequential for small client sets where
+// pushWorkerCount resolves the pool width for n groups: up to
+// GOMAXPROCS workers, but sequential for small group sets where
 // fan-out overhead would dominate. A width forced by a test (pushWidth)
 // is honored, capped at n.
 func (s *Server) pushWorkerCount(n int) int {
@@ -180,36 +178,48 @@ func (s *Server) pushWorkerCount(n int) int {
 	return w
 }
 
-// planPush collects rec's push seeds (pushSeeds) and runs the closure
-// walk over them. Read-only apart from its private scratch, so it is
+// planPush plans one recipient group's push: the union, in window order,
+// of its members' push seeds (pushSeeds), walked with sentToAll as the
+// closure's already(). Read-only apart from its private scratch, so it is
 // safe on a worker goroutine: the queue, the entry grid, the conflict
 // index, the interner, ζS, and the sent() bitmaps are all frozen for the
 // duration of the planning phase.
-func (s *Server) planPush(rec *clientRec, window []int, nowMs float64, sc *closureScratch) ReplyPlan {
+func (s *Server) planPush(members []*clientRec, window []int, nowMs float64, sc *closureScratch) ReplyPlan {
 	var st walkStats
-	seeds := s.pushSeeds(rec, window, nowMs, sc, &st)
+	seeds := sc.seeds[:0]
+	for _, rec := range members {
+		seeds = s.pushSeeds(seeds, rec, window, nowMs, sc, &st)
+	}
+	if len(members) > 1 {
+		slices.Sort(seeds)
+		seeds = slices.Compact(seeds)
+	}
 	sc.seeds = seeds
 	if len(seeds) == 0 {
 		return ReplyPlan{stats: st}
 	}
 	v := s.segment.view()
-	p := s.planBatch(&v, seeds, sc, sentTo(rec.slot))
+	p := s.planBatch(&v, seeds, sc, sentToAll(members))
 	p.stats.pushTests, p.stats.gridLookups = st.pushTests, st.gridLookups
 	return p
 }
 
-// commitPush applies one client's plan: marks the batch entries sent,
+// commitPush applies one group's plan: marks the batch entries sent,
 // mints the blind-write id, stamps the per-client batch sequence, and
-// emits the reply. Runs on the engine goroutine in ascending client
-// order, which is what makes the scheduler's output independent of the
-// pool width.
-func (s *Server) commitPush(rec *clientRec, p *ReplyPlan, out *ServerOutput) {
+// emits a Batch to a lone member or a Relay to a cell (commitRelay). Runs
+// on the engine goroutine in group order, which is what makes the
+// scheduler's output independent of the pool width.
+func (s *Server) commitPush(members []*clientRec, p *ReplyPlan, out *ServerOutput) {
 	s.noteWalk(p.stats, out)
 	if len(p.positions) == 0 {
 		return
 	}
+	if len(members) > 1 {
+		out.Replies = append(out.Replies, s.commitRelay(members, p))
+		return
+	}
 	v := s.segment.view()
-	out.Replies = append(out.Replies, s.commitPlan(&v, rec, p, s.mintBlind(p), true))
+	out.Replies = append(out.Replies, s.commitPlan(&v, members[0], p, s.mintBlind(p), true))
 }
 
 // pushEligible decides whether entry e could affect a future action of

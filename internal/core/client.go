@@ -584,10 +584,7 @@ func (c *Client) HandleRelay(m *wire.Relay) ClientOutput {
 		if i < len(m.TargetSeqs) {
 			fwd.ClientSeq = m.TargetSeqs[i]
 		}
-		out.ToPeers = append(out.ToPeers, Reply{
-			To: t, Msg: fwd,
-			Deliver: Delivery{Class: DeliveryOrdered},
-		})
+		out.ToPeers = append(out.ToPeers, newReply(t, fwd, nil))
 	}
 	inner := c.HandleBatch(m.Inner)
 	out.ToServer = append(out.ToServer, inner.ToServer...)

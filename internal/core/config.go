@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -223,27 +224,29 @@ func DefaultConfig() Config {
 // PushIntervalMs returns the First Bound push period ω·RTT.
 func (c Config) PushIntervalMs() float64 { return c.Omega * c.RTTMs }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every range test is written so
+// that NaN fails it, and the float fields other than MaxSpeed must be
+// finite.
 func (c Config) Validate() error {
 	if c.Mode < ModeBasic || c.Mode > ModeInfoBound {
 		return fmt.Errorf("core: invalid mode %d", int(c.Mode))
 	}
 	if c.Mode >= ModeFirstBound {
-		if c.Omega <= 0 || c.Omega >= 1 {
+		if !(c.Omega > 0 && c.Omega < 1) {
 			return fmt.Errorf("core: omega must be in (0,1), got %v", c.Omega)
 		}
-		if c.RTTMs <= 0 {
-			return fmt.Errorf("core: RTT must be positive, got %v", c.RTTMs)
+		if !(c.RTTMs > 0 && c.RTTMs <= math.MaxFloat64) {
+			return fmt.Errorf("core: RTT must be positive and finite, got %v", c.RTTMs)
 		}
 	}
-	if c.Mode >= ModeInfoBound && c.Threshold <= 0 {
-		return fmt.Errorf("core: threshold must be positive, got %v", c.Threshold)
+	if c.Mode >= ModeInfoBound && !(c.Threshold > 0 && c.Threshold <= math.MaxFloat64) {
+		return fmt.Errorf("core: threshold must be positive and finite, got %v", c.Threshold)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: shards must be non-negative, got %d", c.Shards)
 	}
-	if c.ShardCellSize < 0 {
-		return fmt.Errorf("core: shard cell size must be non-negative, got %v", c.ShardCellSize)
+	if !finiteNonNeg(c.ShardCellSize) {
+		return fmt.Errorf("core: shard cell size must be non-negative and finite, got %v", c.ShardCellSize)
 	}
 	if c.HybridRelay && c.Mode < ModeFirstBound {
 		return fmt.Errorf("core: hybrid relay requires the First Bound push path (mode %v)", c.Mode)
@@ -254,11 +257,11 @@ func (c Config) Validate() error {
 	if c.ResumeWindow > 0 && c.Mode == ModeBasic {
 		return fmt.Errorf("core: session resume requires ModeIncomplete or above (no ζS to snapshot in mode %v)", c.Mode)
 	}
-	if c.AuditRate < 0 || c.AuditRate > 1 {
+	if !(c.AuditRate >= 0 && c.AuditRate <= 1) {
 		return fmt.Errorf("core: audit rate must be in [0,1], got %v", c.AuditRate)
 	}
-	if c.MaxSubmitRate < 0 {
-		return fmt.Errorf("core: max submit rate must be non-negative, got %v", c.MaxSubmitRate)
+	if !finiteNonNeg(c.MaxSubmitRate) {
+		return fmt.Errorf("core: max submit rate must be non-negative and finite, got %v", c.MaxSubmitRate)
 	}
 	if c.SubmitBurst < 0 {
 		return fmt.Errorf("core: submit burst must be non-negative, got %d", c.SubmitBurst)
@@ -266,8 +269,11 @@ func (c Config) Validate() error {
 	if c.MaxWriteSet < 0 {
 		return fmt.Errorf("core: max write set must be non-negative, got %d", c.MaxWriteSet)
 	}
-	if c.MaxInfluenceRadius < 0 {
-		return fmt.Errorf("core: max influence radius must be non-negative, got %v", c.MaxInfluenceRadius)
+	if !finiteNonNeg(c.MaxInfluenceRadius) {
+		return fmt.Errorf("core: max influence radius must be non-negative and finite, got %v", c.MaxInfluenceRadius)
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether v is in [0, MaxFloat64]: false for NaN.
+func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }

@@ -58,6 +58,7 @@ func runShapedWorkload(t *testing.T, cfg Config, seed int64, hook func(*Server),
 	var cache wire.EncodeCache
 	t.Cleanup(cache.Reset)
 	record := func(out ServerOutput) {
+		lb.requireDelivery(out)
 		for _, r := range out.Replies {
 			enc := wire.Encode(r.Msg)
 			f := wire.NewFrameCached(&cache, r.Msg)
@@ -66,6 +67,9 @@ func runShapedWorkload(t *testing.T, cfg Config, seed int64, hook func(*Server),
 					r.Msg, r.To)
 			}
 			f.Release()
+			if _, ok := r.Msg.(*wire.Relay); ok {
+				lb.relays++
+			}
 			trace = append(trace, fmt.Sprintf("%d:%x", r.To, enc))
 			lb.toClient[r.To] = append(lb.toClient[r.To], r.Msg)
 		}
@@ -159,29 +163,37 @@ func diffTraces(t *testing.T, name string, a, b []string) {
 
 // TestTickParallelDeterminism holds the push scheduler to its contract:
 // the byte stream of every server reply — closure batches, push batches,
-// ClientSeq stamps, blind-write ids — is identical whether planning runs
-// sequentially or fanned over a worker pool.
+// relays, ClientSeq stamps, blind-write ids — is identical whether
+// planning runs sequentially or fanned over a worker pool, with every
+// client its own recipient group or under HybridRelay's cells.
 func TestTickParallelDeterminism(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		for seed := int64(1); seed <= 3; seed++ {
-			cfg := cfgFor(ModeFirstBound)
-			trSeq, lbSeq := runEngineWorkload(t, cfg, seed, func(s *Server) { s.pushWidth = 1 })
-			trPar, lbPar := runEngineWorkload(t, cfg, seed, func(s *Server) { s.pushWidth = workers })
-			diffTraces(t, fmt.Sprintf("workers=%d seed=%d", workers, seed), trSeq, trPar)
-			if !lbSeq.srv.Authoritative().Equal(lbPar.srv.Authoritative()) {
-				t.Fatalf("workers=%d seed=%d: authoritative states diverged", workers, seed)
-			}
-			if lbPar.srv.stats.PushParallelTicks == 0 {
-				t.Fatalf("workers=%d: parallel path never exercised", workers)
-			}
-			// Both legs plan through the entry grid; the pool reads it
-			// concurrently.
-			if lbSeq.srv.stats.PushGridLookups == 0 || lbPar.srv.stats.PushGridLookups == 0 {
-				t.Fatalf("workers=%d seed=%d: a leg never consulted the entry grid", workers, seed)
-			}
-			// A mis-wired width would compare the pool with itself.
-			if n := lbSeq.srv.stats.PushParallelTicks; n != 0 {
-				t.Fatalf("workers=%d: sequential leg fanned out %d ticks", workers, n)
+	for _, hybrid := range []bool{false, true} {
+		for _, workers := range []int{2, 4, 8} {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("hybrid=%v workers=%d seed=%d", hybrid, workers, seed)
+				cfg := cfgFor(ModeFirstBound)
+				cfg.HybridRelay = hybrid
+				trSeq, lbSeq := runEngineWorkload(t, cfg, seed, func(s *Server) { s.pushWidth = 1 })
+				trPar, lbPar := runEngineWorkload(t, cfg, seed, func(s *Server) { s.pushWidth = workers })
+				diffTraces(t, name, trSeq, trPar)
+				if !lbSeq.srv.Authoritative().Equal(lbPar.srv.Authoritative()) {
+					t.Fatalf("%s: authoritative states diverged", name)
+				}
+				if lbPar.srv.stats.PushParallelTicks == 0 {
+					t.Fatalf("%s: parallel path never exercised", name)
+				}
+				// Both legs plan through the entry grid; the pool reads it
+				// concurrently.
+				if lbSeq.srv.stats.PushGridLookups == 0 || lbPar.srv.stats.PushGridLookups == 0 {
+					t.Fatalf("%s: a leg never consulted the entry grid", name)
+				}
+				// A mis-wired width would compare the pool with itself.
+				if n := lbSeq.srv.stats.PushParallelTicks; n != 0 {
+					t.Fatalf("%s: sequential leg fanned out %d ticks", name, n)
+				}
+				if hybrid == (lbPar.relays == 0) {
+					t.Fatalf("%s: %d relays", name, lbPar.relays)
+				}
 			}
 		}
 	}

@@ -74,10 +74,12 @@ func gridKey(cx, cy int32) uint64 {
 	return uint64(uint32(cx)^1<<31)<<32 | uint64(uint32(cy)^1<<31)
 }
 
-// cellOf places p, or reports false when p is non-finite or its cell
-// index would leave gridKeyLimit.
-func (g *pushGrid) cellOf(p geom.Vec) (cx, cy int32, ok bool) {
-	qx, qy := p.X/g.cell, p.Y/g.cell
+// cellOf places p in the cells of side cell, or reports false when p is
+// non-finite or its cell index would leave gridKeyLimit (or cell is not a
+// number). The entry grid and the relay cells (pushGroups) both key
+// through it.
+func cellOf(p geom.Vec, cell float64) (cx, cy int32, ok bool) {
+	qx, qy := p.X/cell, p.Y/cell
 	if !(math.Abs(qx) < gridKeyLimit && math.Abs(qy) < gridKeyLimit) {
 		return 0, 0, false
 	}
@@ -124,30 +126,33 @@ func (s *Server) buildPushGrid(window []int, recs []*clientRec) {
 	g.cell = cell
 	for ord, i := range window {
 		if e := s.queue[i]; s.gridEntry(e) {
-			if cx, cy, ok := g.cellOf(e.pos); ok {
+			if cx, cy, ok := cellOf(e.pos, g.cell); ok {
 				g.placed = append(g.placed, gridSlot{key: gridKey(cx, cy), ord: int32(ord)})
 				continue
 			}
 		}
 		g.always = append(g.always, int32(ord))
 	}
-	slices.SortFunc(g.placed, func(a, b gridSlot) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ord, b.ord)
-	})
+	slices.SortFunc(g.placed, compareSlots)
 }
 
-// pushSeeds returns, in window order, the window entries not yet sent to
-// rec that pushEligible accepts: from the grid's candidates when rec is
-// placed on this tick's grid and they are fewer than the window, from the
-// whole window otherwise. st counts the eligibility tests and grid
-// lookups.
-func (s *Server) pushSeeds(rec *clientRec, window []int, nowMs float64, sc *closureScratch, st *walkStats) []int {
+// compareSlots orders slots by (cell key, ordinal).
+func compareSlots(a, b gridSlot) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ord, b.ord)
+}
+
+// pushSeeds appends to dst, in window order, the window entries not yet
+// sent to rec that pushEligible accepts: from the grid's candidates when
+// rec is placed on this tick's grid and they are fewer than the window,
+// from the whole window otherwise. st counts the eligibility tests and
+// grid lookups.
+func (s *Server) pushSeeds(dst []int, rec *clientRec, window []int, nowMs float64, sc *closureScratch, st *walkStats) []int {
 	g := &s.grid
 	if g.cell != 0 && s.gridClient(&rec.clientInfo) {
-		if cx, cy, ok := g.cellOf(rec.pos); ok {
+		if cx, cy, ok := cellOf(rec.pos, g.cell); ok {
 			st.gridLookups++
 			// The three column ranges cx−1…cx+1 × cy−1…cy+1 of placed.
 			var cols [3][2]int
@@ -167,24 +172,23 @@ func (s *Server) pushSeeds(rec *clientRec, window []int, nowMs float64, sc *clos
 			// When the 3×3 cells hold the whole window (a crowd), the
 			// candidates are the window itself, already in order.
 			if n < len(window) {
-				return s.gridSeeds(rec, window, &cols, nowMs, sc, st)
+				return s.gridSeeds(dst, rec, window, &cols, nowMs, sc, st)
 			}
 		}
 	}
-	seeds := sc.seeds[:0]
 	for _, i := range window {
 		if s.pushTest(s.queue[i], rec, nowMs, st) {
-			seeds = append(seeds, i)
+			dst = append(dst, i)
 		}
 	}
-	return seeds
+	return dst
 }
 
 // gridSeeds is pushSeeds over the column ranges cols of placed plus the
 // always list. Accepted candidates are marked by window ordinal in the
 // worker's bitset, and walking its words emits them in window order
 // without a sort.
-func (s *Server) gridSeeds(rec *clientRec, window []int, cols *[3][2]int, nowMs float64, sc *closureScratch, st *walkStats) []int {
+func (s *Server) gridSeeds(dst []int, rec *clientRec, window []int, cols *[3][2]int, nowMs float64, sc *closureScratch, st *walkStats) []int {
 	g := &s.grid
 	if n := (len(window) + 63) >> 6; len(sc.mark) < n {
 		sc.mark = make([]uint64, n)
@@ -206,14 +210,13 @@ func (s *Server) gridSeeds(rec *clientRec, window []int, cols *[3][2]int, nowMs 
 	for _, ord := range g.always {
 		accept(ord)
 	}
-	seeds := sc.seeds[:0]
 	for w := lo; w <= hi; w++ {
 		for word := mark[w]; word != 0; word &= word - 1 {
-			seeds = append(seeds, window[w<<6|bits.TrailingZeros64(word)])
+			dst = append(dst, window[w<<6|bits.TrailingZeros64(word)])
 		}
 		mark[w] = 0
 	}
-	return seeds
+	return dst
 }
 
 // pushTest is one push candidate: skipped if already sent to rec,

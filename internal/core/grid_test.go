@@ -75,10 +75,12 @@ func TestPushGridEquivalence(t *testing.T) {
 	static.InterestFilter = true
 	moving := cfgFor(ModeFirstBound)
 	moving.AreaCulling, moving.InterestFilter = true, true
+	hybrid := static
+	hybrid.HybridRelay = true
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"static", static}, {"culled", moving}} {
+	}{{"static", static}, {"culled", moving}, {"hybrid", hybrid}} {
 		base := 2 * tc.cfg.MaxSpeed * (1 + tc.cfg.Omega) * tc.cfg.RTTMs
 		shape := gridShape(base+10, pushCellSide(base, 5, 5))
 		for seed := int64(1); seed <= 4; seed++ {
@@ -95,6 +97,9 @@ func TestPushGridEquivalence(t *testing.T) {
 			}
 			if g.PushTests >= f.PushTests {
 				t.Fatalf("%s: grid ran %d eligibility tests, the full scan %d", name, g.PushTests, f.PushTests)
+			}
+			if tc.cfg.HybridRelay == (lbGrid.relays == 0) {
+				t.Fatalf("%s: %d relays", name, lbGrid.relays)
 			}
 		}
 	}
@@ -136,7 +141,7 @@ func FuzzPushGrid(f *testing.F) {
 		window := []int{0, 1, 2, 3}
 		s.buildPushGrid(window, s.live)
 		var st walkStats
-		got := slices.Clone(s.pushSeeds(rec, window, 0, s.scratchFor(0), &st))
+		got := s.pushSeeds(nil, rec, window, 0, s.scratchFor(0), &st)
 		var want []int
 		for _, i := range window {
 			if s.pushEligible(s.queue[i], &rec.clientInfo, 0) {
@@ -150,38 +155,46 @@ func FuzzPushGrid(f *testing.F) {
 	})
 }
 
-// TestTickIdleAllocatesNothing: Tick keeps its window, grid and plan
-// scratch across ticks, so a tick whose window pushes nothing allocates
-// nothing.
+// TestTickIdleAllocatesNothing: Tick keeps its window, grid, groups and
+// plan scratch across ticks, so a tick whose window pushes nothing
+// allocates nothing — with every client its own group or under
+// HybridRelay's cells.
 func TestTickIdleAllocatesNothing(t *testing.T) {
-	lb := newLoopback(t, firstBoundConfig(), initWorld(8), 4)
-	lb.nowMs = 10
-	// Three clients out of each other's reach (10), two of them in
-	// adjacent cells so the grid hands them each other's entries to test,
-	// and one client with no position, which the first tick sends
-	// everything.
-	for cid, x := range map[action.ClientID]float64{1: 0, 2: 1005, 3: 1016} {
-		id := world.ObjectID(cid)
-		lb.submit(cid, spatialAt(&testAction{rs: world.NewIDSet(id), ws: world.NewIDSet(id), delta: 1}, x, 1000, 5))
-	}
-	for lb.stepServer() {
-	}
-	start, now := lb.srv.lastPushMs, lb.nowMs+238
-	lb.srv.Tick(now)
-	before := lb.srv.Metrics()
-	allocs := testing.AllocsPerRun(20, func() {
-		lb.srv.lastPushMs = start
-		if out := lb.srv.Tick(now); len(out.Replies) != 0 {
-			t.Fatalf("idle tick pushed %d replies", len(out.Replies))
+	for _, hybrid := range []bool{false, true} {
+		cfg := firstBoundConfig()
+		cfg.HybridRelay = hybrid
+		lb := newLoopback(t, cfg, initWorld(8), 5)
+		lb.nowMs = 10
+		// Clients 1–3 out of each other's reach (10), two of them in
+		// adjacent cells so the grid hands them each other's entries to
+		// test; client 5 beside client 2, in its relay cell; and client 4
+		// with no position, which the first tick sends everything.
+		for cid, x := range map[action.ClientID]float64{1: 0, 2: 1005, 3: 1016, 5: 1007} {
+			id := world.ObjectID(cid)
+			lb.submit(cid, spatialAt(&testAction{rs: world.NewIDSet(id), ws: world.NewIDSet(id), delta: 1}, x, 1000, 5))
 		}
-	})
-	after := lb.srv.Metrics()
-	if after.PushTicks == before.PushTicks || after.PushGridLookups == before.PushGridLookups ||
-		after.PushTests == before.PushTests {
-		t.Fatalf("the measured ticks never planned through the grid: %d ticks, %d lookups, %d tests",
-			after.PushTicks-before.PushTicks, after.PushGridLookups-before.PushGridLookups, after.PushTests-before.PushTests)
-	}
-	if allocs != 0 {
-		t.Fatalf("idle tick allocated %.1f times", allocs)
+		for lb.stepServer() {
+		}
+		start, now := lb.srv.lastPushMs, lb.nowMs+238
+		lb.srv.Tick(now)
+		if hybrid != (len(lb.srv.groups) < len(lb.srv.live)) {
+			t.Fatalf("hybrid=%v: %d groups for %d clients", hybrid, len(lb.srv.groups), len(lb.srv.live))
+		}
+		before := lb.srv.Metrics()
+		allocs := testing.AllocsPerRun(20, func() {
+			lb.srv.lastPushMs = start
+			if out := lb.srv.Tick(now); len(out.Replies) != 0 {
+				t.Fatalf("hybrid=%v: idle tick pushed %d replies", hybrid, len(out.Replies))
+			}
+		})
+		after := lb.srv.Metrics()
+		if after.PushTicks == before.PushTicks || after.PushGridLookups == before.PushGridLookups ||
+			after.PushTests == before.PushTests {
+			t.Fatalf("hybrid=%v: the measured ticks never planned through the grid: %d ticks, %d lookups, %d tests", hybrid,
+				after.PushTicks-before.PushTicks, after.PushGridLookups-before.PushGridLookups, after.PushTests-before.PushTests)
+		}
+		if allocs != 0 {
+			t.Fatalf("hybrid=%v: idle tick allocated %.1f times", hybrid, allocs)
+		}
 	}
 }

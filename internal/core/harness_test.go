@@ -92,6 +92,8 @@ type loopback struct {
 	drops      []action.ID
 	violations []string
 	submitted  int
+	// relays counts the Relay replies runShapedWorkload recorded.
+	relays int
 }
 
 type fromMsg struct {
@@ -157,10 +159,35 @@ func (lb *loopback) stepServer() bool {
 	fm := lb.toServer[0]
 	lb.toServer = lb.toServer[1:]
 	out := lb.srv.HandleMsg(fm.from, fm.msg, lb.nowMs)
+	lb.requireDelivery(out)
 	for _, r := range out.Replies {
 		lb.toClient[r.To] = append(lb.toClient[r.To], r.Msg)
 	}
 	return true
+}
+
+// requireDelivery fails the test unless every reply carries the delivery
+// class its message type calls for: the table transport.SendQueue.Enqueue
+// asserts, stated here on its own, so a reply path that bypasses newReply
+// or a wrong row in newReply fails the engine's tests too.
+func (lb *loopback) requireDelivery(out ServerOutput) {
+	lb.t.Helper()
+	for _, r := range out.Replies {
+		want := DeliveryOrdered
+		switch m := r.Msg.(type) {
+		case *wire.Batch:
+			want = DeliveryBatch
+		case *wire.Drop:
+			want = DeliveryCovered
+		case *wire.CatchUp:
+			if m.Snapshot {
+				want = DeliverySnapshot
+			}
+		}
+		if r.Deliver.Class != want {
+			lb.t.Fatalf("%T to client %d delivered as class %d, want %d", r.Msg, r.To, r.Deliver.Class, want)
+		}
+	}
 }
 
 // stepClient delivers the oldest pending message to the given client.
@@ -208,6 +235,7 @@ func removeCommit(cs []Commit, rv Commit) []Commit {
 // tick runs the server's First Bound push cycle.
 func (lb *loopback) tick() {
 	out := lb.srv.Tick(lb.nowMs)
+	lb.requireDelivery(out)
 	for _, r := range out.Replies {
 		lb.toClient[r.To] = append(lb.toClient[r.To], r.Msg)
 	}

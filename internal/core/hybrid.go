@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"seve/internal/action"
 	"seve/internal/wire"
@@ -21,137 +21,111 @@ import (
 // ζS — the properties Section II-B argues MMO operators cannot give up —
 // while its push egress drops by roughly the cell population.
 //
-// The shared batch is a superset of each member's individual needs;
-// supersets are harmless (batches are idempotent and multiversioned).
-// Reliability of the relay hop is assumed, as in the simulator and the
-// paper's sketch; production hardening (acks, re-push on relay failure)
-// is intentionally out of scope.
+// Hybrid is a recipient grouping, not a second push path: Tick plans one
+// ReplyPlan per group over the same entry grid and worker pool, and only
+// the commit differs (commitRelay). The shared batch is a superset of
+// each member's individual needs; supersets are harmless (batches are
+// idempotent and multiversioned). Reliability of the relay hop is
+// assumed, as in the simulator and the paper's sketch; production
+// hardening (acks, re-push on relay failure) is intentionally out of
+// scope.
 
-// hybridTick runs one push cycle with relay delegation over the tick's
-// window (pushWindow).
-func (s *Server) hybridTick(window []int, nowMs float64, out *ServerOutput) {
-	if len(window) == 0 {
-		return
+// unplacedKey sorts a client the relay cells cannot place after every
+// cell; no cell key reaches it (cellOf bounds |index| by gridKeyLimit).
+const unplacedKey = math.MaxUint64
+
+// pushGroups returns Tick's recipient groups in commit order, built in
+// scratch reused across ticks. Without HybridRelay every live client is a
+// group of its own, in ascending id order. Under HybridRelay the clients
+// of one relay cell — side 2s(1+ω)RTT + 2·DefaultRadius, two max-speed
+// cones plus both influence radii — form a group: cells ascending by
+// (x, y), members by id. Clients the cells cannot place (no position, or
+// one cellOf refuses: non-finite or off the cell keys) follow, each alone
+// and in id order, so a hostile position never puts a client under a
+// stranger's relay.
+func (s *Server) pushGroups() [][]*clientRec {
+	groups := s.groups[:0]
+	if s.cfg.HybridRelay {
+		groups = s.relayGroups(groups)
+	} else {
+		for i := range s.live {
+			groups = append(groups, s.live[i:i+1:i+1])
+		}
 	}
-	// Cell size: the reach of Equation (1) — two max-speed cones plus
-	// both influence radii.
+	s.groups = groups
+	return groups
+}
+
+// relayGroups appends the relay-cell groups to groups, sorting the
+// clients by (cell key, id) in a reused slice — no map, so no iteration
+// order reaches the commit order.
+func (s *Server) relayGroups(groups [][]*clientRec) [][]*clientRec {
 	cell := 2*s.cfg.MaxSpeed*(1+s.cfg.Omega)*s.cfg.RTTMs + 2*s.cfg.DefaultRadius
 	if cell <= 0 {
 		cell = 1
 	}
-
-	// s.live is in ascending id order, so every group's members and the
-	// unplaced list come out sorted.
-	groups := make(map[[2]int32][]*clientRec)
-	var unplaced []*clientRec
-	for _, rec := range s.live {
-		if !rec.hasPos {
-			unplaced = append(unplaced, rec)
-			continue
+	keys := s.relayKeys[:0]
+	for ord, rec := range s.live {
+		key := uint64(unplacedKey)
+		if cx, cy, ok := cellOf(rec.pos, cell); rec.hasPos && ok {
+			key = gridKey(cx, cy)
 		}
-		key := [2]int32{int32(math.Floor(rec.pos.X / cell)), int32(math.Floor(rec.pos.Y / cell))}
-		groups[key] = append(groups[key], rec)
+		keys = append(keys, gridSlot{key: key, ord: int32(ord)})
 	}
-
-	// Deterministic iteration: sort group keys.
-	keys := make([][2]int32, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-
+	slices.SortFunc(keys, compareSlots)
+	members := s.relayMembers[:0]
 	for _, k := range keys {
-		s.pushGroup(groups[k], window, nowMs, out)
+		members = append(members, s.live[k.ord])
 	}
-	// Clients with unknown positions are served individually (they are
-	// conservatively interested in everything, and grouping strangers
-	// under one relay would couple unrelated players).
-	for _, rec := range unplaced {
-		s.pushGroup([]*clientRec{rec}, window, nowMs, out)
+	s.relayKeys, s.relayMembers = keys, members
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].key == keys[lo].key && keys[lo].key != unplacedKey {
+			hi++
+		}
+		groups = append(groups, members[lo:hi:hi])
+		lo = hi
 	}
+	return groups
 }
 
-// pushGroup computes the shared seed set and closure for one cell and
-// emits either a direct Batch (single member) or a Relay.
-func (s *Server) pushGroup(members []*clientRec, window []int, nowMs float64, out *ServerOutput) {
-	var seeds []int
-	for _, i := range window {
-		e := s.queue[i]
-		wanted := false
-		for _, rec := range members {
-			if e.sent.has(rec.slot) {
-				continue
-			}
-			if s.pushEligible(e, &rec.clientInfo, nowMs) {
-				wanted = true
-				break
-			}
-		}
-		if wanted {
-			seeds = append(seeds, i)
-		}
-	}
-	if len(seeds) == 0 {
-		return
-	}
-	envs := s.closureShared(members, seeds, out)
+// sentToAll is the closure walk's already() for a recipient group, the
+// Algorithm 6 generalization to a set of recipients: an already-sent
+// writer's effects are subtracted only if EVERY member has them;
+// otherwise the action is included for all (duplicates are idempotent
+// under the multiversion stores).
+func sentToAll(members []*clientRec) func(int, *entry) bool {
 	if len(members) == 1 {
-		out.Replies = append(out.Replies, s.batchReply(members[0], envs, true, nil))
-		return
+		return sentTo(members[0].slot)
 	}
-	inner := &wire.Batch{Envs: envs, Push: true, InstalledUpTo: s.installed}
-	ids := make([]action.ClientID, len(members))
-	seqs := make([]uint64, len(members))
-	for i, rec := range members {
-		ids[i] = rec.id
-		rec.nextBatchSeq++
-		seqs[i] = rec.nextBatchSeq
-		// Retain the member's view of the shared batch — its own
-		// ClientSeq over the shared envelope section — so a resume can
-		// replay what the relay hop would have delivered.
-		s.retainBatch(rec, &wire.Batch{
-			Envs:          inner.Envs,
-			Push:          true,
-			InstalledUpTo: inner.InstalledUpTo,
-			ClientSeq:     seqs[i],
-		})
-	}
-	inner.ClientSeq = seqs[0] // the relay's own copy
-	out.Replies = append(out.Replies, Reply{
-		To:  ids[0],
-		Msg: &wire.Relay{Targets: ids, TargetSeqs: seqs, Inner: inner},
-		// A relay fans out to peers the queue cannot see past the first
-		// hop; it must arrive exactly once, in order.
-		Deliver: Delivery{Class: DeliveryOrdered},
-	})
-}
-
-// closureShared is Algorithm 6 generalized to a set of recipients: an
-// already-sent writer's effects are subtracted only if EVERY member has
-// them; otherwise the action is included for all (duplicates are
-// idempotent under the multiversion stores).
-func (s *Server) closureShared(members []*clientRec, seeds []int, out *ServerOutput) []action.Envelope {
-	v := s.segment.view()
-	positions, writes, st := s.closureWalk(&v, seeds, s.scratchFor(0), func(_ int, e *entry) bool {
+	return func(_ int, e *entry) bool {
 		for _, rec := range members {
 			if !e.sent.has(rec.slot) {
 				return false
 			}
 		}
 		return true
-	})
-	s.noteWalk(st, out)
-	for _, j := range positions {
-		for _, rec := range members {
+	}
+}
+
+// commitRelay commits one cell's shared plan: the entries are marked
+// sent to every member, and each member gets its own ClientSeq over the
+// one envelope section, retained so a resume can replay what the relay
+// hop would have delivered. The first member receives the Relay and
+// forwards it.
+func (s *Server) commitRelay(members []*clientRec, p *ReplyPlan) Reply {
+	envs := s.blindFirst(p, s.mintBlind(p))
+	ids := make([]action.ClientID, len(members))
+	seqs := make([]uint64, len(members))
+	for i, rec := range members {
+		for _, j := range p.positions {
 			s.queue[j].sent.set(rec.slot)
 		}
+		ids[i] = rec.id
+		rec.nextBatchSeq++
+		seqs[i] = rec.nextBatchSeq
+		s.retainBatch(rec, &wire.Batch{Envs: envs, Push: true, InstalledUpTo: s.installed, ClientSeq: seqs[i]})
 	}
-	// No footprint: a relayed batch is delivered in order, never superseded.
-	plan := ReplyPlan{positions: positions, writes: writes, envs: planEnvs(&v, positions)}
-	return s.blindFirst(&plan, s.mintBlind(&plan))
+	inner := &wire.Batch{Envs: envs, Push: true, InstalledUpTo: s.installed, ClientSeq: seqs[0]}
+	return newReply(ids[0], &wire.Relay{Targets: ids, TargetSeqs: seqs, Inner: inner}, nil)
 }

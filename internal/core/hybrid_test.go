@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"seve/internal/action"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -96,6 +99,53 @@ func TestHybridSharedBatchSkipsOwnAction(t *testing.T) {
 	}
 	lb.checkAgainstOracle(init)
 }
+
+// TestHybridHostilePositionsRelayAlone: an avatar whose declared position
+// the relay cells cannot place — NaN, +Inf, or beyond the cell keys — is
+// served alone, never under a relay beside strangers, while two normal
+// cell-mates still share one.
+func TestHybridHostilePositionsRelayAlone(t *testing.T) {
+	init := initWorld(8)
+	lb := newLoopback(t, hybridConfig(), init, 5)
+	for cid, x := range map[action.ClientID]float64{1: 100, 2: 101, 3: math.NaN(), 4: math.Inf(1), 5: 1e300} {
+		id := world.ObjectID(cid)
+		lb.submit(cid, spatialAt(&testAction{rs: world.NewIDSet(id), ws: world.NewIDSet(id), delta: 1}, x, 0, 5))
+	}
+	lb.drain()
+
+	// A position-less action is eligible for every client.
+	lb.nowMs += 10
+	a := &testAction{rs: world.NewIDSet(6), ws: world.NewIDSet(6), delta: 1}
+	lb.submitAction(1, nowhere{a}, func(id action.ID) { a.id = id })
+	for lb.stepServer() {
+	}
+	lb.nowMs += 238
+	out := lb.srv.Tick(lb.nowMs)
+	served := map[action.ClientID]bool{}
+	for _, rep := range out.Replies {
+		switch m := rep.Msg.(type) {
+		case *wire.Relay:
+			if !slices.Equal(m.Targets, []action.ClientID{1, 2}) {
+				t.Fatalf("relay targets %v, want the cell-mates [1 2]", m.Targets)
+			}
+		case *wire.Batch:
+			served[rep.To] = true
+		}
+		lb.toClient[rep.To] = append(lb.toClient[rep.To], rep.Msg)
+	}
+	for cid := action.ClientID(3); cid <= 5; cid++ {
+		if !served[cid] {
+			t.Fatalf("client %d with a hostile position got no batch of its own: %v", cid, out.Replies)
+		}
+	}
+	lb.drain()
+	lb.requireNoViolations()
+	lb.checkAgainstOracle(init)
+}
+
+// nowhere hides an action's spatial metadata: embedding the interface
+// promotes only action.Action's methods, so its entry has no position.
+type nowhere struct{ action.Action }
 
 // TestTheorem1PropertyHybrid: the full randomized consistency check with
 // hybrid relays on — relayed supersets and duplicate deliveries must not

@@ -51,8 +51,30 @@ type Reply struct {
 	To  action.ClientID
 	Msg wire.Msg
 	// Deliver carries the supersession metadata for the transport's
-	// delivery queue. The zero value (DeliveryOrdered) is always safe.
+	// delivery queue, derived from Msg by newReply.
 	Deliver Delivery
+}
+
+// newReply addresses msg to a client under the delivery class its type
+// determines — the one table transport.SendQueue.Enqueue asserts, so a
+// reply cannot be labelled against its message: a Batch is DeliveryBatch
+// at its ClientSeq, a Drop DeliveryCovered, a snapshot CatchUp
+// DeliverySnapshot at its NextBatchSeq, and everything else (verdicts,
+// relays, quarantines) DeliveryOrdered. footprint is the covered-object
+// set the queue charges to staleness accounting.
+func newReply(to action.ClientID, msg wire.Msg, footprint []world.ObjectID) Reply {
+	d := Delivery{Footprint: footprint}
+	switch m := msg.(type) {
+	case *wire.Batch:
+		d.Class, d.Epoch = DeliveryBatch, m.ClientSeq
+	case *wire.Drop:
+		d.Class = DeliveryCovered
+	case *wire.CatchUp:
+		if m.Snapshot {
+			d.Class, d.Epoch = DeliverySnapshot, m.NextBatchSeq
+		}
+	}
+	return Reply{To: to, Msg: msg, Deliver: d}
 }
 
 // ServerOutput is everything a server engine call produced. The engines

@@ -375,11 +375,7 @@ func (s *Server) replyDrop(p *Pending, out *ServerOutput) {
 		p.rec.sess.recordDrop(id)
 	}
 	out.Dropped = true
-	out.Replies = append(out.Replies, Reply{
-		To:      p.rec.id,
-		Msg:     &wire.Drop{ActID: id},
-		Deliver: Delivery{Class: DeliveryCovered},
-	})
+	out.Replies = append(out.Replies, newReply(p.rec.id, &wire.Drop{ActID: id}, nil))
 }
 
 // replyBasic implements Algorithm 2 step 2b: "the server returns to C all
@@ -533,11 +529,7 @@ func (s *Server) blindFirst(plan *ReplyPlan, blind action.ID) []action.Envelope 
 // batchReply sequences envs as the client's next batch.
 func (s *Server) batchReply(rec *clientRec, envs []action.Envelope, push bool, footprint []world.ObjectID) Reply {
 	b := s.sequence(rec, &wire.Batch{Envs: envs, Push: push, InstalledUpTo: s.installed})
-	return Reply{
-		To:      rec.id,
-		Msg:     b,
-		Deliver: Delivery{Class: DeliveryBatch, Footprint: footprint, Epoch: b.ClientSeq},
-	}
+	return newReply(rec.id, b, footprint)
 }
 
 // SealCommit emits one pending's staged reply and walk stats in merge

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"seve/internal/action"
@@ -31,6 +32,31 @@ func TestConfigValidate(t *testing.T) {
 	bad.Mode = ModeBasic
 	if err := bad.Validate(); err != nil {
 		t.Fatalf("basic mode should not need threshold: %v", err)
+	}
+	// NaN fails every range comparison, so each test must be written to
+	// fail on it; infinities fail where a finite value is meant.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, set := range map[string]func(*Config){
+		"omega NaN":                 func(c *Config) { c.Omega = nan },
+		"rtt NaN":                   func(c *Config) { c.RTTMs = nan },
+		"rtt +Inf":                  func(c *Config) { c.RTTMs = inf },
+		"threshold NaN":             func(c *Config) { c.Threshold = nan },
+		"threshold +Inf":            func(c *Config) { c.Threshold = inf },
+		"audit rate NaN":            func(c *Config) { c.AuditRate = nan },
+		"max submit rate NaN":       func(c *Config) { c.MaxSubmitRate = nan },
+		"max submit rate +Inf":      func(c *Config) { c.MaxSubmitRate = inf },
+		"max influence radius NaN":  func(c *Config) { c.MaxInfluenceRadius = nan },
+		"max influence radius +Inf": func(c *Config) { c.MaxInfluenceRadius = inf },
+		"shard cell size NaN":       func(c *Config) { c.ShardCellSize = nan },
+		"shard cell size +Inf":      func(c *Config) { c.ShardCellSize = inf },
+		"shard cell size -Inf":      func(c *Config) { c.ShardCellSize = -inf },
+		"max influence radius -Inf": func(c *Config) { c.MaxInfluenceRadius = -inf },
+	} {
+		bad := good
+		set(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -170,11 +170,7 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	ahead := rec != nil && m.LastBatchSeq > rec.sess.lastSeq
 	if rec == nil || (ahead && !rec.sess.recovered) {
 		s.stats.ResumesRejected++
-		out.Replies = append(out.Replies, Reply{
-			To: 0, Msg: &wire.CatchUp{},
-			// Resume verdicts are session control flow: never shed.
-			Deliver: Delivery{Class: DeliveryOrdered},
-		})
+		out.Replies = append(out.Replies, newReply(0, &wire.CatchUp{}, nil))
 		return 0, out
 	}
 	cid, sess := rec.id, rec.sess
@@ -186,10 +182,7 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	if rec.led.Quarantined {
 		s.stats.ResumesRejected++
 		s.stats.QuarantineRejected++
-		out.Replies = append(out.Replies, Reply{
-			To: 0, Msg: &wire.Quarantine{Reason: uint8(integrity.ViolationQuarantined)},
-			Deliver: Delivery{Class: DeliveryOrdered},
-		})
+		out.Replies = append(out.Replies, newReply(0, &wire.Quarantine{Reason: uint8(integrity.ViolationQuarantined)}, nil))
 		return 0, out
 	}
 
@@ -214,20 +207,17 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 		if recovered {
 			s.stats.ResumesRecovered++
 		}
-		out.Replies = append(out.Replies, Reply{To: cid, Msg: &wire.CatchUp{
+		out.Replies = append(out.Replies, newReply(cid, &wire.CatchUp{
 			OK:            true,
 			Boot:          s.boot,
 			BootFloor:     s.bootFloor,
 			InstalledUpTo: s.installed,
 			LastActSeq:    sess.lastActSeq,
 			DroppedActs:   slices.Clone(sess.drops),
-		},
-			// Resume verdicts are session control flow: never shed.
-			Deliver: Delivery{Class: DeliveryOrdered}})
+		}, nil))
 		for _, b := range sess.retained {
 			if b.ClientSeq > m.LastBatchSeq {
-				out.Replies = append(out.Replies, Reply{To: cid, Msg: b,
-					Deliver: Delivery{Class: DeliveryBatch, Epoch: b.ClientSeq}})
+				out.Replies = append(out.Replies, newReply(cid, b, nil))
 			}
 		}
 		return cid, out
@@ -264,21 +254,17 @@ func (s *Server) snapshotOut(rec *clientRec, out *ServerOutput) {
 	for i, w := range writes {
 		fp[i] = w.ID
 	}
-	out.Replies = append(out.Replies, Reply{
-		To: rec.id,
-		Msg: &wire.CatchUp{
-			OK:            true,
-			Boot:          s.boot,
-			BootFloor:     s.bootFloor,
-			Snapshot:      true,
-			InstalledUpTo: s.installed,
-			NextBatchSeq:  rec.nextBatchSeq + 1,
-			LastActSeq:    rec.sess.lastActSeq,
-			DroppedActs:   slices.Clone(rec.sess.drops),
-			Writes:        writes,
-		},
-		Deliver: Delivery{Class: DeliverySnapshot, Footprint: fp, Epoch: rec.nextBatchSeq + 1},
-	})
+	out.Replies = append(out.Replies, newReply(rec.id, &wire.CatchUp{
+		OK:            true,
+		Boot:          s.boot,
+		BootFloor:     s.bootFloor,
+		Snapshot:      true,
+		InstalledUpTo: s.installed,
+		NextBatchSeq:  rec.nextBatchSeq + 1,
+		LastActSeq:    rec.sess.lastActSeq,
+		DroppedActs:   slices.Clone(rec.sess.drops),
+		Writes:        writes,
+	}, fp))
 
 	// Re-deliver the client's own uncommitted actions as one closure
 	// batch: Algorithm 6 with the still-queued submissions as seeds. The

@@ -81,6 +81,7 @@ func runResumeScenario(t *testing.T, window int) (*loopback, *world.State) {
 	if cid != 1 {
 		t.Fatalf("resume resolved to client %d, want 1", cid)
 	}
+	lb.requireDelivery(out)
 	for _, r := range out.Replies {
 		lb.toClient[r.To] = append(lb.toClient[r.To], r.Msg)
 	}
@@ -217,6 +218,7 @@ func TestResumeRejectsUnknownToken(t *testing.T) {
 	if cu, ok := out.Replies[0].Msg.(*wire.CatchUp); !ok || cu.OK {
 		t.Fatalf("rejection message = %+v", out.Replies[0].Msg)
 	}
+	lb.requireDelivery(out)
 
 	// A LastBatchSeq ahead of anything ever sent is equally refused.
 	tok := lb.srv.SessionToken(1)

@@ -52,16 +52,20 @@ type Server struct {
 	// paths and scratch[w] serves push worker w.
 	scratch []*closureScratch
 	// tickWindow (pushWindow's queue positions), grid (the entry grid
-	// under planPush) and plans (one ReplyPlan per live client) are Tick's
-	// scratch, reused across ticks.
-	tickWindow []int
-	grid       pushGrid
-	plans      []ReplyPlan
+	// under planPush), groups (pushGroups' recipient groups; relayKeys and
+	// relayMembers back them under HybridRelay) and plans (one ReplyPlan
+	// per group) are Tick's scratch, reused across ticks.
+	tickWindow   []int
+	grid         pushGrid
+	groups       [][]*clientRec
+	relayKeys    []gridSlot
+	relayMembers []*clientRec
+	plans        []ReplyPlan
 
 	// recs holds everything the server knows per client id, live or not,
 	// and tokens indexes the records that have a session by resume token.
 	// live lists the registered records in ascending id order — the
-	// deterministic client order of Tick and hybridTick (map iteration
+	// deterministic client order of Tick's recipient groups (map iteration
 	// order would randomize reply ordering and, through link
 	// serialization, the whole simulation timeline).
 	recs   map[action.ClientID]*clientRec
@@ -738,11 +742,7 @@ func (s *Server) quarantine(rec *clientRec, reason integrity.Violation, seq, det
 			e.held, e.selfComplete = true, true
 		}
 	}
-	s.quarOut = append(s.quarOut, Reply{
-		To:      rec.id,
-		Msg:     &wire.Quarantine{Reason: uint8(reason), Seq: seq, Detail: detail},
-		Deliver: Delivery{Class: DeliveryOrdered},
-	})
+	s.quarOut = append(s.quarOut, newReply(rec.id, &wire.Quarantine{Reason: uint8(reason), Seq: seq, Detail: detail}, nil))
 	if qj, ok := s.journal.(QuarantineJournal); ok {
 		qj.ClientQuarantined(rec.id, uint8(reason), seq)
 	}

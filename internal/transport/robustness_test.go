@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/manhattan"
 	"seve/internal/wire"
@@ -26,19 +27,22 @@ func TestWriteQueueDropCounter(t *testing.T) {
 	srv.writers[7] = q
 	srv.mu.Unlock()
 
+	batchTo := func(id action.ClientID) core.Reply {
+		return core.Reply{To: id, Msg: &wire.Batch{}, Deliver: core.Delivery{Class: core.DeliveryBatch}}
+	}
 	var out core.ServerOutput
 	for i := 0; i < 3; i++ {
-		out.Replies = append(out.Replies, core.Reply{To: 7, Msg: &wire.Batch{}})
+		out.Replies = append(out.Replies, batchTo(7))
 	}
 	// A reply to a never-registered client is skipped, not counted: the
 	// counter measures backpressure, not departures.
-	out.Replies = append(out.Replies, core.Reply{To: 99, Msg: &wire.Batch{}})
+	out.Replies = append(out.Replies, batchTo(99))
 	srv.dispatch(out)
 
 	if got := srv.Metrics().WriteQueueDrops; got != 2 {
 		t.Fatalf("WriteQueueDrops = %d, want 2", got)
 	}
-	srv.dispatch(core.ServerOutput{Replies: []core.Reply{{To: 7, Msg: &wire.Batch{}}}})
+	srv.dispatch(core.ServerOutput{Replies: []core.Reply{batchTo(7)}})
 	if got := srv.Metrics().WriteQueueDrops; got != 3 {
 		t.Fatalf("WriteQueueDrops = %d after second burst, want 3", got)
 	}

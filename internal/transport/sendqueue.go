@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -185,8 +186,13 @@ func (q *SendQueue) addStale(d core.Delivery, behind bool) {
 }
 
 // Enqueue hands the queue one encoded frame and its supersession
-// metadata, consuming the caller's reference whatever the verdict.
+// metadata, consuming the caller's reference whatever the verdict. A
+// class the frame's type does not admit (classFits) is a programming
+// error and panics.
 func (q *SendQueue) Enqueue(f *wire.Frame, d core.Delivery) Verdict {
+	if t := wire.MsgType(f.Bytes()[4]); !classFits(t, d.Class) {
+		panic(fmt.Sprintf("transport: frame of type %d enqueued as delivery class %d", t, d.Class))
+	}
 	q.mu.Lock()
 	if q.closed || q.poisoned {
 		q.mu.Unlock()
@@ -281,6 +287,24 @@ func (q *SendQueue) Enqueue(f *wire.Frame, d core.Delivery) Verdict {
 	f.Release()
 	q.ctrs.Superseded.Add(1)
 	return NeedSnapshot
+}
+
+// classFits is the frame-type → delivery-class table the engine derives
+// every reply's class from (core's newReply), read off the type byte
+// CoalesceFrames also reads: a Batch is DeliveryBatch, a Drop
+// DeliveryCovered, a CatchUp DeliveryOrdered or — a snapshot, which the
+// type byte alone cannot tell — DeliverySnapshot, and any other frame
+// DeliveryOrdered.
+func classFits(t wire.MsgType, c core.DeliveryClass) bool {
+	switch t {
+	case wire.TypeBatch:
+		return c == core.DeliveryBatch
+	case wire.TypeDrop:
+		return c == core.DeliveryCovered
+	case wire.TypeCatchUp:
+		return c == core.DeliveryOrdered || c == core.DeliverySnapshot
+	}
+	return c == core.DeliveryOrdered
 }
 
 // unionFootprint merges two sorted deduplicated footprints.

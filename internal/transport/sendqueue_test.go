@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/wire"
 	"seve/internal/world"
@@ -391,8 +393,8 @@ func TestSendQueueStaleGauge(t *testing.T) {
 // every DeliveryOrdered frame an open, unpoisoned queue is handed is
 // accepted, then popped exactly once, byte-identical, in arrival order;
 // only DeliveryBatch frames are ever merged; Close is the one legal
-// Ordered shed. Every frame is a sequenced push Batch off one counter,
-// so the coalesce rung is within reach whatever class the tail carries.
+// Ordered shed. Each frame has the type its class admits (Enqueue asserts
+// the table) and is numbered off one counter (classFrame, frameSeqs).
 func TestSendQueueOrderedNeverShed(t *testing.T) {
 	type sent struct {
 		class  core.DeliveryClass
@@ -420,31 +422,27 @@ func TestSendQueueOrderedNeverShed(t *testing.T) {
 					if err != nil {
 						fail("popped frame does not decode: %v", err)
 					}
-					b := msg.(*wire.Batch)
-					if b.ClientSeq <= lastPopped {
-						fail("frame %d popped after frame %d", b.ClientSeq, lastPopped)
+					from, to := frameSeqs(msg)
+					if to <= lastPopped {
+						fail("frame %d popped after frame %d", to, lastPopped)
 					}
-					lastPopped = b.ClientSeq
-					from := b.ClientSeq
-					if b.CoversFrom != 0 {
-						from = b.CoversFrom
-					}
-					for n := from; n <= b.ClientSeq; n++ {
+					lastPopped = to
+					for n := from; n <= to; n++ {
 						fr := frames[n]
 						if fr == nil || fr.popped {
 							fail("frame %d popped twice or never enqueued", n)
 						}
 						fr.popped = true
-						if from != b.ClientSeq && fr.class != core.DeliveryBatch {
-							fail("frame %d of class %d was merged into [%d,%d]", n, fr.class, from, b.ClientSeq)
+						if from != to && fr.class != core.DeliveryBatch {
+							fail("frame %d of class %d was merged into [%d,%d]", n, fr.class, from, to)
 						}
 					}
-					if fr := frames[b.ClientSeq]; from == b.ClientSeq && !bytes.Equal(fr.bytes, f.Bytes()) {
-						fail("frame %d popped with different bytes", b.ClientSeq)
+					if fr := frames[to]; from == to && !bytes.Equal(fr.bytes, f.Bytes()) {
+						fail("frame %d popped with different bytes", to)
 					}
-					if len(owed) > 0 && b.ClientSeq >= owed[0] {
-						if b.ClientSeq > owed[0] {
-							fail("ordered frame %d was accepted and skipped: frame %d popped first", owed[0], b.ClientSeq)
+					if len(owed) > 0 && to >= owed[0] {
+						if to > owed[0] {
+							fail("ordered frame %d was accepted and skipped: frame %d popped first", owed[0], to)
 						}
 						owed = owed[1:]
 					}
@@ -461,7 +459,7 @@ func TestSendQueueOrderedNeverShed(t *testing.T) {
 						core.DeliveryBatch, core.DeliveryBatch, core.DeliveryBatch, core.DeliveryOrdered,
 						core.DeliveryOrdered, core.DeliveryCovered, core.DeliverySnapshot,
 					}[rng.Intn(7)]
-					f := wire.NewFrame(&wire.Batch{Push: true, InstalledUpTo: seq, ClientSeq: seq})
+					f := wire.NewFrame(classFrame(class, seq))
 					frames[seq] = &sent{class: class, bytes: bytes.Clone(f.Bytes())}
 					v := q.Enqueue(f, core.Delivery{Class: class, Epoch: seq})
 					switch {
@@ -496,4 +494,37 @@ func TestSendQueueOrderedNeverShed(t *testing.T) {
 			q.Close()
 		}
 	}
+}
+
+// classFrame builds a frame body of the type class admits, numbered seq.
+func classFrame(class core.DeliveryClass, seq uint64) wire.Msg {
+	switch class {
+	case core.DeliveryBatch:
+		return &wire.Batch{Push: true, InstalledUpTo: seq, ClientSeq: seq}
+	case core.DeliveryCovered:
+		return &wire.Drop{ActID: action.ID{Seq: uint32(seq)}}
+	case core.DeliverySnapshot:
+		return &wire.CatchUp{OK: true, Snapshot: true, NextBatchSeq: seq}
+	}
+	return &wire.CatchUp{OK: true, InstalledUpTo: seq}
+}
+
+// frameSeqs reads back the numbers a popped classFrame carries: one, or
+// the range a coalesced batch covers.
+func frameSeqs(msg wire.Msg) (from, to uint64) {
+	switch m := msg.(type) {
+	case *wire.Batch:
+		if m.CoversFrom != 0 {
+			return m.CoversFrom, m.ClientSeq
+		}
+		return m.ClientSeq, m.ClientSeq
+	case *wire.Drop:
+		return uint64(m.ActID.Seq), uint64(m.ActID.Seq)
+	case *wire.CatchUp:
+		if m.Snapshot {
+			return m.NextBatchSeq, m.NextBatchSeq
+		}
+		return m.InstalledUpTo, m.InstalledUpTo
+	}
+	panic(fmt.Sprintf("unexpected frame %T", msg))
 }

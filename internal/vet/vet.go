@@ -9,14 +9,14 @@
 //   - laneaffinity: per-lane engine state is only touched from its
 //     lane's worker (//seve:lane-affine, or an int "lane" parameter)
 //     or the sequential seal passes (//seve:lane-seal).
-//   - deliveryclass: a transport-bound core.Reply literal spells out
-//     its core.Delivery metadata.
 //
 // The contracts the study found a cheaper gate for are held elsewhere:
 // read/write-set confinement by action.CheckAccess under Config.Strict,
 // by-value copies of epoch/refcount state by `go vet` copylocks over
 // world's noCopy marker, the delivery queue's never-shed-Ordered rule by
-// transport.TestSendQueueOrderedNeverShed, pool ownership by wire's
+// transport.TestSendQueueOrderedNeverShed, a reply's delivery class by
+// its derivation from the message type (core's newReply) and the
+// type → class assertion in transport.SendQueue.Enqueue, pool ownership by wire's
 // outstanding count (asserted zero after every test binary on the
 // pooled path) and its use-after-release sentinels, and map-order
 // independence of the bytes by the pinned digests and the run-twice
@@ -62,7 +62,7 @@ type Checker interface {
 
 // AllCheckers returns the production checkers.
 func AllCheckers() []Checker {
-	return []Checker{lockscopeChecker{}, laneAffinityChecker{}, deliveryClassChecker{}}
+	return []Checker{lockscopeChecker{}, laneAffinityChecker{}}
 }
 
 // CheckerNames lists the valid checker names.

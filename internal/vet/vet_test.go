@@ -116,10 +116,6 @@ func TestLaneAffinityCorpus(t *testing.T) {
 	runCorpus(t, "testdata/laneaffinity", laneAffinityChecker{})
 }
 
-func TestDeliveryClassCorpus(t *testing.T) {
-	runCorpus(t, "testdata/deliveryclass", deliveryClassChecker{})
-}
-
 // TestDirectives locks in the suppression machinery: a valid directive
 // silences its finding, an unknown checker or missing reason is itself
 // reported, and an invalid directive suppresses nothing.

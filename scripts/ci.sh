@@ -17,8 +17,7 @@
 # Contracts and their gates (DESIGN.md §9 has the seeded-defect table
 # that decided which gate holds which):
 #   seve-vet         no blocking under a mutex (lockscope), lane-owned
-#                    state on its lane (laneaffinity), explicit Delivery
-#                    on every Reply literal (deliveryclass)
+#                    state on its lane (laneaffinity)
 #   go vet           no by-value copy of world.ScratchSet/CountedSet
 #                    (copylocks over the noCopy marker; was nocopy)
 #   go test          pool ownership: wire.Outstanding reads zero when the
@@ -33,7 +32,11 @@
 #                    harness and example; was rwset); Ordered frames
 #                    never shed, only Batch frames merged
 #                    (TestSendQueueOrderedNeverShed; was deliveryclass
-#                    rules 2-3); the push planner's entry grid never
+#                    rules 2-3); a reply's delivery class is the one its
+#                    frame type admits, derived by core's newReply and
+#                    asserted by SendQueue.Enqueue on every frame the
+#                    tests enqueue (was deliveryclass rule 1); the push
+#                    planner's entry grid never
 #                    omits an entry Equation (1) accepts, whatever the
 #                    declared positions and radii (TestPushGridEquivalence,
 #                    FuzzPushGrid)
