@@ -9,9 +9,12 @@ import (
 	"seve/internal/world"
 )
 
-// DefaultMaxPendingBatches bounds the out-of-order batch buffer when
-// Config.MaxPendingBatches is zero. Gaps under hybrid relay are a few
-// batches deep; thousands means the missing predecessor is never coming.
+// DefaultMaxPendingBatches bounds the client's out-of-order batch buffer:
+// a relayed batch whose predecessor never arrives would otherwise make
+// the client buffer every later batch forever. Gaps under hybrid relay
+// are a few batches deep; thousands means the missing predecessor is
+// never coming. Overflow drops the arriving batch and reports a
+// violation.
 const DefaultMaxPendingBatches = 4096
 
 // Client is the client-side protocol engine: Algorithm 1 in ModeBasic and
@@ -43,9 +46,11 @@ type Client struct {
 	// recipient; relayed copies take a two-hop path and can arrive out of
 	// order relative to direct replies, which would violate the
 	// closures' sent() assumptions. pendingBatches buffers gaps, capped
-	// at the configured MaxPendingBatches.
+	// at maxPending: 0 means DefaultMaxPendingBatches, negative unbounded
+	// (only this package's tests set it).
 	nextBatchSeq   uint64
 	pendingBatches map[uint64]*wire.Batch
+	maxPending     int
 
 	// Incremental reconciliation state. intern maps the sparse ObjectIDs
 	// this client has touched to dense indices; wsq maintains WS(Q) as a
@@ -302,7 +307,7 @@ func (c *Client) HandleBatch(b *wire.Batch) ClientOutput {
 		return out
 	}
 	if start > c.nextBatchSeq {
-		max := c.cfg.MaxPendingBatches
+		max := c.maxPending
 		if max == 0 {
 			max = DefaultMaxPendingBatches
 		}

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"seve/internal/geom"
 )
 
 // Mode selects the protocol level. Each level includes all the machinery
@@ -140,13 +142,6 @@ type Config struct {
 	// ModeFirstBound or above.
 	HybridRelay bool
 
-	// MaxPendingBatches caps the client's out-of-order batch buffer: a
-	// relayed batch whose predecessor never arrives would otherwise make
-	// the client buffer every later batch forever. 0 means
-	// DefaultMaxPendingBatches; negative means unbounded (tests only).
-	// Overflow drops the arriving batch and reports a violation.
-	MaxPendingBatches int
-
 	// Shards selects the spatially partitioned sharded serializer
 	// (package shard): N lanes own disjoint regions of the object space,
 	// submissions are routed to the lane owning their read/write-set
@@ -157,8 +152,7 @@ type Config struct {
 	Shards int
 
 	// ShardCellSize is the edge length of the spatial ownership grid the
-	// shard router partitions the world into. 0 picks a default from the
-	// influence reach (2s·(1+ω)·RTT + 2·DefaultRadius).
+	// shard router partitions the world into. 0 picks NeighbourhoodCell.
 	ShardCellSize float64
 
 	// ResumeWindow enables session resume (TypeResume/TypeCatchUp): the
@@ -170,16 +164,6 @@ type Config struct {
 	// (disconnect loses the client, as before). Requires ModeIncomplete or
 	// above: ModeBasic has no authoritative state to snapshot from.
 	ResumeWindow int
-
-	// DisableIntegrity turns off the server-side semantic integrity
-	// layer (internal/integrity, DESIGN.md §16): completion validation
-	// against the declared WS ⊆ RS contract and footprint, sampled
-	// re-execution audits, replay cross-checks, and the per-client
-	// influence bounds below. Set only by the control leg of
-	// transport.TestIntegrityEquivalence, the reference an honest fleet's
-	// byte stream is compared against; leave false in real deployments —
-	// a million-user service cannot trust client completion messages.
-	DisableIntegrity bool
 
 	// AuditRate is the fraction of completions the integrity auditor
 	// re-executes against ζS at their serial point, in [0, 1]. Sampling
@@ -223,6 +207,19 @@ func DefaultConfig() Config {
 
 // PushIntervalMs returns the First Bound push period ω·RTT.
 func (c Config) PushIntervalMs() float64 { return c.Omega * c.RTTMs }
+
+// NeighbourhoodCell is the side of the cells clients and objects are
+// grouped by — the hybrid relay cells, and the shard lanes unless
+// ShardCellSize is set: the Equation (1) reach plus both influence radii
+// at DefaultRadius, so a crowd closer than a cell conflicts anyway.
+// A side that is not positive becomes 1.
+func (c Config) NeighbourhoodCell() float64 {
+	cell := geom.Reach(c.MaxSpeed, c.Omega, c.RTTMs) + 2*c.DefaultRadius
+	if cell <= 0 {
+		cell = 1
+	}
+	return cell
+}
 
 // Validate reports configuration errors. Every range test is written so
 // that NaN fails it, and the float fields other than MaxSpeed must be

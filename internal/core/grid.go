@@ -18,10 +18,12 @@ import (
 //
 // A pair that passes Equation (1) is at most one side apart on each
 // axis, so it lies in adjacent cells and a client need only test the
-// entries of the 3×3 cells around its own. Entries the grid cannot place
-// go on the always list, which every placed client tests: no position; a
-// velocity under area culling (the projection depends on the client's
-// posAtMs); a position that is non-finite or beyond the int32 cell keys.
+// entries of the 3×3 cells around its own. The cells are geom.CellOf's,
+// the one cell function the relay cells and the shard lanes use too.
+// Entries the grid cannot place go on the always list, which every placed
+// client tests: no position; a velocity under area culling (the
+// projection depends on the client's posAtMs); a position CellOf refuses
+// (non-finite or off its keys).
 // Clients the grid cannot place (no position, a non-finite radius, a
 // position off the keys), and every client of a tick whose cell side is
 // not finite or out of range, scan the whole window instead.
@@ -37,21 +39,18 @@ type pushGrid struct {
 	always []int32
 }
 
-// gridSlot is one placed window entry: its cell key (gridKey) and its
-// ordinal in the tick's window.
+// gridSlot is one placed window entry: its cell key (geom.CellKey) and
+// its ordinal in the tick's window.
 type gridSlot struct {
 	key uint64
 	ord int32
 }
 
 const (
-	// gridKeyLimit bounds |coordinate / cell| so a cell index and its
-	// neighbours fit an int32.
-	gridKeyLimit = 1 << 30
 	// gridSlack widens the cell by a relative 2^-16, far above the few
 	// ulps of rounding in Equation (1)'s squared comparison and in the
-	// key division (at most 2^-22 of a cell under gridKeyLimit), so
-	// rounding can never put a passing pair two cells apart.
+	// key division (at most 2^-22 of a cell under CellOf's 2^30 bound),
+	// so rounding can never put a passing pair two cells apart.
 	gridSlack = 1.0 / (1 << 16)
 	// A cell side outside [gridMinCell, gridMaxCell] — or not a number —
 	// leaves the tick without a grid: near overflow the squared
@@ -66,24 +65,6 @@ const (
 // squared comparison even when a declared radius is negative.
 func pushCellSide(base, rA, rC float64) float64 {
 	return (math.Abs(base) + rA + rC) * (1 + gridSlack)
-}
-
-// gridKey orders cells by column, then row: a column's rows cy−1…cy+1
-// are one contiguous key range.
-func gridKey(cx, cy int32) uint64 {
-	return uint64(uint32(cx)^1<<31)<<32 | uint64(uint32(cy)^1<<31)
-}
-
-// cellOf places p in the cells of side cell, or reports false when p is
-// non-finite or its cell index would leave gridKeyLimit (or cell is not a
-// number). The entry grid and the relay cells (pushGroups) both key
-// through it.
-func cellOf(p geom.Vec, cell float64) (cx, cy int32, ok bool) {
-	qx, qy := p.X/cell, p.Y/cell
-	if !(math.Abs(qx) < gridKeyLimit && math.Abs(qy) < gridKeyLimit) {
-		return 0, 0, false
-	}
-	return int32(math.Floor(qx)), int32(math.Floor(qy)), true
 }
 
 // gridEntry reports whether e can go on the grid (if its position also
@@ -119,15 +100,15 @@ func (s *Server) buildPushGrid(window []int, recs []*clientRec) {
 			rA = max(rA, math.Abs(e.radius))
 		}
 	}
-	cell := pushCellSide(2*s.cfg.MaxSpeed*(1+s.cfg.Omega)*s.cfg.RTTMs, rA, rC)
+	cell := pushCellSide(geom.Reach(s.cfg.MaxSpeed, s.cfg.Omega, s.cfg.RTTMs), rA, rC)
 	if !(cell >= gridMinCell && cell <= gridMaxCell) {
 		return
 	}
 	g.cell = cell
 	for ord, i := range window {
 		if e := s.queue[i]; s.gridEntry(e) {
-			if cx, cy, ok := cellOf(e.pos, g.cell); ok {
-				g.placed = append(g.placed, gridSlot{key: gridKey(cx, cy), ord: int32(ord)})
+			if cx, cy, ok := geom.CellOf(e.pos, g.cell); ok {
+				g.placed = append(g.placed, gridSlot{key: geom.CellKey(cx, cy), ord: int32(ord)})
 				continue
 			}
 		}
@@ -152,17 +133,17 @@ func compareSlots(a, b gridSlot) int {
 func (s *Server) pushSeeds(dst []int, rec *clientRec, window []int, nowMs float64, sc *closureScratch, st *walkStats) []int {
 	g := &s.grid
 	if g.cell != 0 && s.gridClient(&rec.clientInfo) {
-		if cx, cy, ok := cellOf(rec.pos, g.cell); ok {
+		if cx, cy, ok := geom.CellOf(rec.pos, g.cell); ok {
 			st.gridLookups++
 			// The three column ranges cx−1…cx+1 × cy−1…cy+1 of placed.
 			var cols [3][2]int
 			n := len(g.always)
 			for k := range cols {
 				x := cx - 1 + int32(k)
-				lo, _ := slices.BinarySearchFunc(g.placed, gridKey(x, cy-1), func(e gridSlot, key uint64) int {
+				lo, _ := slices.BinarySearchFunc(g.placed, geom.CellKey(x, cy-1), func(e gridSlot, key uint64) int {
 					return cmp.Compare(e.key, key)
 				})
-				hi, end := lo, gridKey(x, cy+1)
+				hi, end := lo, geom.CellKey(x, cy+1)
 				for hi < len(g.placed) && g.placed[hi].key <= end {
 					hi++
 				}

@@ -81,7 +81,7 @@ func TestPushGridEquivalence(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"static", static}, {"culled", moving}, {"hybrid", hybrid}} {
-		base := 2 * tc.cfg.MaxSpeed * (1 + tc.cfg.Omega) * tc.cfg.RTTMs
+		base := geom.Reach(tc.cfg.MaxSpeed, tc.cfg.Omega, tc.cfg.RTTMs)
 		shape := gridShape(base+10, pushCellSide(base, 5, 5))
 		for seed := int64(1); seed <= 4; seed++ {
 			name := fmt.Sprintf("%s seed=%d", tc.name, seed)

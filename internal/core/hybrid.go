@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"seve/internal/action"
+	"seve/internal/geom"
 	"seve/internal/wire"
 )
 
@@ -31,18 +32,18 @@ import (
 // scope.
 
 // unplacedKey sorts a client the relay cells cannot place after every
-// cell; no cell key reaches it (cellOf bounds |index| by gridKeyLimit).
+// cell; no geom.CellKey reaches it.
 const unplacedKey = math.MaxUint64
 
 // pushGroups returns Tick's recipient groups in commit order, built in
 // scratch reused across ticks. Without HybridRelay every live client is a
 // group of its own, in ascending id order. Under HybridRelay the clients
-// of one relay cell — side 2s(1+ω)RTT + 2·DefaultRadius, two max-speed
-// cones plus both influence radii — form a group: cells ascending by
-// (x, y), members by id. Clients the cells cannot place (no position, or
-// one cellOf refuses: non-finite or off the cell keys) follow, each alone
-// and in id order, so a hostile position never puts a client under a
-// stranger's relay.
+// of one relay cell — Config.NeighbourhoodCell, the shard lanes' default
+// cell too — form a group: cells ascending by (x, y), members by id.
+// Clients the cells cannot place (no position, or one geom.CellOf
+// refuses: non-finite or off the cell keys) follow, each alone and in id
+// order, so a hostile position never puts a client under a stranger's
+// relay.
 func (s *Server) pushGroups() [][]*clientRec {
 	groups := s.groups[:0]
 	if s.cfg.HybridRelay {
@@ -60,15 +61,12 @@ func (s *Server) pushGroups() [][]*clientRec {
 // clients by (cell key, id) in a reused slice — no map, so no iteration
 // order reaches the commit order.
 func (s *Server) relayGroups(groups [][]*clientRec) [][]*clientRec {
-	cell := 2*s.cfg.MaxSpeed*(1+s.cfg.Omega)*s.cfg.RTTMs + 2*s.cfg.DefaultRadius
-	if cell <= 0 {
-		cell = 1
-	}
+	cell := s.cfg.NeighbourhoodCell()
 	keys := s.relayKeys[:0]
 	for ord, rec := range s.live {
 		key := uint64(unplacedKey)
-		if cx, cy, ok := cellOf(rec.pos, cell); rec.hasPos && ok {
-			key = gridKey(cx, cy)
+		if cx, cy, ok := geom.CellOf(rec.pos, cell); rec.hasPos && ok {
+			key = geom.CellKey(cx, cy)
 		}
 		keys = append(keys, gridSlot{key: key, ord: int32(ord)})
 	}

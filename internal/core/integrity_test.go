@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"seve/internal/action"
@@ -20,6 +21,43 @@ func integrityConfig(auditRate float64) Config {
 	cfg := cfgFor(ModeIncomplete)
 	cfg.AuditRate = auditRate
 	return cfg
+}
+
+// TestIntegrityOffEquivalence is the honest-path differential of the
+// integrity layer: validation, auditing and repair are server-internal,
+// so an honest fleet's replies are byte-identical with the layer off
+// (the noIntegrity reference), armed but silent (AuditRate 0) and
+// re-executing every completion (AuditRate 1). The off leg runs at rate 1
+// too and must audit nothing, or the reference was the layer itself.
+func TestIntegrityOffEquivalence(t *testing.T) {
+	for _, mode := range []Mode{ModeIncomplete, ModeFirstBound} {
+		for seed := int64(1); seed <= 3; seed++ {
+			name := fmt.Sprintf("mode=%v seed=%d", mode, seed)
+			full := cfgFor(mode)
+			full.AuditRate = 1
+			silent := full
+			silent.AuditRate = 0
+			trOff, lbOff := runEngineWorkload(t, full, seed, func(s *Server) { s.noIntegrity = true })
+			if n := lbOff.srv.Metrics().AuditsRun; n != 0 {
+				t.Fatalf("%s: the integrity-off leg audited %d completions", name, n)
+			}
+			for _, leg := range []struct {
+				name string
+				cfg  Config
+			}{{"silent", silent}, {"full-audit", full}} {
+				tr, lb := runEngineWorkload(t, leg.cfg, seed, nil)
+				diffTraces(t, name+" "+leg.name, trOff, tr)
+				st := lb.srv.Metrics()
+				if st.AuditDivergences != 0 || st.RepairedResults != 0 || st.QuarantinedClients != 0 ||
+					st.ContractBreaches != 0 || st.ForgedCompletions != 0 {
+					t.Fatalf("%s %s: integrity fired on honest clients: %+v", name, leg.name, st)
+				}
+				if audited := st.AuditsRun != 0; audited != (leg.cfg.AuditRate == 1) {
+					t.Fatalf("%s %s: %d audits at rate %v", name, leg.name, st.AuditsRun, leg.cfg.AuditRate)
+				}
+			}
+		}
+	}
 }
 
 // submitOne pushes a single action through the stamp path and returns

@@ -279,7 +279,7 @@ func (s *Server) StampLane(view int, ps []*Pending) {
 //
 //seve:lane-affine
 func (s *Server) boundsCheck(p *Pending) integrity.Violation {
-	if s.cfg.DisableIntegrity {
+	if s.noIntegrity {
 		return integrity.OK
 	}
 	led := &p.rec.led

@@ -211,13 +211,12 @@ func TestHandleDropReleasesQueueSlot(t *testing.T) {
 }
 
 // TestPendingBatchCap verifies the bounded out-of-order batch buffer:
-// gaps buffer up to MaxPendingBatches, overflow drops the arriving batch
-// with a violation and a counter bump, and filling the gap still drains
+// gaps buffer up to the cap, overflow drops the arriving batch with a
+// violation and a counter bump, and filling the gap still drains
 // everything that was buffered.
 func TestPendingBatchCap(t *testing.T) {
-	cfg := cfgFor(ModeInfoBound)
-	cfg.MaxPendingBatches = 2
-	c := NewClient(1, cfg, initWorld(8))
+	c := NewClient(1, cfgFor(ModeInfoBound), initWorld(8))
+	c.maxPending = 2
 
 	batch := func(seq uint64) *wire.Batch {
 		return &wire.Batch{
@@ -272,10 +271,9 @@ func TestPendingBatchCap(t *testing.T) {
 	if v, ok := c.Optimistic().Get(1); !ok || v[0] != 11 {
 		t.Fatalf("object 1 = %v after drain", v)
 	}
-	// Unbounded configuration buffers past any cap.
-	cfgU := cfgFor(ModeInfoBound)
-	cfgU.MaxPendingBatches = -1
-	cu := NewClient(1, cfgU, initWorld(8))
+	// An unbounded buffer holds past any cap.
+	cu := NewClient(1, cfgFor(ModeInfoBound), initWorld(8))
+	cu.maxPending = -1
 	for seq := uint64(2); seq <= uint64(2*DefaultMaxPendingBatches); seq += 2 {
 		cu.HandleBatch(batch(seq))
 	}

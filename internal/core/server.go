@@ -116,11 +116,15 @@ type Server struct {
 	// instead of consulting the reverse conflict index, and planPush test
 	// every window entry instead of consulting the entry grid; pushWidth,
 	// when non-zero, fixes the push scheduler's pool width (1 = the
-	// sequential path). They select the reference legs of
-	// TestClosureIndexEquivalence, TestPushGridEquivalence and
-	// TestTickParallelDeterminism; only this package's tests set them.
-	fullScan  bool
-	pushWidth int
+	// sequential path). noIntegrity turns the integrity layer (DESIGN.md
+	// §16) off: no completion validation, audits, replay checks or
+	// per-client bounds. They select the reference legs of
+	// TestClosureIndexEquivalence, TestPushGridEquivalence,
+	// TestTickParallelDeterminism and TestIntegrityOffEquivalence; only
+	// this package's tests set them.
+	fullScan    bool
+	pushWidth   int
+	noIntegrity bool
 
 	// planExec, when set, runs read-only planning fan-outs on the
 	// caller's worker pool instead of ad-hoc goroutines (SetPlanExecutor).
@@ -451,7 +455,7 @@ func (s *Server) TakeCompletion(from action.ClientID, m *wire.Completion) {
 	// rec is the reporter the hold attributes the result to; it stays nil
 	// with integrity disabled, when nothing is attributed.
 	var rec *clientRec
-	if !s.cfg.DisableIntegrity {
+	if !s.noIntegrity {
 		rec = s.recordOf(from)
 		if rec.led.Quarantined {
 			s.stats.QuarantineRejected++
@@ -561,7 +565,7 @@ func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 	off := 0
 	for off < n {
 		k := n
-		if !s.cfg.DisableIntegrity {
+		if !s.noIntegrity {
 			for i := off; i < n; i++ {
 				if s.auditDue(s.queue[i]) {
 					k = i
@@ -601,7 +605,7 @@ func (s *Server) installSegment(batch []*entry, exec func(tasks []func())) {
 
 	for _, e := range batch {
 		s.installed = e.env.Seq
-		if !s.cfg.DisableIntegrity {
+		if !s.noIntegrity {
 			s.recent[e.env.Seq%recentWindow] = recentResult{seq: e.env.Seq, res: e.res}
 		}
 		s.prune(e)

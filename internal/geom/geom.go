@@ -158,6 +158,11 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
+// Reach is the motion term of Equation (1), 2s·(1+ω)·RTT: how far apart
+// two objects moving at up to s can start and still meet within
+// (1+ω)·RTT. Every neighbourhood the engine draws is this plus radii.
+func Reach(s, omega, rttMs float64) float64 { return 2 * s * (1 + omega) * rttMs }
+
 // InfluenceReachable implements Equation (1) of the First Bound Model: an
 // action at pA with influence radius rA can affect a future action of a
 // client at pC with action radius rC within (1+ω)·RTT if and only if
@@ -166,7 +171,7 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 //
 // where s is the maximum object speed (units per ms here, with rtt in ms).
 func InfluenceReachable(pA, pC Vec, rA, rC, s, omega, rttMs float64) bool {
-	bound := 2*s*(1+omega)*rttMs + rC + rA
+	bound := Reach(s, omega, rttMs) + rC + rA
 	return pA.Dist2(pC) <= bound*bound
 }
 
@@ -178,6 +183,29 @@ func InfluenceReachable(pA, pC Vec, rA, rC, s, omega, rttMs float64) bool {
 //	‖p̄M + v̄M×(tM−tC) − p̄C‖ ≤ 2s·(1+ω)·RTT + rC
 func MovingInfluenceReachable(pM, vM, pC Vec, rC, s, omega, rttMs, dtMs float64) bool {
 	proj := pM.Add(vM.Scale(dtMs))
-	bound := 2*s*(1+omega)*rttMs + rC
+	bound := Reach(s, omega, rttMs) + rC
 	return proj.Dist2(pC) <= bound*bound
+}
+
+// cellKeyLimit bounds |coordinate / cell| so a cell index and its
+// neighbours fit an int32.
+const cellKeyLimit = 1 << 30
+
+// CellOf places p in the square cells of side cell, or reports false when
+// p is non-finite or its cell index would leave ±2³⁰ (or cell is not a
+// number). It is the engine's one cell function: the push grid, the relay
+// cells and the shard lanes all key positions through it, and a position
+// it refuses takes each caller's unplaced path.
+func CellOf(p Vec, cell float64) (cx, cy int32, ok bool) {
+	qx, qy := p.X/cell, p.Y/cell
+	if !(math.Abs(qx) < cellKeyLimit && math.Abs(qy) < cellKeyLimit) {
+		return 0, 0, false
+	}
+	return int32(math.Floor(qx)), int32(math.Floor(qy)), true
+}
+
+// CellKey orders cells by column, then row: a column's rows cy−1…cy+1
+// are one contiguous key range. No key of a CellOf index is MaxUint64.
+func CellKey(cx, cy int32) uint64 {
+	return uint64(uint32(cx)^1<<31)<<32 | uint64(uint32(cy)^1<<31)
 }

@@ -137,6 +137,33 @@ func TestInfluenceReachableEquationOne(t *testing.T) {
 	}
 }
 
+// TestCellOf pins the one cell function: floor quantization (negative
+// coordinates get their own cells), refusal of every position whose
+// index is not a bounded int32 — the engine's cells hold client-declared
+// positions — and keys ordered by column, then row.
+func TestCellOf(t *testing.T) {
+	for _, tc := range []struct {
+		p      Vec
+		cx, cy int32
+	}{{Vec{0, 0}, 0, 0}, {Vec{9.99, 10}, 0, 1}, {Vec{-0.5, -10}, -1, -1}, {Vec{-10.01, 25}, -2, 2}} {
+		if cx, cy, ok := CellOf(tc.p, 10); !ok || cx != tc.cx || cy != tc.cy {
+			t.Fatalf("CellOf(%v) = (%d, %d, %v), want (%d, %d)", tc.p, cx, cy, ok, tc.cx, tc.cy)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Vec{{nan, 0}, {0, inf}, {-inf, 0}, {1e300, 0}, {0, -1e300}, {10 * (1 << 30), 0}} {
+		if _, _, ok := CellOf(p, 10); ok {
+			t.Fatalf("CellOf(%v) placed a position off the keys", p)
+		}
+	}
+	if _, _, ok := CellOf(Vec{1, 1}, nan); ok {
+		t.Fatal("CellOf placed a position in NaN-sized cells")
+	}
+	if !(CellKey(-1, 5) < CellKey(0, -5) && CellKey(0, -5) < CellKey(0, -4) && CellKey(0, 4) < CellKey(1, -(1<<30))) {
+		t.Fatal("cell keys not ordered by column, then row")
+	}
+}
+
 func TestMovingInfluenceReachable(t *testing.T) {
 	// An arrow flying away from the client should not be reachable even
 	// though its origin is close.

@@ -8,7 +8,6 @@ import (
 	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/metrics"
-	"seve/internal/spatial"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -139,15 +138,14 @@ func New(cfg core.Config, init *world.State) *Router {
 	}
 	cell := cfg.ShardCellSize
 	if cell <= 0 {
-		// Default to the Equation (1) influence reach, like the hybrid
-		// relay's neighbourhood cells: crowds closer than this conflict
-		// anyway and belong on one lane.
-		cell = 2*cfg.MaxSpeed*(1+cfg.Omega)*cfg.RTTMs + 2*cfg.DefaultRadius
+		// The hybrid relay's neighbourhood cell: crowds closer than this
+		// conflict anyway and belong on one lane.
+		cell = cfg.NeighbourhoodCell()
 	}
 	r := &Router{
 		cfg:      cfg,
 		inner:    core.NewServer(cfg, init),
-		own:      newOwnership(spatial.NewLaneMap(spatial.NewPartitioner(cell, cfg.Shards))),
+		own:      newOwnership(cell, cfg.Shards),
 		n:        cfg.Shards,
 		serial:   runtime.GOMAXPROCS(0) == 1,
 		lanes:    make([][]pendingSub, cfg.Shards),

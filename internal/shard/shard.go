@@ -11,8 +11,9 @@
 // giving up Theorem 1 is the paper's own: actions declare their read and
 // write sets up front, so whether two actions can conflict is statically
 // checkable per action. The router partitions object ownership over a
-// spatial grid (spatial.Partitioner behind a sticky spatial.LaneMap) and
-// keeps three invariants:
+// spatial grid — geom.CellOf's cells, the push grid's and relay cells'
+// cell function, dealt to lanes least-loaded first and kept (ownership) —
+// and keeps three invariants:
 //
 //   - Actions whose RS ∪ WS footprint is owned by a single lane are
 //     buffered on that lane within the current epoch.
@@ -53,7 +54,6 @@ package shard
 import (
 	"seve/internal/core"
 	"seve/internal/geom"
-	"seve/internal/spatial"
 	"seve/internal/world"
 )
 
@@ -68,26 +68,43 @@ func NewEngine(cfg core.Config, init *world.State) core.Engine {
 	return New(cfg, init)
 }
 
-// ownership is the sticky object→lane assignment, keyed by the engine
-// interner's dense object indices (the same indices Pending.Footprint
-// yields, so routing a buffered submission is pure array reads). An
-// object is placed when first seen in a footprint: spatial actions pin
-// it to the lane owning their influence centre's grid cell (through the
-// LaneMap, so a rebalanced cell keeps already-pinned objects put);
-// non-spatial actions fall back to a hash of the sparse object id.
-// Assignment happens on the sequential routing path, so the table is
-// deterministic given the submission stream — a requirement for the
+// ownership is the one table on the lane-placement path: the sticky
+// cell→lane map and the sticky object→lane assignment. Objects are keyed
+// by the engine interner's dense indices (the same indices
+// Pending.Footprint yields, so routing a buffered submission is pure
+// array reads). An object is placed when first seen in a footprint: a
+// spatial action pins it to the lane of its influence centre's cell; a
+// non-spatial action, or a centre geom.CellOf refuses (non-finite or off
+// the cell keys), falls back to a hash of the sparse object id.
+//
+// A cell is dealt on first sight to the least-loaded lane — fewest dealt
+// cells, preferring the cell's arithmetic region on a tie and the lowest
+// lane after that — and keeps it, as does every object pinned through
+// it. Least-loaded beats a bare hash because the lanes a world uses are
+// decided by a handful of occupied cells: hashing 2n cells onto n lanes
+// leaves some lane owning Θ(log n / log log n) of them, and the slowest
+// lane bounds every parallel phase of the epoch pipeline. Assignment
+// happens on the sequential routing path, so the table is a pure
+// function of the submission stream — a requirement for the
 // reproducible merge order.
 type ownership struct {
-	lanes   *spatial.LaneMap
+	cell float64
+	// cells maps a geom.CellKey to its lane; dealt counts the cells per
+	// lane.
+	cells map[uint64]int
+	dealt []int
+	// byDense is each interned object's lane (-1 until placed); perLane
+	// counts the objects per lane.
 	byDense []int32
 	perLane []int
 }
 
-func newOwnership(lanes *spatial.LaneMap) *ownership {
+func newOwnership(cell float64, n int) *ownership {
 	return &ownership{
-		lanes:   lanes,
-		perLane: make([]int, lanes.Shards()),
+		cell:    cell,
+		cells:   make(map[uint64]int),
+		dealt:   make([]int, n),
+		perLane: make([]int, n),
 	}
 }
 
@@ -107,14 +124,47 @@ func (t *ownership) ownerOf(o uint32, id world.ObjectID, hasPos bool, pos geom.V
 	}
 	lane := -1
 	if hasPos {
-		lane = t.lanes.LaneOf(pos)
+		lane = t.cellLane(pos)
 	}
 	if lane < 0 {
-		lane = int(mix64(uint64(id)) % uint64(t.lanes.Shards()))
+		lane = int(mix64(uint64(id)) % uint64(len(t.perLane)))
 	}
 	t.byDense[o] = int32(lane)
 	t.perLane[lane]++
 	return lane
+}
+
+// cellLane returns the lane of pos's cell, dealing the cell on first
+// sight, or -1 when geom.CellOf refuses pos.
+func (t *ownership) cellLane(pos geom.Vec) int {
+	cx, cy, ok := geom.CellOf(pos, t.cell)
+	if !ok {
+		return -1
+	}
+	k := geom.CellKey(cx, cy)
+	if lane, ok := t.cells[k]; ok {
+		return lane
+	}
+	lane := region(cx, cy, len(t.dealt))
+	for l, c := range t.dealt {
+		if c < t.dealt[lane] {
+			lane = l
+		}
+	}
+	t.cells[k] = lane
+	t.dealt[lane]++
+	return lane
+}
+
+// region is a cell's tie-break lane: the two cell coordinates mixed so
+// stripes align with neither axis (plain (x+y) mod n sends every
+// diagonal to one lane).
+func region(cx, cy int32, n int) int {
+	h := uint64(uint32(cx))*0x9e3779b1 ^ uint64(uint32(cy))*0x85ebca6b
+	h ^= h >> 33
+	h *= 0xc2b2ae3d27d4eb4f
+	h ^= h >> 29
+	return int(h % uint64(n))
 }
 
 // mix64 is a splitmix64 finalizer: cheap, stateless, and well spread

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -635,6 +636,86 @@ func TestFlushForgetsRefusedLanes(t *testing.T) {
 		if len(ps) != 0 {
 			t.Fatalf("lane %d keeps %d pendings after its epoch flushed", lane, len(ps))
 		}
+	}
+}
+
+// TestOwnershipLeastLoaded pins the first-sight dealing policy: cells
+// are dealt to the least-loaded lane, so any k distinct cells spread
+// within one cell of perfectly even — the property that keeps the
+// slowest lane (which bounds every parallel epoch phase) from owning a
+// hashing accident. Repeating the lookups must not re-deal.
+func TestOwnershipLeastLoaded(t *testing.T) {
+	own := newOwnership(10, 4)
+	var first []int
+	for i := 0; i < 10; i++ {
+		first = append(first, own.cellLane(geom.Vec{X: float64(i) * 10, Y: 0}))
+	}
+	counts := make([]int, 4)
+	for _, lane := range first {
+		counts[lane]++
+	}
+	if slices.Max(counts)-slices.Min(counts) > 1 {
+		t.Fatalf("least-loaded dealing left lanes uneven: %v", counts)
+	}
+	for i := 0; i < 10; i++ {
+		if own.cellLane(geom.Vec{X: float64(i)*10 + 5, Y: 5}) != first[i] {
+			t.Fatalf("cell %d re-dealt on repeat lookup", i)
+		}
+	}
+	if !slices.Equal(own.dealt, counts) {
+		t.Fatalf("dealt %v, lanes handed out %v", own.dealt, counts)
+	}
+}
+
+// TestHostileCentresRouteByID: an influence centre is client-declared,
+// so a 4-lane router must place objects first seen under a NaN, ±Inf or
+// ±1e300 centre by the id hash, mix64(id) % 4 — the path non-spatial
+// actions take — and deal no cell for them. (A float-to-int32 conversion
+// of such a centre is implementation-dependent in Go, which would make
+// the lane a property of the platform, not of the submission stream.)
+// The ids are chosen so their hash lanes cover all four lanes, so no one
+// cell's lane can match them all.
+func TestHostileCentresRouteByID(t *testing.T) {
+	const lanes = 4
+	nan, inf := math.NaN(), math.Inf(1)
+	centres := []geom.Vec{
+		{X: nan, Y: 0}, {X: 0, Y: nan}, {X: inf, Y: inf}, {X: -inf, Y: 5},
+		{X: 1e300, Y: 0}, {X: -1e300, Y: -1e300}, {X: 5, Y: 1e300}, {X: nan, Y: -inf},
+	}
+	var ids []world.ObjectID
+	covered := make(map[uint64]bool)
+	for id := world.ObjectID(1); len(ids) < len(centres); id++ {
+		if h := mix64(uint64(id)) % lanes; !covered[h] || len(covered) == lanes {
+			covered[h] = true
+			ids = append(ids, id)
+		}
+	}
+	init := world.NewState()
+	for _, id := range ids {
+		init.Set(id, world.Value{float64(id)})
+	}
+	cfg := shardedCfg(core.ModeIncomplete, lanes)
+	r := New(cfg, init)
+	t.Cleanup(r.Close)
+	lb := newLoopback(t, r, cfg, init, 1)
+	for i, id := range ids {
+		lb.script[1] = append(lb.script[1], &testAction{
+			rs: world.IDSet{id}, ws: world.IDSet{id}, pos: centres[i], radius: 5, hasPos: true,
+		})
+	}
+	lb.drive(rand.New(rand.NewSource(1)), false)
+	lb.requireNoViolations()
+	if n := r.inner.InternedObjects(); n != len(ids) {
+		t.Fatalf("%d objects interned, want %d", n, len(ids))
+	}
+	for o := range uint32(len(ids)) {
+		id := r.inner.ObjectIDOf(o)
+		if got, want := r.own.byDense[o], int32(mix64(uint64(id))%lanes); got != want {
+			t.Errorf("object %d (centre %v): lane %d, want the id hash's %d", id, centres[slices.Index(ids, id)], got, want)
+		}
+	}
+	if len(r.own.cells) != 0 || slices.Max(r.own.dealt) != 0 {
+		t.Fatalf("hostile centres dealt cells: %d cells, per lane %v", len(r.own.cells), r.own.dealt)
 	}
 }
 

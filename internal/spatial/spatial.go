@@ -1,9 +1,10 @@
-// Package spatial provides the uniform grids the world is cut into: an
-// index over segments (walls) and the cell→lane ownership map of the
-// sharded serializer. Manhattan People move evaluation queries "the
-// walls closest to the client's avatar" (Section V-A2); the segment
-// index makes that query cheap enough to run hundreds of thousands of
-// times per experiment.
+// Package spatial provides the uniform grid index over segments (walls).
+// Manhattan People move evaluation queries "the walls closest to the
+// client's avatar" (Section V-A2); the segment index makes that query
+// cheap enough to run hundreds of thousands of times per experiment.
+// The walls are trusted world geometry, so the index keeps its own cell
+// keys; the engine's cells over client-declared positions are
+// geom.CellOf's.
 package spatial
 
 import (

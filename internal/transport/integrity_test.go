@@ -13,18 +13,17 @@ import (
 	"seve/internal/world"
 )
 
-// TestIntegrityEquivalence is the honest-path differential: clients of
-// an honest fleet receive byte-identical streams whether integrity
-// enforcement is disabled outright, armed but silent (audit rate 0), or
-// auditing every single completion. Validation, auditing, and repair
-// are server-internal — on honest traffic they change no reply bytes.
+// TestIntegrityEquivalence is the honest-path differential over real
+// sockets: clients of an honest fleet receive byte-identical streams
+// whether the integrity layer is armed but silent (audit rate 0, the
+// control) or auditing every single completion. Validation, auditing,
+// and repair are server-internal — on honest traffic they change no
+// reply bytes. (core's TestIntegrityOffEquivalence adds the layer-off
+// reference.)
 func TestIntegrityEquivalence(t *testing.T) {
-	off := supConfig()
-	off.DisableIntegrity = true
-	control := runKeepUp(t, off, false)
-	if cs := control.srv.Metrics(); cs.AuditsRun != 0 {
-		t.Fatalf("DisableIntegrity did not disarm the auditor: %d audits", cs.AuditsRun)
-	}
+	silent := supConfig()
+	silent.AuditRate = 0
+	control := runKeepUp(t, silent, false)
 
 	for _, tc := range []struct {
 		name string

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"slices"
 	"sync"
@@ -638,5 +637,3 @@ func (s *Server) armReadDeadline(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	}
 }
-
-var _ = log.Printf // reserved for debug builds

@@ -39,7 +39,10 @@
 #                    planner's entry grid never
 #                    omits an entry Equation (1) accepts, whatever the
 #                    declared positions and radii (TestPushGridEquivalence,
-#                    FuzzPushGrid)
+#                    FuzzPushGrid); a client-declared influence centre the
+#                    one cell function (geom.CellOf) refuses — NaN, ±Inf,
+#                    off the keys — routes its objects by the id hash and
+#                    deals no lane cell (TestHostileCentresRouteByID)
 #
 # The pool balance is checked once per test binary, after all its tests,
 # so test order does not matter and it holds under -shuffle=on. The fuzz
@@ -52,8 +55,9 @@
 # corpora; the benchmark smokes run the whole action
 # journey on all five workloads — the benchmark is the repository's only
 # meter, so its per-pass correctness gate guards each of them — and no
-# timing is read; the coverage gate keeps the protocol engine and
-# the reconnect-capable transport from losing test reach as they grow
+# timing is read; the coverage gate keeps the protocol engine, the
+# reconnect-capable transport and the shard router (which owns lane
+# placement) from losing test reach as they grow
 # (baselines sit a little under the measured coverage so legitimate
 # refactors don't trip on noise).
 set -eu
@@ -87,8 +91,9 @@ for w in walk64 crowd128 tick1024 lanes4_wal churn64; do
 done
 echo "bench smokes: all five workloads pass their gates"
 
-# Coverage gate: statement coverage of the two packages the resume
-# protocol cuts through must not regress below the floor.
+# Coverage gate: statement coverage of the packages the resume protocol
+# cuts through, of the integrity layer and of the shard router must not
+# regress below the floor.
 cover_gate() {
     pkg="$1"
     floor="$2"
@@ -105,3 +110,4 @@ cover_gate() {
 cover_gate ./internal/core 90
 cover_gate ./internal/transport 75
 cover_gate ./internal/integrity 90
+cover_gate ./internal/shard 88
