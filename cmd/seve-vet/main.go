@@ -1,13 +1,12 @@
 // Command seve-vet is the engine's domain-specific static analyzer. It
-// enforces the contracts a seeded-defect study (DESIGN.md §9) showed no
-// test, stock `go vet` pass or -race run catching: no blocking
-// operations inside mutex regions (lockscope), and lane-partitioned
+// enforces the one contract a seeded-defect study (DESIGN.md §9) showed
+// no test, stock `go vet` pass or -race run catching: lane-partitioned
 // state touched only from its lane's worker or the sequential seal
-// passes (laneaffinity). Pool ownership, map-order independence and
-// reply delivery classes, once checked here too, are held by tests and
-// a derivation (wire's outstanding count, the pinned digests, the
-// run-twice tests, core's type-derived classes that SendQueue.Enqueue
-// asserts).
+// passes (laneaffinity). Lock holds, pool ownership, map-order
+// independence and reply delivery classes, once checked here too, are
+// held by tests and a derivation (transport's net.Pipe stall tests,
+// wire's outstanding count, the pinned digests, the run-twice tests,
+// core's type-derived classes that SendQueue.Enqueue asserts).
 //
 // Usage:
 //
@@ -16,12 +15,10 @@
 //
 // Packages are named by directory pattern; the trailing "..." wildcard
 // matches the go tool's. In-package and external test files are
-// analyzed alongside the code they test. There are no flags: findings
-// and //seve:vet-ignore directives that no longer suppress anything are
-// printed one per line.
+// analyzed alongside the code they test. There are no flags and no
+// suppression syntax: findings are printed one per line.
 //
-// Exit status is 1 when a finding survives the directives or a
-// directive is stale, 2 on usage or load errors.
+// Exit status is 1 when there is a finding, 2 on usage or load errors.
 package main
 
 import (
@@ -56,17 +53,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	findings, stale, err := vet.Run(loader, dirs)
+	findings, err := vet.Run(loader, dirs)
 	if err != nil {
 		fail(err)
 	}
 	for _, f := range findings {
 		fmt.Println(f)
 	}
-	for _, s := range stale {
-		fmt.Println(s)
-	}
-	if len(findings)+len(stale) > 0 {
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }

@@ -69,6 +69,12 @@ func Dial(addr string, cfg core.Config, interestMask uint64) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
+	return join(conn, addr, cfg, interestMask)
+}
+
+// join runs the Hello/Welcome handshake on an open connection; addr is
+// where a resume re-dials. It closes conn on failure.
+func join(conn net.Conn, addr string, cfg core.Config, interestMask uint64) (*Client, error) {
 	if err := wire.WriteFrame(conn, &wire.Hello{InterestMask: interestMask}); err != nil {
 		conn.Close()
 		return nil, err
@@ -350,6 +356,14 @@ func (c *Client) resumeOnce() error {
 		return resumeRejectedError{}
 	}
 	c.mu.Lock()
+	if c.closed {
+		// Close landed while we waited for the verdict and closed the
+		// dead conn, not this one: drop it, and Run's next read of the
+		// closed conn returns nil.
+		c.mu.Unlock()
+		conn.Close()
+		return nil
+	}
 	out := c.engine.HandleCatchUp(cu)
 	old := c.conn
 	c.conn = conn

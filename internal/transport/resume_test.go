@@ -92,9 +92,9 @@ func TestReconnectResumesSession(t *testing.T) {
 
 	// Sever the link out from under the engine, as a dying network would.
 	cl.mu.Lock()
-	//seve:vet-ignore lockscope the test severs the conn under the client lock on purpose; Close tears down immediately rather than blocking
-	cl.conn.Close()
+	conn := cl.conn
 	cl.mu.Unlock()
+	conn.Close()
 
 	// The run loop must resume rather than exit.
 	deadline := time.Now().Add(10 * time.Second)

@@ -96,6 +96,9 @@ type Server struct {
 	nextID  action.ClientID
 	started time.Time
 	closed  bool
+	// conns is every connection a handleConn goroutine owns, so Close can
+	// end reads and writes that would otherwise wait on the peer forever.
+	conns map[net.Conn]struct{}
 
 	// ctrs is shared by every client's SendQueue so supersession totals
 	// survive disconnects.
@@ -150,6 +153,7 @@ func NewServer(cfg ServerConfig) *Server {
 		done:    make(chan struct{}),
 		writers: make(map[action.ClientID]*SendQueue),
 		started: time.Now(),
+		conns:   make(map[net.Conn]struct{}),
 	}
 	if cfg.Recovery != nil {
 		if r, ok := s.engine.(core.Restorer); ok {
@@ -188,9 +192,10 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close stops the engine loop and disconnects everyone. The listener
-// passed to Serve must be closed by the caller (Serve returns nil once
-// it observes the closed state).
+// Close stops the engine loop and disconnects everyone, including a
+// peer that stopped reading mid-handshake. The listener passed to Serve
+// must be closed by the caller (Serve returns nil once it observes the
+// closed state).
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -198,8 +203,15 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
+	conns := make([]net.Conn, 0, len(s.conns))
+	for conn := range s.conns {
+		conns = append(conns, conn)
+	}
 	s.mu.Unlock()
 	close(s.done)
+	for _, conn := range conns {
+		conn.Close()
+	}
 	s.wg.Wait()
 	if c, ok := s.engine.(interface{ Close() }); ok {
 		c.Close()
@@ -490,6 +502,18 @@ func (s *Server) dispatchReplies(reps []core.Reply) []action.ClientID {
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.conns[conn] = struct{}{}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 
 	s.armReadDeadline(conn)
 	msg, err := wire.ReadFrame(conn)
@@ -499,6 +523,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	writeQ := NewSendQueue(sendQueueCap, s.superseding, &s.ctrs)
+	// A handshake cut short by Close may leave frames queued that no pump
+	// will drain; closing the queue returns them to the pool.
+	defer writeQ.Close()
 	// connDone unblocks the writer pump when this reader exits, so a
 	// vanished client cannot strand the pump goroutine (and the pooled
 	// frames queued behind it) until server shutdown.
@@ -514,7 +541,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		case <-s.done:
 			return
 		}
-		id = <-join
+		select {
+		case id = <-join:
+		case <-s.done:
+			return
+		}
 
 		var token uint64
 		s.mu.Lock()
@@ -537,7 +568,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		case <-s.done:
 			return
 		}
-		rr := <-resumed
+		var rr resumeReply
+		select {
+		case rr = <-resumed:
+		case <-s.done:
+			return
+		}
 		id = rr.id
 		if id == 0 {
 			// Unknown/stale token or quarantined ledger: write the

@@ -430,6 +430,22 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
+// lockPath renders the mutex receiver of a Lock/Unlock call as a stable
+// identifier path, or "" when the receiver is not a plain ident chain.
+func lockPath(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if base := lockPath(e.X); base != "" {
+			return base + "." + e.Sel.Name
+		}
+	case *ast.ParenExpr:
+		return lockPath(e.X)
+	}
+	return ""
+}
+
 // laneStateName renders the touched selector for the finding message.
 func laneStateName(sel *ast.SelectorExpr) string {
 	if base := lockPath(sel.X); base != "" {

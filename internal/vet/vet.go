@@ -1,11 +1,8 @@
 // Package vet implements seve-vet, the engine's domain-specific static
-// analyzer. It keeps the checkers a seeded-defect study (DESIGN.md §9)
+// analyzer. It keeps the one checker a seeded-defect study (DESIGN.md §9)
 // showed catching what no test, no stock `go vet` pass and no -race run
 // catches:
 //
-//   - lockscope: no blocking operation (channel ops, frame/net I/O,
-//     sync waits) inside a sync.Mutex/RWMutex region — an abstract
-//     interpretation of lock regions over the statement tree.
 //   - laneaffinity: per-lane engine state is only touched from its
 //     lane's worker (//seve:lane-affine, or an int "lane" parameter)
 //     or the sequential seal passes (//seve:lane-seal).
@@ -18,27 +15,19 @@
 // its derivation from the message type (core's newReply) and the
 // type → class assertion in transport.SendQueue.Enqueue, pool ownership by wire's
 // outstanding count (asserted zero after every test binary on the
-// pooled path) and its use-after-release sentinels, and map-order
+// pooled path) and its use-after-release sentinels, map-order
 // independence of the bytes by the pinned digests and the run-twice
-// tests.
+// tests, and "a peer that stops reading holds no lock another caller
+// needs" by transport's net.Pipe stall tests.
 //
-// Audited exceptions are allowed with a directive on the offending line
-// or the line above it:
-//
-//	//seve:vet-ignore <checker> <reason>
-//
-// The reason is mandatory: an unexplained suppression is itself
-// flagged, and Run reports directives that no longer suppress anything
-// so suppressions cannot outlive the code they excused.
+// There is no suppression syntax: a finding is fixed, not excused.
 package vet
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -62,7 +51,7 @@ type Checker interface {
 
 // AllCheckers returns the production checkers.
 func AllCheckers() []Checker {
-	return []Checker{lockscopeChecker{}, laneAffinityChecker{}}
+	return []Checker{laneAffinityChecker{}}
 }
 
 // CheckerNames lists the valid checker names.
@@ -74,82 +63,9 @@ func CheckerNames() []string {
 	return names
 }
 
-// ignoreDirective is one parsed //seve:vet-ignore comment. used is set
-// when the directive suppresses at least one raw finding, the input to
-// the stale-suppression audit.
-type ignoreDirective struct {
-	checker string
-	file    string
-	line    int
-	col     int
-	used    bool
-}
-
-// StaleIgnore is a //seve:vet-ignore directive that no longer
-// suppresses anything: the code it excused was fixed or moved, and the
-// suppression is rotting in place.
-type StaleIgnore struct {
-	Pos     token.Position
-	Checker string
-}
-
-func (s StaleIgnore) String() string {
-	return fmt.Sprintf("%s: stale //seve:vet-ignore %s suppresses nothing; delete it", s.Pos, s.Checker)
-}
-
-const directivePrefix = "//seve:vet-ignore"
-
-// parseDirectives scans a unit's comments for ignore directives.
-// Malformed directives (missing checker or reason, unknown checker) are
-// reported as findings of the pseudo-checker "directive" so they cannot
-// rot silently.
-func parseDirectives(u *Unit, known map[string]bool, report func(pos token.Pos, format string, args ...any)) []*ignoreDirective {
-	var dirs []*ignoreDirective
-	for _, f := range u.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, directivePrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, directivePrefix)
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					report(c.Pos(), "malformed directive: want //seve:vet-ignore <checker> <reason>")
-					continue
-				}
-				if !known[fields[0]] {
-					report(c.Pos(), "directive names unknown checker %q (known: %s)",
-						fields[0], strings.Join(CheckerNames(), ", "))
-					continue
-				}
-				pos := u.Fset.Position(c.Pos())
-				dirs = append(dirs, &ignoreDirective{checker: fields[0], file: pos.Filename, line: pos.Line, col: pos.Column})
-			}
-		}
-	}
-	return dirs
-}
-
-// suppressed reports whether a finding is covered by a directive: same
-// checker, same file, and the directive sits on the finding's line or
-// the line directly above it. Matching directives are marked used for
-// the stale audit.
-func suppressed(f Finding, dirs []*ignoreDirective) bool {
-	hit := false
-	for _, d := range dirs {
-		if d.checker == f.Checker && d.file == f.Pos.Filename &&
-			(d.line == f.Pos.Line || d.line == f.Pos.Line-1) {
-			d.used = true
-			hit = true
-		}
-	}
-	return hit
-}
-
 // Run loads every directory and runs every checker, returning the
-// findings that survive the //seve:vet-ignore directives and the
-// directives that suppressed nothing, each sorted by position.
-func Run(l *Loader, dirs []string) ([]Finding, []StaleIgnore, error) {
+// findings sorted by position.
+func Run(l *Loader, dirs []string) ([]Finding, error) {
 	return runDirs(l, dirs, AllCheckers())
 }
 
@@ -157,7 +73,6 @@ func Run(l *Loader, dirs []string) ([]Finding, []StaleIgnore, error) {
 // run reassembles deterministic output.
 type dirResult struct {
 	findings []Finding
-	stale    []StaleIgnore
 	err      error
 }
 
@@ -165,12 +80,7 @@ type dirResult struct {
 // dominates the wall time and the loader is safe for concurrent loads
 // (see load.go), so directories check independently and the findings
 // are reassembled in a deterministic order.
-func runDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, []StaleIgnore, error) {
-	known := make(map[string]bool)
-	for _, c := range AllCheckers() {
-		known[c.Name()] = true
-	}
-
+func runDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, error) {
 	results := make([]dirResult, len(dirs))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(dirs) {
@@ -196,9 +106,7 @@ func runDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, []StaleIg
 					continue
 				}
 				for _, u := range units {
-					fs, st := checkUnit(u, checkers, known)
-					results[i].findings = append(results[i].findings, fs...)
-					results[i].stale = append(results[i].stale, st...)
+					results[i].findings = append(results[i].findings, checkUnit(u, checkers)...)
 				}
 			}
 		}()
@@ -206,13 +114,11 @@ func runDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, []StaleIg
 	wg.Wait()
 
 	var findings []Finding
-	var stale []StaleIgnore
 	for _, r := range results {
 		if r.err != nil {
-			return nil, nil, r.err
+			return nil, r.err
 		}
 		findings = append(findings, r.findings...)
-		stale = append(stale, r.stale...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -227,60 +133,21 @@ func runDirs(l *Loader, dirs []string, checkers []Checker) ([]Finding, []StaleIg
 		}
 		return a.Checker < b.Checker
 	})
-	sort.Slice(stale, func(i, j int) bool {
-		a, b := stale[i], stale[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return findings, stale, nil
+	return findings, nil
 }
 
-// checkUnit runs checkers over one unit, filters out suppressed
-// findings, and reports directives that suppressed nothing.
-func checkUnit(u *Unit, checkers []Checker, known map[string]bool) ([]Finding, []StaleIgnore) {
-	var raw []Finding
-	collect := func(name string) func(pos token.Pos, format string, args ...any) {
-		return func(pos token.Pos, format string, args ...any) {
-			raw = append(raw, Finding{
+// checkUnit runs checkers over one unit.
+func checkUnit(u *Unit, checkers []Checker) []Finding {
+	var out []Finding
+	for _, c := range checkers {
+		name := c.Name()
+		c.Check(u, func(pos token.Pos, format string, args ...any) {
+			out = append(out, Finding{
 				Pos:     u.Fset.Position(pos),
 				Checker: name,
 				Message: fmt.Sprintf(format, args...),
 			})
-		}
+		})
 	}
-	dirs := parseDirectives(u, known, collect("directive"))
-	for _, c := range checkers {
-		c.Check(u, collect(c.Name()))
-	}
-	var out []Finding
-	for _, f := range raw {
-		if f.Checker != "directive" && suppressed(f, dirs) {
-			continue
-		}
-		out = append(out, f)
-	}
-	var stale []StaleIgnore
-	for _, d := range dirs {
-		if !d.used {
-			stale = append(stale, StaleIgnore{
-				Pos:     token.Position{Filename: d.file, Line: d.line, Column: d.col},
-				Checker: d.checker,
-			})
-		}
-	}
-	return out, stale
-}
-
-// funcBodies visits every function or method body in the unit, handing
-// the visitor the declaration for receiver/name context.
-func funcBodies(u *Unit, visit func(fd *ast.FuncDecl)) {
-	for _, f := range u.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				visit(fd)
-			}
-		}
-	}
+	return out
 }

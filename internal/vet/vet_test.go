@@ -2,7 +2,6 @@ package vet
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -78,7 +77,7 @@ func loadWants(t *testing.T, dir string) []*wantAt {
 // comments: every finding must be expected, every expectation met.
 func runCorpus(t *testing.T, dir string, checker Checker) {
 	t.Helper()
-	findings, _, err := runDirs(sharedLoader(t), []string{dir}, []Checker{checker})
+	findings, err := runDirs(sharedLoader(t), []string{dir}, []Checker{checker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,76 +107,23 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && aa == bb
 }
 
-func TestLockScopeCorpus(t *testing.T) {
-	runCorpus(t, "testdata/lockscope", lockscopeChecker{})
-}
-
 func TestLaneAffinityCorpus(t *testing.T) {
 	runCorpus(t, "testdata/laneaffinity", laneAffinityChecker{})
 }
 
-// TestDirectives locks in the suppression machinery: a valid directive
-// silences its finding, an unknown checker or missing reason is itself
-// reported, and an invalid directive suppresses nothing.
-func TestDirectives(t *testing.T) {
-	findings, _, err := Run(sharedLoader(t), []string{"testdata/directives"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, f := range findings {
-		got = append(got, fmt.Sprintf("%s@%d", f.Checker, f.Pos.Line))
-	}
-	// suppressed() produces nothing; unknownChecker and missingReason
-	// each produce a directive finding plus the surviving channel-send
-	// finding on the next line.
-	want := []string{"directive@17", "lockscope@18", "directive@23", "lockscope@24"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("directive findings = %v, want %v\nfull: %v", got, want, findings)
-	}
-	for _, f := range findings {
-		if f.Checker == "lockscope" && !strings.Contains(f.Message, "channel send") {
-			t.Errorf("surviving finding changed shape: %s", f)
-		}
-	}
-}
-
-// TestStaleIgnoreAudit locks in the stale-suppression audit: a
-// directive that suppresses a live finding survives, one that
-// suppresses nothing is reported.
-func TestStaleIgnoreAudit(t *testing.T) {
-	findings, stale, err := Run(sharedLoader(t), []string{"testdata/staleignore"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("unexpected finding: %s", f)
-	}
-	if len(stale) != 1 {
-		t.Fatalf("stale ignores = %v, want exactly the staleDirective one", stale)
-	}
-	if got := stale[0]; got.Checker != "lockscope" || !strings.Contains(got.String(), "suppresses nothing") {
-		t.Errorf("stale ignore = %v, want a lockscope suppresses-nothing report", got)
-	}
-}
-
 // TestRepoClean asserts seve-vet exits clean on the real module — zero
-// unsuppressed findings and zero stale suppressions, the same gate
-// scripts/ci.sh runs.
+// findings, the same gate scripts/ci.sh runs.
 func TestRepoClean(t *testing.T) {
 	l := sharedLoader(t)
 	dirs, err := ListPackageDirs(l.ModRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, stale, err := Run(l, dirs)
+	findings, err := Run(l, dirs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
 		t.Errorf("repo not clean: %s", f)
-	}
-	for _, s := range stale {
-		t.Errorf("repo not clean: %s", s)
 	}
 }

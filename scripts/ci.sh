@@ -16,11 +16,15 @@
 #
 # Contracts and their gates (DESIGN.md §9 has the seeded-defect table
 # that decided which gate holds which):
-#   seve-vet         no blocking under a mutex (lockscope), lane-owned
-#                    state on its lane (laneaffinity)
+#   seve-vet         lane-owned state on its lane (laneaffinity)
 #   go vet           no by-value copy of world.ScratchSet/CountedSet
 #                    (copylocks over the noCopy marker; was nocopy)
-#   go test          pool ownership: wire.Outstanding reads zero when the
+#   go test          a peer that stops reading holds no lock another
+#                    caller needs: the net.Pipe stall tests
+#                    (TestStalledClientWriteHoldsNoLock,
+#                    TestStalledJoinerHoldsNoServerLock; was lockscope),
+#                    run again -count=20 below;
+#                    pool ownership: wire.Outstanding reads zero when the
 #                    tests of wire, transport, durable, core, shard and
 #                    netsim end (wiretest.Main), and a released frame
 #                    panics when read (was pooldiscipline); no map order
@@ -73,11 +77,14 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 
-# seve-vet prints findings and stale //seve:vet-ignore directives and
-# exits 1 on either. To accept a finding on purpose, put a reasoned
-# //seve:vet-ignore on its line.
+# seve-vet runs its one checker, prints each finding and exits 1 on
+# any. There is no suppression syntax: a finding is fixed, not excused.
 go run ./cmd/seve-vet ./...
 go test -race ./...
+# The stall tests and the two shutdown tests beside them wait on
+# deadlines; green they finish in milliseconds, so a run of twenty under
+# -race is where a deadline flake would show first.
+go test -race -count=20 -run '^(TestStalledClientWriteHoldsNoLock|TestStalledJoinerHoldsNoServerLock|TestServerCloseDisconnectsEveryone|TestCloseDuringResumeStopsRun)$' ./internal/transport
 go test -shuffle=on ./...
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzRecover$' -fuzztime 10s ./internal/durable
