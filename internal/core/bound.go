@@ -136,7 +136,7 @@ func (s *Server) runPlanTasks(tasks []func()) {
 }
 
 // ReplyPlan is the read-only result of planning one batch — a
-// submission reply (PlanReply) or one recipient group's First Bound push
+// submission reply (Lane.Plan) or one recipient group's First Bound push
 // (planPush): the batch positions and blind-write payload computed by
 // the closure walk. Plans hold no references into mutable engine state,
 // which is what lets both schedulers compute them on worker goroutines
@@ -219,7 +219,7 @@ func (s *Server) commitPush(members []*clientRec, p *ReplyPlan, out *ServerOutpu
 		return
 	}
 	v := s.segment.view()
-	out.Replies = append(out.Replies, s.commitPlan(&v, members[0], p, s.mintBlind(p), true))
+	out.Replies = append(out.Replies, s.commitPlan(&v, members[0], p, s.mintBlind(p), s.installed, true))
 }
 
 // pushEligible decides whether entry e could affect a future action of

@@ -48,7 +48,7 @@ import (
 // different clients out over a worker pool (bound.go), and the shard
 // router fan walks for different lanes over lane-segment views
 // (pipeline.go) — seeds and returned positions are indexes into v.queue.
-func (s *Server) closureWalk(v *walkView, seeds []int, sc *closureScratch, already func(int, *entry) bool) (positions []int, writes []world.Write, st walkStats) {
+func (s *shared) closureWalk(v *walkView, seeds []int, sc *closureScratch, already func(int, *entry) bool) (positions []int, writes []world.Write, st walkStats) {
 	sc.ensure(len(v.queue), s.intern.Len())
 	useIndex := !s.fullScan
 
@@ -129,7 +129,7 @@ func (s *Server) closureWalk(v *walkView, seeds []int, sc *closureScratch, alrea
 // the install point, and any queued creator of them is in the batch.
 // Ids are emitted in ascending order, matching the sorted-IDSet
 // iteration of the pre-index implementation.
-func (s *Server) blindWrites(sc *closureScratch) []world.Write {
+func (s *shared) blindWrites(sc *closureScratch) []world.Write {
 	sc.memb = sc.set.AppendMembers(sc.memb[:0])
 	ids := sc.objs[:0]
 	for _, m := range sc.memb {

@@ -112,7 +112,7 @@ func sentToAll(members []*clientRec) func(int, *entry) bool {
 // hop would have delivered. The first member receives the Relay and
 // forwards it.
 func (s *Server) commitRelay(members []*clientRec, p *ReplyPlan) Reply {
-	envs := s.blindFirst(p, s.mintBlind(p))
+	envs := blindFirst(p, s.mintBlind(p), s.installed)
 	ids := make([]action.ClientID, len(members))
 	seqs := make([]uint64, len(members))
 	for i, rec := range members {

@@ -190,8 +190,6 @@ func (s *Server) scratchFor(w int) *closureScratch {
 
 // growWriters keeps the writer-list tables in step with the interner:
 // the global segment's own, and the one table every lane segment holds.
-//
-//seve:lane-seal
 func (s *Server) growWriters() {
 	n := s.intern.Len()
 	for len(s.writers) < n {

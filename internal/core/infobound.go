@@ -51,7 +51,7 @@ func (s *Server) ChainLength(rs world.IDSet) int {
 // it runs over either the global queue or one lane's segment — under the
 // router's no-live-bridge precondition the chain never leaves the lane,
 // so the two views visit the same conflicts.
-func (s *Server) validityWalk(v *walkView, rsd []uint32, hasPos bool, pos geom.Vec, threshold float64, sc *closureScratch) (invalid bool, chain int, st walkStats) {
+func (s *shared) validityWalk(v *walkView, rsd []uint32, hasPos bool, pos geom.Vec, threshold float64, sc *closureScratch) (invalid bool, chain int, st walkStats) {
 	sc.ensure(len(v.queue), s.intern.Len())
 	useIndex := !s.fullScan
 	n := len(v.queue)

@@ -11,12 +11,13 @@ import (
 )
 
 // This file tests the pipeline SPI (pipeline.go) the shard router
-// drives: a miniature two-lane pipeline runs StampLane/SealStamp/
-// PlanReply/PreCommit/CommitLane/SealCommit — over lane views with the
-// starred phases on real goroutines, so `go test -race` patrols the
-// lane-affinity claims, and over the global view — and every byte is
-// compared against a sequential server fed the same effective order. The full router pipeline is exercised end to end in
-// internal/shard; these tests pin the core-side contract in isolation.
+// drives: a miniature two-lane pipeline runs Lane.Stamp/SealStamp/
+// Lane.Plan/PreCommit/Lane.Commit/SealCommit — over lane handles with the
+// starred phases on one goroutine per lane, so `go test -race` patrols
+// the lane-affinity claims, and over the global handle — and every byte
+// is compared against a sequential server fed the same effective order.
+// The full router pipeline is exercised end to end in internal/shard;
+// these tests pin the core-side contract in isolation.
 
 // pipeSub is one scripted submission with its routing decision.
 type pipeSub struct {
@@ -28,7 +29,9 @@ type pipeSub struct {
 // pipeSide is one engine under comparison plus its client fleet and the
 // byte streams they observed.
 type pipeSide struct {
-	srv     *Server
+	srv *Server
+	// lanes are the partitioned side's lane handles.
+	lanes   []*Lane
 	clients map[action.ClientID]*Client
 	bytes   map[action.ClientID][]byte
 	// comps buffers client→server traffic (completions) for delivery at
@@ -132,7 +135,7 @@ func (ps *pipeSide) laneEpoch(t *testing.T, nLanes int, subs []pipeSub) ServerOu
 		wg.Wait()
 	}
 
-	runLanes(func(lane int) { ps.srv.StampLane(lane, perLane[lane]) })
+	runLanes(func(lane int) { ps.lanes[lane].Stamp(perLane[lane]) })
 
 	plans := make([]ReplyPlan, len(pend))
 	accepted := make([]bool, len(pend))
@@ -142,7 +145,7 @@ func (ps *pipeSide) laneEpoch(t *testing.T, nLanes int, subs []pipeSub) ServerOu
 	runLanes(func(lane int) {
 		for i, p := range pend {
 			if accepted[i] && subs[i].lane == lane {
-				plans[i] = ps.srv.PlanReply(p, lane, nil)
+				plans[i] = ps.lanes[lane].Plan(p, nil)
 			}
 		}
 	})
@@ -154,7 +157,7 @@ func (ps *pipeSide) laneEpoch(t *testing.T, nLanes int, subs []pipeSub) ServerOu
 	runLanes(func(lane int) {
 		for i, p := range pend {
 			if accepted[i] && subs[i].lane == lane {
-				ps.srv.CommitLane(p, &plans[i])
+				ps.lanes[lane].Commit(p, &plans[i])
 			}
 		}
 	})
@@ -180,7 +183,7 @@ func (ps *pipeSide) globalEpoch(t *testing.T, subs []pipeSub) ServerOutput {
 		pend[i] = ps.srv.PrepareSubmit(sub.from, sub.msg, 0)
 		pend[i].SetLane(sub.lane)
 	}
-	ps.srv.StampLane(-1, pend)
+	ps.srv.global.Stamp(pend)
 	plans := make([]ReplyPlan, len(pend))
 	for i, p := range pend {
 		if !ps.srv.SealStamp(p, &out) {
@@ -189,7 +192,7 @@ func (ps *pipeSide) globalEpoch(t *testing.T, subs []pipeSub) ServerOutput {
 	}
 	for i, p := range pend {
 		if p != nil {
-			plans[i] = ps.srv.PlanReply(p, 0, nil)
+			plans[i] = ps.srv.global.Plan(p, nil)
 		}
 	}
 	for i, p := range pend {
@@ -199,7 +202,7 @@ func (ps *pipeSide) globalEpoch(t *testing.T, subs []pipeSub) ServerOutput {
 	}
 	for i, p := range pend {
 		if p != nil {
-			ps.srv.CommitLane(p, &plans[i])
+			ps.srv.global.Commit(p, &plans[i])
 		}
 	}
 	for i, p := range pend {
@@ -245,11 +248,13 @@ func TestLanePipelineMatchesSequential(t *testing.T) {
 			init := initWorld(8)
 
 			par := newPipeSide(cfg, init, 5)
-			par.srv.GrowScratch(nLanes)
 			par.srv.EnablePartition(nLanes)
 			par.srv.SetPlanExecutor(parExec)
 			if !par.srv.Partitioned() {
 				t.Fatal("EnablePartition did not partition")
+			}
+			for lane := 0; lane < nLanes; lane++ {
+				par.lanes = append(par.lanes, par.srv.Lane(lane, lane))
 			}
 			seq := newPipeSide(cfg, init, 5)
 			par.srv.pushWidth, seq.srv.pushWidth = 2, 2
@@ -447,6 +452,56 @@ func TestEnablePartitionGuards(t *testing.T) {
 		}
 	}()
 	busy.EnablePartition(2)
+}
+
+// TestLaneRefusesForeignPending stamps a submission on lane 0 and hands
+// it to lane 1's handle, whose segment also holds an entry at the same
+// position: Plan and Commit must panic rather than walk, or mark sent,
+// lane 1's entry in its place.
+func TestLaneRefusesForeignPending(t *testing.T) {
+	cfg := cfgFor(ModeIncomplete)
+	init := initWorld(4)
+	s := NewServer(cfg, init)
+	s.EnablePartition(2)
+	lanes := []*Lane{s.Lane(0, 0), s.Lane(1, 1)}
+	var out ServerOutput
+	stamp := func(from action.ClientID, obj world.ObjectID, lane int) *Pending {
+		c := NewClient(from, cfg, init)
+		s.RegisterClient(from, 0)
+		msg, _ := c.Submit(&testAction{rs: world.NewIDSet(obj), ws: world.NewIDSet(obj), delta: 1})
+		p := s.PrepareSubmit(from, msg, 0)
+		p.SetLane(lane)
+		lanes[lane].Stamp([]*Pending{p})
+		if !s.SealStamp(p, &out) {
+			t.Fatalf("client %d: stamp refused", from)
+		}
+		return p
+	}
+	stamp(2, 3, 1)
+	p := stamp(1, 1, 0)
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic on a pending stamped on lane 0", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("lane 1's Plan", func() { lanes[1].Plan(p, nil) })
+	plan := lanes[0].Plan(p, nil)
+	s.PreCommit(p, &plan)
+	mustPanic("lane 1's Commit", func() { lanes[1].Commit(p, &plan) })
+	mustPanic("the global handle's Commit", func() { s.global.Commit(p, &plan) })
+	if s.lanes[1].queue[0].sent.has(p.rec.slot) {
+		t.Fatal("a refused commit marked lane 1's entry sent")
+	}
+	lanes[0].Commit(p, &plan)
+	s.SealCommit(p, &plan, &out)
+	if !s.lanes[0].queue[0].sent.has(p.rec.slot) {
+		t.Fatal("the owning handle's commit did not mark its entry sent")
+	}
 }
 
 var _ = fmt.Sprintf

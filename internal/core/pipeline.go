@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"seve/internal/action"
@@ -15,15 +16,17 @@ import (
 // confined to one view of the queue and sequential merges that apply
 // everything whose order across views is observable:
 //
-//	StampLane* → SealStamp → PlanReply* → PreCommit → CommitLane* → SealCommit
+//	Lane.Stamp* → SealStamp → Lane.Plan* → PreCommit → Lane.Commit* → SealCommit
 //
 // A view is a segment of the uncommitted queue with its conflict index:
 // a lane's (view ≥ 0) or the global queue (view −1). The starred phases
-// touch only view-affine state: the view's segment and writer rows, the
-// pending's entry, and the submitting client's record (the router pins
-// each client to one lane per epoch). The Seal/PreCommit passes own
-// everything shared — global Seqs, blind-write ids, counters, history,
-// the reply order — and run in the deterministic merge order (epoch,
+// are methods on a Lane handle holding the view's segment, a worker's
+// walk scratch and the engine's read-only part — no Server, so no global
+// queue from a lane view and no other lane's segment. Beyond those they
+// touch only the pending's entry and the submitter's record (the router
+// pins each client to one lane per epoch). The Server's Seal/PreCommit
+// passes own everything shared — global Seqs, blind-write ids, counters,
+// history, the reply order — in the deterministic merge order (epoch,
 // lane, lane-local arrival).
 //
 // HandleSubmit is the one-job epoch on the global view (SubmitPrepared).
@@ -70,7 +73,7 @@ type Pending struct {
 	// view still mirrors into it so the lane segments stay complete.
 	lane int
 
-	// Stamp outcome, staged by StampLane for SealStamp to count and
+	// Stamp outcome, staged by Lane.Stamp for SealStamp to count and
 	// answer in merge order: a session duplicate, an influence-bound
 	// violation, an Information Bound drop, and the validity walk's cost.
 	dup        bool
@@ -78,10 +81,71 @@ type Pending struct {
 	dropped    bool
 	stampStats walkStats
 
-	// blind is the blind-write id PreCommit mints in merge order.
-	blind action.ID
-	// reply is the Batch staged by CommitLane for SealCommit to emit.
+	// blind is the blind-write id PreCommit mints in merge order, and
+	// installed the global install point it reads for the blind write's
+	// Seq and the batch's InstalledUpTo (no install runs before Commit).
+	blind     action.ID
+	installed uint64
+	// reply is the Batch staged by Lane.Commit for SealCommit to emit.
 	reply Reply
+}
+
+// shared is the part of the engine a Lane may read. ζS and the interner
+// change only on the sequential path (installs, PrepareSubmit), which
+// never overlaps a lane phase.
+type shared struct {
+	cfg Config
+	// zs is ζS, the authoritative stable state, built by installing the
+	// write values carried in completion messages (Algorithm 5). Only
+	// maintained from ModeIncomplete up.
+	zs *world.State
+	// intern maps sparse ObjectIDs to dense indices for the analysis
+	// walks and the segments' writer tables.
+	intern *world.Interner
+	// journal, when set, receives the commit feed: one grouped record
+	// per InstallContiguous pass plus the session-layer records — the
+	// integration point for the durability pipeline (package durable).
+	journal Journal
+	// fullScan makes the analysis walks scan the full uncommitted queue
+	// instead of consulting the reverse conflict index, and planPush test
+	// every window entry instead of consulting the entry grid. noIntegrity
+	// turns the integrity layer (DESIGN.md §16) off: no completion
+	// validation, audits, replay checks or per-client bounds. They select
+	// the reference legs of TestClosureIndexEquivalence,
+	// TestPushGridEquivalence and TestIntegrityOffEquivalence; only this
+	// package's tests set them.
+	fullScan    bool
+	noIntegrity bool
+}
+
+// Lane is the handle the starred phases run on. Distinct lanes' handles
+// touch disjoint state and may run on parallel workers; handles on the
+// global view must run one at a time.
+type Lane struct {
+	*shared
+	view int
+	seg  *segment
+	sc   *closureScratch
+}
+
+// Lane returns the handle on view (a lane, or −1 for the global queue)
+// with worker w's walk scratch. It grows the scratch pool, so handles are
+// built once on the engine goroutine and reused.
+func (s *Server) Lane(view, w int) *Lane {
+	g := &s.segment
+	if view >= 0 {
+		g = &s.lanes[view]
+	}
+	return &Lane{shared: &s.shared, view: view, seg: g, sc: s.scratchFor(w)}
+}
+
+// own panics unless p was stamped on l's view: p.pos indexes that view's
+// segment, and through any other handle Plan would walk, and Commit mark
+// sent, the wrong entries.
+func (l *Lane) own(p *Pending) {
+	if p.viewLane != l.view {
+		panic(fmt.Sprintf("core: pending stamped on view %d used through view %d's handle", p.viewLane, l.view))
+	}
 }
 
 // Seq returns the stamped global serial position.
@@ -122,8 +186,6 @@ func (s *Server) ObjectIDOf(o uint32) world.ObjectID { return s.intern.ID(o) }
 // it once at construction, before any submission; it requires an empty
 // queue and an incomplete-world mode (ModeBasic keeps no queue to
 // partition).
-//
-//seve:lane-seal
 func (s *Server) EnablePartition(n int) {
 	if n < 2 || s.cfg.Mode < ModeIncomplete {
 		return
@@ -137,19 +199,7 @@ func (s *Server) EnablePartition(n int) {
 }
 
 // Partitioned reports whether per-lane segments are maintained.
-//
-//seve:lane-seal
 func (s *Server) Partitioned() bool { return s.lanes != nil }
-
-// seg resolves a view to its segment.
-//
-//seve:lane-affine
-func (s *Server) seg(view int) *segment {
-	if view < 0 {
-		return &s.segment
-	}
-	return &s.lanes[view]
-}
 
 // HandleSubmit processes a newly submitted action: Algorithm 2 step 2 in
 // ModeBasic, Algorithm 5 step 3 plus the Algorithm 7 validity check in
@@ -185,21 +235,19 @@ func (s *Server) PrepareSubmit(from action.ClientID, m *wire.Submit, nowMs float
 // whether p was stamped (and answered with a closure batch); each call
 // takes the next serial position, so calls must come in a reproducible
 // order.
-//
-//seve:lane-seal
 func (s *Server) SubmitPrepared(p *Pending, out *ServerOutput) bool {
-	s.StampLane(-1, []*Pending{p})
+	s.global.Stamp([]*Pending{p})
 	if !s.SealStamp(p, out) {
 		return false
 	}
-	plan := s.PlanReply(p, 0, nil)
+	plan := s.global.Plan(p, nil)
 	s.PreCommit(p, &plan)
-	s.CommitLane(p, &plan)
+	s.global.Commit(p, &plan)
 	s.SealCommit(p, &plan, out)
 	return true
 }
 
-// StampLane runs the view-affine half of stamping for ps, in order:
+// Stamp runs the view-affine half of stamping for ps, in order:
 // duplicate detection, the per-client influence bounds, client-position
 // notes, Algorithm 7 validity over the view, and enqueue+index of the
 // accepted entries in the view's segment. Outcomes are staged on the
@@ -212,11 +260,8 @@ func (s *Server) SubmitPrepared(p *Pending, out *ServerOutput) bool {
 // sequential task over all of an epoch's pendings in merge order — each
 // sees the ones before it enqueued, exactly as if they had been
 // submitted one by one.
-//
-//seve:lane-affine
-func (s *Server) StampLane(view int, ps []*Pending) {
-	g := s.seg(view)
-	sc := s.scratchFor(max(view, 0))
+func (l *Lane) Stamp(ps []*Pending) {
+	g := l.seg
 	for _, p := range ps {
 		e, rec := p.e, p.rec
 
@@ -235,15 +280,15 @@ func (s *Server) StampLane(view int, ps []*Pending) {
 			sess.lastActSeq = seq
 		}
 
-		if p.bound = s.boundsCheck(p); p.bound != integrity.OK {
+		if p.bound = l.boundsCheck(p); p.bound != integrity.OK {
 			continue
 		}
 
 		noteClientPosition(rec, e, p.nowMs)
 
-		if s.cfg.Mode >= ModeInfoBound {
+		if l.cfg.Mode >= ModeInfoBound {
 			v := g.view()
-			p.dropped, _, p.stampStats = s.validityWalk(&v, e.rsd, e.hasPos, e.pos, s.cfg.Threshold, sc)
+			p.dropped, _, p.stampStats = l.validityWalk(&v, e.rsd, e.hasPos, e.pos, l.cfg.Threshold, l.sc)
 			if p.dropped {
 				continue
 			}
@@ -251,17 +296,17 @@ func (s *Server) StampLane(view int, ps []*Pending) {
 
 		// Timestamp a and put it into the queue (Algorithm 2 step 2a /
 		// Algorithm 5 step 3a).
-		p.viewLane = view
-		if s.cfg.Mode == ModeBasic {
+		p.viewLane = l.view
+		if l.cfg.Mode == ModeBasic {
 			// No queue, no sent(): the stamp is the serial position alone.
 			g.nextSeq++
 			e.env.Seq = g.nextSeq
 			continue
 		}
-		if view < 0 {
+		if l.view < 0 {
 			e.env.Seq = g.push(e)
 		} else {
-			e.lane, e.laneSeq = int32(view), g.push(e)
+			e.lane, e.laneSeq = int32(l.view), g.push(e)
 		}
 		e.sent.set(rec.slot) // the origin trivially has its own action
 		p.pos = len(g.queue) - 1
@@ -276,9 +321,7 @@ func (s *Server) StampLane(view int, ps []*Pending) {
 // sealBound in merge order. The bucket spends on the deterministic
 // engine clock carried by the pending, so verdicts replay identically
 // through the effective log.
-//
-//seve:lane-affine
-func (s *Server) boundsCheck(p *Pending) integrity.Violation {
+func (s *shared) boundsCheck(p *Pending) integrity.Violation {
 	if s.noIntegrity {
 		return integrity.OK
 	}
@@ -306,8 +349,6 @@ func (s *Server) boundsCheck(p *Pending) integrity.Violation {
 // epochs — spanning entries, lane < 0, have no segment and are exactly
 // the bridges that keep epochs global while live). It reports whether a
 // reply plan is owed.
-//
-//seve:lane-seal
 func (s *Server) SealStamp(p *Pending, out *ServerOutput) bool {
 	s.stats.TotalSubmitted++
 	if p.dup {
@@ -347,8 +388,6 @@ func (s *Server) SealStamp(p *Pending, out *ServerOutput) bool {
 // rejection: the violation counter and, except for already-quarantined
 // clients (whose verdict said everything), a Drop reply so the origin
 // aborts the action locally instead of waiting forever.
-//
-//seve:lane-seal
 func (s *Server) sealBound(p *Pending, out *ServerOutput) {
 	switch p.bound {
 	case integrity.ViolationQuarantined:
@@ -387,30 +426,30 @@ func (s *Server) replyBasic(rec *clientRec, out *ServerOutput) {
 	// log[i] has Seq i+1, so the slice (posC, nextSeq] is log[posC:nextSeq].
 	envs := slices.Clone(s.log[rec.posC:s.nextSeq])
 	rec.posC = s.nextSeq
-	out.Replies = append(out.Replies, s.batchReply(rec, envs, false, nil))
+	b := s.sequence(rec, &wire.Batch{Envs: envs, InstalledUpTo: s.installed})
+	out.Replies = append(out.Replies, newReply(rec.id, b, nil))
 }
 
-// PlanReply computes the Algorithm 6 closure reply for p: the transitive
-// closure of uncommitted actions affecting it, prefixed by a blind
-// write. Planning is read-only apart from worker w's private scratch, so
-// distinct pendings may plan concurrently on distinct workers over a
-// frozen queue (grow the scratch pool with GrowScratch first).
+// Plan computes the Algorithm 6 closure reply for p, which must have
+// been stamped on l's view: the transitive closure of uncommitted
+// actions affecting it, prefixed by a blind write. Planning is read-only
+// apart from the handle's scratch, so distinct pendings may plan
+// concurrently through handles on distinct workers over a frozen queue.
 //
 // overlay, when non-nil, reports queue positions that an earlier plan in
 // the same batch already included in a batch for p's client — those
 // entries count as sent even though their sent() bits are only applied
 // when that earlier plan commits. The shard lanes use it to keep
 // plan-phase results identical to fully sequential processing.
-//
-//seve:lane-affine
-func (s *Server) PlanReply(p *Pending, w int, overlay func(pos int) bool) ReplyPlan {
+func (l *Lane) Plan(p *Pending, overlay func(pos int) bool) ReplyPlan {
+	l.own(p)
 	slot := p.rec.slot
 	already := sentTo(slot)
 	if overlay != nil {
 		already = func(j int, e *entry) bool { return e.sent.has(slot) || overlay(j) }
 	}
-	v := s.seg(p.viewLane).view()
-	return s.planBatch(&v, []int{p.pos}, s.scratchFor(w), already)
+	v := l.seg.view()
+	return l.planBatch(&v, []int{p.pos}, l.sc, already)
 }
 
 // sentTo is the closure walk's already() for a single recipient.
@@ -421,7 +460,7 @@ func sentTo(slot int) func(int, *entry) bool {
 // planBatch plans one batch for a recipient: the closure walk over the
 // seeds, the batch's envelopes, and its covered-object footprint. Pure
 // reads over the frozen view apart from the private scratch.
-func (s *Server) planBatch(v *walkView, seeds []int, sc *closureScratch, already func(int, *entry) bool) ReplyPlan {
+func (s *shared) planBatch(v *walkView, seeds []int, sc *closureScratch, already func(int, *entry) bool) ReplyPlan {
 	positions, writes, st := s.closureWalk(v, seeds, sc, already)
 	return ReplyPlan{positions: positions, writes: writes,
 		envs: planEnvs(v, positions), stats: st,
@@ -434,7 +473,7 @@ func (s *Server) planBatch(v *walkView, seeds []int, sc *closureScratch, already
 // metadata (DESIGN.md §13) the transport's delivery queue charges to a
 // slow client's staleness accounting. Read-only over the frozen view and
 // the interner, so it runs on the planning worker with the walk.
-func (s *Server) planFootprint(v *walkView, positions []int, writes []world.Write) []world.ObjectID {
+func (s *shared) planFootprint(v *walkView, positions []int, writes []world.Write) []world.ObjectID {
 	n := len(writes)
 	for _, j := range positions {
 		n += len(v.queue[j].wsd)
@@ -468,12 +507,11 @@ func planEnvs(v *walkView, positions []int) []action.Envelope {
 
 // PreCommit mints the blind-write id for a planned reply that carries
 // writes — the one commit-side output whose cross-lane order is
-// observable before the reply itself. Runs in merge order on the
-// sequential path, between the plan and commit fan-outs.
-//
-//seve:lane-seal
+// observable before the reply itself — and stages the install point
+// Commit reads. Runs in merge order on the sequential path, between the
+// plan and commit fan-outs.
 func (s *Server) PreCommit(p *Pending, plan *ReplyPlan) {
-	p.blind = s.mintBlind(plan)
+	p.blind, p.installed = s.mintBlind(plan), s.installed
 }
 
 // mintBlind returns the next blind-write id when plan carries writes to
@@ -485,69 +523,53 @@ func (s *Server) mintBlind(plan *ReplyPlan) action.ID {
 	return s.nextBlindID()
 }
 
-// CommitLane finishes one pending's planned batch over the view it was
-// stamped on — on its lane's worker under a partitioned epoch: sent()
+// Commit finishes the planned batch of p, which must have been stamped
+// on l's view — on its lane's worker under a partitioned epoch: sent()
 // marks, envelope assembly around the PreCommit-minted blind id, and the
 // per-client batch sequence (the submitting client is lane-pinned, so
 // sequence/retainBatch are lane-affine). The reply is staged for
 // SealCommit to emit in merge order. Commits over the global view must
 // run sequentially: two jobs' batches may carry the same entry.
-//
-//seve:lane-affine
-func (s *Server) CommitLane(p *Pending, plan *ReplyPlan) {
-	v := s.seg(p.viewLane).view()
-	p.reply = s.commitPlan(&v, p.rec, plan, p.blind, false)
+func (l *Lane) Commit(p *Pending, plan *ReplyPlan) {
+	l.own(p)
+	v := l.seg.view()
+	p.reply = l.commitPlan(&v, p.rec, plan, p.blind, p.installed, false)
 }
 
 // commitPlan applies a planned batch for one recipient: marks every
 // position sent to it, places the blind write W(S, ζS(S)) under the id
-// blind at the install point (or cuts its reserved slot when the walk
-// found nothing to seed), stamps the client's batch sequence, and
-// returns the reply. The blind id, the marks and the sequence number are
-// the steps whose order across batches is observable — that order, not
-// the planning schedule, is what fixes the bytes.
-func (s *Server) commitPlan(v *walkView, rec *clientRec, plan *ReplyPlan, blind action.ID, push bool) Reply {
+// blind at the install point installed (or cuts its reserved slot when
+// the walk found nothing to seed), stamps the client's batch sequence,
+// and returns the reply. The blind id, the marks and the sequence number
+// are the steps whose order across batches is observable — that order,
+// not the planning schedule, is what fixes the bytes.
+func (s *shared) commitPlan(v *walkView, rec *clientRec, plan *ReplyPlan, blind action.ID, installed uint64, push bool) Reply {
 	for _, j := range plan.positions {
 		v.queue[j].sent.set(rec.slot)
 	}
-	return s.batchReply(rec, s.blindFirst(plan, blind), push, plan.footprint)
+	b := &wire.Batch{Envs: blindFirst(plan, blind, installed), Push: push, InstalledUpTo: installed}
+	return newReply(rec.id, s.sequence(rec, b), plan.footprint)
 }
 
-// blindFirst completes a plan's envelope sequence with its blind write.
-func (s *Server) blindFirst(plan *ReplyPlan, blind action.ID) []action.Envelope {
+// blindFirst completes a plan's envelope sequence with its blind write
+// at the install point.
+func blindFirst(plan *ReplyPlan, blind action.ID, installed uint64) []action.Envelope {
 	if len(plan.writes) == 0 {
 		return plan.envs[1:]
 	}
 	plan.envs[0] = action.Envelope{
-		Seq:    s.installed,
+		Seq:    installed,
 		Origin: action.OriginServer,
 		Act:    action.NewBlindWrite(blind, plan.writes),
 	}
 	return plan.envs
 }
 
-// batchReply sequences envs as the client's next batch.
-func (s *Server) batchReply(rec *clientRec, envs []action.Envelope, push bool, footprint []world.ObjectID) Reply {
-	b := s.sequence(rec, &wire.Batch{Envs: envs, Push: push, InstalledUpTo: s.installed})
-	return newReply(rec.id, b, footprint)
-}
-
 // SealCommit emits one pending's staged reply and walk stats in merge
 // order on the sequential path.
-//
-//seve:lane-seal
 func (s *Server) SealCommit(p *Pending, plan *ReplyPlan, out *ServerOutput) {
 	s.noteWalk(plan.stats, out)
 	out.Replies = append(out.Replies, p.reply)
-}
-
-// GrowScratch ensures the per-worker scratch pool can serve workers
-// 0..n-1. Concurrent planners must not grow the pool themselves; the
-// shard router calls this once before fanning a flush out.
-func (s *Server) GrowScratch(n int) {
-	if n > 0 {
-		s.scratchFor(n - 1)
-	}
 }
 
 // noteWalk merges a walk's cost counters into the output and the
@@ -566,8 +588,6 @@ func (s *Server) noteWalk(st walkStats, out *ServerOutput) {
 // laneInstall pops an entry just installed from its lane segment.
 // Called by the install pass in global install order; lane segments are
 // ordered by global Seq, so the entry is always the lane head.
-//
-//seve:lane-seal
 func (s *Server) laneInstall(e *entry) {
 	if s.lanes == nil || e.lane < 0 {
 		return

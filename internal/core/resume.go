@@ -110,14 +110,14 @@ func (s *Server) SessionToken(id action.ClientID) uint64 {
 // retainBatch records a freshly sequenced batch in the client's resume
 // window, evicting the oldest once the window is full. No-op without a
 // session.
-func (s *Server) retainBatch(rec *clientRec, b *wire.Batch) {
+func (s *shared) retainBatch(rec *clientRec, b *wire.Batch) {
 	sess := rec.sess
 	if sess == nil {
 		return
 	}
 	sess.lastSeq = b.ClientSeq
 	if s.journal != nil {
-		// May run on a lane worker (CommitLane sequences batches there);
+		// May run on a lane worker (Lane.Commit sequences batches there);
 		// the Journal contract admits concurrent BatchRetained calls.
 		s.journal.BatchRetained(rec.id, b)
 	}
@@ -275,7 +275,7 @@ func (s *Server) snapshotOut(rec *clientRec, out *ServerOutput) {
 		v := s.segment.view()
 		plan := s.planBatch(&v, seeds, s.scratchFor(0), sentTo(rec.slot))
 		s.noteWalk(plan.stats, out)
-		out.Replies = append(out.Replies, s.commitPlan(&v, rec, &plan, s.mintBlind(&plan), false))
+		out.Replies = append(out.Replies, s.commitPlan(&v, rec, &plan, s.mintBlind(&plan), s.installed, false))
 	}
 }
 

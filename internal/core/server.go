@@ -24,12 +24,8 @@ import (
 // read/write-set analysis, which is what lets one server handle
 // thousands of clients (Section V-B1).
 type Server struct {
-	cfg Config
-
-	// zs is ζS, the authoritative stable state, built by installing the
-	// write values carried in completion messages (Algorithm 5). Only
-	// maintained from ModeIncomplete up.
-	zs *world.State
+	// shared is what a lane handle may read of the engine (pipeline.go).
+	shared
 
 	// The embedded segment is the global queue of uncommitted actions
 	// a_{installed+1} … a_n under their global Seqs, with its conflict
@@ -44,13 +40,11 @@ type Server struct {
 	// pipeline.go.
 	lanes []segment
 
-	// intern maps sparse ObjectIDs to dense indices for the analysis
-	// walks and the segments' writer tables.
-	intern *world.Interner
-
 	// scratch pools the per-walk state; scratch[0] serves the sequential
-	// paths and scratch[w] serves push worker w.
+	// paths and scratch[w] serves push worker w. global is the handle
+	// SubmitPrepared runs its one-job epochs through.
 	scratch []*closureScratch
+	global  *Lane
 	// tickWindow (pushWindow's queue positions), grid (the entry grid
 	// under planPush), groups (pushGroups' recipient groups; relayKeys and
 	// relayMembers back them under HybridRelay) and plans (one ReplyPlan
@@ -94,12 +88,8 @@ type Server struct {
 	// installed (replayCheck).
 	recent [recentWindow]recentResult
 
-	// journal, when set, receives the commit feed: one grouped record
-	// per InstallContiguous pass plus the session-layer records — the
-	// integration point for the durability pipeline (package durable).
-	// feedRecs is the reusable group-assembly scratch; installEpoch
-	// numbers the passes.
-	journal      Journal
+	// feedRecs is the journal's reusable group-assembly scratch;
+	// installEpoch numbers the install passes.
 	feedRecs     []CommitRecord
 	installEpoch uint64
 
@@ -112,19 +102,10 @@ type Server struct {
 	boot      uint64
 	bootFloor uint64
 
-	// fullScan makes the analysis walks scan the full uncommitted queue
-	// instead of consulting the reverse conflict index, and planPush test
-	// every window entry instead of consulting the entry grid; pushWidth,
-	// when non-zero, fixes the push scheduler's pool width (1 = the
-	// sequential path). noIntegrity turns the integrity layer (DESIGN.md
-	// §16) off: no completion validation, audits, replay checks or
-	// per-client bounds. They select the reference legs of
-	// TestClosureIndexEquivalence, TestPushGridEquivalence,
-	// TestTickParallelDeterminism and TestIntegrityOffEquivalence; only
-	// this package's tests set them.
-	fullScan    bool
-	pushWidth   int
-	noIntegrity bool
+	// pushWidth, when non-zero, fixes the push scheduler's pool width (1 =
+	// the sequential path): the reference leg of
+	// TestTickParallelDeterminism, set only by this package's tests.
+	pushWidth int
 
 	// planExec, when set, runs read-only planning fan-outs on the
 	// caller's worker pool instead of ad-hoc goroutines (SetPlanExecutor).
@@ -227,7 +208,7 @@ func (s *Server) enlist(rec *clientRec, ci clientInfo) {
 
 // sequence stamps b with the client's next batch sequence number and,
 // with sessions enabled, retains it in the client's resume window.
-func (s *Server) sequence(rec *clientRec, b *wire.Batch) *wire.Batch {
+func (s *shared) sequence(rec *clientRec, b *wire.Batch) *wire.Batch {
 	if rec.registered {
 		rec.nextBatchSeq++
 		b.ClientSeq = rec.nextBatchSeq
@@ -323,13 +304,13 @@ func NewServer(cfg Config, init *world.State) *Server {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Server{
-		cfg:    cfg,
-		zs:     init.Clone(),
-		intern: world.NewInterner(),
+	s := &Server{
+		shared: shared{cfg: cfg, zs: init.Clone(), intern: world.NewInterner()},
 		recs:   make(map[action.ClientID]*clientRec),
 		tokens: make(map[uint64]*clientRec),
 	}
+	s.global = s.Lane(-1, 0)
+	return s
 }
 
 // SetJournal registers the durable commit feed. Pass nil to remove.
@@ -536,8 +517,6 @@ func (s *Server) holdForRepair(e *entry, from *clientRec, m *wire.Completion) {
 // so they touch disjoint state; per-object write order (queue order)
 // is preserved within each segment, making the final values — and
 // every later observable — identical to the sequential cascade.
-//
-//seve:lane-seal
 func (s *Server) InstallContiguous(exec func(tasks []func())) {
 	// An audit inside a pass may quarantine an origin and self-complete
 	// its abandoned positions at the queue head, unblocking a further
@@ -546,7 +525,6 @@ func (s *Server) InstallContiguous(exec func(tasks []func())) {
 	}
 }
 
-//seve:lane-seal
 func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 	n := 0
 	for n < len(s.queue) && s.queue[n].held {
@@ -588,8 +566,6 @@ func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 // application into ζS, the journal group, then the in-order per-action
 // bookkeeping. Segment boundaries exist only at audit barriers, so with
 // auditing quiet this is the whole prefix in one group.
-//
-//seve:lane-seal
 func (s *Server) installSegment(batch []*entry, exec func(tasks []func())) {
 	if len(batch) == 0 {
 		return
@@ -632,8 +608,6 @@ func (s *Server) auditDue(e *entry) bool {
 // reporter is quarantined and the server's own result replaces the
 // forged one before installation, keeping ζS equal to the serial-replay
 // oracle.
-//
-//seve:lane-seal
 func (s *Server) auditEntry(e *entry) {
 	if e.selfComplete {
 		// Abandoned by a quarantined origin: there is no report to
@@ -758,8 +732,6 @@ func (s *Server) quarantine(rec *clientRec, reason integrity.Violation, seq, det
 // replies — matching the effective log, where completions are recorded
 // ahead of the epoch's stamps, so replay emits verdicts in the same
 // per-client order.
-//
-//seve:lane-seal
 func (s *Server) DrainQuarantines(out *ServerOutput) {
 	if len(s.quarOut) == 0 {
 		return
@@ -818,8 +790,6 @@ func (s *Server) internEntry(e *entry) {
 // Metrics returns a consistent snapshot of the engine's cumulative
 // counters. Callers must hold whatever synchronization guards the other
 // engine entry points (the engine itself is single-goroutine).
-//
-//seve:lane-seal
 func (s *Server) Metrics() metrics.ServerStats {
 	st := s.stats
 	st.Installed = s.installed

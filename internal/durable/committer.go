@@ -259,8 +259,6 @@ func (c *committer) flush() {
 // append gathers one record for its file and replays it into the
 // shadow. The committer is a single goroutine that owns the log — a
 // sequential any-lane context, like the engine's merge passes.
-//
-//seve:lane-seal
 func (c *committer) append(j job) {
 	defer wire.PutBuf(j.buf)
 	body := j.buf[frameHdrLen:]

@@ -409,8 +409,6 @@ func (s *Store) sendBlocking(j job) {
 //
 // Runs at the engine's seal boundary — the sequential point between
 // parallel lane phases — so it may partition records across any lane.
-//
-//seve:lane-seal
 func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRecord) {
 	if len(recs) == 0 {
 		return

@@ -88,11 +88,11 @@ type World struct {
 	Walls  *spatial.SegmentIndex
 
 	// visCache memoizes visible-wall counts per visibility-sized grid
-	// cell. The count only calibrates per-move cost, so cell-center
-	// quantization is exact enough; the cache makes the per-move hot
-	// path independent of wall density.
+	// cell, keyed by geom.CellKey. The count only calibrates per-move
+	// cost, so cell-center quantization is exact enough; the cache makes
+	// the per-move hot path independent of wall density.
 	visMu    sync.Mutex
-	visCache map[[2]int32]int
+	visCache map[uint64]int
 }
 
 // Avatar attribute schema: the high-dimensional tuple of Section III-D.
@@ -124,7 +124,7 @@ func NewWorld(cfg Config) *World {
 		Cfg:      cfg,
 		Bounds:   bounds,
 		Walls:    spatial.NewSegmentIndex(segs, cell),
-		visCache: make(map[[2]int32]int),
+		visCache: make(map[uint64]int),
 	}
 }
 
@@ -196,23 +196,28 @@ func AvatarDir(v world.Value) geom.Vec { return geom.Vec{X: v[AttrDirX], Y: v[At
 // the per-move cost model is linear in. The count is quantized to
 // visibility-sized grid cells and memoized: it exists solely to
 // calibrate compute cost, and avatars re-query the same neighbourhood on
-// every 3-unit step.
+// every 3-unit step. A position geom.CellOf refuses (non-finite, or past
+// its ±2³⁰ keys) is counted exactly and not cached.
 func (w *World) VisibleWalls(p geom.Vec) int {
 	vis := w.Cfg.Visibility
 	if vis <= 0 {
 		return 0
 	}
-	key := [2]int32{int32(math.Floor(p.X / vis)), int32(math.Floor(p.Y / vis))}
+	cx, cy, ok := geom.CellOf(p, vis)
+	if !ok {
+		return w.ExactVisibleWalls(p)
+	}
+	key := geom.CellKey(cx, cy)
 	w.visMu.Lock()
 	if w.visCache == nil {
-		w.visCache = make(map[[2]int32]int)
+		w.visCache = make(map[uint64]int)
 	}
 	n, ok := w.visCache[key]
 	w.visMu.Unlock()
 	if ok {
 		return n
 	}
-	center := geom.Vec{X: (float64(key[0]) + 0.5) * vis, Y: (float64(key[1]) + 0.5) * vis}
+	center := geom.Vec{X: (float64(cx) + 0.5) * vis, Y: (float64(cy) + 0.5) * vis}
 	n = w.Walls.CountWithin(center, vis)
 	w.visMu.Lock()
 	w.visCache[key] = n

@@ -36,6 +36,29 @@ func TestNewWorldGeneratesWalls(t *testing.T) {
 	}
 }
 
+// TestVisibleWallsHostilePositions: a position geom.CellOf refuses is
+// counted exactly and stays out of the cache; an ordinary one is still
+// served from its cell.
+func TestVisibleWallsHostilePositions(t *testing.T) {
+	w := NewWorld(smallConfig())
+	edge := float64(1<<30) * w.Cfg.Visibility
+	for _, p := range []geom.Vec{
+		{X: math.NaN(), Y: 5}, {X: math.Inf(1), Y: 5}, {X: 5, Y: math.Inf(-1)},
+		{X: 1e300, Y: 1e300}, {X: -1e300, Y: 0}, {X: edge, Y: 0}, {X: 0, Y: -edge},
+	} {
+		if got, want := w.VisibleWalls(p), w.ExactVisibleWalls(p); got != want {
+			t.Fatalf("VisibleWalls(%v) = %d, want %d", p, got, want)
+		}
+	}
+	if len(w.visCache) != 0 {
+		t.Fatalf("hostile positions cached %d cells", len(w.visCache))
+	}
+	w.VisibleWalls(geom.Vec{X: 100, Y: 100})
+	if len(w.visCache) != 1 {
+		t.Fatalf("an ordinary position cached %d cells, want 1", len(w.visCache))
+	}
+}
+
 func TestWorldGenerationDeterministic(t *testing.T) {
 	a := NewWorld(smallConfig())
 	b := NewWorld(smallConfig())

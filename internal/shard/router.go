@@ -62,6 +62,12 @@ type Router struct {
 	reqs []chan laneTask
 	wg   sync.WaitGroup
 
+	// The handles the pipeline's parallel phases run on, built once:
+	// views[w] is lane w's for partitioned epochs, globals[w] worker w's
+	// on the global view for fallback epochs, whose planning still fans
+	// out by lane.
+	views, globals []*core.Lane
+
 	// Flush scratch, reused across epochs.
 	jobs     []job
 	lanePs   [][]*core.Pending
@@ -157,10 +163,11 @@ func New(cfg core.Config, init *world.State) *Router {
 	}
 	r.stats.Shards = cfg.Shards
 	r.stats.PerLane = make([]metrics.LaneStats, cfg.Shards)
-	r.inner.GrowScratch(cfg.Shards)
 	r.inner.EnablePartition(cfg.Shards)
 	r.inner.SetPlanExecutor(r.execTasks)
 	for w := 0; w < cfg.Shards; w++ {
+		r.views = append(r.views, r.inner.Lane(w, w))
+		r.globals = append(r.globals, r.inner.Lane(-1, w))
 		r.reqs[w] = make(chan laneTask, 8)
 		r.wg.Add(1)
 		go r.laneWorker(w)
@@ -252,19 +259,17 @@ func (r *Router) execTasks(tasks []func()) {
 	wg.Wait()
 }
 
-// planLane plans jobs[idxs] in order with the lane-local sent overlay:
-// positions already planned into a batch for the same client earlier in
-// this epoch count as sent even though their bits are only applied at
-// commit. Clients never span lanes within an epoch, so the overlay —
+// planLane plans jobs[idxs] in order through h with the lane-local sent
+// overlay: positions already planned into a batch for the same client
+// earlier in this epoch count as sent even though their bits are only
+// applied at commit. Clients never span lanes within an epoch, so the overlay —
 // and therefore every plan — is independent of the other lanes.
 //
 // The overlay only matters between two plans for the same client, which
 // is rare (a client resubmitting within one epoch), so its map traffic
 // is gated on a same-client pre-scan: the common all-distinct-clients
 // epoch plans with no overlay reads or writes at all.
-//
-//seve:lane-affine
-func (r *Router) planLane(w int, jobs []job, idxs []int) {
+func (r *Router) planLane(h *core.Lane, jobs []job, idxs []int) {
 	type ovKey struct {
 		cid action.ClientID
 		pos int
@@ -280,7 +285,7 @@ func (r *Router) planLane(w int, jobs []job, idxs []int) {
 				return ok
 			}
 		}
-		jobs[i].plan = r.inner.PlanReply(p, w, overlay)
+		jobs[i].plan = h.Plan(p, overlay)
 		laterSame := false
 		for _, j := range idxs[k+1:] {
 			if jobs[j].p.From() == cid {
@@ -362,7 +367,6 @@ func (r *Router) handleCompletion(from action.ClientID, m *wire.Completion, nowM
 	return out
 }
 
-//seve:lane-seal
 func (r *Router) handleSubmit(from action.ClientID, m *wire.Submit, nowMs float64) core.ServerOutput {
 	out := r.takePending()
 	p := r.inner.PrepareSubmit(from, m, nowMs)
@@ -578,28 +582,28 @@ func (r *Router) installComps() {
 // flushEpoch runs the buffered submissions through the six pipeline
 // phases (core/pipeline.go):
 //
-//	StampLane*  — view-affine stamping: dedup, bounds, validity over the
-//	              view, enqueue+index in its segment
-//	SealStamp   — global Seqs, queue/index/history, counters, Drop
-//	              replies, in merge order               (sequential)
-//	PlanReply*  — Algorithm 6 closure walks per lane    (parallel)
-//	PreCommit   — blind-write ids in merge order        (sequential)
-//	CommitLane* — sent() marks, batch assembly, per-client sequencing
-//	SealCommit  — reply emission in merge order         (sequential)
+//	Lane.Stamp*  — view-affine stamping: dedup, bounds, validity over
+//	               the view, enqueue+index in its segment
+//	SealStamp    — global Seqs, queue/index/history, counters, Drop
+//	               replies, in merge order              (sequential)
+//	Lane.Plan*   — Algorithm 6 closure walks per lane   (parallel)
+//	PreCommit    — blind-write ids in merge order       (sequential)
+//	Lane.Commit* — sent() marks, batch assembly, per-client sequencing
+//	SealCommit   — reply emission in merge order        (sequential)
 //
-// A partitioned epoch gives every lane its own view and runs the starred
-// phases one task per lane, in parallel: they touch only lane-affine
-// state. A fallback epoch — a spanning entry is live, so a lane-segment
-// walk would miss it — runs every job over the global view, which stays
-// correct because the walks see the whole queue: stamp and commit are
-// then one sequential task in merge order (a stamp must see the jobs
-// before it enqueued, and two lanes' batches may mark the same bridge
-// entry sent), and only the read-only planning still fans out. Every
+// The starred phases run on the core.Lane handles built in New. A
+// partitioned epoch runs them through each lane's own handle (views),
+// one task per lane, in parallel: a handle reaches only its lane's
+// segment. A fallback epoch — a spanning entry is live, so a lane-segment
+// walk would miss it — runs every job through the global-view handles
+// (globals), which stays correct because the walks see the whole queue:
+// stamp and commit are then one sequential task in merge order through
+// globals[0] (a stamp must see the jobs before it enqueued, and two
+// lanes' batches may mark the same bridge entry sent), and only the
+// read-only planning still fans out, lane w's through globals[w]. Every
 // output whose cross-lane order is observable is fixed by the sequential
 // merges either way, so the bytes are identical to each other and to
 // the single lane.
-//
-//seve:lane-seal
 func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.ServerOutput {
 	jobs := r.jobs[:0]
 	stampActive := r.active[:0]
@@ -619,16 +623,18 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 		r.lanes[lane] = r.lanes[lane][:0]
 	}
 
+	hs := r.globals
 	if partitioned {
+		hs = r.views
 		imb := float64(maxLane) * float64(r.n) / float64(len(jobs))
 		r.stats.LaneImbalance += (imb - r.stats.LaneImbalance) / float64(r.stats.PartitionedEpochs)
 		r.runPhase(stampActive, &r.stats.StampNs, &r.stats.StampCritNs, func(lane int) {
-			r.inner.StampLane(lane, r.lanePs[lane])
+			hs[lane].Stamp(r.lanePs[lane])
 		})
 	} else {
 		runSeq(&r.stats.StampNs, &r.stats.StampCritNs, func() {
 			for _, lane := range stampActive {
-				r.inner.StampLane(-1, r.lanePs[lane])
+				hs[0].Stamp(r.lanePs[lane])
 			}
 		})
 	}
@@ -641,7 +647,7 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 	}
 	r.stats.MergeNs += time.Since(start).Nanoseconds()
 
-	r.planJobs(jobs)
+	r.planJobs(jobs, hs)
 
 	start = time.Now()
 	for i := range jobs {
@@ -654,14 +660,14 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 	if partitioned {
 		r.runPhase(r.active, &r.stats.CommitNs, &r.stats.CommitCritNs, func(lane int) {
 			for _, i := range r.laneIdxs[lane] {
-				r.inner.CommitLane(jobs[i].p, &jobs[i].plan)
+				hs[lane].Commit(jobs[i].p, &jobs[i].plan)
 			}
 		})
 	} else {
 		runSeq(&r.stats.CommitNs, &r.stats.CommitCritNs, func() {
 			for i := range jobs {
 				if jobs[i].p != nil {
-					r.inner.CommitLane(jobs[i].p, &jobs[i].plan)
+					hs[0].Commit(jobs[i].p, &jobs[i].plan)
 				}
 			}
 		})
@@ -690,10 +696,11 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 	return out
 }
 
-// planJobs fans the accepted jobs' reply planning out by lane, leaving
+// planJobs fans the accepted jobs' reply planning out by lane, lane w's
+// through hs[w], leaving
 // the accepted per-lane index lists in r.laneIdxs and the accepted
 // lanes in r.active for the commit fan-out to reuse.
-func (r *Router) planJobs(jobs []job) {
+func (r *Router) planJobs(jobs []job, hs []*core.Lane) {
 	for lane := range r.laneIdxs {
 		r.laneIdxs[lane] = r.laneIdxs[lane][:0]
 	}
@@ -715,7 +722,7 @@ func (r *Router) planJobs(jobs []job) {
 		}
 	}
 	r.runPhase(active, &r.stats.PlanNs, &r.stats.PlanCritNs, func(lane int) {
-		r.planLane(lane, jobs, r.laneIdxs[lane])
+		r.planLane(hs[lane], jobs, r.laneIdxs[lane])
 	})
 }
 

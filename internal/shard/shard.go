@@ -31,10 +31,11 @@
 // installs. An epoch flushes through the engine's one submit pipeline —
 // buffered completions install first, then the six passes
 //
-//	StampLane*  → SealStamp → PlanReply* → PreCommit → CommitLane* → SealCommit
+//	Lane.Stamp* → SealStamp → Lane.Plan* → PreCommit → Lane.Commit* → SealCommit
 //
-// where the starred passes run one task per lane on the persistent lane
-// workers and the others are short sequential merges in the order
+// where the starred passes are methods on a core.Lane handle — one per
+// lane, holding only that lane's segment — run one task per lane on the
+// persistent lane workers and the others are short sequential merges in the order
 // (epoch, shardLane, localSeq). Lane-local analysis is sound because of
 // lane closure: while no spanning entry is live in the queue, a
 // conflict chain seeded in lane L cannot leave L's segment, so the

@@ -2,9 +2,10 @@
 // Manhattan People move evaluation queries "the walls closest to the
 // client's avatar" (Section V-A2); the segment index makes that query
 // cheap enough to run hundreds of thousands of times per experiment.
-// The walls are trusted world geometry, so the index keeps its own cell
-// keys; the engine's cells over client-declared positions are
-// geom.CellOf's.
+// Its cells are geom.CellOf's, the one cell function the engine keys
+// client-declared positions through: a box CellOf cannot place
+// (non-finite, or past its ±2³⁰ keys) is answered by scanning the
+// segments instead.
 package spatial
 
 import (
@@ -13,15 +14,16 @@ import (
 	"seve/internal/geom"
 )
 
-type cellKey struct{ x, y int32 }
-
 // SegmentIndex is an immutable uniform grid over line segments. Build it
 // once from the generated walls; lookups never mutate it, so a single
 // index is safely shared by every simulated node.
 type SegmentIndex struct {
-	cell  float64
-	segs  []geom.Segment
-	cells map[cellKey][]int32
+	cell float64
+	segs []geom.Segment
+	// cells maps a geom.CellKey to the segments whose bounding box
+	// overlaps the cell; unplaced lists those whose box CellOf refuses.
+	cells    map[uint64][]int32
+	unplaced []int32
 }
 
 // NewSegmentIndex indexes segs with the given cell size. Cell size should
@@ -34,31 +36,35 @@ func NewSegmentIndex(segs []geom.Segment, cellSize float64) *SegmentIndex {
 	idx := &SegmentIndex{
 		cell:  cellSize,
 		segs:  segs,
-		cells: make(map[cellKey][]int32),
+		cells: make(map[uint64][]int32),
 	}
 	for i, s := range segs {
-		idx.eachCellOf(s, func(k cellKey) {
-			idx.cells[k] = append(idx.cells[k], int32(i))
-		})
+		// Walls are short (length 10) relative to cell sizes, so the box
+		// is tight.
+		lo := geom.Vec{X: math.Min(s.A.X, s.B.X), Y: math.Min(s.A.Y, s.B.Y)}
+		hi := geom.Vec{X: math.Max(s.A.X, s.B.X), Y: math.Max(s.A.Y, s.B.Y)}
+		x0, y0, x1, y1, ok := idx.box(lo, hi)
+		if !ok {
+			idx.unplaced = append(idx.unplaced, int32(i))
+			continue
+		}
+		for x := x0; x <= x1; x++ {
+			for y := y0; y <= y1; y++ {
+				k := geom.CellKey(x, y)
+				idx.cells[k] = append(idx.cells[k], int32(i))
+			}
+		}
 	}
 	return idx
 }
 
-func (idx *SegmentIndex) key(p geom.Vec) cellKey {
-	return cellKey{int32(math.Floor(p.X / idx.cell)), int32(math.Floor(p.Y / idx.cell))}
-}
-
-// eachCellOf visits every cell overlapped by the segment's bounding box.
-// Walls are short (length 10) relative to cell sizes, so the box is tight.
-func (idx *SegmentIndex) eachCellOf(s geom.Segment, f func(cellKey)) {
-	lo := geom.Vec{X: math.Min(s.A.X, s.B.X), Y: math.Min(s.A.Y, s.B.Y)}
-	hi := geom.Vec{X: math.Max(s.A.X, s.B.X), Y: math.Max(s.A.Y, s.B.Y)}
-	k0, k1 := idx.key(lo), idx.key(hi)
-	for x := k0.x; x <= k1.x; x++ {
-		for y := k0.y; y <= k1.y; y++ {
-			f(cellKey{x, y})
-		}
-	}
+// box returns the cell range of the box [lo, hi], or false when
+// geom.CellOf refuses a corner. Every index in range is inside ±2³⁰, so
+// a loop up to x1 or y1 cannot wrap.
+func (idx *SegmentIndex) box(lo, hi geom.Vec) (x0, y0, x1, y1 int32, ok bool) {
+	x0, y0, ok0 := geom.CellOf(lo, idx.cell)
+	x1, y1, ok1 := geom.CellOf(hi, idx.cell)
+	return x0, y0, x1, y1, ok0 && ok1
 }
 
 // Len reports the number of indexed segments.
@@ -69,18 +75,25 @@ func (idx *SegmentIndex) Segment(i int) geom.Segment { return idx.segs[i] }
 
 // CountWithin reports how many segments lie within r of p. This is the
 // "visible walls" count that calibrates per-move compute cost (6.95 ms per
-// 1000 visible walls, Section V-A2).
+// 1000 visible walls, Section V-A2). A query box CellOf refuses, or one
+// covering more cells than the index holds, scans the segments with the
+// same distance test, so the count is exact either way.
 func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
-	k0 := idx.key(geom.Vec{X: p.X - r, Y: p.Y - r})
-	k1 := idx.key(geom.Vec{X: p.X + r, Y: p.Y + r})
+	x0, y0, x1, y1, ok := idx.box(geom.Vec{X: p.X - r, Y: p.Y - r}, geom.Vec{X: p.X + r, Y: p.Y + r})
+	if !ok || (int64(x1)-int64(x0)+1)*(int64(y1)-int64(y0)+1) > int64(len(idx.cells)) {
+		n := 0
+		for _, s := range idx.segs {
+			if s.DistTo(p) <= r {
+				n++
+			}
+		}
+		return n
+	}
 	seen := map[int32]bool{}
 	n := 0
-	for x := k0.x; x <= k1.x; x++ {
-		for y := k0.y; y <= k1.y; y++ {
-			for _, i := range idx.cells[cellKey{x, y}] {
-				if seen[i] {
-					continue
-				}
+	count := func(ids []int32) {
+		for _, i := range ids {
+			if !seen[i] {
 				seen[i] = true
 				if idx.segs[i].DistTo(p) <= r {
 					n++
@@ -88,5 +101,11 @@ func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
 			}
 		}
 	}
+	for x := x0; x <= x1; x++ {
+		for y := y0; y <= y1; y++ {
+			count(idx.cells[geom.CellKey(x, y)])
+		}
+	}
+	count(idx.unplaced)
 	return n
 }

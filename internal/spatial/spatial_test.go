@@ -1,8 +1,10 @@
 package spatial
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"seve/internal/geom"
 )
@@ -47,6 +49,62 @@ func TestSegmentIndexMatchesBruteForce(t *testing.T) {
 		}
 		if n := idx.CountWithin(p, r); n != want {
 			t.Fatalf("trial %d: CountWithin = %d, want %d", trial, n, want)
+		}
+	}
+}
+
+// TestHostileQueriesMatchBruteForce queries positions and radii the cell
+// function refuses — NaN, ±Inf, ±1e300 — and boxes straddling ±2³⁰ cells,
+// over walls that include some the grid cannot place. Each query must
+// return promptly (a cell loop up to a saturated int32 key wraps and
+// never ends) and equal a linear scan.
+func TestHostileQueriesMatchBruteForce(t *testing.T) {
+	const cell = 25
+	edge := float64(1<<30) * cell
+	segs := []geom.Segment{
+		{A: geom.Vec{X: 0, Y: 0}, B: geom.Vec{X: 10, Y: 0}},
+		{A: geom.Vec{X: edge - 60, Y: 0}, B: geom.Vec{X: edge - 55, Y: 0}},
+		{A: geom.Vec{X: edge - 5, Y: 0}, B: geom.Vec{X: edge + 5, Y: 0}},
+		{A: geom.Vec{X: -edge + 5, Y: 0}, B: geom.Vec{X: -edge - 5, Y: 0}},
+		{A: geom.Vec{X: math.NaN(), Y: 0}, B: geom.Vec{X: 1, Y: 1}},
+	}
+	idx := NewSegmentIndex(segs, cell)
+	inf, nan := math.Inf(1), math.NaN()
+	queries := []struct {
+		p geom.Vec
+		r float64
+	}{
+		{geom.Vec{X: nan, Y: 0}, 10},
+		{geom.Vec{X: 0, Y: nan}, 10},
+		{geom.Vec{X: 5, Y: 0}, nan},
+		{geom.Vec{X: inf, Y: 0}, 10},
+		{geom.Vec{X: -inf, Y: -inf}, 10},
+		{geom.Vec{X: 5, Y: 0}, inf},
+		{geom.Vec{X: 1e300, Y: 1e300}, 10},
+		{geom.Vec{X: -1e300, Y: 0}, 10},
+		{geom.Vec{X: 5, Y: 0}, 1e300},
+		{geom.Vec{X: edge - 50, Y: 0}, 20},
+		{geom.Vec{X: edge - 2, Y: 0}, 20},
+		{geom.Vec{X: -edge + 2, Y: 0}, 20},
+		{geom.Vec{X: 0, Y: edge - 1}, 40},
+		{geom.Vec{X: 5, Y: 0}, edge / 4},
+	}
+	for _, q := range queries {
+		want := 0
+		for _, s := range segs {
+			if s.DistTo(q.p) <= q.r {
+				want++
+			}
+		}
+		got := make(chan int, 1)
+		go func() { got <- idx.CountWithin(q.p, q.r) }()
+		select {
+		case n := <-got:
+			if n != want {
+				t.Errorf("CountWithin(%v, %g) = %d, want %d", q.p, q.r, n, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("CountWithin(%v, %g) did not return", q.p, q.r)
 		}
 	}
 }

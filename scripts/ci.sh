@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: gofmt, vet (generic + domain-specific), the full test suite under
+# CI gate: gofmt, go vet, the full test suite under
 # the race detector and again with shuffled test order, short fuzz
 # smokes of the wire codec, of journal recovery and of the push planner's
 # entry grid, and a one-second
@@ -16,7 +16,10 @@
 #
 # Contracts and their gates (DESIGN.md §9 has the seeded-defect table
 # that decided which gate holds which):
-#   seve-vet         lane-owned state on its lane (laneaffinity)
+#   the compiler     lane-owned state on its lane: lane phases are
+#                    core.Lane methods (was seve-vet's laneaffinity); a
+#                    handle panics on a pending stamped on another view
+#                    (TestLaneRefusesForeignPending)
 #   go vet           no by-value copy of world.ScratchSet/CountedSet
 #                    (copylocks over the noCopy marker; was nocopy)
 #   go test          a peer that stops reading holds no lock another
@@ -67,19 +70,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Formatting: every tracked Go file is gofmt-clean. The vet corpora under
-# testdata/ are fixtures, free to hold code a formatter would rewrite.
-unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+# Formatting: every tracked Go file is gofmt-clean.
+unformatted="$(git ls-files '*.go' | xargs gofmt -l)"
 if [ -n "$unformatted" ]; then
     echo "gofmt: these files need formatting:" >&2
     echo "$unformatted" >&2
     exit 1
 fi
 go vet ./...
-
-# seve-vet runs its one checker, prints each finding and exits 1 on
-# any. There is no suppression syntax: a finding is fixed, not excused.
-go run ./cmd/seve-vet ./...
 go test -race ./...
 # The stall tests and the two shutdown tests beside them wait on
 # deadlines; green they finish in milliseconds, so a run of twenty under
