@@ -11,8 +11,8 @@
 // (Section V-B1's single-server capacity, on the real core.Server), plus
 // the extensions protocols, zoning, hybrid, adversarial (superseding
 // delivery queue vs drop-at-cap under flash-crowd, trading-storm, and
-// interest-churn stalls), ablation-omega, ablation-threshold,
-// ablation-gc (ablations = all three), and all.
+// interest-churn stalls), ablation-omega, ablation-threshold, ablation-gc
+// (client versions held vs stored; ablations = all three), and all.
 //
 // seve-bench regenerates the paper's figures in simulation; what this
 // implementation itself costs, layer by layer, is measured by

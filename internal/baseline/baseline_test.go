@@ -8,6 +8,7 @@ import (
 	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/geom"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -60,17 +61,6 @@ func initWorld(n int) *world.State {
 	return s
 }
 
-func oracle(init *world.State, hist []action.Envelope) *world.State {
-	st := init.Clone()
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-	}
-	return st
-}
-
 func TestCentralExecutesAndReplies(t *testing.T) {
 	init := initWorld(2)
 	srv := NewCentralServer(init, 0, true)
@@ -107,7 +97,7 @@ func TestCentralExecutesAndReplies(t *testing.T) {
 	if v, _ := c2.View().Get(1); v[0] != 11 {
 		t.Fatalf("peer view = %v, want 11", v)
 	}
-	if !srv.State().Equal(oracle(init, srv.History())) {
+	if !srv.State().Equal(oracletest.Replay(init, srv.History()).Final()) {
 		t.Fatal("central state diverged from oracle")
 	}
 }
@@ -164,7 +154,7 @@ func TestBroadcastTotalOrderConvergence(t *testing.T) {
 	if commits != 3 {
 		t.Fatalf("commits = %d, want 3", commits)
 	}
-	want := oracle(init, srv.History())
+	want := oracletest.Replay(init, srv.History()).Final()
 	for i := action.ClientID(1); i <= 3; i++ {
 		if !clients[i].Stable().LatestState().Equal(want) {
 			t.Fatalf("client %d diverged from oracle", i)
@@ -244,7 +234,7 @@ func TestRingInconsistencyMeasured(t *testing.T) {
 	m1, _ := clients[1].Submit(a1)
 	deliver(srv.HandleSubmit(1, m1))
 
-	want := oracle(init, srv.History())
+	want := oracletest.Replay(init, srv.History()).Final()
 	held := clients[1].Stable().IDs()
 	div := Divergence(clients[1].Stable(), held, want)
 	if div == 0 {

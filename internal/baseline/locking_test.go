@@ -5,6 +5,7 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/core"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -179,13 +180,7 @@ func TestOwnershipStaleReadsDiverge(t *testing.T) {
 			c1.HandleMsg(rep.Msg)
 		}
 	}
-	st := init.Clone()
-	for _, env := range srv.History() {
-		r := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range r.Writes {
-			st.Set(w.ID, w.Val)
-		}
-	}
+	st := oracletest.Replay(init, srv.History()).Final()
 	ov, _ := st.Get(1)
 	if ov[0] == 3 {
 		t.Fatal("oracle agrees with stale execution; test setup wrong")

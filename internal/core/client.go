@@ -116,6 +116,9 @@ type Client struct {
 	// the reference leg of TestReconcileEquivalence; only this package's
 	// tests set it.
 	fullRollback bool
+	// noGC keeps every ζCS version, the reference leg of
+	// TestClientReplicaEquivalence; only this package's tests set it.
+	noGC bool
 
 	// stats holds the engine's cumulative counters, incremented in place;
 	// Metrics fills in the gauges.
@@ -388,11 +391,11 @@ func (c *Client) processBatch(b *wire.Batch, out *ClientOutput) {
 		}
 		c.pruneInstallPending(c.ackedInstalled)
 	}
-	if b.InstalledUpTo > c.prunedBelow && !c.cfg.DisableGC {
-		// Server-driven garbage collection (Section III-C): versions at
-		// or below the installed point can never be read again by a
-		// correctly formed batch, because blind writes are stamped at the
-		// install point.
+	if b.InstalledUpTo > c.prunedBelow && !c.noGC {
+		// Server-driven garbage collection (Section III-C): no correctly
+		// formed batch reads below the installed point, because blind
+		// writes are stamped at it. Each survivor keeps its own position:
+		// the client may never have been sent a later write.
 		c.cs.PruneBelow(b.InstalledUpTo)
 		c.prunedBelow = b.InstalledUpTo
 	}

@@ -128,14 +128,6 @@ type Config struct {
 	// off in benchmarks.
 	RecordHistory bool
 
-	// DisableGC stops clients from pruning stable-store versions at the
-	// server's installed point (the Section III-C memory optimization).
-	// Set by the GC ablation (experiments.AblationGC) and by the churn,
-	// supersession and replica differentials, which keep every version so
-	// their per-version oracle stays exact; leave false in real
-	// deployments.
-	DisableGC bool
-
 	// HybridRelay delegates First Bound push fan-out to one relay client
 	// per neighbourhood cell, which forwards the shared batch peer-to-
 	// peer (the Section VII hybrid architecture). Requires

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seve/internal/action"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -176,10 +177,9 @@ func TestRestartBootFence(t *testing.T) {
 
 	// Restart: a fresh engine over the replayed prefix, rewound by the
 	// recovery record, one boot generation up.
-	prefix, _ := oracleReplay(init, lb.srv.History()[:floor])
+	history := lb.srv.History()[:floor]
 	rec := restoreFrom(lb, floor)
-	history := append([]action.Envelope(nil), lb.srv.History()[:floor]...)
-	srv2 := NewServer(cfg, prefix)
+	srv2 := NewServer(cfg, oracletest.Replay(init, history).Final())
 	srv2.Restore(rec)
 	if srv2.Boot() != 1 {
 		t.Fatalf("restored boot %d, want 1", srv2.Boot())
@@ -224,13 +224,12 @@ func TestRestartBootFence(t *testing.T) {
 	// Theorem 1 against the stitched history: the recovered prefix plus
 	// the re-issued suffix replayed serially must equal ζS, and every
 	// surviving commit's stable result must match the oracle.
-	history = append(history, srv2.History()...)
-	oracleState, oracleRes := oracleReplay(init, history)
-	if !srv2.Authoritative().Equal(oracleState) {
+	oracle := oracletest.Replay(init, history, srv2.History())
+	if !srv2.Authoritative().Equal(oracle.Final()) {
 		t.Fatal("restarted authoritative state diverged from the stitched serial oracle")
 	}
 	for _, c := range lb.commits {
-		want, ok := oracleRes[c.Seq]
+		want, ok := oracle.Result(c.Seq)
 		if !ok {
 			t.Fatalf("commit at seq %d not in stitched history", c.Seq)
 		}

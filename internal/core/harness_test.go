@@ -9,6 +9,7 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/geom"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -285,40 +286,24 @@ func (lb *loopback) requireNoViolations() {
 	}
 }
 
-// oracleReplay applies the envelopes serially to init, returning the
-// final state and the per-position results — the "omniscient serial
-// executor" that Theorem 1's consistency guarantee is checked against.
-func oracleReplay(init *world.State, hist []action.Envelope) (*world.State, map[uint64]action.Result) {
-	st := init.Clone()
-	results := make(map[uint64]action.Result, len(hist))
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-		results[env.Seq] = res
-	}
-	return st, results
-}
-
 // checkAgainstOracle verifies the Theorem 1 invariants after a drained
 // run: the server's authoritative state equals the oracle state, and
 // every commit's stable result equals the oracle result at its position.
 func (lb *loopback) checkAgainstOracle(init *world.State) {
 	lb.t.Helper()
 	hist := lb.srv.History()
-	oracleState, oracleRes := oracleReplay(init, hist)
+	oracle := oracletest.Replay(init, hist)
 
 	if lb.srv.cfg.Mode >= ModeIncomplete {
 		if lb.srv.Installed() != uint64(len(hist)) {
 			lb.t.Fatalf("installed %d of %d actions after drain", lb.srv.Installed(), len(hist))
 		}
-		if !lb.srv.Authoritative().Equal(oracleState) {
+		if !lb.srv.Authoritative().Equal(oracle.Final()) {
 			lb.t.Fatal("authoritative state ζS diverged from serial oracle")
 		}
 	}
 	for _, c := range lb.commits {
-		want, ok := oracleRes[c.Seq]
+		want, ok := oracle.Result(c.Seq)
 		if !ok {
 			lb.t.Fatalf("commit at seq %d not in history", c.Seq)
 		}

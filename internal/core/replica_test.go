@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"seve/internal/action"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -35,12 +36,15 @@ type replicaRun struct {
 // some of it provisional commits whose completions are still on their way
 // up, when the server is replaced by one restored at its install point.
 // Every client resumes against the new boot and the workload carries on.
-func runReplicaWorkload(t *testing.T, cfg Config, seed int64) *replicaRun {
+func runReplicaWorkload(t *testing.T, cfg Config, seed int64, noGC bool) *replicaRun {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const nObjects, nClients, rounds, crashRound = 40, 12, 10, 4
 	init := initWorld(nObjects)
 	lb := newLoopback(t, cfg, init, nClients)
+	for _, c := range lb.clients {
+		c.noGC = noGC
+	}
 	run := &replicaRun{lb: lb}
 
 	record := func(cid action.ClientID, out ClientOutput) {
@@ -68,7 +72,7 @@ func runReplicaWorkload(t *testing.T, cfg Config, seed int64) *replicaRun {
 		c := lb.clients[cid]
 		run.trace = append(run.trace, fmt.Sprintf("c%d:co:%x:cs:%x", cid, c.Optimistic().Digest(), c.Stable().LatestState().Digest()))
 		run.versions = append(run.versions, c.Stable().Versions())
-		if !cfg.DisableGC {
+		if !noGC {
 			// Part of what the golden digests pin; left out of the
 			// on-against-off comparison, where it differs by design.
 			run.trace = append(run.trace, fmt.Sprintf("c%d:versions:%d", cid, c.Stable().Versions()))
@@ -154,9 +158,8 @@ func runReplicaWorkload(t *testing.T, cfg Config, seed int64) *replicaRun {
 			t.Fatalf("seed %d: nothing stamped past the install point %d at the crash", seed, floor)
 		}
 		history = append(history, lb.srv.History()[:floor]...)
-		prefix, _ := oracleReplay(init, history)
 		rec := restoreFrom(lb, floor)
-		srv2 := NewServer(cfg, prefix)
+		srv2 := NewServer(cfg, oracletest.Replay(init, history).Final())
 		srv2.Restore(rec)
 		lb.srv = srv2
 		for _, cid := range lb.order {
@@ -174,17 +177,20 @@ func runReplicaWorkload(t *testing.T, cfg Config, seed int64) *replicaRun {
 
 	// Theorem 1 against the stitched history of both boots.
 	history = append(history, lb.srv.History()...)
-	oracleState, oracleRes := oracleReplay(init, history)
+	oracle := oracletest.Replay(init, history)
 	if lb.srv.Installed() != uint64(len(history)) {
 		t.Fatalf("seed %d: installed %d of %d actions after the last drain", seed, lb.srv.Installed(), len(history))
 	}
-	if !lb.srv.Authoritative().Equal(oracleState) {
+	if !lb.srv.Authoritative().Equal(oracle.Final()) {
 		t.Fatalf("seed %d: ζS diverged from the stitched serial oracle", seed)
 	}
 	for _, c := range lb.commits {
-		if want, ok := oracleRes[c.Seq]; !ok || !c.Res.Equal(want) {
+		if want, ok := oracle.Result(c.Seq); !ok || !c.Res.Equal(want) {
 			t.Fatalf("seed %d: commit %v at seq %d diverged from the oracle", seed, c.ActID, c.Seq)
 		}
+	}
+	for _, cid := range lb.order {
+		oracle.CheckStable(t, fmt.Sprintf("seed %d client %d", seed, cid), lb.clients[cid].Stable())
 	}
 	return run
 }
@@ -210,16 +216,19 @@ func traceDigest(trace []string) string {
 // replicaGolden pins, per seed, the digest of the trace the workload
 // produced at commit 62d6d18 — before ζCS indexed its multi-version
 // chains and pruned in place, before batches were decoded into slabs and
-// before remote actions were evaluated through the scratch transaction.
-// A change that means to alter what a client emits regenerates them: run
-// TestClientReplicaEquivalence with -v and copy the digests it logs.
+// before remote actions were evaluated through the scratch transaction —
+// with the `:versions:` lines regenerated once when pruning stopped
+// moving a surviving version up to the prune point (every other line is
+// unchanged). A change that means to alter what a client emits
+// regenerates them: run TestClientReplicaEquivalence with -v and copy
+// the digests it logs.
 var replicaGolden = map[int64]string{
-	1: "1dc41f6d67e32148",
-	2: "af09bbf612605959",
-	3: "45d817e6bbb34e59",
-	4: "d14a11d78513514f",
-	5: "e9bbda888bcae5d7",
-	6: "2c1df47cea020b7a",
+	1: "d08bd9e58e27cbba",
+	2: "d34fd571fe611996",
+	3: "1087dff08b30afc8",
+	4: "2b0c4e72ff41c731",
+	5: "c784803ce3b05097",
+	6: "560074d97df5d7d9",
 }
 
 // TestClientReplicaEquivalence holds the client's replica to its
@@ -228,18 +237,21 @@ var replicaGolden = map[int64]string{
 // same run with garbage collection off — pruning ζCS, in place and only
 // where something was written, is unobservable — and (b) to the stream
 // the implementation before it emitted. The store never holds more
-// versions with collection on than off, at any step.
+// versions with collection on than off, at any step, and the reference
+// leg holds every version it stored.
 func TestClientReplicaEquivalence(t *testing.T) {
 	revoked, drops, recs := 0, 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := cfgFor(ModeInfoBound)
 		cfg.Threshold = 60 // low enough that long conflict chains get dropped
 		cfg.ResumeWindow = 8
-		noGC := cfg
-		noGC.DisableGC = true
-
-		run := runReplicaWorkload(t, cfg, seed)
-		ref := runReplicaWorkload(t, noGC, seed)
+		run := runReplicaWorkload(t, cfg, seed, false)
+		ref := runReplicaWorkload(t, cfg, seed, true)
+		for _, cid := range ref.lb.order {
+			if cs := ref.lb.clients[cid].Stable(); cs.Versions() != cs.Stored() {
+				t.Fatalf("seed=%d: the reference leg's client %d holds %d of %d versions stored", seed, cid, cs.Versions(), cs.Stored())
+			}
+		}
 		diffTraces(t, fmt.Sprintf("seed=%d gc on vs off", seed), withoutVersions(run.trace), ref.trace)
 		pruned := false
 		for i, v := range run.versions {

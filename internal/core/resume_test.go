@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seve/internal/action"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -152,9 +153,8 @@ func TestResumeSuffixVsSnapshotEquivalence(t *testing.T) {
 	// Incomplete World Model promises per-version consistency, not
 	// freshness — so comparing raw latest values across runs would be
 	// wrong.)
-	suffixInit, snapInit := initWorld(6), initWorld(6)
-	checkStableConsistent(t, "suffix", suffixInit, ha, suffix.clients[1].Stable())
-	checkStableConsistent(t, "snapshot", snapInit, hb, snapshot.clients[1].Stable())
+	oracletest.Replay(initWorld(6), ha).CheckStable(t, "suffix", suffix.clients[1].Stable())
+	oracletest.Replay(initWorld(6), hb).CheckStable(t, "snapshot", snapshot.clients[1].Stable())
 
 	// Objects the resumed client itself wrote must be current and equal
 	// in both runs — and equal to ζS.
@@ -170,33 +170,6 @@ func TestResumeSuffixVsSnapshotEquivalence(t *testing.T) {
 		}
 		if zv, ok := za.Get(id); !ok || !va.Equal(zv) {
 			t.Fatalf("ζCS(%d)=%v diverges from ζS=%v", id, va, zv)
-		}
-	}
-}
-
-// checkStableConsistent asserts the Theorem 1 invariant over a stable
-// store: each object's latest held version v at position s equals the
-// omniscient serial replay's value for it as of s.
-func checkStableConsistent(t *testing.T, label string, init *world.State, hist []action.Envelope, cs *world.MVStore) {
-	t.Helper()
-	for _, id := range cs.IDs() {
-		val, seq, ok := cs.Latest(id)
-		if !ok {
-			continue
-		}
-		st := init.Clone()
-		for _, env := range hist {
-			if env.Seq > seq {
-				break
-			}
-			res := action.Eval(env.Act, world.StateView{S: st})
-			for _, w := range res.Writes {
-				st.Set(w.ID, w.Val)
-			}
-		}
-		want, _ := st.Get(id)
-		if !val.Equal(want) {
-			t.Fatalf("%s ζCS(%d)=%v at seq %d diverges from serial replay %v", label, id, val, seq, want)
 		}
 	}
 }

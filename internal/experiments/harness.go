@@ -378,9 +378,8 @@ func (h *harness) finish() {
 		r.Divergence = h.ringDivergence()
 	}
 	for _, cl := range h.coreClients {
-		if v := cl.Stable().Versions(); v > r.MaxStableVersions {
-			r.MaxStableVersions = v
-		}
+		r.MaxStableVersions = max(r.MaxStableVersions, cl.Stable().Versions())
+		r.MaxStoredVersions = max(r.MaxStoredVersions, cl.Stable().Stored())
 	}
 	if h.ownSrv != nil {
 		r.Divergence = h.ownershipDivergence()
@@ -391,16 +390,22 @@ func (h *harness) finish() {
 	r.Unresolved = r.Submitted - r.Committed - r.Dropped
 }
 
-// ringDivergence replays the serial oracle and counts, across clients,
-// held objects whose final value differs.
-func (h *harness) ringDivergence() int {
+// serialState is the serial oracle's final state: hist replayed from the
+// initial world.
+func (h *harness) serialState(hist []action.Envelope) *world.State {
 	st := h.init.Clone()
-	for _, env := range h.ringSrv.History() {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
+	for _, env := range hist {
+		for _, w := range action.Eval(env.Act, world.StateView{S: st}).Writes {
 			st.Set(w.ID, w.Val)
 		}
 	}
+	return st
+}
+
+// ringDivergence counts, across clients, held objects whose final value
+// differs from the serial oracle's.
+func (h *harness) ringDivergence() int {
+	st := h.serialState(h.ringSrv.History())
 	total := 0
 	for _, cl := range h.coreClients {
 		total += baseline.Divergence(cl.Stable(), cl.Stable().IDs(), st)
@@ -419,17 +424,8 @@ func (h *harness) verify() error {
 		return nil // baselines have no Theorem 1 obligation
 	}
 	hist := h.seveSrv.History()
-	st := h.init.Clone()
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-	}
-	if h.seveSrv.Installed() == uint64(len(hist)) {
-		if !h.seveSrv.Authoritative().Equal(st) {
-			return fmt.Errorf("experiments: ζS diverged from serial oracle")
-		}
+	if h.seveSrv.Installed() == uint64(len(hist)) && !h.seveSrv.Authoritative().Equal(h.serialState(hist)) {
+		return fmt.Errorf("experiments: ζS diverged from serial oracle")
 	}
 	return nil
 }

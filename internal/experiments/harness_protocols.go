@@ -157,13 +157,7 @@ func (h *harness) submitMoveOwnership(cid action.ClientID) {
 
 // ownershipDivergence mirrors ringDivergence for the ownership caches.
 func (h *harness) ownershipDivergence() int {
-	st := h.init.Clone()
-	for _, env := range h.ownSrv.History() {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-	}
+	st := h.serialState(h.ownSrv.History())
 	total := 0
 	for _, cl := range h.ownClients {
 		total += baseline.Divergence(cl.View(), cl.View().IDs(), st)

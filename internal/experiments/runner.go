@@ -227,8 +227,9 @@ type Result struct {
 	LockQueued int
 	// MaxStableVersions is the largest per-client stable-store version
 	// count at the end of the run — the memory the Section III-C garbage
-	// collection bounds.
-	MaxStableVersions int
+	// collection bounds — and MaxStoredVersions the largest count of
+	// versions a client's store was ever written.
+	MaxStableVersions, MaxStoredVersions int
 
 	SimEndMs   float64
 	Violations []string

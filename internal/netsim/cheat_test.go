@@ -8,6 +8,7 @@ import (
 	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/integrity"
+	"seve/internal/oracletest"
 	"seve/internal/sim"
 	"seve/internal/wire"
 	"seve/internal/world"
@@ -160,15 +161,8 @@ func verifyCheatRunScoped(t *testing.T, r *cheatRun, wantQuarantine bool, honest
 		t.Fatalf("installed %d of %d actions — the cheater wedged the queue", got, len(hist))
 	}
 
-	st := h.init.Clone()
-	oracleRes := make(map[uint64]action.Result, len(hist))
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-		oracleRes[env.Seq] = res
-	}
+	oracle := oracletest.Replay(h.init, hist)
+	st := oracle.Final()
 	if honestObjects > 0 {
 		for i := 1; i <= honestObjects; i++ {
 			id := world.ObjectID(i)
@@ -191,7 +185,7 @@ func verifyCheatRunScoped(t *testing.T, r *cheatRun, wantQuarantine bool, honest
 			t.Fatalf("honest client %d committed %d of %d submissions", cid, len(cl.commits), cl.submitted)
 		}
 		for _, c := range cl.commits {
-			want, ok := oracleRes[c.Seq]
+			want, ok := oracle.Result(c.Seq)
 			if !ok {
 				t.Fatalf("honest client %d commit at seq %d not in history", cid, c.Seq)
 			}

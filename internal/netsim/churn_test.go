@@ -9,6 +9,7 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/core"
+	"seve/internal/oracletest"
 	"seve/internal/shard"
 	"seve/internal/sim"
 	"seve/internal/wire"
@@ -152,15 +153,6 @@ func newJournaledChurnHarness(t *testing.T, shards, nClients, nObjects int, j co
 // newChurnHarnessCfg builds the harness around an explicit engine
 // configuration (the cheat matrix tightens bounds and audit rates).
 func newChurnHarnessCfg(t *testing.T, cfg core.Config, nClients, nObjects int, j core.Journal) *churnHarness {
-	// Clients run with GC off so the per-version oracle check stays
-	// exact: PruneBelow collapses a surviving stale version to the prune
-	// position, deliberately re-stamping it (the Incomplete World Model
-	// allows held-but-unneeded versions to lag the serial replay). GC is
-	// client-local — it changes no wire traffic — so disabling it costs
-	// the harness nothing.
-	clientCfg := cfg
-	clientCfg.DisableGC = true
-
 	init := churnInit(nObjects)
 
 	k := sim.NewKernel()
@@ -217,7 +209,7 @@ func newChurnHarnessCfg(t *testing.T, cfg core.Config, nClients, nObjects int, j
 
 	for i := 1; i <= nClients; i++ {
 		cid := action.ClientID(i)
-		cl := &churnClient{id: cid, node: NodeID(i), engine: core.NewClient(cid, clientCfg, init), connected: true}
+		cl := &churnClient{id: cid, node: NodeID(i), engine: core.NewClient(cid, cfg, init), connected: true}
 		h.clients[cid] = cl
 		h.order = append(h.order, cid)
 		h.eng.RegisterClient(cid, 0)
@@ -445,67 +437,12 @@ func verifyChurn(t *testing.T, h *churnHarness) {
 	}
 
 	// ζS equals the omniscient serial replay.
-	st := h.init.Clone()
-	oracleRes := make(map[uint64]action.Result, len(hist))
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-		oracleRes[env.Seq] = res
-	}
-	if !h.eng.Authoritative().Equal(st) {
+	oracle := oracletest.Replay(h.init, hist)
+	if !h.eng.Authoritative().Equal(oracle.Final()) {
 		t.Fatal("authoritative state ζS diverged from serial oracle")
 	}
-
-	// Per-client: every submitted action committed exactly once with the
-	// oracle's result, no duplicate or missing serials, queues empty,
-	// and ζCS serial-replay consistent per held version.
-	for _, cid := range h.order {
-		cl := h.clients[cid]
-		if got := cl.engine.QueueLen(); got != 0 {
-			t.Fatalf("client %d still has %d in-flight actions", cid, got)
-		}
-		if len(cl.commits) != cl.submitted {
-			t.Fatalf("client %d committed %d of %d submissions", cid, len(cl.commits), cl.submitted)
-		}
-		seen := make(map[uint64]bool, len(cl.commits))
-		for _, c := range cl.commits {
-			if seen[c.Seq] {
-				t.Fatalf("client %d committed serial %d twice", cid, c.Seq)
-			}
-			seen[c.Seq] = true
-			want, ok := oracleRes[c.Seq]
-			if !ok {
-				t.Fatalf("client %d commit at seq %d not in history", cid, c.Seq)
-			}
-			if !c.Res.Equal(want) {
-				t.Fatalf("client %d stable result at seq %d diverged from oracle", cid, c.Seq)
-			}
-		}
-		cs := cl.engine.Stable()
-		for _, id := range cs.IDs() {
-			val, seq, ok := cs.Latest(id)
-			if !ok {
-				continue
-			}
-			asOf := h.init.Clone()
-			for _, env := range hist {
-				if env.Seq > seq {
-					break
-				}
-				res := action.Eval(env.Act, world.StateView{S: asOf})
-				for _, w := range res.Writes {
-					asOf.Set(w.ID, w.Val)
-				}
-			}
-			want, _ := asOf.Get(id)
-			if !val.Equal(want) {
-				t.Fatalf("client %d ζCS(%d)=%v at seq %d diverges from serial replay %v",
-					cid, id, val, seq, want)
-			}
-		}
-	}
+	verifyClients(t, h, oracle)
+	requirePruned(t, h)
 
 	// Both repair paths must have fired: the scripted burst forces a
 	// snapshot past the window, the quiet-window drop a suffix replay.
@@ -535,6 +472,52 @@ func verifyChurn(t *testing.T, h *churnHarness) {
 		t.Errorf("honest churn tripped the bounds: rate=%d ws=%d radius=%d orphans=%d",
 			ss.RateLimited, ss.WriteSetViolations, ss.RadiusViolations, ss.OrphanCompletions)
 	}
+}
+
+// verifyClients holds every client to the oracle: each submitted action
+// committed exactly once with the oracle's result, no duplicate or
+// missing serials, queues empty, ζCS serial-replay consistent per held
+// version.
+func verifyClients(t *testing.T, h *churnHarness, oracle *oracletest.Oracle) {
+	t.Helper()
+	for _, cid := range h.order {
+		cl := h.clients[cid]
+		if got := cl.engine.QueueLen(); got != 0 {
+			t.Fatalf("client %d still has %d in-flight actions", cid, got)
+		}
+		if len(cl.commits) != cl.submitted {
+			t.Fatalf("client %d committed %d of %d submissions", cid, len(cl.commits), cl.submitted)
+		}
+		seen := make(map[uint64]bool, len(cl.commits))
+		for _, c := range cl.commits {
+			if seen[c.Seq] {
+				t.Fatalf("client %d committed serial %d twice", cid, c.Seq)
+			}
+			seen[c.Seq] = true
+			want, ok := oracle.Result(c.Seq)
+			if !ok {
+				t.Fatalf("client %d commit at seq %d not in history", cid, c.Seq)
+			}
+			if !c.Res.Equal(want) {
+				t.Fatalf("client %d stable result at seq %d diverged from oracle", cid, c.Seq)
+			}
+		}
+		oracle.CheckStable(t, fmt.Sprintf("client %d", cid), cl.engine.Stable())
+	}
+}
+
+// requirePruned fails unless some client's garbage collection removed a
+// version: the clients run GC as shipped, and a run that never pruned
+// says nothing about it. A boot fence's truncation removes versions too,
+// so the kill-recover matrix asks before the restart.
+func requirePruned(t *testing.T, h *churnHarness) {
+	t.Helper()
+	for _, cid := range h.order {
+		if cs := h.clients[cid].engine.Stable(); cs.Versions() < cs.Stored() {
+			return
+		}
+	}
+	t.Fatal("no client's garbage collection removed a version")
 }
 
 // verifyReplayDifferential replays the router's effective log through

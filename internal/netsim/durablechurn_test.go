@@ -7,12 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/durable"
+	"seve/internal/oracletest"
 	"seve/internal/shard"
 	"seve/internal/sim"
-	"seve/internal/world"
 )
 
 // The durable churn swarm: the fault-injection harness of churn_test.go
@@ -53,23 +52,6 @@ func copyStoreDir(t *testing.T, dir string) string {
 		}
 	}
 	return dst
-}
-
-// replayOracle replays histories serially from init, returning the
-// final state and every position's result.
-func replayOracle(init *world.State, hists ...[]action.Envelope) (*world.State, map[uint64]action.Result) {
-	st := init.Clone()
-	res := make(map[uint64]action.Result)
-	for _, hist := range hists {
-		for _, env := range hist {
-			r := action.Eval(env.Act, world.StateView{S: st})
-			for _, w := range r.Writes {
-				st.Set(w.ID, w.Val)
-			}
-			res[env.Seq] = r
-		}
-	}
-	return st, res
 }
 
 // TestDurableChurnKillRecover is the process-death matrix: shard counts
@@ -150,6 +132,7 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 	if installed1 == 0 {
 		t.Fatal("phase 1 installed nothing")
 	}
+	requirePruned(t, h)
 	hist1 := h.eng.History()
 	if uint64(len(hist1)) < installed1 {
 		t.Fatalf("history %d shorter than installed %d", len(hist1), installed1)
@@ -185,8 +168,7 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 
 	// Recovery oracle: the recovered state is the serial replay of the
 	// installed prefix, byte for byte.
-	oracleSt, _ := replayOracle(init, hist1[:up])
-	if !rec2.State.Equal(oracleSt) {
+	if !rec2.State.Equal(oracletest.Replay(init, hist1[:up]).Final()) {
 		t.Fatal("recovered state diverged from serial replay oracle")
 	}
 	if !rec2.State.Equal(h.eng.Authoritative()) {
@@ -255,8 +237,8 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 
 	// Combined oracle: phase 1 up to the durable point, then everything
 	// the restarted engine installed.
-	finalSt, oracleRes := replayOracle(init, hist1[:up], hist2)
-	if !eng2.Authoritative().Equal(finalSt) {
+	oracle := oracletest.Replay(init, hist1[:up], hist2)
+	if !eng2.Authoritative().Equal(oracle.Final()) {
 		t.Fatal("post-restart ζS diverged from the combined serial oracle")
 	}
 
@@ -265,52 +247,7 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 	// with the server re-delivered through the resume path — and every
 	// stable version is serial-replay consistent against the combined
 	// history.
-	combined := append(append([]action.Envelope{}, hist1[:up]...), hist2...)
-	for _, cid := range h.order {
-		cl := h.clients[cid]
-		if got := cl.engine.QueueLen(); got != 0 {
-			t.Fatalf("client %d still has %d in-flight actions", cid, got)
-		}
-		if len(cl.commits) != cl.submitted {
-			t.Fatalf("client %d committed %d of %d submissions", cid, len(cl.commits), cl.submitted)
-		}
-		seen := make(map[uint64]bool, len(cl.commits))
-		for _, c := range cl.commits {
-			if seen[c.Seq] {
-				t.Fatalf("client %d committed serial %d twice", cid, c.Seq)
-			}
-			seen[c.Seq] = true
-			want, ok := oracleRes[c.Seq]
-			if !ok {
-				t.Fatalf("client %d commit at seq %d not in either history", cid, c.Seq)
-			}
-			if !c.Res.Equal(want) {
-				t.Fatalf("client %d stable result at seq %d diverged from oracle", cid, c.Seq)
-			}
-		}
-		cs := cl.engine.Stable()
-		for _, id := range cs.IDs() {
-			val, seq, ok := cs.Latest(id)
-			if !ok {
-				continue
-			}
-			asOf := init.Clone()
-			for _, env := range combined {
-				if env.Seq > seq {
-					break
-				}
-				res := action.Eval(env.Act, world.StateView{S: asOf})
-				for _, w := range res.Writes {
-					asOf.Set(w.ID, w.Val)
-				}
-			}
-			want, _ := asOf.Get(id)
-			if !val.Equal(want) {
-				t.Fatalf("client %d ζCS(%d)=%v at seq %d diverges from serial replay %v",
-					cid, id, val, seq, want)
-			}
-		}
-	}
+	verifyClients(t, h, oracle)
 
 	// The restart must actually have gone through the recovered-session
 	// path, and no valid token may have been rejected.

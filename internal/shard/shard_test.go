@@ -14,6 +14,7 @@ import (
 	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/geom"
+	"seve/internal/oracletest"
 	"seve/internal/wire"
 	"seve/internal/world"
 )
@@ -512,14 +513,7 @@ func TestShardedOracle(t *testing.T) {
 	if r.Installed() != uint64(len(hist)) {
 		t.Fatalf("installed %d of %d actions after drain", r.Installed(), len(hist))
 	}
-	st := genWorld(6)
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, w := range res.Writes {
-			st.Set(w.ID, w.Val)
-		}
-	}
-	if !r.Authoritative().Equal(st) {
+	if !r.Authoritative().Equal(oracletest.Replay(genWorld(6), hist).Final()) {
 		t.Fatal("authoritative state ζS diverged from serial oracle")
 	}
 }

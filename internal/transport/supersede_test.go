@@ -8,9 +8,9 @@ import (
 	"seve/internal/action"
 	"seve/internal/core"
 	"seve/internal/manhattan"
+	"seve/internal/oracletest"
 	"seve/internal/shard"
 	"seve/internal/wire"
-	"seve/internal/world"
 )
 
 func supConfig() core.Config {
@@ -80,14 +80,7 @@ func newSupHarness(t *testing.T, cfg core.Config, nClients int, caps map[action.
 		h.srv.writers[id] = q
 		h.srv.mu.Unlock()
 		h.queues[id] = q
-
-		// GC off keeps the per-version oracle exact: pruning re-stamps a
-		// surviving stale version at the prune position, which the
-		// Incomplete World Model allows but the strict as-of check does
-		// not. Client-local, so it changes no wire traffic.
-		clientCfg := cfg
-		clientCfg.DisableGC = true
-		h.engines[id] = core.NewClient(id, clientCfg, init)
+		h.engines[id] = core.NewClient(id, cfg, init)
 		h.streams[id] = &bytes.Buffer{}
 	}
 	return h
@@ -277,20 +270,12 @@ func verifySupersession(t *testing.T, h *supHarness) {
 	}
 
 	// ζS equals the omniscient serial replay.
-	init := h.w.InitialState(0)
-	st := init.Clone()
-	oracleRes := make(map[uint64]action.Result, len(hist))
-	for _, env := range hist {
-		res := action.Eval(env.Act, world.StateView{S: st})
-		for _, wr := range res.Writes {
-			st.Set(wr.ID, wr.Val)
-		}
-		oracleRes[env.Seq] = res
-	}
-	if !h.srv.engine.Authoritative().Equal(st) {
+	oracle := oracletest.Replay(h.w.InitialState(0), hist)
+	if !h.srv.engine.Authoritative().Equal(oracle.Final()) {
 		t.Fatal("authoritative state ζS diverged from serial oracle")
 	}
 
+	pruned := false
 	for _, cid := range h.ids {
 		cl := h.engines[cid]
 		if got := cl.QueueLen(); got != 0 {
@@ -305,7 +290,7 @@ func verifySupersession(t *testing.T, h *supHarness) {
 				t.Fatalf("client %d committed serial %d twice", cid, c.Seq)
 			}
 			seen[c.Seq] = true
-			want, ok := oracleRes[c.Seq]
+			want, ok := oracle.Result(c.Seq)
 			if !ok {
 				t.Fatalf("client %d commit at seq %d not in history", cid, c.Seq)
 			}
@@ -317,27 +302,11 @@ func verifySupersession(t *testing.T, h *supHarness) {
 		// staleness means the laggard converged to the same stable world,
 		// just possibly through a snapshot rather than every batch.
 		cs := cl.Stable()
-		for _, oid := range cs.IDs() {
-			val, seq, ok := cs.Latest(oid)
-			if !ok {
-				continue
-			}
-			asOf := init.Clone()
-			for _, env := range hist {
-				if env.Seq > seq {
-					break
-				}
-				res := action.Eval(env.Act, world.StateView{S: asOf})
-				for _, wr := range res.Writes {
-					asOf.Set(wr.ID, wr.Val)
-				}
-			}
-			want, _ := asOf.Get(oid)
-			if !val.Equal(want) {
-				t.Fatalf("client %d ζCS(%d)=%v at seq %d diverges from serial replay %v",
-					cid, oid, val, seq, want)
-			}
-		}
+		oracle.CheckStable(t, fmt.Sprintf("client %d", cid), cs)
+		pruned = pruned || cs.Versions() < cs.Stored()
+	}
+	if !pruned {
+		t.Fatal("no client's garbage collection removed a version")
 	}
 
 	// The adversarial trace must actually have exercised the ladder.
@@ -420,5 +389,3 @@ func TestSupersedingLaggardShardedReplay(t *testing.T) {
 		}
 	}
 }
-
-var _ = fmt.Sprintf // reserved for debugging

@@ -33,6 +33,8 @@ type MVStore struct {
 	// version slice may point into the chain itself.
 	slab     []chain
 	versions int
+	// stored counts every version WriteAt ever inserted; it only grows.
+	stored int
 }
 
 // chain is one object's versions, ascending by seq and never empty while
@@ -121,6 +123,7 @@ func (m *MVStore) WriteAt(id ObjectID, seq uint64, v Value) {
 	copy(c.vs[i+1:], c.vs[i:])
 	c.vs[i] = version{seq: seq, val: v.Clone()}
 	m.versions++
+	m.stored++
 	if len(c.vs) > 1 && !c.listed {
 		c.listed = true
 		m.multi = append(m.multi, c)
@@ -162,34 +165,24 @@ func (m *MVStore) Get(id ObjectID) (Value, bool) {
 
 var _ Reader = (*MVStore)(nil)
 
-// LastWriter returns the serial position of the newest version of id, or
-// 0 if the object is unknown.
-func (m *MVStore) LastWriter(id ObjectID) uint64 {
-	_, seq, ok := m.Latest(id)
-	if !ok {
-		return 0
-	}
-	return seq
-}
-
 // Known reports whether the store holds any version of id.
 func (m *MVStore) Known(id ObjectID) bool {
 	return m.chains[id] != nil
 }
 
 // PruneBelow discards versions older than seq, keeping for each object
-// the newest version with version-seq ≤ seq (collapsed to position seq)
-// so ReadAt(id, x) keeps working for x ≥ seq. This implements the
-// client-side garbage collection triggered by the server's last-installed
-// notifications. It visits only the chains holding more than one version
-// — a single version is already its own collapse — and shortens them in
-// place.
+// the newest version with version-seq ≤ seq at its own position, so
+// ReadAt(id, x) answers as before for every x ≥ seq. The survivor is not
+// moved up to seq: the client may never have been sent a later write to
+// the object, and a version claims only the position it was written at.
+// This implements the client-side garbage collection triggered by the
+// server's last-installed notifications. It visits only the chains
+// holding more than one version and shortens them in place.
 func (m *MVStore) PruneBelow(seq uint64) {
 	for _, c := range m.multi {
 		if i := after(c.vs, seq); i > 1 {
-			// c.vs[i-1] is the newest version at or below seq; collapse
+			// c.vs[i-1] is the newest version at or below seq; drop
 			// everything below it.
-			c.vs[i-1].seq = seq
 			m.cut(c, copy(c.vs, c.vs[i-1:]))
 		}
 	}
@@ -237,9 +230,13 @@ func (m *MVStore) relist() {
 	m.multi = still
 }
 
-// Versions reports the total number of stored versions, for memory
-// accounting in tests and the GC experiments.
+// Versions reports the number of versions the store holds, for memory
+// accounting in tests and the GC experiment.
 func (m *MVStore) Versions() int { return m.versions }
+
+// Stored reports the number of versions the store was ever written,
+// pruned or not: what Versions would read had nothing been discarded.
+func (m *MVStore) Stored() int { return m.stored }
 
 // LatestState materializes the newest version of every object as a State.
 func (m *MVStore) LatestState() *State {

@@ -90,9 +90,6 @@ func TestMVStoreSeedAndLatestState(t *testing.T) {
 	if !m.Known(1) || m.Known(9) {
 		t.Fatal("Known wrong")
 	}
-	if m.LastWriter(1) != 3 || m.LastWriter(2) != 0 || m.LastWriter(9) != 0 {
-		t.Fatal("LastWriter wrong")
-	}
 }
 
 func TestMVStorePruneBelow(t *testing.T) {
@@ -102,12 +99,15 @@ func TestMVStorePruneBelow(t *testing.T) {
 	m.WriteAt(1, 10, Value{10})
 	m.WriteAt(2, 0, Value{100})
 	m.PruneBelow(7)
-	// Object 1: versions 0 and 5 collapse into one at seq 7.
-	if m.Versions() != 3 {
-		t.Fatalf("Versions = %d, want 3", m.Versions())
+	// Object 1: version 0 goes; version 5 survives at its own position.
+	if m.Versions() != 3 || m.Stored() != 4 {
+		t.Fatalf("Versions = %d, Stored = %d; want 3 and 4", m.Versions(), m.Stored())
 	}
 	if v, ok := m.ReadAt(1, 7); !ok || v[0] != 5 {
 		t.Fatalf("ReadAt(1,7) after prune = %v, %v", v, ok)
+	}
+	if v, ok := m.ReadAt(1, 5); !ok || v[0] != 5 {
+		t.Fatalf("ReadAt(1,5) after prune = %v, %v; the survivor moved off its position", v, ok)
 	}
 	if v, ok := m.ReadAt(1, 20); !ok || v[0] != 10 {
 		t.Fatalf("ReadAt(1,20) after prune = %v, %v", v, ok)
@@ -115,6 +115,23 @@ func TestMVStorePruneBelow(t *testing.T) {
 	// Object 2 has a single version; prune must keep it readable.
 	if v, ok := m.ReadAt(2, 100); !ok || v[0] != 100 {
 		t.Fatalf("ReadAt(2) after prune = %v, %v", v, ok)
+	}
+}
+
+// TestMVStorePruneThenFence: a boot fence below the prune point keeps the
+// survivor, which sits at the position it was written at, not at the
+// prune point.
+func TestMVStorePruneThenFence(t *testing.T) {
+	m := NewMVStore()
+	m.WriteAt(1, 0, Value{0})
+	m.WriteAt(1, 5, Value{5})
+	m.PruneBelow(10)
+	m.TruncateAbove(7)
+	if !m.Known(1) {
+		t.Fatal("the fence at 7 dropped the version written at 5")
+	}
+	if v, ok := m.ReadAt(1, 7); !ok || v[0] != 5 {
+		t.Fatalf("ReadAt(1,7) = %v, %v; want the value written at 5", v, ok)
 	}
 }
 
@@ -213,10 +230,11 @@ func TestMVStorePruneInvariantProperty(t *testing.T) {
 
 // refStore is the store as it was before the multi-version index: one
 // slice per object, PruneBelow and TruncateAbove walking every chain and
-// PruneBelow building a fresh slice per collapsed chain. It is the
+// PruneBelow building a fresh slice per pruned chain. It is the
 // reference the indexed store is held to.
 type refStore struct {
 	chains map[ObjectID][]version
+	stored int
 }
 
 func newRefStore() *refStore { return &refStore{chains: make(map[ObjectID][]version)} }
@@ -232,6 +250,7 @@ func (m *refStore) WriteAt(id ObjectID, seq uint64, v Value) {
 	copy(chain[i+1:], chain[i:])
 	chain[i] = version{seq: seq, val: v.Clone()}
 	m.chains[id] = chain
+	m.stored++
 }
 
 func (m *refStore) ReadAt(id ObjectID, seq uint64) (Value, bool) {
@@ -252,21 +271,13 @@ func (m *refStore) Latest(id ObjectID) (Value, uint64, bool) {
 	return v.val, v.seq, true
 }
 
-func (m *refStore) LastWriter(id ObjectID) uint64 {
-	_, seq, _ := m.Latest(id)
-	return seq
-}
-
 func (m *refStore) PruneBelow(seq uint64) {
 	for id, chain := range m.chains {
 		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
 		if i <= 1 {
 			continue
 		}
-		kept := make([]version, 0, len(chain)-i+1)
-		kept = append(kept, version{seq: seq, val: chain[i-1].val})
-		kept = append(kept, chain[i:]...)
-		m.chains[id] = kept
+		m.chains[id] = append([]version(nil), chain[i-1:]...)
 	}
 }
 
@@ -368,6 +379,9 @@ func TestMVStoreMatchesReference(t *testing.T) {
 			if got, want := m.Versions(), ref.Versions(); got != want {
 				t.Fatalf("seed %d step %d (%s): Versions %d, reference %d", seed, step, op, got, want)
 			}
+			if got, want := m.Stored(), ref.stored; got != want {
+				t.Fatalf("seed %d step %d (%s): Stored %d, reference %d", seed, step, op, got, want)
+			}
 			listed := 0
 			for id, c := range m.chains {
 				if c.listed != (len(c.vs) > 1) {
@@ -383,9 +397,6 @@ func TestMVStoreMatchesReference(t *testing.T) {
 			for id := ObjectID(0); id < objects; id++ {
 				if got, want := m.Known(id), len(ref.chains[id]) > 0; got != want {
 					t.Fatalf("seed %d step %d (%s): Known(%d) = %v, reference %v", seed, step, op, id, got, want)
-				}
-				if got, want := m.LastWriter(id), ref.LastWriter(id); got != want {
-					t.Fatalf("seed %d step %d (%s): LastWriter(%d) = %d, reference %d", seed, step, op, id, got, want)
 				}
 				v1, s1, ok1 := m.Latest(id)
 				v2, s2, ok2 := ref.Latest(id)
@@ -437,7 +448,7 @@ func (f *pruneFixture) round() {
 	f.m.PruneBelow(f.seq)
 }
 
-// TestMVStorePruneAllocatesNothing pins the collapse to happen in place:
+// TestMVStorePruneAllocatesNothing pins the prune to happen in place:
 // a round allocates the value copies of its writes and nothing else.
 func TestMVStorePruneAllocatesNothing(t *testing.T) {
 	const touched = 4
@@ -446,7 +457,7 @@ func TestMVStorePruneAllocatesNothing(t *testing.T) {
 		t.Fatalf("a round of %d writes and a prune allocated %.1f times, want the %d value copies only", touched, allocs, touched)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { f.m.PruneBelow(f.seq) }); allocs != 0 {
-		t.Fatalf("PruneBelow with nothing to collapse allocated %.1f times", allocs)
+		t.Fatalf("PruneBelow with nothing to drop allocated %.1f times", allocs)
 	}
 	if got := f.m.Versions(); got != 1024 {
 		t.Fatalf("Versions after the last prune = %d, want one per object", got)

@@ -49,7 +49,12 @@
 #                    FuzzPushGrid); a client-declared influence centre the
 #                    one cell function (geom.CellOf) refuses — NaN, ±Inf,
 #                    off the keys — routes its objects by the id hash and
-#                    deals no lane cell (TestHostileCentresRouteByID)
+#                    deals no lane cell (TestHostileCentresRouteByID);
+#                    every held ζCS version equals the serial replay as
+#                    of its position, with client GC on as shipped:
+#                    oracletest.CheckStable in the churn, kill-recover,
+#                    supersession, resume and replica tests, run by the
+#                    -race pass below
 #
 # The pool balance is checked once per test binary, after all its tests,
 # so test order does not matter and it holds under -shuffle=on. The fuzz
