@@ -79,7 +79,6 @@ func main() {
 		opts := durable.Options{
 			FsyncEvery:    time.Duration(*fsyncMs) * time.Millisecond,
 			SnapshotEvery: *snapEvr,
-			ResumeWindow:  *resume,
 		}
 		switch *fsync {
 		case "batch":

@@ -637,6 +637,15 @@ func (c *Client) HandleCatchUp(m *wire.CatchUp) ClientOutput {
 			"client %d: resume rejected by server (token unknown or stale)", c.id))
 		return out
 	}
+	if m.Boot != c.boot && !m.Snapshot {
+		// A restarted server answers every client that may still hold
+		// the previous boot by snapshot. A suffix replay across boots
+		// would leave the dead boot's stable versions above BootFloor,
+		// at positions the new boot re-issues.
+		out.Violations = append(out.Violations, fmt.Sprintf(
+			"client %d: CatchUp from boot %d (held %d) is not a snapshot", c.id, m.Boot, c.boot))
+		return out
+	}
 	c.stats.Resumes++
 
 	// Actions invalidated while we were away: their Drop notices died
@@ -663,7 +672,8 @@ func (c *Client) HandleCatchUp(m *wire.CatchUp) ClientOutput {
 		// The server restarted from its journal: serial positions above
 		// its recovery floor were rolled back and will be re-issued.
 		// Everything the previous boot placed above the floor is void —
-		// retained completions, provisional commits, stable versions.
+		// retained completions and provisional commits here, stable
+		// versions in the snapshot rebuild below.
 		c.boot = m.Boot
 		c.fenceBoot(m, &out)
 	}
@@ -698,13 +708,13 @@ func (c *Client) HandleCatchUp(m *wire.CatchUp) ClientOutput {
 
 // fenceBoot rolls the client back to the restarted server's recovery
 // floor. Completions retained for rolled-back positions are dropped
-// (re-sending them could poison the re-issued positions), own actions
-// whose commits the crash revoked go back to the front of the queue —
-// their commits are withdrawn through out.Revoked and they re-commit
-// at their re-issued positions — and, on the suffix path, stable
-// versions above the floor are truncated and the optimistic state is
-// rebuilt over what survived (the snapshot path rebuilds wholesale in
-// rebuildFromSnapshot instead).
+// (re-sending them could poison the re-issued positions), and own
+// actions whose commits the crash revoked go back to the front of the
+// queue — their commits are withdrawn through out.Revoked and they
+// re-commit at their re-issued positions. A CatchUp that carries a new
+// Boot is always a snapshot (HandleCatchUp refuses any other), so
+// rebuildFromSnapshot, which runs next, replaces every stable version
+// the previous boot delivered.
 func (c *Client) fenceBoot(m *wire.CatchUp, out *ClientOutput) {
 	i := 0
 	for i < len(c.sentCompletions) && c.sentCompletions[i].Seq <= m.BootFloor {
@@ -734,22 +744,6 @@ func (c *Client) fenceBoot(m *wire.CatchUp, out *ClientOutput) {
 	}
 	c.queue = append(requeued, c.queue...)
 	c.installPending = c.installPending[:j]
-
-	if !m.Snapshot {
-		// Suffix resume: the session numbering continues, but every
-		// stable version above the floor — own, remote, or blind, all
-		// delivered by the dead boot for positions that no longer exist —
-		// must go. ζCO restarts from the surviving latest versions with
-		// the (now extended) queue re-applied on top, mirroring the
-		// rebuildFromSnapshot tail.
-		c.cs.TruncateAbove(m.BootFloor)
-		c.co = c.cs.LatestState()
-		c.div.Reset(c.intern.Len())
-		for i := range c.queue {
-			res := c.applyOptimistic(c.queue[i].act)
-			res.CloneInto(&c.queue[i].optimistic)
-		}
-	}
 }
 
 // SetBoot records the server's recovery generation from the handshake

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"seve/internal/action"
 	"seve/internal/wire"
 )
@@ -9,9 +11,9 @@ import (
 // (DESIGN.md §15). Instead of a per-install callback, the engine emits
 // one grouped record per InstallContiguous pass — the seal-boundary
 // granularity the six-pass pipeline already commits at — plus the
-// session-layer records (session opens, retained batches) that let a
-// restarted server rebuild its resume layer and serve Resume{token}
-// against itself.
+// session opens that let a restarted server rebuild its session table
+// and serve Resume{token} against itself. Replies are not fed: a
+// recovered session's first resume is a snapshot, which needs none.
 
 // CommitRecord is one installed action as the journal sees it: the
 // global serial position, the owner lane the shard router stamped it
@@ -26,14 +28,8 @@ type CommitRecord struct {
 	Res    action.Result
 }
 
-// Journal observes the engine's durable feed. CommitGroup and
-// SessionOpen are called on the engine's sequential entry points;
-// BatchRetained may be called from parallel lane workers inside one
-// epoch (distinct clients are pinned to distinct lanes, so per-client
-// record order is still causal). Implementations must therefore accept
-// concurrent BatchRetained calls; package durable satisfies this by
-// encoding into a pooled buffer and handing ownership to its committer
-// goroutine over a channel.
+// Journal observes the engine's durable feed. Every call arrives on the
+// engine's sequential entry points, never from a lane worker.
 type Journal interface {
 	// CommitGroup delivers one install pass: the contiguous records in
 	// serial order, the epoch counter of the pass, and the blind-write
@@ -46,7 +42,9 @@ type Journal interface {
 	// Seq <= stampFloor belong to a previous registration of the same
 	// client id and must not contribute to its recovered dedup floor.
 	SessionOpen(id action.ClientID, token, mask, seqNo, stampFloor uint64)
-	// BatchRetained records a batch entering the client's resume window.
+	// Deprecated: BatchRetained is never called; the engine journals no
+	// replies. It stays only because the repository benchmark's journal
+	// decorator still forwards it.
 	BatchRetained(id action.ClientID, b *wire.Batch)
 }
 
@@ -82,15 +80,6 @@ type SessionRecord struct {
 	// action sequence number committed at or below the recovered install
 	// point within the session's current registration.
 	LastActSeq uint32
-	// LastSeq is the ClientSeq of the newest batch journaled for the
-	// session.
-	LastSeq uint64
-	// Retained is the recovered resume window — only when it is clean: a
-	// contiguous run ending at LastSeq whose every envelope and install
-	// marker is at or below the recovered install point. A dirty window
-	// (it references state the crash lost) is dropped and the session
-	// resumes by snapshot instead.
-	Retained []*wire.Batch
 }
 
 // RestoreState rewinds a freshly constructed engine to the recovered
@@ -99,8 +88,8 @@ type SessionRecord struct {
 type RestoreState struct {
 	// UpTo is the recovered install point; both installed and nextSeq
 	// resume there (serial positions above it were lost with the crash
-	// and are re-issued — safe because every recovered session resumes
-	// through a path that discards state referencing them).
+	// and are re-issued — safe because every recovered session's first
+	// resume is a snapshot, which discards state referencing them).
 	UpTo uint64
 	// NextBlind is the recovered blind-write high-water mark.
 	NextBlind uint32
@@ -147,10 +136,9 @@ func (s *Server) Restore(rec RestoreState) {
 			token:      sr.Token,
 			mask:       sr.Mask,
 			seqNo:      sr.SeqNo,
-			lastSeq:    sr.LastSeq,
 			lastActSeq: sr.LastActSeq,
-			retained:   sr.Retained,
 			recovered:  true,
+			fenceSeq:   math.MaxUint64,
 		}
 		s.tokens[sr.Token] = r
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"seve/internal/action"
@@ -23,7 +24,7 @@ type recordingJournal struct {
 	epochs   []uint64
 	groups   [][]CommitRecord
 	opens    []action.ClientID
-	retained map[action.ClientID]int
+	retained int
 }
 
 func (j *recordingJournal) CommitGroup(epoch uint64, nextBlind uint32, recs []CommitRecord) {
@@ -38,15 +39,12 @@ func (j *recordingJournal) SessionOpen(id action.ClientID, token, mask, seqNo, s
 }
 
 func (j *recordingJournal) BatchRetained(id action.ClientID, b *wire.Batch) {
-	if j.retained == nil {
-		j.retained = make(map[action.ClientID]int)
-	}
-	j.retained[id]++
+	j.retained++
 }
 
 // TestJournalFeedEmitsGroups pins the feed contract: one contiguous
 // group per install pass in serial order, session mints journaled with
-// the registration, retained batches mirrored, and a nil SetJournal
+// the registration, no reply ever journaled, and a nil SetJournal
 // detaching the feed cleanly.
 func TestJournalFeedEmitsGroups(t *testing.T) {
 	cfg := cfgFor(ModeIncomplete)
@@ -85,8 +83,11 @@ func TestJournalFeedEmitsGroups(t *testing.T) {
 			t.Fatalf("epoch counter not increasing: %v", j.epochs)
 		}
 	}
-	if j.retained[1] == 0 {
-		t.Fatal("no retained batches journaled for client 1")
+	if lb.srv.retainedBatches() == 0 {
+		t.Fatal("client 1's resume window retained no batch")
+	}
+	if j.retained != 0 {
+		t.Fatalf("the engine journaled %d reply batches, want none", j.retained)
 	}
 
 	lb.srv.SetJournal(nil)
@@ -102,11 +103,8 @@ func TestJournalFeedEmitsGroups(t *testing.T) {
 }
 
 // restoreFrom builds the RestoreState a durable recovery at floor would
-// return for lb's server: sessions keep their tokens and mint order,
-// dedup floors are recomputed from the history prefix, and each
-// session's retained window keeps only its clean prefix — batches whose
-// every envelope and install marker is at or below the floor — exactly
-// the keep-or-drop rule the shadow applies.
+// return for lb's server: sessions keep their tokens and mint order, and
+// dedup floors are recomputed from the history prefix.
 func restoreFrom(lb *loopback, floor uint64) RestoreState {
 	rec := RestoreState{
 		UpTo:       floor,
@@ -122,17 +120,6 @@ func restoreFrom(lb *loopback, floor uint64) RestoreState {
 				sr.LastActSeq = env.Act.ID().Seq
 			}
 		}
-		for _, b := range sess.retained {
-			clean := b.InstalledUpTo <= floor
-			for _, env := range b.Envs {
-				clean = clean && env.Seq <= floor
-			}
-			if !clean {
-				break
-			}
-			sr.Retained = append(sr.Retained, b)
-			sr.LastSeq = b.ClientSeq
-		}
 		rec.Sessions = append(rec.Sessions, sr)
 	}
 	return rec
@@ -144,14 +131,17 @@ func restoreFrom(lb *loopback, floor uint64) RestoreState {
 // restarted boot recovers at a floor below the committed position.
 // The resume's CatchUp must carry the new Boot and BootFloor, the
 // client must revoke the orphaned commit and re-submit the action, and
-// the re-issued position must converge to the serial oracle.
+// the re-issued position must converge to the serial oracle. Client 3
+// joined and never applied a batch: its LastBatchSeq of 0 matches
+// anything a server could count, yet it too must resume by snapshot,
+// like every recovered session.
 func TestRestartBootFence(t *testing.T) {
 	cfg := cfgFor(ModeIncomplete)
 	cfg.ResumeWindow = 8
 	init := initWorld(6)
-	lb := newLoopback(t, cfg, init, 2)
+	lb := newLoopback(t, cfg, init, 3)
 
-	// Warm-up: both clients commit one action over full connectivity.
+	// Warm-up: clients 1 and 2 commit one action over full connectivity.
 	lb.submit(1, &testAction{rs: world.IDSet{1, 2}, ws: world.IDSet{1}, delta: 1})
 	lb.submit(2, &testAction{rs: world.IDSet{2, 3}, ws: world.IDSet{2}, delta: 2})
 	lb.drain()
@@ -174,6 +164,9 @@ func TestRestartBootFence(t *testing.T) {
 		t.Fatalf("client 1 absorbed no provisional commit at seq %d: %+v", lost, lb.commitBy[1])
 	}
 	lb.toServer = nil // the crash swallows the in-flight completion
+	if got := lb.clients[3].LastAppliedBatch(); got != 0 {
+		t.Fatalf("idle client 3 applied batch %d before the crash, want none", got)
+	}
 
 	// Restart: a fresh engine over the replayed prefix, rewound by the
 	// recovery record, one boot generation up.
@@ -186,7 +179,8 @@ func TestRestartBootFence(t *testing.T) {
 	}
 	lb.srv = srv2
 
-	// Both clients resume against the restarted server.
+	// Every client resumes against the restarted server, and every
+	// resume is a snapshot: the journal kept no replies to replay.
 	for _, cid := range lb.order {
 		tok := srv2.SessionToken(cid)
 		if tok == 0 {
@@ -202,6 +196,9 @@ func TestRestartBootFence(t *testing.T) {
 		for _, r := range out.Replies {
 			lb.toClient[r.To] = append(lb.toClient[r.To], r.Msg)
 		}
+	}
+	if m := srv2.Metrics(); m.ResumesSnapshot != 3 || m.ResumesSuffix != 0 {
+		t.Fatalf("resumes against the restarted server: %d snapshot, %d suffix; want 3 and 0", m.ResumesSnapshot, m.ResumesSuffix)
 	}
 	lb.drain()
 	lb.requireNoViolations()
@@ -239,50 +236,106 @@ func TestRestartBootFence(t *testing.T) {
 	}
 }
 
-// TestFenceBootSuffixRollsBackProvisional unit-tests the suffix branch
-// of the fence — reachable when a boot change arrives on a non-snapshot
-// verdict — directly: the provisional commit above the floor is
-// revoked, ζCS is truncated back to the floor, and the action is
-// re-queued with its optimistic result rebuilt on the rolled-back
-// state.
-func TestFenceBootSuffixRollsBackProvisional(t *testing.T) {
-	cfg := cfgFor(ModeIncomplete)
-	cfg.ResumeWindow = 4
-	init := initWorld(3)
-	lb := newLoopback(t, cfg, init, 1)
+// TestRestartResumeRetriedAfterLostCatchUp loses the first CatchUp a
+// restarted server sends. Before the crash client 1 applied client 2's
+// action on object 4 and its own action on object 5 above the recovered
+// floor; the new boot re-issues those positions in the other order. In
+// "one batch" the engine numbered one batch for client 1 before its
+// connection died (as a push or a seeds batch would), so its retry,
+// which presents the same LastBatchSeq, is covered by the window; in
+// "no batch" the retry presents a LastBatchSeq the new boot never sent.
+// Either way the retry must be a snapshot, neither a rejection nor a
+// suffix replay across boots (which would keep the dead boot's object 4
+// at a position the new boot gives to client 1's own action), and every
+// client's stable store must pass Theorem 1 against the stitched
+// history.
+func TestRestartResumeRetriedAfterLostCatchUp(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch bool
+	}{{"no batch", false}, {"one batch", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfgFor(ModeIncomplete)
+			cfg.ResumeWindow = 8
+			init := initWorld(6)
+			lb := newLoopback(t, cfg, init, 2)
 
-	lb.submit(1, &testAction{rs: world.IDSet{1}, ws: world.IDSet{1}, delta: 1})
-	lb.drain()
-	lb.submit(1, &testAction{rs: world.IDSet{1, 2}, ws: world.IDSet{2}, delta: 2})
-	for lb.stepServer() {
-	}
-	for lb.stepClient(1) {
-	}
+			lb.submit(1, &testAction{rs: world.IDSet{1, 2}, ws: world.IDSet{1}, delta: 1})
+			lb.submit(2, &testAction{rs: world.IDSet{2, 3}, ws: world.IDSet{2}, delta: 2})
+			lb.drain()
+			floor := lb.srv.Installed()
+			lb.submit(2, &testAction{rs: world.IDSet{4}, ws: world.IDSet{4}, delta: 100})
+			lb.submit(1, &testAction{rs: world.IDSet{4, 5}, ws: world.IDSet{5}, delta: 10})
+			for lb.stepServer() {
+			}
+			for lb.stepClient(1) {
+			}
+			if _, seq, _ := lb.clients[1].Stable().Latest(4); seq != floor+1 {
+				t.Fatalf("client 1 holds object 4 at seq %d, want the lost position %d", seq, floor+1)
+			}
+			lb.toServer, lb.toClient[2] = nil, nil // the crash
 
-	c := lb.clients[1]
-	if len(c.installPending) != 1 || c.installPending[0].seq != 2 {
-		t.Fatalf("installPending %+v, want the provisional commit at seq 2", c.installPending)
-	}
-	if _, seq, _ := c.cs.Latest(2); seq != 2 {
-		t.Fatalf("ζCS object 2 latest version %d, want the provisional write at 2", seq)
-	}
+			history := lb.srv.History()[:floor]
+			srv2 := NewServer(cfg, oracletest.Replay(init, history).Final())
+			srv2.Restore(restoreFrom(lb, floor))
+			lb.srv = srv2
 
-	var out ClientOutput
-	c.fenceBoot(&wire.CatchUp{OK: true, Boot: 1, BootFloor: 1}, &out)
+			resume := func(cid action.ClientID) {
+				t.Helper()
+				got, out := srv2.HandleResume(&wire.Resume{
+					Token:        srv2.SessionToken(cid),
+					LastBatchSeq: lb.clients[cid].LastAppliedBatch(),
+				}, lb.nowMs)
+				if got != cid {
+					t.Fatalf("resume of client %d resolved to %d (rejected)", cid, got)
+				}
+				for _, r := range out.Replies {
+					lb.toClient[r.To] = append(lb.toClient[r.To], r.Msg)
+				}
+			}
 
-	if len(out.Revoked) != 1 || out.Revoked[0].Seq != 2 {
-		t.Fatalf("revoked %+v, want the seq-2 commit withdrawn", out.Revoked)
-	}
-	if len(c.installPending) != 0 {
-		t.Fatalf("installPending not cleared: %+v", c.installPending)
-	}
-	if c.QueueLen() != 1 {
-		t.Fatalf("queue length %d, want the revoked action re-queued", c.QueueLen())
-	}
-	if v, seq, ok := c.cs.Latest(2); !ok || seq > 1 || v[0] != 2 {
-		t.Fatalf("ζCS object 2 after truncation: v=%v seq=%d ok=%v, want the initial value at or below the floor", v, seq, ok)
-	}
-	if v, ok := c.Optimistic().Get(2); !ok || v[0] == 2 {
-		t.Fatalf("ζCO object 2 = %v, want the re-queued action's optimistic write on top of the rollback", v)
+			// Client 1's first CatchUp dies with the connection.
+			resume(1)
+			if tc.batch {
+				srv2.sequence(srv2.recs[1], &wire.Batch{InstalledUpTo: srv2.Installed()})
+			}
+			lb.toClient[1] = nil
+			srv2.UnregisterClient(1) // the transport's leave event
+
+			// The retry presents the same LastBatchSeq as the lost one;
+			// client 1's action re-commits first, then client 2's.
+			resume(1)
+			lb.drain()
+			resume(2)
+			lb.drain()
+			if m := srv2.Metrics(); m.ResumesSnapshot != 3 || m.ResumesSuffix != 0 || m.ResumesRejected != 0 {
+				t.Fatalf("resumes: %d snapshot, %d suffix, %d rejected; want 3, 0, 0",
+					m.ResumesSnapshot, m.ResumesSuffix, m.ResumesRejected)
+			}
+			lb.requireNoViolations()
+			for _, cid := range lb.order {
+				if n := lb.clients[cid].QueueLen(); n != 0 {
+					t.Fatalf("client %d still has %d in-flight actions", cid, n)
+				}
+			}
+
+			oracle := oracletest.Replay(init, history, srv2.History())
+			if !srv2.Authoritative().Equal(oracle.Final()) {
+				t.Fatal("restarted authoritative state diverged from the stitched serial oracle")
+			}
+			for _, cid := range lb.order {
+				oracle.CheckStable(t, fmt.Sprintf("client %d", cid), lb.clients[cid].Stable())
+			}
+
+			// Having applied a batch of this boot, client 1 resumes by
+			// suffix again.
+			srv2.UnregisterClient(1)
+			resume(1)
+			if m := srv2.Metrics(); m.ResumesSuffix != 1 {
+				t.Fatalf("resume after client 1 applied this boot's batch: %d suffix, want 1", m.ResumesSuffix)
+			}
+			lb.drain()
+			lb.requireNoViolations()
+		})
 	}
 }

@@ -15,8 +15,9 @@ import (
 // 6, correct by Theorem 1) — generalizes directly to crash recovery:
 // a reconnecting client either replays the exact suffix of batches it
 // missed (the server retains a bounded per-client window), or, when
-// the gap exceeds the window, receives W(S, ζS(S)) over the entire
-// state at the server's install point and rebuilds ζCS/ζCO from it.
+// the gap exceeds the window or the server restarted from its journal
+// since, receives W(S, ζS(S)) over the entire state at the server's
+// install point and rebuilds ζCS/ζCO from it.
 // Either way Theorem 1's guarantee is restored: every value the
 // client's stable store holds at version v is the serial-replay value
 // as of v.
@@ -37,13 +38,22 @@ type session struct {
 	// seqNo is the mint order the token was derived from, journaled so
 	// a restarted server resumes the token counter past it.
 	seqNo uint64
-	// recovered marks a session rebuilt from the durable journal: its
-	// first resume may legitimately present a LastBatchSeq ahead of the
-	// recovered window (the crash lost the journal tail), which degrades
-	// to the snapshot path instead of a rejection.
+	// recovered marks a session rebuilt from the durable journal whose
+	// client has not yet shown it holds this boot. The journal holds no
+	// replies, so nothing says what a presented LastBatchSeq covers:
+	// until the client presents one above fenceSeq, every resume is a
+	// snapshot, never a rejection or a suffix replay.
 	recovered bool
+	// fenceSeq bounds the ClientSeqs a recovered session's client can
+	// hold from a previous boot: unbounded until its first resume
+	// against this boot, then the LastBatchSeq that resume presented.
+	// This boot numbers the client's batches above it, so a later
+	// LastBatchSeq above it proves the client applied a CatchUp or
+	// batch of this boot.
+	fenceSeq uint64
 	// lastSeq is the ClientSeq of the newest batch ever sent (the high
-	// end of the retained window).
+	// end of the retained window); once a recovered session has
+	// resumed, at least fenceSeq.
 	lastSeq uint64
 	// lastActSeq is the per-client action sequence number of the newest
 	// submission accepted or dropped — the duplicate-submission
@@ -116,11 +126,6 @@ func (s *shared) retainBatch(rec *clientRec, b *wire.Batch) {
 		return
 	}
 	sess.lastSeq = b.ClientSeq
-	if s.journal != nil {
-		// May run on a lane worker (Lane.Commit sequences batches there);
-		// the Journal contract admits concurrent BatchRetained calls.
-		s.journal.BatchRetained(rec.id, b)
-	}
 	if len(sess.retained) >= s.cfg.ResumeWindow {
 		n := copy(sess.retained, sess.retained[1:])
 		sess.retained[n] = b
@@ -148,9 +153,13 @@ func (s *Server) retainedBatches() int {
 //     retained, so the CatchUp verdict is followed by exactly those
 //     batches and the client continues as if the connection had merely
 //     stalled.
-//   - Snapshot fallback: the window no longer reaches back far enough.
-//     The client's sent() bits are cleared (its stable store is about
-//     to be rebuilt, so nothing it was ever sent can be assumed held),
+//   - Snapshot fallback: the window no longer reaches back far enough,
+//     or the session was recovered from the journal and its client has
+//     not yet shown it holds this boot (every resume against a
+//     restarted server until the client presents a LastBatchSeq above
+//     the one its first such resume presented). The client's sent()
+//     bits are cleared (its stable store is about to be rebuilt, so
+//     nothing it was ever sent can be assumed held),
 //     the CatchUp carries W(S, ζS(S)) over the full state at the
 //     install point, and one closure batch re-delivers the client's own
 //     uncommitted actions with their Algorithm 6 dependencies.
@@ -163,12 +172,13 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 	var out ServerOutput
 	rec := s.tokens[m.Token]
 	// A LastBatchSeq ahead of anything ever sent is a protocol violation
-	// on a live session — but the expected shape of the first resume
-	// against a restarted server, whose journal may have lost the tail
-	// of the window. Recovered sessions degrade to the snapshot path
-	// instead of rejecting.
+	// on a live session — but the expected shape of a resume against a
+	// restarted server, which journals no replies. A client that may
+	// still hold the previous boot takes the snapshot path instead of
+	// rejecting.
+	recovered := rec != nil && rec.sess.recovered && m.LastBatchSeq <= rec.sess.fenceSeq
 	ahead := rec != nil && m.LastBatchSeq > rec.sess.lastSeq
-	if rec == nil || (ahead && !rec.sess.recovered) {
+	if rec == nil || (ahead && !recovered) {
 		s.stats.ResumesRejected++
 		out.Replies = append(out.Replies, newReply(0, &wire.CatchUp{}, nil))
 		return 0, out
@@ -186,27 +196,35 @@ func (s *Server) HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, S
 		return 0, out
 	}
 
+	if recovered {
+		// The journal does not hold lastSeq: this boot numbers the
+		// client's batches from its own high-water mark, so ClientSeq
+		// stays monotonic for the client across the restart. A retry
+		// after a lost CatchUp presents the same mark and meets the same
+		// fence.
+		sess.fenceSeq = min(sess.fenceSeq, m.LastBatchSeq)
+		sess.lastSeq = max(sess.lastSeq, m.LastBatchSeq)
+	} else {
+		sess.recovered = false
+	}
+
 	// Revive the client if the disconnect unregistered it. It keeps its
 	// sent-bitmap slot, and nextBatchSeq continues the session's
-	// numbering — from the client's own high-water mark when the
-	// recovered journal runs behind it, so ClientSeq stays monotonic for
-	// the client across the restart.
+	// numbering.
 	if !rec.registered {
-		s.enlist(rec, clientInfo{interest: sess.mask, nextBatchSeq: max(sess.lastSeq, m.LastBatchSeq)})
+		s.enlist(rec, clientInfo{interest: sess.mask, nextBatchSeq: sess.lastSeq})
 	}
-	recovered := sess.recovered
-	sess.recovered = false // one restart, one degraded resume
 
 	// The window covers the gap when there is no gap at all, or when the
 	// oldest retained batch is at or before the first one missing. The
 	// retained slice is contiguous and ends at lastSeq by construction.
-	covered := !ahead && (m.LastBatchSeq == sess.lastSeq ||
+	// A client that may hold the previous boot is never covered: the
+	// server cannot tell what it holds above the recovered floor, and a
+	// snapshot is the one resume that leaves nothing there.
+	covered := !recovered && !ahead && (m.LastBatchSeq == sess.lastSeq ||
 		(len(sess.retained) > 0 && sess.retained[0].ClientSeq <= m.LastBatchSeq+1))
 	if covered {
 		s.stats.ResumesSuffix++
-		if recovered {
-			s.stats.ResumesRecovered++
-		}
 		out.Replies = append(out.Replies, newReply(cid, &wire.CatchUp{
 			OK:            true,
 			Boot:          s.boot,

@@ -316,8 +316,8 @@ func NewServer(cfg Config, init *world.State) *Server {
 // SetJournal registers the durable commit feed. Pass nil to remove.
 // The Section II transaction layer "commits at periodic checkpoints"
 // to a database through exactly this feed (see package durable): one
-// CommitGroup per install pass, SessionOpen per session mint/reset,
-// BatchRetained per batch entering a resume window.
+// CommitGroup per install pass and one SessionOpen per session
+// mint/reset, both on the engine's sequential entry points.
 func (s *Server) SetJournal(j Journal) {
 	s.journal = j
 }

@@ -283,11 +283,6 @@ func (c *committer) append(j job) {
 		if rec, _, derr := decodeSessionFields(body, 1); derr == nil {
 			c.sh.open(rec)
 		}
-	case recBatch:
-		c.s.records.Add(1)
-		if rec, derr := decodeBatchRecord(body); derr == nil {
-			c.sh.retain(rec, true)
-		}
 	case recQuarantine:
 		c.s.records.Add(1)
 		if rec, derr := decodeQuarantineRecord(body); derr == nil {
@@ -504,20 +499,17 @@ func (c *committer) step(name string) {
 }
 
 // metaImage bakes the meta lineage that starts at install point seq:
-// watermarks, every session with its current floors and ring, and the
-// quarantine verdicts, which re-bake into every lineage so they survive
-// gc of the generation that first carried them. The image is sized before
-// it is built: it holds every session's retained ring and runs to
-// megabytes.
+// watermarks, every session with its current floors, and the quarantine
+// verdicts, which re-bake into every lineage so they survive gc of the
+// generation that first carried them. Every record in it has a fixed
+// size, so the image is sized before it is built.
 func (c *committer) metaImage(seq uint64) []byte {
 	ids := make([]int32, 0, len(c.sh.sessions))
-	size := metaHdrLen + len(c.sh.quarantined)*quarantineRecLen
-	for id, sess := range c.sh.sessions {
+	for id := range c.sh.sessions {
 		ids = append(ids, int32(id))
-		size += metaSessLen(sess.ring)
 	}
 	slices.Sort(ids)
-	meta := make([]byte, 0, size)
+	meta := make([]byte, 0, metaHdrLen+len(ids)*metaSessLen+len(c.sh.quarantined)*quarantineRecLen)
 	meta = appendMetaHdr(meta, walMetaHdr{
 		boot:       c.s.boot,
 		nextBlind:  c.sh.nextBlind,
@@ -526,7 +518,7 @@ func (c *committer) metaImage(seq uint64) []byte {
 	})
 	for _, id := range ids {
 		sess := c.sh.sessions[action.ClientID(id)]
-		meta = appendMetaSess(meta, sess.walSession, sess.lastActSeq, sess.lastSeq, sess.ring)
+		meta = appendMetaSess(meta, sess.walSession, sess.lastActSeq)
 	}
 	qids := make([]int32, 0, len(c.sh.quarantined))
 	for id := range c.sh.quarantined {
@@ -602,7 +594,7 @@ func (c *committer) gc() {
 
 // shutdown drains the store on Close: a final fsync plus, on a healthy
 // store, a shutdown checkpoint so a clean restart resumes from an
-// exact image (sessions, floors and rings included).
+// exact image (sessions and floors included).
 func (c *committer) shutdown() error {
 	if !c.failed {
 		if c.gapped {

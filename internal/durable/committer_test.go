@@ -30,10 +30,10 @@ func openParked(t *testing.T, opts Options) (*Store, *committer, func()) {
 	}
 }
 
-// TestCommitterWritesInGroups feeds the committer what one lanes4_wal
-// round feeds it — a retained batch per client, 256 of them, then one
-// install pass spread over four lanes — lets it wake once per round, and
-// fires the interval tick after each. Everything a wake finds queued must
+// TestCommitterWritesInGroups feeds the committer a meta record per
+// client, 256 of them (session re-opens stand in for any meta-lineage
+// traffic), then one install pass spread over four lanes, lets it wake
+// once per round, and fires the interval tick after each. Everything a wake finds queued must
 // reach the kernel in one write per file, at least ten records to the
 // write, and a tick may cost no more than the two files' fsyncs however
 // many lanes wrote.
@@ -64,7 +64,7 @@ func TestCommitterWritesInGroups(t *testing.T) {
 				Seq: seq, Lane: int32(i % lanes), Origin: action.ClientID(i + 1), ActSeq: uint32(r),
 				Res: action.Result{OK: true, Writes: []world.Write{write(world.ObjectID(i+1), float64(seq), 0, 1, 0)}},
 			}
-			retainBatch(s, action.ClientID(i+1), uint64(r), installed)
+			s.SessionOpen(action.ClientID(i+1), uint64(i+1), uint64(r), uint64(i+1), installed)
 		}
 		s.CommitGroup(uint64(r), 0, recs)
 
@@ -109,8 +109,8 @@ func TestCommitterWritesInGroups(t *testing.T) {
 		t.Fatalf("recovered through %d with %d sessions, want %d and %d", rec.Restore.UpTo, len(rec.Restore.Sessions), seq, clients)
 	}
 	for _, sr := range rec.Restore.Sessions {
-		if sr.LastSeq != rounds || sr.LastActSeq != rounds {
-			t.Fatalf("session %d recovered at batch %d, action %d; want %d", sr.ID, sr.LastSeq, sr.LastActSeq, rounds)
+		if sr.Mask != rounds || sr.LastActSeq != rounds {
+			t.Fatalf("session %d recovered with the open of round %d, action %d; want %d", sr.ID, sr.Mask, sr.LastActSeq, rounds)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func TestWriteBufferIsBounded(t *testing.T) {
 	s.ClientQuarantined(verdicts+1, 1, 1)
 	big := wire.GetBuf(frameHdrLen + 2*writeBufCap)
 	big = append(big, make([]byte, frameHdrLen)...)
-	big = append(big, recBatch)
+	big = append(big, 3) // an older store's reply batch: replay skips the kind
 	big = sealRecord(append(big, make([]byte, 2*writeBufCap)...), 0)
 	s.send(job{op: opAppend, lane: laneMeta, buf: big})
 	s.ClientQuarantined(verdicts+2, 1, 1)
@@ -201,10 +201,8 @@ func TestRecordSizesMatchEncoders(t *testing.T) {
 	if got := len(appendMetaHdr(nil, walMetaHdr{boot: 1})); got != metaHdrLen {
 		t.Errorf("meta header is %d bytes, metaHdrLen says %d", got, metaHdrLen)
 	}
-	for _, ring := range [][]ringEntry{nil, {{1, []byte{1, 2, 3}}, {2, make([]byte, 400)}}} {
-		if got, want := len(appendMetaSess(nil, walSession{id: 7}, 1, 2, ring)), metaSessLen(ring); got != want {
-			t.Errorf("baked session with %d retained batches is %d bytes, metaSessLen says %d", len(ring), got, want)
-		}
+	if got := len(appendMetaSess(nil, walSession{id: 7}, 1)); got != metaSessLen {
+		t.Errorf("baked session is %d bytes, metaSessLen says %d", got, metaSessLen)
 	}
 }
 
@@ -233,7 +231,7 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 	barrier := make(chan error, 1)
 	whileCutting := func() {
 		s.SessionOpen(8, 0x8, 0, 2, 5)
-		retainBatch(s, 7, 1, 5)
+		s.SessionOpen(7, 0x7, 0b1, 1, 5) // a re-open, told apart by its mask
 		for seq := uint64(6); seq <= 10; seq++ {
 			feed(seq, 8) // crosses SnapshotEvery again: must not nest
 		}
@@ -341,7 +339,7 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 		for _, sr := range rec.Restore.Sessions {
 			byID[sr.ID] = sr
 		}
-		if s7, s8 := byID[7], byID[8]; s7.Token != 0x7 || s7.LastSeq != 1 || s8.Token != 0x8 || s8.LastActSeq != 10 {
+		if s7, s8 := byID[7], byID[8]; s7.Token != 0x7 || s7.Mask != 0b1 || s8.Token != 0x8 || s8.LastActSeq != 10 {
 			t.Fatalf("crash after %q: session 7 %+v, session 8 %+v", im.step, s7, s8)
 		}
 		if q := rec.Restore.Quarantined; len(q) != 1 || q[0].ID != 9 {
@@ -407,9 +405,6 @@ func TestCrashMidCheckpointProperty(t *testing.T) {
 			s.CommitGroup(seq, uint32(seq), recs)
 			if rng.Intn(4) == 0 {
 				s.SessionOpen(action.ClientID(rng.Intn(3)+1), rng.Uint64(), 0, uint64(rng.Intn(5)+1), seq)
-			}
-			if rng.Intn(3) == 0 {
-				retainBatch(s, action.ClientID(rng.Intn(3)+1), uint64(rng.Intn(4)+1), seq)
 			}
 		}
 		if err := s.Close(); err != nil { // waits for the committer: the hook is done

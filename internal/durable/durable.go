@@ -11,11 +11,13 @@
 // the engine feeds without ever waiting on a disk:
 //
 //   - The engine emits one journal group per install pass over the
-//     core.Journal feed (plus the session-open and batch-retained
-//     records the resume layer needs). Each record is encoded into a
-//     pooled wire buffer on the caller's goroutine and ownership is
-//     handed to the committer over a bounded channel — the engine's
-//     cost per group is an encode and a channel send.
+//     core.Journal feed, plus the session opens and quarantine verdicts
+//     that a restarted server cannot recompute. Replies are not
+//     journaled: a recovered session's first resume is a snapshot. Each
+//     record is encoded into a pooled wire buffer on the engine's
+//     goroutine and ownership is handed to the committer over a bounded
+//     channel — the engine's cost per group is an encode and a channel
+//     send.
 //   - A single committer goroutine appends records to a segmented log
 //     (group commit: one record per lane per install pass, one Write
 //     per file for everything it finds queued when it wakes), fsyncs
@@ -25,9 +27,9 @@
 //     epoch-consistent snapshot by construction, written entirely off
 //     the engine's hot path, the committer going back to the queue
 //     between its waits on the disk — then the meta lineage
-//     (watermarks plus baked sessions) is rewritten and old generations
-//     are collected keep-then-gc: nothing is deleted until its
-//     replacement is durably renamed into place, so a crash at any
+//     (watermarks, baked sessions and verdicts) is rewritten and old
+//     generations are collected keep-then-gc: nothing is deleted until
+//     its replacement is durably renamed into place, so a crash at any
 //     point leaves a recoverable directory.
 //   - Open scans the directory, rebuilds the shadow from the newest
 //     intact snapshot + meta + segment records (stopping at the first
@@ -95,9 +97,9 @@ type Options struct {
 	Degrade       DegradePolicy
 	// QueueLen bounds the committer queue in records; default 1024.
 	QueueLen int
-	// ResumeWindow is the per-session retained-batch ring capacity the
-	// shadow keeps; set it to the engine's Config.ResumeWindow so a
-	// recovered session can serve the same suffix replays. Default 16.
+	// Deprecated: ResumeWindow is ignored. The store journals no reply
+	// batches, so it keeps no resume window; the field stays only because
+	// the repository benchmark still sets it.
 	ResumeWindow int
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...any)
@@ -121,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = 1024
-	}
-	if o.ResumeWindow <= 0 {
-		o.ResumeWindow = 16
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -166,9 +165,8 @@ type Stats struct {
 }
 
 // Store is the durability pipeline: the engine-facing half implements
-// core.Journal (safe for the engine goroutine plus its lane workers,
-// per the Journal contract); the committer goroutine owns all file
-// I/O. Open recovers, Close drains.
+// core.Journal, called on the engine's sequential entry points; the
+// committer goroutine owns all file I/O. Open recovers, Close drains.
 type Store struct {
 	dir  string
 	opts Options
@@ -248,7 +246,7 @@ func open(dir string, base *world.State, opts Options) (*Store, *committer, *Rec
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("durable: creating %s: %w", dir, err)
 	}
-	sh, prevBoot, hadSnapshot, err := recoverDir(dir, opts)
+	sh, prevBoot, hadSnapshot, err := recoverDir(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -466,13 +464,12 @@ func (s *Store) SessionOpen(id action.ClientID, token, mask, seqNo, stampFloor u
 	s.sendBlocking(job{op: opAppend, lane: laneMeta, buf: buf})
 }
 
-// BatchRetained implements core.Journal. Runs on the engine goroutine
-// or a lane worker; the pooled encode plus channel handoff is the
-// whole critical section.
-func (s *Store) BatchRetained(id action.ClientID, b *wire.Batch) {
-	buf := appendBatchRecord(wire.GetBuf(512), id, b)
-	s.send(job{op: opAppend, lane: laneMeta, buf: buf})
-}
+// BatchRetained implements core.Journal and records nothing.
+//
+// Deprecated: the engine never calls it; replies are not journaled. It
+// stays only because the repository benchmark's journal decorator still
+// forwards it.
+func (s *Store) BatchRetained(action.ClientID, *wire.Batch) {}
 
 // ClientQuarantined implements core.QuarantineJournal. Verdicts never
 // shed: losing one would let a quarantined cheater launder its ledger
@@ -492,30 +489,20 @@ var (
 )
 
 // sessionRecords converts the recovered shadow sessions into the
-// engine's RestoreState form, applying the clean-window gate: the
-// retained ring is surfaced only when it is a contiguous run ending at
-// lastSeq whose every envelope and install marker is at or below the
-// recovered install point. A dirty ring — it references state the
-// crash lost — is dropped, and the session's first resume degrades to
-// the snapshot path instead.
+// engine's RestoreState form.
 func sessionRecords(sh *shadow) []core.SessionRecord {
 	if len(sh.sessions) == 0 {
 		return nil
 	}
 	out := make([]core.SessionRecord, 0, len(sh.sessions))
 	for id, sess := range sh.sessions {
-		sr := core.SessionRecord{
+		out = append(out, core.SessionRecord{
 			ID:         id,
 			Token:      sess.token,
 			Mask:       sess.mask,
 			SeqNo:      sess.seqNo,
 			LastActSeq: sess.lastActSeq,
-			LastSeq:    sess.lastSeq,
-		}
-		if batches, ok := cleanWindow(sess, sh.applied); ok {
-			sr.Retained = batches
-		}
-		out = append(out, sr)
+		})
 	}
 	return out
 }
@@ -532,34 +519,4 @@ func quarantineRecords(sh *shadow) []core.QuarantineRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-func cleanWindow(sess *shadowSession, upTo uint64) ([]*wire.Batch, bool) {
-	if len(sess.ring) == 0 {
-		return nil, sess.lastSeq == 0
-	}
-	if sess.ring[len(sess.ring)-1].clientSeq != sess.lastSeq {
-		return nil, false
-	}
-	batches := make([]*wire.Batch, 0, len(sess.ring))
-	for i, r := range sess.ring {
-		if i > 0 && r.clientSeq != sess.ring[i-1].clientSeq+1 {
-			return nil, false
-		}
-		m, err := wire.Decode(wire.TypeBatch, r.payload)
-		if err != nil {
-			return nil, false
-		}
-		b, ok := m.(*wire.Batch)
-		if !ok || b.ClientSeq != r.clientSeq || b.InstalledUpTo > upTo {
-			return nil, false
-		}
-		for _, env := range b.Envs {
-			if env.Seq > upTo {
-				return nil, false
-			}
-		}
-		batches = append(batches, b)
-	}
-	return batches, true
 }

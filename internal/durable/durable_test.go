@@ -12,7 +12,6 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/core"
-	"seve/internal/wire"
 	"seve/internal/world"
 )
 
@@ -519,15 +518,10 @@ func TestShedGapFreezesCheckpoints(t *testing.T) {
 	}
 }
 
-func retainBatch(s *Store, id action.ClientID, clientSeq, installedUpTo uint64) {
-	s.BatchRetained(id, &wire.Batch{ClientSeq: clientSeq, InstalledUpTo: installedUpTo})
-}
-
-// TestSessionRecovery: session opens, retained batches and dedup
-// floors survive a crash — including sessions baked into a checkpoint
-// and ones appended to the meta lineage afterwards — and the
-// stampFloor fence keeps a previous registration's commits from
-// inflating the recovered floor.
+// TestSessionRecovery: session opens and dedup floors survive a crash —
+// including sessions baked into a checkpoint and ones appended to the
+// meta lineage afterwards — and the stampFloor fence keeps a previous
+// registration's commits from inflating the recovered floor.
 func TestSessionRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(dir, nil, Options{})
@@ -542,14 +536,11 @@ func TestSessionRecovery(t *testing.T) {
 	commit(s, 1, 0, 7, 9, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
 	commit(s, 2, 0, 7, 9, action.Result{OK: true})
 	commit(s, 3, 0, 7, 5, action.Result{OK: true, Writes: []world.Write{write(2, 3)}})
-	retainBatch(s, 7, 1, 0)
-	retainBatch(s, 7, 2, 3)
 	if err := s.Checkpoint(); err != nil { // bakes session 7
 		t.Fatal(err)
 	}
 	// Session 8 opens after the checkpoint: appended to the meta tail.
 	s.SessionOpen(8, 0xCAFE, 0, 2, 3)
-	retainBatch(s, 8, 1, 3)
 	commit(s, 4, 0, 8, 1, action.Result{OK: true, Writes: []world.Write{write(3, 4)}})
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -583,14 +574,11 @@ func TestSessionRecovery(t *testing.T) {
 	if s7.LastActSeq != 5 {
 		t.Fatalf("session 7 lastActSeq = %d, want 5 (stampFloor fence)", s7.LastActSeq)
 	}
-	if s7.LastSeq != 2 || len(s7.Retained) != 2 || s7.Retained[0].ClientSeq != 1 || s7.Retained[1].ClientSeq != 2 {
-		t.Fatalf("session 7 window: lastSeq=%d retained=%v", s7.LastSeq, s7.Retained)
-	}
 	s8, ok := byID[8]
 	if !ok {
 		t.Fatal("session 8 (opened after checkpoint) lost")
 	}
-	if s8.Token != 0xCAFE || s8.LastActSeq != 1 || s8.LastSeq != 1 || len(s8.Retained) != 1 {
+	if s8.Token != 0xCAFE || s8.LastActSeq != 1 {
 		t.Fatalf("session 8 = %+v", s8)
 	}
 }
@@ -651,85 +639,10 @@ func TestQuarantineRecovery(t *testing.T) {
 	}
 }
 
-// TestDirtyWindowDropped: a retained batch referencing an install
-// point the crash lost makes the window dirty — the session survives
-// but resumes by snapshot (Retained nil).
-func TestDirtyWindowDropped(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(dir, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SessionOpen(7, 0xBEEF, 0, 1, 0)
-	commit(s, 1, 0, 7, 1, action.Result{OK: true})
-	retainBatch(s, 7, 1, 99) // InstalledUpTo 99 was never durable
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, rec, err := Open(dir, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	var s7 *core.SessionRecord
-	for i := range rec.Restore.Sessions {
-		if rec.Restore.Sessions[i].ID == 7 {
-			s7 = &rec.Restore.Sessions[i]
-		}
-	}
-	if s7 == nil {
-		t.Fatal("session 7 lost")
-	}
-	if s7.Retained != nil {
-		t.Fatalf("dirty window surfaced: %v", s7.Retained)
-	}
-	if s7.LastSeq != 1 {
-		t.Fatalf("lastSeq = %d", s7.LastSeq)
-	}
-}
-
-func TestCleanWindowGate(t *testing.T) {
-	enc := func(b *wire.Batch) []byte { return wire.AppendMsg(nil, b) }
-	cases := []struct {
-		name string
-		sess *shadowSession
-		upTo uint64
-		want bool
-	}{
-		{"empty ring, no batches ever", &shadowSession{}, 5, true},
-		{"empty ring, batches trimmed", &shadowSession{lastSeq: 3}, 5, false},
-		{"contiguous", &shadowSession{lastSeq: 2, ring: []ringEntry{
-			{1, enc(&wire.Batch{ClientSeq: 1})},
-			{2, enc(&wire.Batch{ClientSeq: 2})},
-		}}, 5, true},
-		{"hole", &shadowSession{lastSeq: 3, ring: []ringEntry{
-			{1, enc(&wire.Batch{ClientSeq: 1})},
-			{3, enc(&wire.Batch{ClientSeq: 3})},
-		}}, 5, false},
-		{"tail not lastSeq", &shadowSession{lastSeq: 9, ring: []ringEntry{
-			{1, enc(&wire.Batch{ClientSeq: 1})},
-		}}, 5, false},
-		{"undecodable payload", &shadowSession{lastSeq: 1, ring: []ringEntry{
-			{1, []byte{1, 2}},
-		}}, 5, false},
-		{"installedUpTo beyond recovery", &shadowSession{lastSeq: 1, ring: []ringEntry{
-			{1, enc(&wire.Batch{ClientSeq: 1, InstalledUpTo: 6})},
-		}}, 5, false},
-	}
-	for _, tc := range cases {
-		if _, ok := cleanWindow(tc.sess, tc.upTo); ok != tc.want {
-			t.Errorf("%s: clean = %v, want %v", tc.name, ok, tc.want)
-		}
-	}
-}
-
 // TestRecoverEqualsOracleProperty: for random multi-lane histories
-// with checkpoints at random points, sessions opening and retaining
-// along the way, and a crash that may tear or corrupt the newest
-// files, recovery equals the serial oracle at the recovered position.
+// with checkpoints at random points, sessions opening along the way,
+// and a crash that may tear or corrupt the newest files, recovery
+// equals the serial oracle at the recovered position.
 func TestRecoverEqualsOracleProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -762,9 +675,6 @@ func TestRecoverEqualsOracleProperty(t *testing.T) {
 			s.CommitGroup(seq, uint32(seq), recs)
 			if rng.Intn(8) == 0 {
 				s.SessionOpen(action.ClientID(rng.Intn(3)+1), rng.Uint64(), 0, uint64(rng.Intn(5)+1), seq)
-			}
-			if rng.Intn(8) == 0 {
-				retainBatch(s, action.ClientID(rng.Intn(3)+1), uint64(rng.Intn(4)+1), seq)
 			}
 			if rng.Intn(10) == 0 {
 				if err := s.Checkpoint(); err != nil {
@@ -856,7 +766,6 @@ func FuzzRecover(f *testing.F) {
 	}
 	s.SessionOpen(7, 1, 0, 1, 0)
 	commit(s, 1, 0, 7, 1, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
-	retainBatch(s, 7, 1, 0)
 	commit(s, 2, 0, 7, 2, action.Result{OK: true, Writes: []world.Write{write(2, 2)}})
 	s.ClientQuarantined(5, 3, 2)
 	s.Sync()
@@ -869,7 +778,10 @@ func FuzzRecover(f *testing.F) {
 	seedSnap, _ := os.ReadFile(filepath.Join(seedDir, snapshotName(2)))
 	seedMeta, _ := os.ReadFile(filepath.Join(seedDir, metaName(2)))
 	s.Close()
-	if len(seedGen0) == 0 || len(seedGen2) == 0 || len(seedSnap) == 0 || len(seedMeta) == 0 {
+	// A meta lineage an older store wrote: two reply-batch records and two
+	// sessions baked with their retained batches, which recovery skips.
+	legacyMeta, _ := os.ReadFile(filepath.Join(perLaneDir, metaName(6)))
+	if len(seedGen0) == 0 || len(seedGen2) == 0 || len(seedSnap) == 0 || len(seedMeta) == 0 || len(legacyMeta) == 0 {
 		f.Fatal("seed store left an artifact empty")
 	}
 	f.Add(seedGen0, seedSnap, seedMeta, []byte{})                       // old layout
@@ -878,6 +790,7 @@ func FuzzRecover(f *testing.F) {
 	f.Add([]byte{}, seedSnap, seedMeta, seedGen2)                       // new layout
 	f.Add(seedGen0, seedSnap, seedMeta, seedGen2)                       // an upgrade's mix
 	f.Add(seedGen2, []byte{}, seedMeta, seedGen0)                       // the same entries claimed by both, no snapshot
+	f.Add(seedGen0, seedSnap, legacyMeta, seedGen2)                     // an older store's meta lineage
 
 	f.Fuzz(func(t *testing.T, laneSeg, snap, meta, seg []byte) {
 		dir := t.TempDir()
@@ -893,13 +806,6 @@ func FuzzRecover(f *testing.F) {
 			t.Fatal("nil recovered state")
 		}
 		upTo := rec.Restore.UpTo
-		for _, sr := range rec.Restore.Sessions {
-			for _, b := range sr.Retained {
-				if b.InstalledUpTo > upTo {
-					t.Fatalf("retained batch claims %d > upTo %d", b.InstalledUpTo, upTo)
-				}
-			}
-		}
 		if err := st.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}

@@ -25,14 +25,7 @@ func dumpRecovery(rec *Recovery) string {
 	sess := append([]core.SessionRecord(nil), r.Sessions...)
 	sort.Slice(sess, func(i, j int) bool { return sess[i].ID < sess[j].ID })
 	for _, s := range sess {
-		fmt.Fprintf(&b, "session %d token %#x mask %#x seqNo %d lastActSeq %d lastSeq %d retained", s.ID, s.Token, s.Mask, s.SeqNo, s.LastActSeq, s.LastSeq)
-		if s.Retained == nil {
-			b.WriteString(" none")
-		}
-		for _, bt := range s.Retained {
-			fmt.Fprintf(&b, " %d@%d", bt.ClientSeq, bt.InstalledUpTo)
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "session %d token %#x mask %#x seqNo %d lastActSeq %d\n", s.ID, s.Token, s.Mask, s.SeqNo, s.LastActSeq)
 	}
 	for _, q := range r.Quarantined {
 		fmt.Fprintf(&b, "quarantined %d reason %d seq %d\n", q.ID, q.Reason, q.Seq)
@@ -81,9 +74,10 @@ func segmentNames(dir string) (perLane, shared []string) {
 	return perLane, shared
 }
 
-// TestRecoversPerLaneLayout: a directory the parent commit wrote recovers
-// to exactly what the parent commit recovered from it — state, watermarks,
-// sessions with their floors and windows, verdicts.
+// TestRecoversPerLaneLayout: a directory an older commit wrote recovers
+// to exactly what that commit recovered from it — state, watermarks,
+// sessions with their floors, verdicts — less the reply batches it kept,
+// which the store no longer reads.
 func TestRecoversPerLaneLayout(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join(perLaneDir, "recovered.txt"))
 	if err != nil {
@@ -94,7 +88,7 @@ func TestRecoversPerLaneLayout(t *testing.T) {
 	if perLane, shared := segmentNames(dir); len(perLane) != 8 || len(shared) != 0 {
 		t.Fatalf("fixture holds %d per-lane and %d shared segments, want 8 and 0", len(perLane), len(shared))
 	}
-	s, rec, err := Open(dir, nil, Options{ResumeWindow: 4})
+	s, rec, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +107,7 @@ func TestRecoversPerLaneLayout(t *testing.T) {
 func TestUpgradeMixesLayouts(t *testing.T) {
 	dir := t.TempDir()
 	copyStoreFiles(t, perLaneDir, dir)
-	s, rec, err := Open(dir, nil, Options{ResumeWindow: 4})
+	s, rec, err := Open(dir, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +117,7 @@ func TestUpgradeMixesLayouts(t *testing.T) {
 
 	reopen := func(label string, crash string, wantUpTo uint64, want *world.State) {
 		t.Helper()
-		s2, rec2, err := Open(crash, nil, Options{ResumeWindow: 4})
+		s2, rec2, err := Open(crash, nil, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -176,7 +170,7 @@ func TestUpgradeMixesLayouts(t *testing.T) {
 	raw, _ := os.ReadFile(snap)
 	raw[len(raw)-1] ^= 0xFF
 	os.WriteFile(snap, raw, 0o644)
-	s3, rec3, err := Open(crash, nil, Options{ResumeWindow: 4})
+	s3, rec3, err := Open(crash, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

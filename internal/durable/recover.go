@@ -19,8 +19,8 @@ import (
 //     are fallbacks kept by the gc policy; a corrupt newest snapshot
 //     costs one checkpoint interval, not the world),
 //  2. the newest parseable meta lineage seeds the watermarks and the
-//     session table (baked sessions first, then the appended tail of
-//     opens and retains, stopping at the first torn record),
+//     session table and the quarantine verdicts (baked records first,
+//     then the appended tail, stopping at the first torn record),
 //  3. every commit entry above the coverage point, merged across
 //     segments by serial position, is walked contiguously — entries
 //     already inside the snapshot update only the dedup floors,
@@ -87,8 +87,8 @@ func scanDir(dir string) (snaps, metas []uint64, segs []segFile) {
 // boot generation of the previous Open (0 if none), and whether any
 // snapshot loaded (so Open knows to seed a virgin store from the
 // generated base world).
-func recoverDir(dir string, opts Options) (*shadow, uint64, bool, error) {
-	sh := newShadow(opts.ResumeWindow)
+func recoverDir(dir string) (*shadow, uint64, bool, error) {
+	sh := newShadow()
 	snaps, metas, segs := scanDir(dir)
 
 	// 1. Newest intact snapshot.
@@ -112,7 +112,8 @@ func recoverDir(dir string, opts Options) (*shadow, uint64, bool, error) {
 
 	// 2. Newest parseable meta lineage: header, baked sessions, then
 	// the appended tail. A file whose first record is not an intact
-	// header is skipped before anything from it touches the shadow.
+	// header is skipped before anything from it touches the shadow; a
+	// record of any other kind (an older store's reply batch) is skipped.
 	var hdr walMetaHdr
 	metaOK := false
 	var prevBoot uint64
@@ -136,15 +137,11 @@ func recoverDir(dir string, opts Options) (*shadow, uint64, bool, error) {
 			switch body[0] {
 			case recMetaSess:
 				if m, err := decodeMetaSess(body); err == nil {
-					sh.bake(m, true)
+					sh.bake(m)
 				}
 			case recSession:
 				if rec, _, err := decodeSessionFields(body, 1); err == nil {
 					sh.open(rec)
-				}
-			case recBatch:
-				if rec, err := decodeBatchRecord(body); err == nil {
-					sh.retain(rec, true)
 				}
 			case recQuarantine:
 				if rec, err := decodeQuarantineRecord(body); err == nil {

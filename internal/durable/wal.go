@@ -1,6 +1,6 @@
 package durable
 
-// WAL record formats. Every file in the store — per-lane log segments,
+// WAL record formats. Every file in the store — the log segments,
 // the meta lineage, even the appended tail of a checkpointed meta — is
 // a sequence of framed records:
 //
@@ -16,18 +16,21 @@ package durable
 //	            seq(8) origin(4) actSeq(4) ok(1) nwrites(4) writes
 //	recSession  a session mint or reset:
 //	            cid(4) token(8) mask(8) seqNo(8) stampFloor(8)
-//	recBatch    a batch entering a resume window:
-//	            cid(4) clientSeq(8) plen(4) payload — the payload is
-//	            the wire.AppendMsg encoding of the wire.Batch
 //	recMetaHdr  meta lineage header:
 //	            boot(8) nextBlind(4) sessionSeq(8) upTo(8)
 //	recMetaSess a session baked into a checkpoint: the recSession
-//	            fields plus lastActSeq(4) lastSeq(8) and the retained
-//	            ring nring(4) [clientSeq(8) plen(4) payload]...
+//	            fields plus lastActSeq(4)
 //	recQuarantine an integrity quarantine verdict (DESIGN.md §16):
 //	            cid(4) reason(1) seq(8) — appended to the meta lineage
 //	            live and re-baked into it at every checkpoint, so a
 //	            cheater cannot launder its ledger through a restart
+//
+// The journal holds what the engine cannot recompute, and no replies.
+// Older stores also wrote kind 3, a reply batch entering a resume window,
+// and baked each session's lastSeq(8) and retained batches behind its
+// lastActSeq; recovery skips kind 3 like any unknown kind, and the
+// session decoder ignores whatever follows lastActSeq, so their
+// directories still recover.
 //
 // Writes inside commit entries and the snapshot-file body reuse the
 // seed encoding: id(8) nattr(2) attrs(8 each); snapshot files are
@@ -43,14 +46,12 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/core"
-	"seve/internal/wire"
 	"seve/internal/world"
 )
 
 const (
 	recCommit     = 1
 	recSession    = 2
-	recBatch      = 3
 	recMetaHdr    = 4
 	recMetaSess   = 5
 	recQuarantine = 6
@@ -279,46 +280,6 @@ func decodeSessionFields(body []byte, off int) (walSession, int, error) {
 	return s, off + 36, nil
 }
 
-// walRetained is a decoded recBatch record; payload aliases the input
-// buffer and must be copied by anyone who keeps it.
-type walRetained struct {
-	id        action.ClientID
-	clientSeq uint64
-	payload   []byte
-}
-
-// appendBatchRecord frames a recBatch record around the wire encoding of
-// b, which it appends in place — the payload length is backfilled — so
-// the batch is encoded once, straight into the record.
-func appendBatchRecord(buf []byte, id action.ClientID, b *wire.Batch) []byte {
-	start := len(buf)
-	buf = append(buf, make([]byte, frameHdrLen)...)
-	buf = append(buf, recBatch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	buf = binary.LittleEndian.AppendUint64(buf, b.ClientSeq)
-	lenAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	buf = wire.AppendMsg(buf, b)
-	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
-	return sealRecord(buf, start)
-}
-
-func decodeBatchRecord(body []byte) (walRetained, error) {
-	if len(body) < 17 || body[0] != recBatch {
-		return walRetained{}, fmt.Errorf("durable: malformed batch record")
-	}
-	r := walRetained{
-		id:        action.ClientID(int32(binary.LittleEndian.Uint32(body[1:]))),
-		clientSeq: binary.LittleEndian.Uint64(body[5:]),
-	}
-	n := int(binary.LittleEndian.Uint32(body[13:]))
-	if len(body) < 17+n {
-		return walRetained{}, io.ErrUnexpectedEOF
-	}
-	r.payload = body[17 : 17+n]
-	return r, nil
-}
-
 // quarantineRecLen is the framed size of a recQuarantine record.
 const quarantineRecLen = frameHdrLen + 1 + 4 + 1 + 8
 
@@ -384,41 +345,27 @@ func decodeMetaHdr(body []byte) (walMetaHdr, error) {
 	}, nil
 }
 
-// walMetaSess is a decoded recMetaSess record: a full session baked at
-// a checkpoint, ring payloads aliasing the input buffer.
+// walMetaSess is a decoded recMetaSess record: a session baked at a
+// checkpoint.
 type walMetaSess struct {
 	walSession
 	lastActSeq uint32
-	lastSeq    uint64
-	ring       []ringEntry
 }
 
-// metaSessLen is the framed size of the recMetaSess record that bakes a
-// session holding ring.
-func metaSessLen(ring []ringEntry) int {
-	n := frameHdrLen + 1 + 36 + 4 + 8 + 4
-	for _, r := range ring {
-		n += 8 + 4 + len(r.payload)
-	}
-	return n
-}
+// metaSessLen is the framed size of a recMetaSess record.
+const metaSessLen = frameHdrLen + 1 + 36 + 4
 
-func appendMetaSess(buf []byte, s walSession, lastActSeq uint32, lastSeq uint64, ring []ringEntry) []byte {
+func appendMetaSess(buf []byte, s walSession, lastActSeq uint32) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, frameHdrLen)...)
 	buf = append(buf, recMetaSess)
 	buf = appendSessionFields(buf, s)
 	buf = binary.LittleEndian.AppendUint32(buf, lastActSeq)
-	buf = binary.LittleEndian.AppendUint64(buf, lastSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ring)))
-	for _, r := range ring {
-		buf = binary.LittleEndian.AppendUint64(buf, r.clientSeq)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.payload)))
-		buf = append(buf, r.payload...)
-	}
 	return sealRecord(buf, start)
 }
 
+// decodeMetaSess reads the session fields and lastActSeq; what an older
+// store baked behind them is ignored.
 func decodeMetaSess(body []byte) (walMetaSess, error) {
 	var m walMetaSess
 	if len(body) < 1 || body[0] != recMetaSess {
@@ -430,26 +377,10 @@ func decodeMetaSess(body []byte) (walMetaSess, error) {
 	if err != nil {
 		return m, err
 	}
-	if len(body) < off+16 {
+	if len(body) < off+4 {
 		return m, io.ErrUnexpectedEOF
 	}
 	m.lastActSeq = binary.LittleEndian.Uint32(body[off:])
-	m.lastSeq = binary.LittleEndian.Uint64(body[off+4:])
-	n := int(binary.LittleEndian.Uint32(body[off+12:]))
-	off += 16
-	for i := 0; i < n; i++ {
-		if len(body) < off+12 {
-			return m, io.ErrUnexpectedEOF
-		}
-		seq := binary.LittleEndian.Uint64(body[off:])
-		pl := int(binary.LittleEndian.Uint32(body[off+8:]))
-		off += 12
-		if len(body) < off+pl {
-			return m, io.ErrUnexpectedEOF
-		}
-		m.ring = append(m.ring, ringEntry{clientSeq: seq, payload: body[off : off+pl]})
-		off += pl
-	}
 	return m, nil
 }
 

@@ -53,7 +53,8 @@ type ServerStats struct {
 	RetainedBatches  int
 
 	// Crash-restart recovery (DESIGN.md §15). ResumesRecovered counts
-	// reconnects answered out of a journal-rebuilt session (either path);
+	// reconnects answered out of a journal-rebuilt session (always by
+	// snapshot);
 	// StaleCompletions counts completion claims fenced because they
 	// referenced a serial position the engine has not stamped — the
 	// signature of a client acking state a crash rolled back.

@@ -72,7 +72,7 @@ func TestDurableChurnKillRecover(t *testing.T) {
 func runKillRecover(t *testing.T, shards int, seed int64) {
 	const nClients, nObjects = 5, 12
 	init := churnInit(nObjects)
-	dopts := durable.Options{SnapshotEvery: 4, ResumeWindow: 2, QueueLen: 256}
+	dopts := durable.Options{SnapshotEvery: 4, QueueLen: 256}
 
 	dir := t.TempDir()
 	store, rec, err := durable.Open(dir, init, dopts)
@@ -250,10 +250,14 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 	verifyClients(t, h, oracle)
 
 	// The restart must actually have gone through the recovered-session
-	// path, and no valid token may have been rejected.
+	// path, every resume after it must be a snapshot (the journal holds
+	// no replies to replay), and no valid token may have been rejected.
 	m := eng2.Metrics()
 	if m.ResumesRecovered == 0 {
 		t.Errorf("no recovered-session resume despite the restart: %+v", m)
+	}
+	if m.ResumesSuffix != 0 {
+		t.Errorf("%d suffix resumes against the restarted server, want every one a snapshot", m.ResumesSuffix)
 	}
 	if m.ResumesRejected != 0 {
 		t.Errorf("%d resumes rejected after restart with valid tokens", m.ResumesRejected)
@@ -282,7 +286,7 @@ func TestJournalRepliesIdentical(t *testing.T) {
 	plain := runChurn(t, shards, seed)
 
 	store, _, err := durable.Open(t.TempDir(), churnInit(nObjects),
-		durable.Options{SnapshotEvery: 4, ResumeWindow: 2})
+		durable.Options{SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

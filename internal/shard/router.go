@@ -770,8 +770,8 @@ func (r *Router) RouterMetrics() metrics.RouterStats {
 
 // SetJournal registers the durable commit feed on the shared engine.
 // Install passes flushed by the router produce one CommitGroup each,
-// carrying the owner lane of every record; BatchRetained records are
-// emitted from the router's lane workers (see core.Journal).
+// carrying the owner lane of every record. The lane workers call no
+// journal method (see core.Journal).
 func (r *Router) SetJournal(j core.Journal) { r.inner.SetJournal(j) }
 
 // Restore rewinds the router's shared engine to a recovered durable

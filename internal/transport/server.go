@@ -533,6 +533,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer close(connDone)
 
 	var id action.ClientID
+	// leave tells the engine loop this connection is gone, so it
+	// unregisters the client and drops its writer.
+	leave := func() {
+		select {
+		case s.events <- serverEvent{from: id, leave: true, writeQ: writeQ}:
+		case <-s.done:
+		}
+	}
 	switch h := msg.(type) {
 	case *wire.Hello:
 		join := make(chan action.ClientID, 1)
@@ -558,6 +566,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 		if err := wire.WriteFrame(conn, &wire.Welcome{You: id, Token: token, Boot: s.boot, Init: initWrites}); err != nil {
 			s.cfg.Logf("transport: welcome write to %d: %v", id, err)
+			leave()
 			return
 		}
 		s.cfg.Logf("transport: client %d joined from %s", id, conn.RemoteAddr())
@@ -651,10 +660,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			if !errors.Is(err, io.EOF) {
 				s.cfg.Logf("transport: client %d read: %v", id, err)
 			}
-			select {
-			case s.events <- serverEvent{from: id, leave: true, writeQ: writeQ}:
-			case <-s.done:
-			}
+			leave()
 			return
 		}
 		select {

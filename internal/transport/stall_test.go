@@ -17,7 +17,8 @@ import (
 // stops reading holds no lock another caller needs (DESIGN.md §9). They
 // run over net.Pipe, whose Write blocks until the peer reads: a peer
 // that reads one byte of a frame and stops leaves the writer provably
-// stalled mid-Write. That is the only synchronisation; nothing sleeps.
+// stalled mid-Write. That is the only synchronisation; nothing sleeps,
+// except one poll for a teardown the engine loop runs on its own.
 
 // stallDeadline bounds every call these tests expect to return. Without
 // a lock held across the stalled write the calls take microseconds;
@@ -216,6 +217,38 @@ func TestStalledJoinerHoldsNoServerLock(t *testing.T) {
 	case <-time.After(stallDeadline):
 		t.Fatalf("B's move did not commit within %v while A's Welcome write was stalled", stallDeadline)
 	}
+}
+
+// TestFailedWelcomeLeaves: a joiner that sends its Hello, reads one byte
+// of its Welcome and hangs up fails the server's handshake write. The
+// joiner must leave as a reader-side disconnect does: the engine stops
+// tracking it and its writer queue goes.
+func TestFailedWelcomeLeaves(t *testing.T) {
+	srv, l := servePipes(t, protocolConfig())
+	writers := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.writers)
+	}
+	tracked0, writers0 := srv.Metrics().TrackedClients, writers()
+
+	a := l.dial()
+	if err := wire.WriteFrame(a, &wire.Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := stallAfterOneByte(a); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+
+	// The leave travels through the engine loop on its own; poll for it.
+	var tracked, w int
+	for deadline := time.Now().Add(stallDeadline); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if tracked, w = srv.Metrics().TrackedClients, writers(); tracked == tracked0 && w == writers0 {
+			return
+		}
+	}
+	t.Fatalf("after a failed Welcome write: tracked %d (was %d), writers %d (was %d)", tracked, tracked0, w, writers0)
 }
 
 // TestServerCloseDisconnectsEveryone: Close returns with an idle client

@@ -189,24 +189,6 @@ func (m *MVStore) PruneBelow(seq uint64) {
 	m.relist()
 }
 
-// TruncateAbove discards versions newer than seq, dropping objects
-// whose every version is above it. This is the client-side boot fence:
-// a restarted server re-issues serial positions above its recovery
-// floor, so versions the previous boot placed there describe actions
-// that no longer hold those positions. An object first heard of above
-// the floor holds a single version, so unlike a prune the fence — one
-// per server restart — looks at every chain.
-func (m *MVStore) TruncateAbove(seq uint64) {
-	for id, c := range m.chains {
-		i := after(c.vs, seq)
-		if i == 0 {
-			delete(m.chains, id)
-		}
-		m.cut(c, i)
-	}
-	m.relist()
-}
-
 // cut shortens c to its first n versions, releasing the values of the
 // rest.
 func (m *MVStore) cut(c *chain, n int) {

@@ -118,23 +118,6 @@ func TestMVStorePruneBelow(t *testing.T) {
 	}
 }
 
-// TestMVStorePruneThenFence: a boot fence below the prune point keeps the
-// survivor, which sits at the position it was written at, not at the
-// prune point.
-func TestMVStorePruneThenFence(t *testing.T) {
-	m := NewMVStore()
-	m.WriteAt(1, 0, Value{0})
-	m.WriteAt(1, 5, Value{5})
-	m.PruneBelow(10)
-	m.TruncateAbove(7)
-	if !m.Known(1) {
-		t.Fatal("the fence at 7 dropped the version written at 5")
-	}
-	if v, ok := m.ReadAt(1, 7); !ok || v[0] != 5 {
-		t.Fatalf("ReadAt(1,7) = %v, %v; want the value written at 5", v, ok)
-	}
-}
-
 func TestMVStoreGetReaderInterface(t *testing.T) {
 	m := NewMVStore()
 	m.WriteAt(1, 2, Value{42})
@@ -229,8 +212,8 @@ func TestMVStorePruneInvariantProperty(t *testing.T) {
 }
 
 // refStore is the store as it was before the multi-version index: one
-// slice per object, PruneBelow and TruncateAbove walking every chain and
-// PruneBelow building a fresh slice per pruned chain. It is the
+// slice per object, PruneBelow walking every chain and building a fresh
+// slice per pruned chain. It is the
 // reference the indexed store is held to.
 type refStore struct {
 	chains map[ObjectID][]version
@@ -281,20 +264,6 @@ func (m *refStore) PruneBelow(seq uint64) {
 	}
 }
 
-func (m *refStore) TruncateAbove(seq uint64) {
-	for id, chain := range m.chains {
-		i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq })
-		if i == len(chain) {
-			continue
-		}
-		if i == 0 {
-			delete(m.chains, id)
-			continue
-		}
-		m.chains[id] = chain[:i]
-	}
-}
-
 func (m *refStore) Versions() int {
 	n := 0
 	for _, chain := range m.chains {
@@ -313,7 +282,7 @@ func (m *refStore) IDs() IDSet {
 
 // TestMVStoreMatchesReference drives the indexed store and the reference
 // with the same random sequence of writes (in and out of order, with
-// redelivery), prunes and boot-fence truncations, and compares every
+// redelivery) and prunes, and compares every
 // observable after every step. Versions — the memory the garbage
 // collection exists to bound — may never read higher than the
 // reference's.
@@ -336,7 +305,7 @@ func TestMVStoreMatchesReference(t *testing.T) {
 		}
 		for step := 0; step < 400; step++ {
 			var op string
-			switch r := rng.Intn(20); {
+			switch r := rng.Intn(19); {
 			case r < 12:
 				// A write near the head, sometimes well behind it (a later
 				// closure reaching back), sometimes to an unknown object.
@@ -353,17 +322,11 @@ func TestMVStoreMatchesReference(t *testing.T) {
 					last.val = Value{rng.Float64()}
 				}
 				op = "redeliver"
-			case r < 19:
+			default:
 				cut := head - uint64(rng.Intn(int(min(head, 6))))
 				m.PruneBelow(cut)
 				ref.PruneBelow(cut)
 				op = "prune"
-			default:
-				cut := head - uint64(rng.Intn(int(min(head, 10))))
-				m.TruncateAbove(cut)
-				ref.TruncateAbove(cut)
-				head = cut + 1
-				op = "truncate"
 			}
 			if op == "write" || op == "redeliver" {
 				if last.val == nil {

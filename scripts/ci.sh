@@ -54,7 +54,17 @@
 #                    of its position, with client GC on as shipped:
 #                    oracletest.CheckStable in the churn, kill-recover,
 #                    supersession, resume and replica tests, run by the
-#                    -race pass below
+#                    -race pass below; the journal carries no replies:
+#                    the engine never calls Journal.BatchRetained
+#                    (TestJournalFeedEmitsGroups); a session recovered
+#                    from the journal resumes by snapshot
+#                    (TestRestartBootFence: three resumes, one from a
+#                    client that applied no batch, all snapshots;
+#                    TestDurableChurnKillRecover reads no suffix resume),
+#                    a retry after a lost post-restart CatchUp too
+#                    (TestRestartResumeRetriedAfterLostCatchUp), and a
+#                    client refuses a CatchUp from a new boot that is not
+#                    a snapshot
 #
 # The pool balance is checked once per test binary, after all its tests,
 # so test order does not matter and it holds under -shuffle=on. The fuzz
