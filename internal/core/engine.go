@@ -46,6 +46,13 @@ type Engine interface {
 	// install records at seal boundaries plus the session-layer records
 	// the resume rebuild needs. Pass nil to remove.
 	SetJournal(j Journal)
+	// Restore rewinds the engine to a durable recovery (feed.go). It must
+	// be called once, before any client traffic, on an engine
+	// constructed over the recovered state.
+	Restore(rec RestoreState)
+	// Boot reports the engine's recovery generation (zero when the
+	// engine never restored).
+	Boot() uint64
 }
 
 // Resumer is implemented by engines that retain client sessions
@@ -89,5 +96,4 @@ var (
 	_ Engine     = (*Server)(nil)
 	_ Resumer    = (*Server)(nil)
 	_ Superseder = (*Server)(nil)
-	_ Restorer   = (*Server)(nil)
 )

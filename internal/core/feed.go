@@ -16,13 +16,11 @@ import (
 // recovered session's first resume is a snapshot, which needs none.
 
 // CommitRecord is one installed action as the journal sees it: the
-// global serial position, the owner lane the shard router stamped it
-// on (-1 for spanning/global entries), the submitting client and its
-// per-client action sequence number (the recovery-side source of the
-// lastActSeq dedup floors), and the installed Result.
+// global serial position, the submitting client and its per-client
+// action sequence number (the recovery-side source of the lastActSeq
+// dedup floors), and the installed Result.
 type CommitRecord struct {
 	Seq    uint64
-	Lane   int32
 	Origin action.ClientID
 	ActSeq uint32
 	Res    action.Result
@@ -107,16 +105,6 @@ type RestoreState struct {
 	Quarantined []QuarantineRecord
 }
 
-// Restorer is implemented by engines that can resume from a durable
-// recovery. Restore must be called once, before any client traffic,
-// on an engine constructed over the recovered state.
-type Restorer interface {
-	Restore(rec RestoreState)
-	// Boot reports the engine's recovery generation (zero when the
-	// engine never restored).
-	Boot() uint64
-}
-
 // Restore rewinds the engine to the recovered durable point. The
 // engine must be freshly constructed (no clients, empty queue) over
 // the recovered ζS.
@@ -158,7 +146,6 @@ func (s *Server) emitCommitGroup(batch []*entry) {
 	for _, e := range batch {
 		recs = append(recs, CommitRecord{
 			Seq:    e.env.Seq,
-			Lane:   e.lane,
 			Origin: e.env.Origin,
 			ActSeq: e.env.Act.ID().Seq,
 			Res:    e.res,

@@ -67,8 +67,8 @@ func TestJournalFeedEmitsGroups(t *testing.T) {
 	for gi, g := range j.groups {
 		for _, r := range g {
 			seqs = append(seqs, r.Seq)
-			if r.Origin != 1 || r.Lane != -1 {
-				t.Fatalf("group %d record %+v: want Origin 1, Lane -1 (unsharded)", gi, r)
+			if r.Origin != 1 {
+				t.Fatalf("group %d record %+v: want Origin 1", gi, r)
 			}
 			if uint32(r.Seq) != r.ActSeq {
 				t.Fatalf("record %+v: one client submitting serially must have ActSeq == Seq", r)

@@ -9,7 +9,6 @@ import (
 
 	"seve/internal/action"
 	"seve/internal/core"
-	"seve/internal/wire"
 	"seve/internal/world"
 )
 
@@ -30,20 +29,19 @@ func openParked(t *testing.T, opts Options) (*Store, *committer, func()) {
 	}
 }
 
-// TestCommitterWritesInGroups feeds the committer a meta record per
-// client, 256 of them (session re-opens stand in for any meta-lineage
-// traffic), then one install pass spread over four lanes, lets it wake
-// once per round, and fires the interval tick after each. Everything a wake finds queued must
-// reach the kernel in one write per file, at least ten records to the
-// write, and a tick may cost no more than the two files' fsyncs however
-// many lanes wrote.
+// TestCommitterWritesInGroups feeds the committer a session record per
+// client, 256 of them, then one install pass of an entry per client, lets
+// it wake once per round, and fires the interval tick after each.
+// Everything a wake finds queued must reach the kernel in one write, at
+// least ten records to the write, and a tick may cost no more than one
+// fsync.
 func TestCommitterWritesInGroups(t *testing.T) {
-	const clients, lanes, rounds = 256, 4, 12
+	const clients, rounds = 256, 12
 	s, c, closeStore := openParked(t, Options{
 		Fsync:         FsyncInterval,
 		FsyncEvery:    time.Hour, // the test is the ticker
 		SnapshotEvery: 1 << 40,
-		QueueLen:      clients + lanes,
+		QueueLen:      clients + 1,
 	})
 	for id := action.ClientID(1); id <= clients; id++ {
 		s.SessionOpen(id, uint64(id), 0, uint64(id), 0)
@@ -51,7 +49,7 @@ func TestCommitterWritesInGroups(t *testing.T) {
 			c.drain(nil)
 		}
 	}
-	c.fsyncDirty()
+	c.sync()
 	base := s.Stats()
 
 	var seq uint64
@@ -61,7 +59,7 @@ func TestCommitterWritesInGroups(t *testing.T) {
 		for i := range recs {
 			seq++
 			recs[i] = core.CommitRecord{
-				Seq: seq, Lane: int32(i % lanes), Origin: action.ClientID(i + 1), ActSeq: uint32(r),
+				Seq: seq, Origin: action.ClientID(i + 1), ActSeq: uint32(r),
 				Res: action.Result{OK: true, Writes: []world.Write{write(world.ObjectID(i+1), float64(seq), 0, 1, 0)}},
 			}
 			s.SessionOpen(action.ClientID(i+1), uint64(i+1), uint64(r), uint64(i+1), installed)
@@ -73,21 +71,21 @@ func TestCommitterWritesInGroups(t *testing.T) {
 			t.Fatal("drain saw a stop")
 		}
 		after := s.Stats()
-		if got := after.Records - before.Records; got != clients+lanes {
-			t.Fatalf("round %d: the wake took %d records, want %d", r, got, clients+lanes)
+		if got := after.Records - before.Records; got != clients+1 {
+			t.Fatalf("round %d: the wake took %d records, want %d", r, got, clients+1)
 		}
-		if got := after.Writes - before.Writes; got != 2 {
-			t.Fatalf("round %d: %d writes for one wake's records, want one per file", r, got)
+		if got := after.Writes - before.Writes; got != 1 {
+			t.Fatalf("round %d: %d writes for one wake's records, want one", r, got)
 		}
-		if len(c.seg.buf) != 0 || len(c.meta.buf) != 0 {
-			t.Fatalf("round %d: %d + %d bytes left in user space after the drain", r, len(c.seg.buf), len(c.meta.buf))
+		if len(c.seg.buf) != 0 {
+			t.Fatalf("round %d: %d bytes left in user space after the drain", r, len(c.seg.buf))
 		}
-		c.fsyncDirty() // the interval tick
-		if got := s.Stats().Fsyncs - after.Fsyncs; got != 2 {
-			t.Fatalf("round %d: the tick cost %d fsyncs for %d lanes' records, want 2", r, got, lanes)
+		c.sync() // the interval tick
+		if got := s.Stats().Fsyncs - after.Fsyncs; got != 1 {
+			t.Fatalf("round %d: the tick cost %d fsyncs, want 1", r, got)
 		}
-		c.fsyncDirty() // and a tick that finds nothing dirty costs nothing
-		if got := s.Stats().Fsyncs - after.Fsyncs; got != 2 {
+		c.sync() // and a tick that finds nothing dirty costs nothing
+		if got := s.Stats().Fsyncs - after.Fsyncs; got != 1 {
 			t.Fatalf("round %d: an idle tick fsynced", r)
 		}
 	}
@@ -129,25 +127,22 @@ func TestWriteBufferIsBounded(t *testing.T) {
 	if st := s.Stats(); st.Records != verdicts || st.Writes != wantWrites {
 		t.Fatalf("%d records of %d bytes in %d writes, want %d writes of at most %d bytes", st.Records, quarantineRecLen, st.Writes, wantWrites, writeBufCap)
 	}
-	if cap(c.meta.buf) != writeBufCap {
-		t.Fatalf("standing buffer holds %d bytes, want %d", cap(c.meta.buf), writeBufCap)
+	if cap(c.seg.buf) != writeBufCap {
+		t.Fatalf("standing buffer holds %d bytes, want %d", cap(c.seg.buf), writeBufCap)
 	}
 
-	// One record of twice the buffer, between two small ones.
+	// One install pass of twice the buffer, between two small records.
 	s.ClientQuarantined(verdicts+1, 1, 1)
-	big := wire.GetBuf(frameHdrLen + 2*writeBufCap)
-	big = append(big, make([]byte, frameHdrLen)...)
-	big = append(big, 3) // an older store's reply batch: replay skips the kind
-	big = sealRecord(append(big, make([]byte, 2*writeBufCap)...), 0)
-	s.send(job{op: opAppend, lane: laneMeta, buf: big})
+	big := write(1, make([]float64, writeBufCap/4)...)
+	commit(s, 1, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{big}})
 	s.ClientQuarantined(verdicts+2, 1, 1)
 	before := s.Stats().Writes
 	c.drain(nil)
 	if got := s.Stats().Writes - before; got != 3 {
 		t.Fatalf("small, oversized, small: %d writes, want 3", got)
 	}
-	if cap(c.meta.buf) > writeBufCap {
-		t.Fatalf("the oversized record left a %d-byte buffer behind", cap(c.meta.buf))
+	if cap(c.seg.buf) > writeBufCap {
+		t.Fatalf("the oversized record left a %d-byte buffer behind", cap(c.seg.buf))
 	}
 	closeStore()
 
@@ -158,6 +153,9 @@ func TestWriteBufferIsBounded(t *testing.T) {
 	defer s2.Close()
 	if got := len(rec.Restore.Quarantined); got != verdicts+2 {
 		t.Fatalf("%d verdicts recovered, want %d: a record was lost around a buffer boundary", got, verdicts+2)
+	}
+	if v, _ := rec.State.Get(1); rec.Restore.UpTo != 1 || !v.Equal(big.Val) {
+		t.Fatalf("the oversized pass was not recovered: through %d", rec.Restore.UpTo)
 	}
 }
 
@@ -192,25 +190,31 @@ func TestSendBooksBlockedTime(t *testing.T) {
 	}
 }
 
-// TestRecordSizesMatchEncoders: a checkpoint sizes its meta image from
-// these before it builds it; they must stay what the encoders produce.
+// TestRecordSizesMatchEncoders: a checkpoint sizes its image from these
+// before it builds it; they must stay what the encoders produce.
 func TestRecordSizesMatchEncoders(t *testing.T) {
 	if got := len(appendQuarantineRecord(nil, walQuarantine{id: 1, reason: 2, seq: 3})); got != quarantineRecLen {
 		t.Errorf("quarantine record is %d bytes, quarantineRecLen says %d", got, quarantineRecLen)
 	}
-	if got := len(appendMetaHdr(nil, walMetaHdr{boot: 1})); got != metaHdrLen {
-		t.Errorf("meta header is %d bytes, metaHdrLen says %d", got, metaHdrLen)
+	if got := len(appendImageRecord(nil, newShadow(), nil)); got != imageHdrLen {
+		t.Errorf("an empty world's image record is %d bytes, imageHdrLen says %d", got, imageHdrLen)
 	}
-	if got := len(appendMetaSess(nil, walSession{id: 7}, 1)); got != metaSessLen {
-		t.Errorf("baked session is %d bytes, metaSessLen says %d", got, metaSessLen)
+	if got := len(appendImageSess(nil, shadowSession{walSession: walSession{id: 7}, lastActSeq: 1})); got != imageSessLen {
+		t.Errorf("baked session is %d bytes, imageSessLen says %d", got, imageSessLen)
+	}
+	sh := newShadow()
+	sh.state.Set(3, world.Value{1, 2})
+	sh.open(walSession{id: 7})
+	sh.quarantine(walQuarantine{id: 9})
+	if img := sh.image(); len(img) != cap(img) {
+		t.Errorf("an image of %d bytes was sized %d", len(img), cap(img))
 	}
 }
 
-// TestCheckpointKeepsDraining: a checkpoint cuts its images where the
+// TestCheckpointKeepsDraining: a checkpoint cuts its image where the
 // shadow stands and goes back to the queue between its waits on the
-// disk. What it takes there must land behind the images — commit records
-// in the new generation's segment, meta records in the new lineage's
-// tail — nested checkpoints must wait, a barrier met in the queue must
+// disk. What it takes there must land behind the image, in the new
+// generation's segment — nested checkpoints must wait, a barrier met in the queue must
 // end the catching up and be answered after the checkpoint with the jobs
 // behind it still in order, and a crash at any step must recover to a
 // prefix of the feed.
@@ -280,8 +284,8 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 		t.Fatalf("after the drain: %+v", st)
 	}
 
-	first := images[:5]
-	for i, want := range []string{"cut", "snapshot", "publish", "syncdir", "gc"} {
+	first := images[:4]
+	for i, want := range []string{"cut", "publish", "syncdir", "gc"} {
 		if first[i].step != want {
 			t.Fatalf("step %d of the checkpoint was %q, want %q", i, first[i].step, want)
 		}
@@ -289,21 +293,20 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 	if got := first[0].records; got != 5 {
 		t.Fatalf("%d records taken when the images were cut, want the 5 up to the crossing", got)
 	}
-	if got := first[2].records; got != 5+behind {
-		t.Fatalf("%d records taken by the time the lineage was published, want %d: everything up to the barrier and nothing past it", got, 5+behind)
+	if got := first[1].records; got != 5+behind {
+		t.Fatalf("%d records taken by the time the image was published, want %d: everything up to the barrier and nothing past it", got, 5+behind)
 	}
-	// On disk (read before recovery below reopens, and so rewrites, the
-	// images): generation 0's segment ends at the cut, generation 4's
+	// On disk: generation 0's segment ends at the cut, generation 1's
 	// carries what came after.
 	commits := func(name string) (seqs []uint64) {
-		raw, err := os.ReadFile(filepath.Join(first[2].dir, name))
+		raw, err := os.ReadFile(filepath.Join(first[1].dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var arena writeArena
 		scanRecords(raw, func(body []byte) bool {
-			if g, err := decodeCommitRecord(body, &arena, nil); err == nil {
-				for _, e := range g.entries {
+			if _, entries, err := decodeCommitRecord(body, &arena, nil); err == nil {
+				for _, e := range entries {
 					seqs = append(seqs, e.seq)
 				}
 			}
@@ -314,8 +317,8 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 	if got := commits(segmentName(0)); len(got) != 4 || got[3] != 4 {
 		t.Fatalf("generation 0's segment holds %v, want 1 through 4", got)
 	}
-	if got := commits(segmentName(4)); len(got) != 6 || got[0] != 5 || got[5] != 10 {
-		t.Fatalf("generation 4's segment holds %v, want 5 through 10", got)
+	if got := commits(segmentName(1)); len(got) != 6 || got[0] != 5 || got[5] != 10 {
+		t.Fatalf("generation 1's segment holds %v, want 5 through 10", got)
 	}
 
 	for _, im := range first {
@@ -328,10 +331,10 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 		if upTo < 4 || upTo > 10 || !rec.State.Equal(oracle[upTo]) {
 			t.Fatalf("crash after %q: recovered through %d; state equals the oracle's there: %v", im.step, upTo, oracle[upTo] != nil && rec.State.Equal(oracle[upTo]))
 		}
-		if im.step == "cut" || im.step == "snapshot" {
-			continue // the old lineage: what it had not been handed yet is a lost suffix
+		if im.step == "cut" {
+			continue // the old image: what had not been taken yet is a lost suffix
 		}
-		// The new lineage: the image, then what was taken after the cut.
+		// The new image, then what was taken after the cut.
 		if upTo != 10 {
 			t.Fatalf("crash after %q: recovered through %d, want 10", im.step, upTo)
 		}
@@ -364,7 +367,7 @@ func TestCheckpointKeepsDraining(t *testing.T) {
 // in between and all — recovers to the serial oracle at the position
 // it reaches, with no session floor beyond it.
 func TestCrashMidCheckpointProperty(t *testing.T) {
-	steps := []string{"cut", "snapshot", "publish", "syncdir", "gc"}
+	steps := []string{"cut", "publish", "syncdir", "gc"}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
@@ -399,7 +402,7 @@ func TestCrashMidCheckpointProperty(t *testing.T) {
 					res.Writes = append(res.Writes, w)
 					cur.Set(w.ID, w.Val)
 				}
-				recs[i] = core.CommitRecord{Seq: seq, Lane: int32(seq % 3), Origin: action.ClientID(rng.Intn(3) + 1), ActSeq: uint32(seq), Res: res}
+				recs[i] = core.CommitRecord{Seq: seq, Origin: action.ClientID(rng.Intn(3) + 1), ActSeq: uint32(seq), Res: res}
 				oracle[seq] = cur.Clone()
 			}
 			s.CommitGroup(seq, uint32(seq), recs)

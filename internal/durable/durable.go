@@ -10,30 +10,30 @@
 // checkpoint layer, grown from a per-install redo log into a pipeline
 // the engine feeds without ever waiting on a disk:
 //
-//   - The engine emits one journal group per install pass over the
+//   - The engine emits one commit record per install pass over the
 //     core.Journal feed, plus the session opens and quarantine verdicts
 //     that a restarted server cannot recompute. Replies are not
 //     journaled: a recovered session's first resume is a snapshot. Each
 //     record is encoded into a pooled wire buffer on the engine's
 //     goroutine and ownership is handed to the committer over a bounded
-//     channel — the engine's cost per group is an encode and a channel
+//     channel — the engine's cost per record is an encode and a channel
 //     send.
-//   - A single committer goroutine appends records to a segmented log
-//     (group commit: one record per lane per install pass, one Write
-//     per file for everything it finds queued when it wakes), fsyncs
-//     under the configured policy, and replays every record into a
-//     shadow replica of the engine (see shadow.go).
+//   - A single committer goroutine appends every record to the current
+//     generation's one segment, in the order the engine emitted it
+//     (group commit: one Write for everything it finds queued when it
+//     wakes), fsyncs under the configured policy, and applies every
+//     record to a shadow replica of the engine (see shadow.go).
 //   - Checkpoints are cut from the shadow at group boundaries — an
-//     epoch-consistent snapshot by construction, written entirely off
-//     the engine's hot path, the committer going back to the queue
-//     between its waits on the disk — then the meta lineage
-//     (watermarks, baked sessions and verdicts) is rewritten and old
-//     generations are collected keep-then-gc: nothing is deleted until
-//     its replacement is durably renamed into place, so a crash at any
-//     point leaves a recoverable directory.
-//   - Open scans the directory, rebuilds the shadow from the newest
-//     intact snapshot + meta + segment records (stopping at the first
-//     torn or corrupt tail), bumps the boot generation, cuts a fresh
+//     epoch-consistent image of the world, the watermarks, the sessions
+//     and the verdicts, written entirely off the engine's hot path, the
+//     committer going back to the queue between its waits on the disk —
+//     and old generations are collected keep-then-gc: nothing is deleted
+//     until its replacement is durably renamed into place, so a crash at
+//     any point leaves a recoverable directory.
+//   - Open refuses a directory an older store layout wrote, loads the
+//     newest intact image, replays the segments from its generation on
+//     through the committer's own apply (stopping at the first torn or
+//     corrupt record), bumps the boot generation, cuts a fresh
 //     checkpoint, and returns both the journal sink and a
 //     core.RestoreState — crash-restart becomes "the server resumes
 //     against itself".
@@ -54,7 +54,7 @@ import (
 	"seve/internal/world"
 )
 
-// FsyncPolicy selects when the committer forces the logs to stable
+// FsyncPolicy selects when the committer forces the log to stable
 // storage.
 type FsyncPolicy uint8
 
@@ -109,8 +109,9 @@ type Options struct {
 	// queue deterministically.
 	testGate chan struct{}
 	// testStep, when non-nil, is told each checkpoint step as it
-	// finishes ("cut", "snapshot", "publish", "syncdir", "gc"), on the goroutine cutting the
-	// checkpoint: Open's for the boot checkpoint, the committer's after.
+	// finishes ("cut", "publish", "syncdir", "gc"), on the goroutine
+	// cutting the checkpoint: Open's for the boot checkpoint, the
+	// committer's after.
 	testStep func(step string)
 }
 
@@ -135,7 +136,7 @@ type Stats struct {
 	// GroupCommits counts install passes fully applied to the shadow
 	// (the group-commit boundaries).
 	GroupCommits int
-	// Checkpoints counts epoch snapshots cut from the shadow.
+	// Checkpoints counts the epoch images cut from the shadow.
 	Checkpoints int
 	// AppendErrors counts committer I/O failures; after the first the
 	// store latches Err and stops writing.
@@ -152,9 +153,9 @@ type Stats struct {
 	Gapped bool
 	// Records counts the records the committer took into the log, Writes
 	// the write calls that carried them to the kernel and Fsyncs the
-	// fsyncs of the log files (a checkpoint's own files are not counted):
-	// Records ÷ Writes is how well the committer groups, and an interval
-	// tick costs at most one fsync per log file, of which there are two.
+	// fsyncs of the segments (an image and the directory are not
+	// counted): Records ÷ Writes is how well the committer groups, and an
+	// interval tick costs at most one fsync.
 	Records int
 	Writes  int
 	Fsyncs  int
@@ -200,16 +201,10 @@ const (
 	opStop
 )
 
-// laneMeta routes a record to the meta lineage instead of the
-// segment.
-const laneMeta int32 = -1
-
 type job struct {
-	op   int
-	lane int32
-	// buf is a framed record — for an install pass, its lanes' records
-	// back to back — in a pooled buffer whose ownership transfers with
-	// the job.
+	op int
+	// buf is a framed record in a pooled buffer whose ownership transfers
+	// with the job.
 	buf  []byte
 	done chan error
 }
@@ -227,10 +222,12 @@ var ErrClosed = errors.New("durable: store closed")
 
 // Open recovers dir and starts the committer. base, when non-nil, is
 // the generated initial world: it seeds the shadow only when the
-// directory holds no snapshot yet (after the first Open the initial
-// world is captured by the boot checkpoint and base is ignored). The
-// returned Recovery carries everything the engine needs to resume
-// against itself; pass the Store to Engine.SetJournal afterwards.
+// directory holds no image yet (after the first Open the initial world
+// is captured by the boot checkpoint and base is ignored). The returned
+// Recovery carries everything the engine needs to resume against
+// itself; pass the Store to Engine.SetJournal afterwards. A directory
+// an older store layout wrote is refused before anything is written to
+// it.
 func Open(dir string, base *world.State, opts Options) (*Store, *Recovery, error) {
 	s, c, rec, err := open(dir, base, opts)
 	if err != nil {
@@ -246,17 +243,21 @@ func open(dir string, base *world.State, opts Options) (*Store, *committer, *Rec
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("durable: creating %s: %w", dir, err)
 	}
-	sh, prevBoot, hadSnapshot, err := recoverDir(dir)
+	sh, next, err := recoverDir(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if !hadSnapshot && base != nil {
-		sh.state = base.Clone()
+	if sh == nil {
+		sh = newShadow()
+		if base != nil {
+			sh.state = base.Clone()
+		}
 	}
+	sh.boot++
 	s := &Store{
 		dir:    dir,
 		opts:   opts,
-		boot:   prevBoot + 1,
+		boot:   sh.boot,
 		jobs:   make(chan job, opts.QueueLen),
 		stopc:  make(chan struct{}),
 		closed: make(chan struct{}),
@@ -276,17 +277,12 @@ func open(dir string, base *world.State, opts Options) (*Store, *committer, *Rec
 		},
 	}
 
-	c := &committer{
-		s:        s,
-		sh:       sh,
-		segStart: sh.applied,
-		lastCkpt: sh.applied,
-	}
+	c := &committer{s: s, sh: sh, next: next, lastCkpt: sh.applied}
 	// Boot checkpoint: the new boot generation (and, on first Open, the
 	// base world) must be durable before the server acknowledges
 	// anything minted under it.
 	if err := c.checkpoint(); err != nil {
-		c.closeFiles()
+		c.closeFile()
 		return nil, nil, nil, err
 	}
 	return s, c, rec, nil
@@ -399,58 +395,16 @@ func (s *Store) sendBlocking(j job) {
 }
 
 // CommitGroup implements core.Journal: one install pass becomes one
-// record per lane touched, encoded here on the engine goroutine back
-// to back into one pooled buffer whose ownership transfers to the
-// committer with the send. The records share the generation's segment;
-// the partition keeps the record format, and a lane's entries
-// contiguous in it.
-//
-// Runs at the engine's seal boundary — the sequential point between
-// parallel lane phases — so it may partition records across any lane.
-func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRecord) {
+// commit record, encoded here on the engine goroutine into a pooled
+// buffer whose ownership transfers to the committer with the send, so
+// the committer takes a pass whole or (shed) not at all. The epoch is
+// not journaled.
+func (s *Store) CommitGroup(_ uint64, nextBlind uint32, recs []core.CommitRecord) {
 	if len(recs) == 0 {
 		return
 	}
 	s.emitted.Store(recs[len(recs)-1].Seq)
-	// Partition by lane, preserving serial order. Spanning entries
-	// (lane < 0) ride in lane 0's record.
-	var lanes [16]int32
-	n := 0
-	for i := range recs {
-		l := recs[i].Lane
-		if l < 0 {
-			l = 0
-		}
-		seen := false
-		for _, x := range lanes[:n] {
-			if x == l {
-				seen = true
-				break
-			}
-		}
-		if !seen && n < len(lanes) {
-			lanes[n] = l
-			n++
-		} else if !seen {
-			// Beyond the fixed fan-out every extra lane folds into lane
-			// 0; recovery merges by seq, so placement is a layout
-			// choice, not a correctness one.
-			recs[i].Lane = 0
-		}
-	}
-	// One job for the pass: the committer takes a group whole or (shed)
-	// not at all, and never sees one half-queued.
-	buf := wire.GetBuf(64*n + len(recs)*48)
-	for _, lane := range lanes[:n] {
-		buf = appendCommitRecord(buf, lane, epoch, nextBlind, recs, func(r *core.CommitRecord) bool {
-			l := r.Lane
-			if l < 0 {
-				l = 0
-			}
-			return l == lane
-		})
-	}
-	s.send(job{op: opAppend, buf: buf})
+	s.send(job{op: opAppend, buf: appendCommitRecord(wire.GetBuf(64+len(recs)*48), nextBlind, recs)})
 }
 
 // SessionOpen implements core.Journal. Session records never shed:
@@ -461,7 +415,7 @@ func (s *Store) CommitGroup(epoch uint64, nextBlind uint32, recs []core.CommitRe
 func (s *Store) SessionOpen(id action.ClientID, token, mask, seqNo, stampFloor uint64) {
 	buf := wire.GetBuf(64)
 	buf = appendSessionRecord(buf, walSession{id: id, token: token, mask: mask, seqNo: seqNo, stampFloor: stampFloor})
-	s.sendBlocking(job{op: opAppend, lane: laneMeta, buf: buf})
+	s.sendBlocking(job{op: opAppend, buf: buf})
 }
 
 // BatchRetained implements core.Journal and records nothing.
@@ -475,12 +429,12 @@ func (s *Store) BatchRetained(action.ClientID, *wire.Batch) {}
 // shed: losing one would let a quarantined cheater launder its ledger
 // through a crash-restart. Like session records they are rare — at most
 // one per client — so the blocking send is cheap even under
-// DegradeShed. They ride the meta lineage and are re-baked into it at
-// every checkpoint.
+// DegradeShed. Every image bakes the verdicts in, so gc of the
+// generation that first carried one cannot lose it.
 func (s *Store) ClientQuarantined(id action.ClientID, reason uint8, seq uint64) {
 	buf := wire.GetBuf(32)
 	buf = appendQuarantineRecord(buf, walQuarantine{id: id, reason: reason, seq: seq})
-	s.sendBlocking(job{op: opAppend, lane: laneMeta, buf: buf})
+	s.sendBlocking(job{op: opAppend, buf: buf})
 }
 
 var (

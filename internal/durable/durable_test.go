@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -19,9 +21,11 @@ func write(id world.ObjectID, vals ...float64) world.Write {
 	return world.Write{ID: id, Val: world.Value(vals)}
 }
 
-// commit feeds one single-entry install pass through the journal.
+// commit feeds one single-entry install pass through the journal. lane
+// is where a shard router would have placed the entry; the journal does
+// not record it.
 func commit(s *Store, seq uint64, lane int32, origin action.ClientID, actSeq uint32, res action.Result) {
-	s.CommitGroup(seq, 0, []core.CommitRecord{{Seq: seq, Lane: lane, Origin: origin, ActSeq: actSeq, Res: res}})
+	s.CommitGroup(seq, 0, []core.CommitRecord{{Seq: seq, Origin: origin, ActSeq: actSeq, Res: res}})
 }
 
 // crashCopy clones the store directory byte-for-byte into a fresh
@@ -50,18 +54,11 @@ func crashCopy(t *testing.T, dir string) string {
 // newestSegment returns the path of the newest segment.
 func newestSegment(t *testing.T, dir string) string {
 	t.Helper()
-	_, _, segs := scanDir(dir)
-	best := ""
-	var bestStart uint64
-	for _, sg := range segs {
-		if best == "" || sg.start >= bestStart {
-			best, bestStart = sg.name, sg.start
-		}
+	_, segs, err := scanDir(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment: %v", err)
 	}
-	if best == "" {
-		t.Fatal("no segment")
-	}
-	return filepath.Join(dir, best)
+	return filepath.Join(dir, segmentName(segs[len(segs)-1]))
 }
 
 func TestCommitAndRecover(t *testing.T) {
@@ -141,6 +138,88 @@ func TestOpenOnFilePathFails(t *testing.T) {
 	}
 	if _, _, err := Open(file, nil, Options{}); err == nil {
 		t.Fatal("Open over a regular file succeeded")
+	}
+}
+
+// TestOpenRefusesOlderLayouts: a directory an older store wrote holds a
+// meta lineage, and the oldest also per-lane segments. Open names the
+// first such file, and writes nothing: every file is as it was.
+func TestOpenRefusesOlderLayouts(t *testing.T) {
+	for _, legacy := range []string{"meta-00000000000000000006.log", "wal-3-00000000000000000006.log"} {
+		dir := t.TempDir()
+		s, _, err := Open(dir, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit(s, 1, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, legacy), []byte("an older store's log"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := readFiles(t, dir)
+		if _, _, err := Open(dir, nil, Options{}); err == nil || !strings.Contains(err.Error(), legacy) {
+			t.Fatalf("Open beside %s: %v, want an error naming it", legacy, err)
+		}
+		if after := readFiles(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("the refused Open beside %s changed the directory", legacy)
+		}
+	}
+	// A directory that cannot be listed is an error too, not a virgin store.
+	file := filepath.Join(t.TempDir(), "occupied")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := scanDir(file); err == nil {
+		t.Fatal("scanDir listed a regular file")
+	}
+}
+
+// TestTornGenerationIsNeverAppendedTo: a restart whose recovery stopped
+// at a generation's first record must not write its own records behind
+// the torn ones, where the next recovery cannot reach them. A synced
+// install after that restart survives the one after it.
+func TestTornGenerationIsNeverAppendedTo(t *testing.T) {
+	install := func(s *Store) {
+		t.Helper()
+		commit(s, 1, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _, err := Open(t.TempDir(), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	install(s)
+	crash := crashCopy(t, s.dir)
+	seg := newestSegment(t, crash)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec, err := Open(crash, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.Restore.UpTo != 0 {
+		t.Fatalf("first recovery at %d, want 0: the torn record was read", rec.Restore.UpTo)
+	}
+	install(s2)
+	s3, rec, err := Open(crashCopy(t, crash), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if rec.Restore.UpTo != 1 {
+		t.Fatalf("second recovery at %d, want 1: a synced install was lost", rec.Restore.UpTo)
 	}
 }
 
@@ -240,28 +319,31 @@ func TestCheckpointRollsAndKeepsTwoGenerations(t *testing.T) {
 	}
 	commit(s, 1, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
 	commit(s, 2, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(2, 2)}})
-	if err := s.Checkpoint(); err != nil { // gen 2 (gen 0 = boot)
+	if err := s.Checkpoint(); err != nil { // gen 1 (gen 0 = boot)
 		t.Fatal(err)
 	}
 	commit(s, 3, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(1, 100)}})
 	commit(s, 4, 0, 0, 0, action.Result{OK: true, Writes: []world.Write{write(3, 4)}})
-	if err := s.Checkpoint(); err != nil { // gen 4; gen 0 collected
+	if err := s.Checkpoint(); err != nil { // gen 2; gen 0 collected
 		t.Fatal(err)
 	}
+	// A crash image, not a Close: the shutdown checkpoint would cut a
+	// generation of its own and collect generation 1.
+	dir = crashCopy(t, dir)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	snaps, _, _ := scanDir(dir)
-	if len(snaps) != 2 || snaps[0] != 2 || snaps[1] != 4 {
-		t.Fatalf("snapshot generations = %v, want [2 4]", snaps)
+	if len(snaps) != 2 || snaps[0] != 1 || snaps[1] != 2 {
+		t.Fatalf("snapshot generations = %v, want [1 2]", snaps)
 	}
 
-	// Corrupt the newest snapshot: recovery falls back to generation 2
+	// Corrupt the newest snapshot: recovery falls back to generation 1
 	// and replays its segment (commits 3, 4) to the same install point.
-	raw, _ := os.ReadFile(filepath.Join(dir, snapshotName(4)))
+	raw, _ := os.ReadFile(filepath.Join(dir, snapshotName(2)))
 	raw[len(raw)-1] ^= 0xFF
-	os.WriteFile(filepath.Join(dir, snapshotName(4)), raw, 0o644)
+	os.WriteFile(filepath.Join(dir, snapshotName(2)), raw, 0o644)
 
 	s2, rec, err := Open(dir, nil, Options{})
 	if err != nil {
@@ -384,9 +466,9 @@ func TestCrashBetweenPublishAndGC(t *testing.T) {
 		if step == "syncdir" {
 			// Between the fsync and the gc: the newest generation must be
 			// fully renamed (no .tmp left) before anything is deleted.
-			snaps, metas, _ := scanDir(dir)
+			snaps, segs, _ := scanDir(dir)
 			tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
-			ok := len(tmps) == 0 && len(snaps) > 0 && len(metas) > 0 && snaps[len(snaps)-1] == metas[len(metas)-1]
+			ok := len(tmps) == 0 && len(snaps) > 0 && len(segs) > 0 && snaps[len(snaps)-1] == segs[len(segs)-1]
 			gcSawNewest = append(gcSawNewest, ok)
 		}
 	}))
@@ -520,7 +602,7 @@ func TestShedGapFreezesCheckpoints(t *testing.T) {
 
 // TestSessionRecovery: session opens and dedup floors survive a crash —
 // including sessions baked into a checkpoint and ones appended to the
-// meta lineage afterwards — and the stampFloor fence keeps a previous
+// segment afterwards — and the stampFloor fence keeps a previous
 // registration's commits from inflating the recovered floor.
 func TestSessionRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -539,7 +621,7 @@ func TestSessionRecovery(t *testing.T) {
 	if err := s.Checkpoint(); err != nil { // bakes session 7
 		t.Fatal(err)
 	}
-	// Session 8 opens after the checkpoint: appended to the meta tail.
+	// Session 8 opens after the checkpoint: it rides the segment.
 	s.SessionOpen(8, 0xCAFE, 0, 2, 3)
 	commit(s, 4, 0, 8, 1, action.Result{OK: true, Writes: []world.Write{write(3, 4)}})
 	if err := s.Sync(); err != nil {
@@ -585,7 +667,7 @@ func TestSessionRecovery(t *testing.T) {
 
 // TestQuarantineRecovery: verdicts journaled before AND after a
 // checkpoint both survive a crash-restart — the checkpoint re-bakes
-// the set into the fresh meta lineage so gc of the original segment
+// the set into the fresh image so gc of the original segment
 // generation cannot lose them, and the first verdict per client wins
 // across replays.
 func TestQuarantineRecovery(t *testing.T) {
@@ -602,7 +684,7 @@ func TestQuarantineRecovery(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s.ClientQuarantined(9, 3, 2) // after: rides the meta tail
+	s.ClientQuarantined(9, 3, 2) // after: rides the segment
 	s.ClientQuarantined(3, 6, 5) // duplicate: the first verdict stands
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -639,11 +721,19 @@ func TestQuarantineRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoverEqualsOracleProperty: for random multi-lane histories
-// with checkpoints at random points, sessions opening along the way,
-// and a crash that may tear or corrupt the newest files, recovery
-// equals the serial oracle at the recovered position.
+// TestRecoverEqualsOracleProperty: for random histories of install
+// passes, session opens and quarantine verdicts with checkpoints at
+// random points, and a crash that may tear a segment or corrupt the
+// newest image, recovery equals the serial oracle at the recovered
+// position. After a clean shutdown the recovered sessions and verdicts
+// equal the test's own model of them. Either way the recovered store
+// has a second life: a pass committed and synced on it survives the
+// next crash.
 func TestRecoverEqualsOracleProperty(t *testing.T) {
+	type modelSession struct {
+		core.SessionRecord
+		stampFloor uint64
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
@@ -654,10 +744,12 @@ func TestRecoverEqualsOracleProperty(t *testing.T) {
 		defer s.Close()
 		oracle := map[uint64]*world.State{0: world.NewState()}
 		cur := world.NewState()
+		sessions := map[action.ClientID]*modelSession{}
+		verdicts := map[action.ClientID]core.QuarantineRecord{}
 		var seq uint64
 		n := rng.Intn(40) + 1
 		for len(oracle) <= n {
-			// One install pass of 1-4 entries spread over up to 3 lanes.
+			// One install pass of 1-4 entries.
 			recs := make([]core.CommitRecord, rng.Intn(4)+1)
 			for i := range recs {
 				seq++
@@ -669,12 +761,25 @@ func TestRecoverEqualsOracleProperty(t *testing.T) {
 						cur.Set(w.ID, w.Val)
 					}
 				}
-				recs[i] = core.CommitRecord{Seq: seq, Lane: int32(seq % 3), Origin: action.ClientID(rng.Intn(3) + 1), ActSeq: uint32(seq), Res: res}
+				origin := action.ClientID(rng.Intn(3) + 1)
+				recs[i] = core.CommitRecord{Seq: seq, Origin: origin, ActSeq: uint32(seq), Res: res}
+				if m := sessions[origin]; m != nil && seq > m.stampFloor {
+					m.LastActSeq = uint32(seq)
+				}
 				oracle[seq] = cur.Clone()
 			}
 			s.CommitGroup(seq, uint32(seq), recs)
 			if rng.Intn(8) == 0 {
-				s.SessionOpen(action.ClientID(rng.Intn(3)+1), rng.Uint64(), 0, uint64(rng.Intn(5)+1), seq)
+				id, token, seqNo := action.ClientID(rng.Intn(3)+1), rng.Uint64(), uint64(rng.Intn(5)+1)
+				s.SessionOpen(id, token, 0, seqNo, seq)
+				sessions[id] = &modelSession{core.SessionRecord{ID: id, Token: token, SeqNo: seqNo}, seq}
+			}
+			if rng.Intn(12) == 0 {
+				q := core.QuarantineRecord{ID: action.ClientID(rng.Intn(5) + 1), Reason: uint8(rng.Intn(4)), Seq: seq}
+				s.ClientQuarantined(q.ID, q.Reason, q.Seq)
+				if _, dup := verdicts[q.ID]; !dup {
+					verdicts[q.ID] = q
+				}
 			}
 			if rng.Intn(10) == 0 {
 				if err := s.Checkpoint(); err != nil {
@@ -683,64 +788,100 @@ func TestRecoverEqualsOracleProperty(t *testing.T) {
 			}
 		}
 
+		var s2 *Store
 		var rec *Recovery
-		if rng.Intn(2) == 0 {
-			// Clean shutdown.
+		clean := rng.Intn(2) == 0
+		if clean {
 			if err := s.Close(); err != nil {
 				return false
 			}
-			s2, r, err := Open(dir, nil, Options{})
-			if err != nil {
-				return false
-			}
-			defer s2.Close()
-			rec = r
 		} else {
 			// Crash: maybe tear a segment tail, maybe corrupt the newest
-			// snapshot (the kept fallback generation must absorb it).
+			// image (the kept fallback generation must absorb it).
 			if err := s.Sync(); err != nil {
 				return false
 			}
-			crash := crashCopy(t, dir)
-			_, _, segs := scanDir(crash)
+			dir = crashCopy(t, dir)
+			_, segs, _ := scanDir(dir)
 			if len(segs) > 0 && rng.Intn(2) == 0 {
-				sg := segs[rng.Intn(len(segs))]
-				raw, _ := os.ReadFile(filepath.Join(crash, sg.name))
+				p := filepath.Join(dir, segmentName(segs[rng.Intn(len(segs))]))
+				raw, _ := os.ReadFile(p)
 				if len(raw) > 0 {
-					os.WriteFile(filepath.Join(crash, sg.name), raw[:rng.Intn(len(raw))], 0o644)
+					os.WriteFile(p, raw[:rng.Intn(len(raw))], 0o644)
 				}
 			}
-			if snaps, _, _ := scanDir(crash); len(snaps) > 1 && rng.Intn(3) == 0 {
-				p := filepath.Join(crash, snapshotName(snaps[len(snaps)-1]))
+			if snaps, _, _ := scanDir(dir); len(snaps) > 1 && rng.Intn(3) == 0 {
+				p := filepath.Join(dir, snapshotName(snaps[len(snaps)-1]))
 				raw, _ := os.ReadFile(p)
 				if len(raw) > 0 {
 					raw[rng.Intn(len(raw))] ^= 0xFF
 					os.WriteFile(p, raw, 0o644)
 				}
 			}
-			s2, r, err := Open(crash, nil, Options{})
-			if err != nil {
-				return false
-			}
-			defer s2.Close()
-			rec = r
 		}
-		want, ok := oracle[rec.Restore.UpTo]
-		if !ok {
-			t.Logf("seed %d: recovered to unknown position %d", seed, rec.Restore.UpTo)
+		s2, rec, err = Open(dir, nil, Options{})
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if !rec.State.Equal(want) {
-			t.Logf("seed %d: state mismatch at %d", seed, rec.Restore.UpTo)
+		defer s2.Close()
+		upTo := rec.Restore.UpTo
+		want, ok := oracle[upTo]
+		if !ok || !rec.State.Equal(want) {
+			t.Logf("seed %d: recovered through %d, state off the oracle", seed, upTo)
 			return false
 		}
-		// Floors must never overstate the walk: every recovered session's
-		// LastActSeq is a seq the walk actually reached.
+		// Floors must never overstate the replay: every recovered session's
+		// LastActSeq is a seq the replay actually reached.
 		for _, sr := range rec.Restore.Sessions {
-			if uint64(sr.LastActSeq) > rec.Restore.UpTo {
-				t.Logf("seed %d: floor %d beyond upTo %d", seed, sr.LastActSeq, rec.Restore.UpTo)
+			if uint64(sr.LastActSeq) > upTo {
+				t.Logf("seed %d: floor %d beyond upTo %d", seed, sr.LastActSeq, upTo)
 				return false
 			}
+		}
+		if clean {
+			if upTo != seq {
+				t.Logf("seed %d: a clean shutdown recovered through %d of %d", seed, upTo, seq)
+				return false
+			}
+			var wantSessions []core.SessionRecord
+			for _, m := range sessions {
+				wantSessions = append(wantSessions, m.SessionRecord)
+			}
+			var wantVerdicts []core.QuarantineRecord
+			for _, q := range verdicts {
+				wantVerdicts = append(wantVerdicts, q)
+			}
+			byID := func(a, b core.SessionRecord) int { return int(a.ID) - int(b.ID) }
+			gotSessions := slices.Clone(rec.Restore.Sessions)
+			slices.SortFunc(wantSessions, byID)
+			slices.SortFunc(gotSessions, byID)
+			slices.SortFunc(wantVerdicts, func(a, b core.QuarantineRecord) int { return int(a.ID) - int(b.ID) })
+			if !reflect.DeepEqual(gotSessions, wantSessions) || !reflect.DeepEqual(rec.Restore.Quarantined, wantVerdicts) {
+				t.Logf("seed %d: recovered sessions %+v verdicts %+v, model %+v %+v",
+					seed, gotSessions, rec.Restore.Quarantined, wantSessions, wantVerdicts)
+				return false
+			}
+		}
+
+		// The second life: one more pass on the recovered store, synced,
+		// survives a crash.
+		w := write(1, float64(seed))
+		want = want.Clone()
+		want.Set(w.ID, w.Val)
+		s2.CommitGroup(upTo+1, 0, []core.CommitRecord{{Seq: upTo + 1, Res: action.Result{OK: true, Writes: []world.Write{w}}}})
+		if err := s2.Sync(); err != nil {
+			return false
+		}
+		s3, rec3, err := Open(crashCopy(t, dir), nil, Options{})
+		if err != nil {
+			t.Logf("seed %d: second recovery: %v", seed, err)
+			return false
+		}
+		defer s3.Close()
+		if rec3.Restore.UpTo != upTo+1 || !rec3.State.Equal(want) {
+			t.Logf("seed %d: second recovery through %d, want %d: a synced install was lost", seed, rec3.Restore.UpTo, upTo+1)
+			return false
 		}
 		return true
 	}
@@ -749,16 +890,18 @@ func TestRecoverEqualsOracleProperty(t *testing.T) {
 	}
 }
 
-// FuzzRecover: arbitrary bytes in the store's file slots must never
-// panic Open, and a successful Open must be re-openable with a
-// non-decreasing install point (the boot checkpoint sanitizes the
-// directory). The segment slots are one of each layout — laneSeg lands
-// in a per-lane file of generation 0 as older stores wrote them, seg in
-// the shared file of generation 2 — so the corpus covers a directory in
-// the old layout, in the new one, and the mix an upgrade passes through.
+// FuzzRecover: arbitrary bytes in the files of two consecutive
+// generations — two images and two segments, a slot left empty writing
+// no file — must never panic Open, and a successful Open must be
+// re-openable with a non-decreasing install point and no fewer verdicts
+// (the boot checkpoint sanitizes the directory). A non-empty fifth slot
+// writes a meta lineage, which only an older store layout holds: Open
+// must refuse that directory and leave every file in it as it was.
 func FuzzRecover(f *testing.F) {
-	// Seed with a real store's artifacts: the records of generation 0,
-	// then a checkpoint at 2, then the records of generation 2.
+	// Seed with a real store's two generations: sessions, commits and a
+	// verdict in generation 0; then commits, a shed hole (seq 4 never
+	// arrives), and the sessions and verdicts behind it in generation 1.
+	// The hole freezes the store, so Close cuts no third generation.
 	seedDir := f.TempDir()
 	s, _, err := Open(seedDir, nil, Options{})
 	if err != nil {
@@ -768,39 +911,52 @@ func FuzzRecover(f *testing.F) {
 	commit(s, 1, 0, 7, 1, action.Result{OK: true, Writes: []world.Write{write(1, 1)}})
 	commit(s, 2, 0, 7, 2, action.Result{OK: true, Writes: []world.Write{write(2, 2)}})
 	s.ClientQuarantined(5, 3, 2)
-	s.Sync()
-	seedGen0, _ := os.ReadFile(filepath.Join(seedDir, segmentName(0)))
 	s.Checkpoint()
 	commit(s, 3, 0, 7, 3, action.Result{OK: true, Writes: []world.Write{write(1, 3)}})
-	s.ClientQuarantined(6, 4, 3)
-	s.Sync()
-	seedGen2, _ := os.ReadFile(filepath.Join(seedDir, segmentName(2)))
-	seedSnap, _ := os.ReadFile(filepath.Join(seedDir, snapshotName(2)))
-	seedMeta, _ := os.ReadFile(filepath.Join(seedDir, metaName(2)))
+	commit(s, 5, 0, 7, 5, action.Result{OK: true, Writes: []world.Write{write(1, 5)}})
+	s.SessionOpen(8, 2, 0, 2, 5)
+	s.ClientQuarantined(6, 4, 5)
 	s.Close()
-	// A meta lineage an older store wrote: two reply-batch records and two
-	// sessions baked with their retained batches, which recovery skips.
-	legacyMeta, _ := os.ReadFile(filepath.Join(perLaneDir, metaName(6)))
-	if len(seedGen0) == 0 || len(seedGen2) == 0 || len(seedSnap) == 0 || len(seedMeta) == 0 || len(legacyMeta) == 0 {
-		f.Fatal("seed store left an artifact empty")
+	var seed [4][]byte
+	for i, name := range []string{snapshotName(0), segmentName(0), snapshotName(1), segmentName(1)} {
+		if seed[i], err = os.ReadFile(filepath.Join(seedDir, name)); err != nil || len(seed[i]) == 0 {
+			f.Fatalf("seed store left %s empty: %v", name, err)
+		}
 	}
-	f.Add(seedGen0, seedSnap, seedMeta, []byte{})                       // old layout
-	f.Add([]byte{}, []byte{}, []byte{}, []byte{})                       // nothing anywhere
-	f.Add([]byte{1, 2, 3}, []byte{0xFF}, []byte{0, 0, 0, 0}, []byte{9}) // garbage everywhere
-	f.Add([]byte{}, seedSnap, seedMeta, seedGen2)                       // new layout
-	f.Add(seedGen0, seedSnap, seedMeta, seedGen2)                       // an upgrade's mix
-	f.Add(seedGen2, []byte{}, seedMeta, seedGen0)                       // the same entries claimed by both, no snapshot
-	f.Add(seedGen0, seedSnap, legacyMeta, seedGen2)                     // an older store's meta lineage
+	img0, seg0, img1, seg1 := seed[0], seed[1], seed[2], seed[3]
+	f.Add(img0, seg0, img1, seg1, []byte{})                                       // the store as it was left
+	f.Add([]byte{}, []byte{}, []byte{}, []byte{}, []byte{})                       // nothing anywhere
+	f.Add([]byte{1, 2, 3}, []byte{0xFF}, []byte{0, 0, 0, 0}, []byte{9}, []byte{}) // garbage everywhere
+	f.Add(img0, seg0, img1[:len(img1)-1], seg1, []byte{})                         // a corrupt newest image
+	f.Add([]byte{}, []byte{}, img1, seg1, []byte{})                               // generation 0 collected
+	f.Add(img0, seg0, []byte{}, seg1, []byte{})                                   // a crash before image 1 was published
+	f.Add(img0, seg0, img1, seg1, []byte("meta"))                                 // an older store's meta lineage
+	f.Add(img0, seg0[:len(seg0)-3], []byte{}, seg1, []byte{})                     // a torn generation before an intact one
 
-	f.Fuzz(func(t *testing.T, laneSeg, snap, meta, seg []byte) {
+	f.Fuzz(func(t *testing.T, img0, seg0, img1, seg1, meta []byte) {
 		dir := t.TempDir()
-		os.WriteFile(filepath.Join(dir, laneSegmentName(0, 0)), laneSeg, 0o644)
-		os.WriteFile(filepath.Join(dir, snapshotName(2)), snap, 0o644)
-		os.WriteFile(filepath.Join(dir, metaName(2)), meta, 0o644)
-		os.WriteFile(filepath.Join(dir, segmentName(2)), seg, 0o644)
+		for name, raw := range map[string][]byte{
+			snapshotName(0): img0, segmentName(0): seg0,
+			snapshotName(1): img1, segmentName(1): seg1,
+			"meta-00000000000000000000.log": meta,
+		} {
+			if len(raw) > 0 {
+				os.WriteFile(filepath.Join(dir, name), raw, 0o644)
+			}
+		}
+		if len(meta) > 0 {
+			before := readFiles(t, dir)
+			if _, _, err := Open(dir, nil, Options{}); err == nil || !strings.Contains(err.Error(), "meta-00000000000000000000.log") {
+				t.Fatalf("Open of an older layout: %v, want a refusal naming its meta lineage", err)
+			}
+			if after := readFiles(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatal("a refused Open changed the directory")
+			}
+			return
+		}
 		st, rec, err := Open(dir, nil, Options{})
 		if err != nil {
-			return
+			t.Fatalf("open: %v", err)
 		}
 		if rec.State == nil {
 			t.Fatal("nil recovered state")
@@ -817,12 +973,28 @@ func FuzzRecover(f *testing.F) {
 			t.Fatalf("install point regressed: %d -> %d", upTo, rec2.Restore.UpTo)
 		}
 		// Quarantine verdicts only latch: the sanitizing open's boot
-		// checkpoint re-bakes whatever it recovered, so a reopen can
-		// never hold fewer verdicts.
+		// checkpoint bakes whatever it recovered, so a reopen can never
+		// hold fewer verdicts.
 		if len(rec2.Restore.Quarantined) < len(rec.Restore.Quarantined) {
 			t.Fatalf("quarantine set shrank across reopen: %d -> %d",
 				len(rec.Restore.Quarantined), len(rec2.Restore.Quarantined))
 		}
 		st2.Close()
 	})
+}
+
+// readFiles maps every file in dir to its bytes.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

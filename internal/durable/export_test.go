@@ -11,7 +11,7 @@ func WithGate(o Options, ch chan struct{}) Options {
 }
 
 // WithSteps returns o with fn told each checkpoint step as it finishes
-// ("cut", "snapshot", "publish", "syncdir", "gc"), on the goroutine cutting
+// ("cut", "publish", "syncdir", "gc"), on the goroutine cutting
 // the checkpoint.
 func WithSteps(o Options, fn func(step string)) Options {
 	o.testStep = fn

@@ -1,8 +1,7 @@
 package durable
 
-// WAL record formats. Every file in the store — the log segments,
-// the meta lineage, even the appended tail of a checkpointed meta — is
-// a sequence of framed records:
+// Record formats. Both files of a generation — its image and its
+// segment — are sequences of framed records:
 //
 //	len(4) crc(4) body
 //
@@ -11,31 +10,23 @@ package durable
 // the redo-log semantics the seed store already had. body[0] is the
 // record kind:
 //
-//	recCommit   one InstallContiguous pass's entries for one lane:
-//	            lane(4) epoch(8) nextBlind(4) count(4), then per entry
-//	            seq(8) origin(4) actSeq(4) ok(1) nwrites(4) writes
-//	recSession  a session mint or reset:
-//	            cid(4) token(8) mask(8) seqNo(8) stampFloor(8)
-//	recMetaHdr  meta lineage header:
-//	            boot(8) nextBlind(4) sessionSeq(8) upTo(8)
-//	recMetaSess a session baked into a checkpoint: the recSession
-//	            fields plus lastActSeq(4)
+//	recCommit     one install pass: nextBlind(4) count(4), then per
+//	              entry seq(8) origin(4) actSeq(4) ok(1) nwrites(4) writes
+//	recSession    a session mint or reset:
+//	              cid(4) token(8) mask(8) seqNo(8) stampFloor(8)
+//	recImage      an image's first record: the watermarks and the world,
+//	              boot(8) nextBlind(4) sessionSeq(8) upTo(8) then every
+//	              object as a write list, ids ascending
+//	recImageSess  a session baked into an image: the recSession fields
+//	              plus lastActSeq(4)
 //	recQuarantine an integrity quarantine verdict (DESIGN.md §16):
-//	            cid(4) reason(1) seq(8) — appended to the meta lineage
-//	            live and re-baked into it at every checkpoint, so a
-//	            cheater cannot launder its ledger through a restart
+//	              cid(4) reason(1) seq(8)
 //
-// The journal holds what the engine cannot recompute, and no replies.
-// Older stores also wrote kind 3, a reply batch entering a resume window,
-// and baked each session's lastSeq(8) and retained batches behind its
-// lastActSeq; recovery skips kind 3 like any unknown kind, and the
-// session decoder ignores whatever follows lastActSeq, so their
-// directories still recover.
-//
-// Writes inside commit entries and the snapshot-file body reuse the
-// seed encoding: id(8) nattr(2) attrs(8 each); snapshot files are
-// crc(4) then seq(8) count(4) objects, unchanged so pre-refactor
-// checkpoints still load.
+// A segment holds commit, session and quarantine records in the order
+// the engine emitted them; an image is one recImage followed by the
+// baked sessions and the verdicts. The journal holds what the engine
+// cannot recompute, and no replies. Writes, in commit entries and in
+// the image alike, use the seed encoding: id(8) nattr(2) attrs(8 each).
 
 import (
 	"encoding/binary"
@@ -52,8 +43,8 @@ import (
 const (
 	recCommit     = 1
 	recSession    = 2
-	recMetaHdr    = 4
-	recMetaSess   = 5
+	recImage      = 4
+	recImageSess  = 5
 	recQuarantine = 6
 )
 
@@ -63,7 +54,7 @@ const frameHdrLen = 8
 // sealRecord fills the length/CRC frame of the record starting at
 // offset start in buf (its body was appended after frameHdrLen
 // reserved bytes there). Records may be appended back to back into one
-// buffer — the meta lineage is written that way.
+// buffer — an image is written that way.
 func sealRecord(buf []byte, start int) []byte {
 	body := buf[start+frameHdrLen:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(body)))
@@ -72,8 +63,8 @@ func sealRecord(buf []byte, start int) []byte {
 }
 
 // scanRecords walks the framed records in raw, calling fn with each
-// intact body. It stops at the first torn or corrupt record (or when
-// fn returns false) and reports whether the whole input was intact.
+// intact body. It stops at the first torn or corrupt record, or when fn
+// returns false, and reports whether it walked the whole input.
 func scanRecords(raw []byte, fn func(body []byte) bool) bool {
 	for len(raw) > 0 {
 		if len(raw) < frameHdrLen {
@@ -89,34 +80,30 @@ func scanRecords(raw []byte, fn func(body []byte) bool) bool {
 			return false // corruption: stop at the intact prefix
 		}
 		if !fn(body) {
-			return true
+			return false
 		}
 		raw = raw[frameHdrLen+n:]
 	}
 	return true
 }
 
-// appendWriteList appends the seed write encoding: nwrites(4) then
-// id(8) nattr(2) attrs(8 each) per write.
-func appendWriteList(buf []byte, ws []world.Write) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ws)))
-	for _, w := range ws {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(w.ID))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w.Val)))
-		for _, f := range w.Val {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
+// appendWrite appends one write in the seed encoding: id(8) nattr(2)
+// attrs(8 each).
+func appendWrite(buf []byte, id world.ObjectID, val world.Value) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(val)))
+	for _, f := range val {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	return buf
 }
 
-// writeArena is the storage the decoded writes of a run of commit
-// records share: the write records in one growing array, their
-// attributes in another, so decoding costs no allocation per write once
-// the arrays have grown. The committer resets it after every install
-// pass — the shadow copies what it installs — and recovery, which keeps
-// the entries it decodes, never does. A slice handed out stays valid
-// when the array behind it is outgrown; it merely stops being shared.
+// writeArena is the storage the decoded writes of a record share: the
+// write records in one growing array, their attributes in another, so
+// decoding costs no allocation per write once the arrays have grown. It
+// is reset after every record — the shadow copies what it installs. A
+// slice handed out stays valid when the array behind it is outgrown; it
+// merely stops being shared.
 type writeArena struct {
 	writes []world.Write
 	vals   []float64
@@ -127,8 +114,9 @@ func (a *writeArena) reset() {
 	a.writes, a.vals = a.writes[:0], a.vals[:0]
 }
 
-// decodeWriteList decodes appendWriteList's output from body[off:] into
-// arena storage, returning the writes and the offset past them.
+// decodeWriteList decodes a write count(4) and that many writes from
+// body[off:] into arena storage, returning the writes and the offset
+// past them.
 func decodeWriteList(body []byte, off int, a *writeArena) ([]world.Write, int, error) {
 	if len(body) < off+4 {
 		return nil, 0, io.ErrUnexpectedEOF
@@ -156,25 +144,16 @@ func decodeWriteList(body []byte, off int, a *writeArena) ([]world.Write, int, e
 	return a.writes[first:len(a.writes):len(a.writes)], off, nil
 }
 
-// appendCommitRecord encodes one lane's slice of a commit group. pick
-// selects which of recs belong to this record (the caller partitions a
-// group by lane); entries keep their serial order.
-func appendCommitRecord(buf []byte, lane int32, epoch uint64, nextBlind uint32, recs []core.CommitRecord, pick func(*core.CommitRecord) bool) []byte {
+// appendCommitRecord encodes one install pass, its entries in serial
+// order.
+func appendCommitRecord(buf []byte, nextBlind uint32, recs []core.CommitRecord) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, frameHdrLen)...)
 	buf = append(buf, recCommit)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lane))
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	buf = binary.LittleEndian.AppendUint32(buf, nextBlind)
-	countAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	n := uint32(0)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
 	for i := range recs {
 		r := &recs[i]
-		if !pick(r) {
-			continue
-		}
-		n++
 		buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Origin))
 		buf = binary.LittleEndian.AppendUint32(buf, r.ActSeq)
@@ -183,9 +162,11 @@ func appendCommitRecord(buf []byte, lane int32, epoch uint64, nextBlind uint32, 
 		} else {
 			buf = append(buf, 0)
 		}
-		buf = appendWriteList(buf, r.Res.Writes)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Res.Writes)))
+		for _, w := range r.Res.Writes {
+			buf = appendWrite(buf, w.ID, w.Val)
+		}
 	}
-	binary.LittleEndian.PutUint32(buf[countAt:], n)
 	return sealRecord(buf, start)
 }
 
@@ -198,30 +179,18 @@ type walEntry struct {
 	writes []world.Write
 }
 
-// walGroup is one decoded recCommit record.
-type walGroup struct {
-	lane      int32
-	epoch     uint64
-	nextBlind uint32
-	entries   []walEntry
-}
-
-// decodeCommitRecord decodes one recCommit body. The entries are
-// appended to into (the committer assembles an install pass from its
-// lanes' records that way) and their writes live in a.
-func decodeCommitRecord(body []byte, a *writeArena, into []walEntry) (walGroup, error) {
-	g := walGroup{entries: into}
-	if len(body) < 21 || body[0] != recCommit {
-		return g, fmt.Errorf("durable: malformed commit record")
+// decodeCommitRecord decodes one recCommit body: the blind-write
+// high-water mark and the entries, appended to into, their writes in a.
+func decodeCommitRecord(body []byte, a *writeArena, into []walEntry) (uint32, []walEntry, error) {
+	if len(body) < 9 || body[0] != recCommit {
+		return 0, into, fmt.Errorf("durable: malformed commit record")
 	}
-	g.lane = int32(binary.LittleEndian.Uint32(body[1:]))
-	g.epoch = binary.LittleEndian.Uint64(body[5:])
-	g.nextBlind = binary.LittleEndian.Uint32(body[13:])
-	n := int(binary.LittleEndian.Uint32(body[17:]))
-	off := 21
+	nextBlind := binary.LittleEndian.Uint32(body[1:])
+	n := int(binary.LittleEndian.Uint32(body[5:]))
+	off := 9
 	for i := 0; i < n; i++ {
 		if len(body) < off+17 {
-			return g, io.ErrUnexpectedEOF
+			return 0, into, io.ErrUnexpectedEOF
 		}
 		e := walEntry{
 			seq:    binary.LittleEndian.Uint64(body[off:]),
@@ -233,11 +202,11 @@ func decodeCommitRecord(body []byte, a *writeArena, into []walEntry) (walGroup, 
 		var err error
 		e.writes, off, err = decodeWriteList(body, off, a)
 		if err != nil {
-			return g, err
+			return 0, into, err
 		}
-		g.entries = append(g.entries, e)
+		into = append(into, e)
 	}
-	return g, nil
+	return nextBlind, into, nil
 }
 
 // walSession is a decoded recSession record.
@@ -311,128 +280,67 @@ func decodeQuarantineRecord(body []byte) (walQuarantine, error) {
 	}, nil
 }
 
-// metaHdrLen is the framed size of a recMetaHdr record.
-const metaHdrLen = frameHdrLen + 1 + 8 + 4 + 8 + 8
+// imageHdrLen is the framed size of a recImage record before its
+// objects.
+const imageHdrLen = frameHdrLen + 1 + 8 + 4 + 8 + 8 + 4
 
-// walMetaHdr is a decoded recMetaHdr record.
-type walMetaHdr struct {
-	boot       uint64
-	nextBlind  uint32
-	sessionSeq uint64
-	upTo       uint64
-}
+// imageSessLen is the framed size of a recImageSess record.
+const imageSessLen = frameHdrLen + 1 + 36 + 4
 
-func appendMetaHdr(buf []byte, h walMetaHdr) []byte {
+// appendImageRecord appends sh's recImage record: its watermarks, then
+// the objects ids names, ascending.
+func appendImageRecord(buf []byte, sh *shadow, ids world.IDSet) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, frameHdrLen)...)
-	buf = append(buf, recMetaHdr)
-	buf = binary.LittleEndian.AppendUint64(buf, h.boot)
-	buf = binary.LittleEndian.AppendUint32(buf, h.nextBlind)
-	buf = binary.LittleEndian.AppendUint64(buf, h.sessionSeq)
-	buf = binary.LittleEndian.AppendUint64(buf, h.upTo)
-	return sealRecord(buf, start)
-}
-
-func decodeMetaHdr(body []byte) (walMetaHdr, error) {
-	if len(body) < 29 || body[0] != recMetaHdr {
-		return walMetaHdr{}, fmt.Errorf("durable: malformed meta header")
-	}
-	return walMetaHdr{
-		boot:       binary.LittleEndian.Uint64(body[1:]),
-		nextBlind:  binary.LittleEndian.Uint32(body[9:]),
-		sessionSeq: binary.LittleEndian.Uint64(body[13:]),
-		upTo:       binary.LittleEndian.Uint64(body[21:]),
-	}, nil
-}
-
-// walMetaSess is a decoded recMetaSess record: a session baked at a
-// checkpoint.
-type walMetaSess struct {
-	walSession
-	lastActSeq uint32
-}
-
-// metaSessLen is the framed size of a recMetaSess record.
-const metaSessLen = frameHdrLen + 1 + 36 + 4
-
-func appendMetaSess(buf []byte, s walSession, lastActSeq uint32) []byte {
-	start := len(buf)
-	buf = append(buf, make([]byte, frameHdrLen)...)
-	buf = append(buf, recMetaSess)
-	buf = appendSessionFields(buf, s)
-	buf = binary.LittleEndian.AppendUint32(buf, lastActSeq)
-	return sealRecord(buf, start)
-}
-
-// decodeMetaSess reads the session fields and lastActSeq; what an older
-// store baked behind them is ignored.
-func decodeMetaSess(body []byte) (walMetaSess, error) {
-	var m walMetaSess
-	if len(body) < 1 || body[0] != recMetaSess {
-		return m, fmt.Errorf("durable: malformed meta session")
-	}
-	var err error
-	var off int
-	m.walSession, off, err = decodeSessionFields(body, 1)
-	if err != nil {
-		return m, err
-	}
-	if len(body) < off+4 {
-		return m, io.ErrUnexpectedEOF
-	}
-	m.lastActSeq = binary.LittleEndian.Uint32(body[off:])
-	return m, nil
-}
-
-// encodeSnapshot flattens a state into a snapshot file: crc(4) over the
-// body, then the body in the seed format, kept verbatim — seq(8)
-// count(4) then id(8) nattr(2) attrs per object, ids ascending.
-func encodeSnapshot(seq uint64, st *world.State) []byte {
-	ids := st.IDs()
-	size := 4 + 12
-	for _, id := range ids {
-		v, _ := st.Get(id)
-		size += 10 + 8*len(v)
-	}
-	buf := make([]byte, 4, size)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
+	buf = append(buf, recImage)
+	buf = binary.LittleEndian.AppendUint64(buf, sh.boot)
+	buf = binary.LittleEndian.AppendUint32(buf, sh.nextBlind)
+	buf = binary.LittleEndian.AppendUint64(buf, sh.sessionSeq)
+	buf = binary.LittleEndian.AppendUint64(buf, sh.applied)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
 	for _, id := range ids {
-		v, _ := st.Get(id)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v)))
-		for _, f := range v {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
+		v, _ := sh.state.Get(id)
+		buf = appendWrite(buf, id, v)
 	}
-	binary.LittleEndian.PutUint32(buf, crc32.ChecksumIEEE(buf[4:]))
-	return buf
+	return sealRecord(buf, start)
 }
 
-func decodeState(body []byte) (uint64, *world.State, error) {
-	if len(body) < 12 {
-		return 0, nil, io.ErrUnexpectedEOF
+// decodeImageRecord decodes a recImage body into a fresh shadow.
+func decodeImageRecord(body []byte) (*shadow, error) {
+	if len(body) < imageHdrLen-frameHdrLen || body[0] != recImage {
+		return nil, fmt.Errorf("durable: malformed image")
 	}
-	seq := binary.LittleEndian.Uint64(body)
-	n := int(binary.LittleEndian.Uint32(body[8:]))
-	st := world.NewState()
-	off := 12
-	for i := 0; i < n; i++ {
-		if len(body) < off+10 {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		id := world.ObjectID(binary.LittleEndian.Uint64(body[off:]))
-		attrs := int(binary.LittleEndian.Uint16(body[off+8:]))
-		off += 10
-		if len(body) < off+8*attrs {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		val := make(world.Value, attrs)
-		for j := range val {
-			val[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[off+8*j:]))
-		}
-		off += 8 * attrs
-		st.Set(id, val)
+	sh := newShadow()
+	sh.boot = binary.LittleEndian.Uint64(body[1:])
+	sh.nextBlind = binary.LittleEndian.Uint32(body[9:])
+	sh.sessionSeq = binary.LittleEndian.Uint64(body[13:])
+	sh.applied = binary.LittleEndian.Uint64(body[21:])
+	ws, _, err := decodeWriteList(body, 29, &sh.arena)
+	if err != nil {
+		return nil, err
 	}
-	return seq, st, nil
+	for _, w := range ws {
+		sh.state.Set(w.ID, w.Val)
+	}
+	sh.arena.reset()
+	return sh, nil
+}
+
+func appendImageSess(buf []byte, s shadowSession) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, frameHdrLen)...)
+	buf = append(buf, recImageSess)
+	buf = appendSessionFields(buf, s.walSession)
+	buf = binary.LittleEndian.AppendUint32(buf, s.lastActSeq)
+	return sealRecord(buf, start)
+}
+
+func decodeImageSess(body []byte) (shadowSession, error) {
+	var s shadowSession
+	if len(body) < imageSessLen-frameHdrLen || body[0] != recImageSess {
+		return s, fmt.Errorf("durable: malformed image session")
+	}
+	s.walSession, _, _ = decodeSessionFields(body, 1)
+	s.lastActSeq = binary.LittleEndian.Uint32(body[37:])
+	return s, nil
 }

@@ -145,7 +145,7 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 
 	// Kill. Sync flushes the committer queue so the image is the exact
 	// journal of the installed prefix; the copy — not Close — is the
-	// crash: no shutdown checkpoint, the meta lineage stays stale and
+	// crash: no shutdown checkpoint, the newest image stays stale and
 	// recovery must replay the wal tail.
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 	// the reopened store. The server's death severed every connection —
 	// uplink generations burn, downlink frames die on the removed nodes.
 	eng2 := shard.NewEngine(churnConfig(shards), rec2.State)
-	eng2.(core.Restorer).Restore(rec2.Restore)
+	eng2.Restore(rec2.Restore)
 	eng2.SetJournal(store2)
 	for _, cid := range h.order {
 		cl := h.clients[cid]

@@ -769,9 +769,8 @@ func (r *Router) RouterMetrics() metrics.RouterStats {
 }
 
 // SetJournal registers the durable commit feed on the shared engine.
-// Install passes flushed by the router produce one CommitGroup each,
-// carrying the owner lane of every record. The lane workers call no
-// journal method (see core.Journal).
+// Install passes flushed by the router produce one CommitGroup each.
+// The lane workers call no journal method (see core.Journal).
 func (r *Router) SetJournal(j core.Journal) { r.inner.SetJournal(j) }
 
 // Restore rewinds the router's shared engine to a recovered durable
@@ -788,5 +787,4 @@ var (
 	_ core.Flusher    = (*Router)(nil)
 	_ core.Resumer    = (*Router)(nil)
 	_ core.Superseder = (*Router)(nil)
-	_ core.Restorer   = (*Router)(nil)
 )

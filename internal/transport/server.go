@@ -50,7 +50,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 	// Durable, when non-nil, is the durability pipeline from
 	// durable.Open: the engine's commit feed is journaled through it
-	// (group commit, per-lane segments, epoch checkpoints — the
+	// (group commit, one segment per generation, epoch checkpoints — the
 	// Section II "commit at periodic checkpoints" layer, now entirely
 	// off the engine's hot loop). Pair it with Recovery from the same
 	// Open so the engine resumes against the journal.
@@ -156,12 +156,10 @@ func NewServer(cfg ServerConfig) *Server {
 		conns:   make(map[net.Conn]struct{}),
 	}
 	if cfg.Recovery != nil {
-		if r, ok := s.engine.(core.Restorer); ok {
-			// Rewind the watermarks and session table to the recovered
-			// point: crash-restart = the server resumes against itself.
-			r.Restore(cfg.Recovery.Restore)
-			s.boot = r.Boot()
-		}
+		// Rewind the watermarks and session table to the recovered point:
+		// crash-restart = the server resumes against itself.
+		s.engine.Restore(cfg.Recovery.Restore)
+		s.boot = s.engine.Boot()
 	}
 	if cfg.Durable != nil {
 		s.engine.SetJournal(cfg.Durable)

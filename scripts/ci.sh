@@ -72,14 +72,15 @@
 # status the coordinating process does not read (wiretest.Main).
 #
 # The fuzz passes keep Decode honest against hostile frames, recovery
-# against hostile store directories in either segment layout, and the
-# entry grid against hostile coordinates and radii, beyond the checked-in
+# against hostile store directories (two generations' images and
+# segments, and an older layout's meta lineage, which Open must refuse
+# untouched), and the entry grid against hostile coordinates and radii, beyond the checked-in
 # corpora; the benchmark smokes run the whole action
 # journey on all five workloads — the benchmark is the repository's only
 # meter, so its per-pass correctness gate guards each of them — and no
 # timing is read; the coverage gate keeps the protocol engine, the
-# reconnect-capable transport and the shard router (which owns lane
-# placement) from losing test reach as they grow
+# reconnect-capable transport, the shard router (which owns lane
+# placement) and the durable store from losing test reach as they grow
 # (baselines sit a little under the measured coverage so legitimate
 # refactors don't trip on noise).
 set -eu
@@ -112,8 +113,8 @@ done
 echo "bench smokes: all five workloads pass their gates"
 
 # Coverage gate: statement coverage of the packages the resume protocol
-# cuts through, of the integrity layer and of the shard router must not
-# regress below the floor.
+# cuts through, of the integrity layer, of the shard router and of the
+# durable store must not regress below the floor.
 cover_gate() {
     pkg="$1"
     floor="$2"
@@ -131,3 +132,4 @@ cover_gate ./internal/core 90
 cover_gate ./internal/transport 75
 cover_gate ./internal/integrity 90
 cover_gate ./internal/shard 88
+cover_gate ./internal/durable 85
