@@ -46,9 +46,6 @@ func (s *OwnershipServer) RegisterClient(id action.ClientID) {
 	s.clients = append(s.clients, id)
 }
 
-// Owner reports the owner of an object (0 = unowned).
-func (s *OwnershipServer) Owner(id world.ObjectID) action.ClientID { return s.owner[id] }
-
 // Rejected reports updates refused because the sender did not own every
 // written object.
 func (s *OwnershipServer) Rejected() int { return s.rejected }

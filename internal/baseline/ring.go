@@ -26,7 +26,6 @@ type RingServer struct {
 
 	log           []action.Envelope
 	recordHistory bool
-	forwarded     int
 	suppressed    int
 }
 
@@ -48,10 +47,8 @@ func (s *RingServer) RegisterClient(id action.ClientID) {
 // History returns the stamped envelopes in order, when recording.
 func (s *RingServer) History() []action.Envelope { return s.log }
 
-// Forwarded reports action deliveries sent; Suppressed reports deliveries
-// skipped by the visibility filter. Their ratio is what makes RING cheap
-// — and inconsistent.
-func (s *RingServer) Forwarded() int  { return s.forwarded }
+// Suppressed reports deliveries skipped by the visibility filter — what
+// makes RING cheap, and inconsistent.
 func (s *RingServer) Suppressed() int { return s.suppressed }
 
 // HandleSubmit stamps the action and forwards it to the origin plus every
@@ -84,7 +81,6 @@ func (s *RingServer) HandleSubmit(from action.ClientID, m *wire.Submit) Output {
 			s.suppressed++
 			continue
 		}
-		s.forwarded++
 		out.Replies = append(out.Replies, core.Reply{
 			To:  cid,
 			Msg: &wire.Batch{Envs: []action.Envelope{env}},

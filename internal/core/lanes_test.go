@@ -14,8 +14,9 @@ import (
 // drives: a miniature two-lane pipeline runs Lane.Stamp/SealStamp/
 // Lane.Plan/PreCommit/Lane.Commit/SealCommit — over lane handles with the
 // starred phases on one goroutine per lane, so `go test -race` patrols
-// the lane-affinity claims, and over the global handle — and every byte
-// is compared against a sequential server fed the same effective order.
+// the lane-affinity claims, and for fallback epochs one job at a time
+// through SubmitPrepared — and every byte is compared against a
+// sequential server fed the same effective order.
 // The full router pipeline is exercised end to end in internal/shard;
 // these tests pin the core-side contract in isolation.
 
@@ -75,7 +76,7 @@ func (ps *pipeSide) submit(from action.ClientID, a *testAction, lane int) pipeSu
 }
 
 // parExec fans tasks out on real goroutines — the executor shape the
-// shard router injects for segment-parallel installs and push planning.
+// shard router injects for push planning.
 func parExec(tasks []func()) {
 	var wg sync.WaitGroup
 	for _, task := range tasks {
@@ -89,7 +90,7 @@ func parExec(tasks []func()) {
 }
 
 // installBuffered is the epoch head: buffered completions apply, then
-// the contiguous prefix installs with segment-parallel writes.
+// the contiguous prefix installs.
 func (ps *pipeSide) installBuffered(t *testing.T) {
 	t.Helper()
 	for _, fm := range ps.comps {
@@ -100,7 +101,7 @@ func (ps *pipeSide) installBuffered(t *testing.T) {
 		ps.srv.TakeCompletion(fm.from, m)
 	}
 	ps.comps = ps.comps[:0]
-	ps.srv.InstallContiguous(parExec)
+	ps.srv.InstallContiguous()
 }
 
 // laneEpoch runs one partitioned epoch over subs (already in merge
@@ -169,46 +170,18 @@ func (ps *pipeSide) laneEpoch(t *testing.T, nLanes int, subs []pipeSub) ServerOu
 	return out
 }
 
-// globalEpoch runs one epoch with every job on the global view (-1) —
-// the router's fallback epoch, and with one job its cross-shard entry:
-// the same six phases, the stamp one sequential task in merge order —
-// with the lanes recorded so accepted entries still mirror into their
-// segments at the seal.
+// globalEpoch runs one epoch the way the router runs a fallback epoch
+// (and, with one job, its cross-shard entry): each job through
+// SubmitPrepared in merge order, with its lane recorded so an accepted
+// entry still mirrors into its segment at the seal.
 func (ps *pipeSide) globalEpoch(t *testing.T, subs []pipeSub) ServerOutput {
 	t.Helper()
 	ps.installBuffered(t)
 	var out ServerOutput
-	pend := make([]*Pending, len(subs))
-	for i, sub := range subs {
-		pend[i] = ps.srv.PrepareSubmit(sub.from, sub.msg, 0)
-		pend[i].SetLane(sub.lane)
-	}
-	ps.srv.global.Stamp(pend)
-	plans := make([]ReplyPlan, len(pend))
-	for i, p := range pend {
-		if !ps.srv.SealStamp(p, &out) {
-			pend[i] = nil
-		}
-	}
-	for i, p := range pend {
-		if p != nil {
-			plans[i] = ps.srv.global.Plan(p, nil)
-		}
-	}
-	for i, p := range pend {
-		if p != nil {
-			ps.srv.PreCommit(p, &plans[i])
-		}
-	}
-	for i, p := range pend {
-		if p != nil {
-			ps.srv.global.Commit(p, &plans[i])
-		}
-	}
-	for i, p := range pend {
-		if p != nil {
-			ps.srv.SealCommit(p, &plans[i], &out)
-		}
+	for _, sub := range subs {
+		p := ps.srv.PrepareSubmit(sub.from, sub.msg, 0)
+		p.SetLane(sub.lane)
+		ps.srv.SubmitPrepared(p, &out)
 	}
 	return out
 }
@@ -254,7 +227,7 @@ func TestLanePipelineMatchesSequential(t *testing.T) {
 				t.Fatal("EnablePartition did not partition")
 			}
 			for lane := 0; lane < nLanes; lane++ {
-				par.lanes = append(par.lanes, par.srv.Lane(lane, lane))
+				par.lanes = append(par.lanes, par.srv.Lane(lane))
 			}
 			seq := newPipeSide(cfg, init, 5)
 			par.srv.pushWidth, seq.srv.pushWidth = 2, 2
@@ -463,7 +436,7 @@ func TestLaneRefusesForeignPending(t *testing.T) {
 	init := initWorld(4)
 	s := NewServer(cfg, init)
 	s.EnablePartition(2)
-	lanes := []*Lane{s.Lane(0, 0), s.Lane(1, 1)}
+	lanes := []*Lane{s.Lane(0), s.Lane(1)}
 	var out ServerOutput
 	stamp := func(from action.ClientID, obj world.ObjectID, lane int) *Pending {
 		c := NewClient(from, cfg, init)

@@ -30,12 +30,12 @@ import (
 // lane, lane-local arrival).
 //
 // HandleSubmit is the one-job epoch on the global view (SubmitPrepared).
-// The shard router (shard/router.go) runs many-job epochs: with every
-// live queue entry lane-owned, one view per lane and the starred phases
-// on parallel lane workers; while a spanning ("bridge") entry is live,
-// every job on the global view with stamp and commit as one sequential
-// task. Either way the observable outputs are byte-identical to
-// submitting the jobs one by one in merge order (TestShardedEquivalence,
+// The shard router (shard/router.go) runs many-job epochs with every
+// live queue entry lane-owned: one view per lane and the starred phases
+// on parallel lane workers. While a spanning ("bridge") entry is live it
+// runs each job through SubmitPrepared instead, in merge order. Either
+// way the observable outputs are byte-identical to submitting the jobs
+// one by one in merge order (TestShardedEquivalence,
 // TestLanePipelineMatchesSequential).
 //
 // A partitioned engine (EnablePartition) mirrors the uncommitted queue
@@ -43,7 +43,7 @@ import (
 // global queue under its global Seq and in its owner lane's segment
 // under a lane-local laneSeq. Because the router's routing guarantees a
 // lane-local action's whole footprint is owned by one lane, and because
-// the router stamps on the global view while any bridge is live, an
+// the router submits on the global view while any bridge is live, an
 // analysis walk seeded in lane L can never leave L's segment — the lane
 // view visits exactly the entries the global view would have acted on,
 // in the same relative order, so closures, validity chains, and blind
@@ -119,8 +119,8 @@ type shared struct {
 }
 
 // Lane is the handle the starred phases run on. Distinct lanes' handles
-// touch disjoint state and may run on parallel workers; handles on the
-// global view must run one at a time.
+// touch disjoint state and may run on parallel workers; the global
+// view's handle is SubmitPrepared's.
 type Lane struct {
 	*shared
 	view int
@@ -129,14 +129,15 @@ type Lane struct {
 }
 
 // Lane returns the handle on view (a lane, or −1 for the global queue)
-// with worker w's walk scratch. It grows the scratch pool, so handles are
-// built once on the engine goroutine and reused.
-func (s *Server) Lane(view, w int) *Lane {
+// with its own walk scratch (the global view shares the sequential
+// paths' scratch). It grows the scratch pool, so handles are built once
+// on the engine goroutine and reused.
+func (s *Server) Lane(view int) *Lane {
 	g := &s.segment
 	if view >= 0 {
 		g = &s.lanes[view]
 	}
-	return &Lane{shared: &s.shared, view: view, seg: g, sc: s.scratchFor(w)}
+	return &Lane{shared: &s.shared, view: view, seg: g, sc: s.scratchFor(max(view, 0))}
 }
 
 // own panics unless p was stamped on l's view: p.pos indexes that view's
@@ -181,11 +182,10 @@ func (s *Server) InternedObjects() int { return s.intern.Len() }
 // ObjectIDOf returns the sparse ObjectID behind dense index o.
 func (s *Server) ObjectIDOf(o uint32) world.ObjectID { return s.intern.ID(o) }
 
-// EnablePartition mirrors engine state into n per-lane segments and
-// partitions ζS for segment-parallel installs. The shard router calls
-// it once at construction, before any submission; it requires an empty
-// queue and an incomplete-world mode (ModeBasic keeps no queue to
-// partition).
+// EnablePartition mirrors the uncommitted queue into n per-lane
+// segments. The shard router calls it once at construction, before any
+// submission; it requires an empty queue and an incomplete-world mode
+// (ModeBasic keeps no queue to partition).
 func (s *Server) EnablePartition(n int) {
 	if n < 2 || s.cfg.Mode < ModeIncomplete {
 		return
@@ -194,7 +194,6 @@ func (s *Server) EnablePartition(n int) {
 		panic("core: EnablePartition on a non-empty queue")
 	}
 	s.lanes = make([]segment, n)
-	s.zs.Partition(n)
 	s.growWriters()
 }
 
@@ -256,10 +255,8 @@ func (s *Server) SubmitPrepared(p *Pending, out *ServerOutput) bool {
 // On a lane view it may run on that lane's worker, concurrently with
 // other lanes: it requires every pending's footprint to be owned by the
 // lane and every submitting client to be pinned to it for the epoch. On
-// the global view (-1) it assigns the global Seq itself, so it is one
-// sequential task over all of an epoch's pendings in merge order — each
-// sees the ones before it enqueued, exactly as if they had been
-// submitted one by one.
+// the global view (-1) it assigns the global Seq itself; SubmitPrepared
+// runs it there one pending at a time.
 func (l *Lane) Stamp(ps []*Pending) {
 	g := l.seg
 	for _, p := range ps {
@@ -345,10 +342,10 @@ func (s *shared) boundsCheck(p *Pending) integrity.Violation {
 // merge order on the sequential path: counters, walk stats, the Drop
 // reply, and history; for a lane-stamped pending the global Seq and the
 // global queue/index, for a globally stamped one the mirror into its
-// owner lane's segment (keeping the segments complete across global
-// epochs — spanning entries, lane < 0, have no segment and are exactly
-// the bridges that keep epochs global while live). It reports whether a
-// reply plan is owed.
+// owner lane's segment (keeping the segments complete across
+// SubmitPrepared calls — spanning entries, lane < 0, have no segment and
+// are exactly the bridges that keep the router's epochs sequential while
+// live). It reports whether a reply plan is owed.
 func (s *Server) SealStamp(p *Pending, out *ServerOutput) bool {
 	s.stats.TotalSubmitted++
 	if p.dup {
@@ -528,8 +525,8 @@ func (s *Server) mintBlind(plan *ReplyPlan) action.ID {
 // marks, envelope assembly around the PreCommit-minted blind id, and the
 // per-client batch sequence (the submitting client is lane-pinned, so
 // sequence/retainBatch are lane-affine). The reply is staged for
-// SealCommit to emit in merge order. Commits over the global view must
-// run sequentially: two jobs' batches may carry the same entry.
+// SealCommit to emit in merge order. On the global view only
+// SubmitPrepared commits, one job at a time.
 func (l *Lane) Commit(p *Pending, plan *ReplyPlan) {
 	l.own(p)
 	v := l.seg.view()

@@ -41,8 +41,8 @@ type Server struct {
 	lanes []segment
 
 	// scratch pools the per-walk state; scratch[0] serves the sequential
-	// paths and scratch[w] serves push worker w. global is the handle
-	// SubmitPrepared runs its one-job epochs through.
+	// paths and scratch[w] serves push worker w and lane w's handle.
+	// global is the handle SubmitPrepared runs its one-job epochs through.
 	scratch []*closureScratch
 	global  *Lane
 	// tickWindow (pushWindow's queue positions), grid (the entry grid
@@ -110,11 +110,6 @@ type Server struct {
 	// planExec, when set, runs read-only planning fan-outs on the
 	// caller's worker pool instead of ad-hoc goroutines (SetPlanExecutor).
 	planExec func(tasks []func())
-
-	// installBySeg and installTasks are applyWrites' reusable fan-out
-	// scratch: per-segment write groups and their apply closures.
-	installBySeg [][]world.Write
-	installTasks []func()
 
 	// quarOut stages the quarantine verdicts DrainQuarantines emits in
 	// effective-log order (DESIGN.md §16).
@@ -309,7 +304,7 @@ func NewServer(cfg Config, init *world.State) *Server {
 		recs:   make(map[action.ClientID]*clientRec),
 		tokens: make(map[uint64]*clientRec),
 	}
-	s.global = s.Lane(-1, 0)
+	s.global = s.Lane(-1)
 	return s
 }
 
@@ -413,7 +408,7 @@ func (s *Server) HandleCompletion(from action.ClientID, m *wire.Completion) Serv
 		return ServerOutput{} // no authoritative state to maintain
 	}
 	s.TakeCompletion(from, m)
-	s.InstallContiguous(nil)
+	s.InstallContiguous()
 	var out ServerOutput
 	s.DrainQuarantines(&out)
 	return out
@@ -508,24 +503,18 @@ func (s *Server) holdForRepair(e *entry, from *clientRec, m *wire.Completion) {
 }
 
 // InstallContiguous installs the contiguous prefix of the queue whose
-// results are held: write application into ζS, then the in-order
-// per-action bookkeeping (watermark, journal group, recent-result
-// window, index pruning, lane pops). exec, when non-nil, may run the
-// supplied closures concurrently and must return only when all have
-// finished; it is used to apply the writes of a large install batch per
-// ζS segment in parallel. The closures partition the writes by segment,
-// so they touch disjoint state; per-object write order (queue order)
-// is preserved within each segment, making the final values — and
-// every later observable — identical to the sequential cascade.
-func (s *Server) InstallContiguous(exec func(tasks []func())) {
+// results are held: write application into ζS in queue order, then the
+// in-order per-action bookkeeping (watermark, journal group,
+// recent-result window, index pruning, lane pops).
+func (s *Server) InstallContiguous() {
 	// An audit inside a pass may quarantine an origin and self-complete
 	// its abandoned positions at the queue head, unblocking a further
 	// contiguous run — keep passing until nothing more installs.
-	for s.installContiguousPass(exec) {
+	for s.installContiguousPass() {
 	}
 }
 
-func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
+func (s *Server) installContiguousPass() bool {
 	n := 0
 	for n < len(s.queue) && s.queue[n].held {
 		n++
@@ -555,7 +544,7 @@ func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 			s.auditEntry(s.queue[off])
 			k = off + 1
 		}
-		s.installSegment(s.queue[off:k], exec)
+		s.installSegment(s.queue[off:k])
 		off = k
 	}
 	s.pop(n)
@@ -566,11 +555,17 @@ func (s *Server) installContiguousPass(exec func(tasks []func())) bool {
 // application into ζS, the journal group, then the in-order per-action
 // bookkeeping. Segment boundaries exist only at audit barriers, so with
 // auditing quiet this is the whole prefix in one group.
-func (s *Server) installSegment(batch []*entry, exec func(tasks []func())) {
+func (s *Server) installSegment(batch []*entry) {
 	if len(batch) == 0 {
 		return
 	}
-	s.applyWrites(batch, exec)
+	for _, e := range batch {
+		if e.res.OK {
+			for _, w := range e.res.Writes {
+				s.zs.Set(w.ID, w.Val)
+			}
+		}
+	}
 
 	// One install segment = one journal group: the grouped record
 	// carries the run in serial order, so durability preserves exactly
@@ -629,54 +624,6 @@ func (s *Server) auditEntry(e *entry) {
 	}
 	e.res = got
 	s.stats.RepairedResults++
-}
-
-// applyWrites installs the accepted writes of an install batch into ζS.
-// With an executor and a partitioned store, writes are grouped by ζS
-// segment and each segment's run applies on its own task; otherwise the
-// batch applies inline in queue order.
-func (s *Server) applyWrites(batch []*entry, exec func(tasks []func())) {
-	segs := s.zs.Segments()
-	if exec == nil || segs < 2 {
-		for _, e := range batch {
-			if e.res.OK {
-				for _, w := range e.res.Writes {
-					s.zs.Set(w.ID, w.Val)
-				}
-			}
-		}
-		return
-	}
-	for len(s.installBySeg) < segs {
-		s.installBySeg = append(s.installBySeg, nil)
-	}
-	bySeg := s.installBySeg[:segs]
-	for _, e := range batch {
-		if e.res.OK {
-			for _, w := range e.res.Writes {
-				g := s.zs.SegmentOf(w.ID)
-				bySeg[g] = append(bySeg[g], w)
-			}
-		}
-	}
-	tasks := s.installTasks[:0]
-	for g, ws := range bySeg {
-		if len(ws) == 0 {
-			continue
-		}
-		ws := ws
-		tasks = append(tasks, func() {
-			for _, w := range ws {
-				s.zs.Set(w.ID, w.Val)
-			}
-		})
-		bySeg[g] = ws[:0]
-	}
-	s.installTasks = tasks
-	if len(tasks) > 0 {
-		exec(tasks)
-	}
-	clear(tasks)
 }
 
 // replayCheck compares a late completion with the retained result of

@@ -62,9 +62,6 @@ type Segment struct {
 // Len returns the length of the segment.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the segment's midpoint.
-func (s Segment) Midpoint() Vec { return s.A.Add(s.B).Scale(0.5) }
-
 // ClosestPoint returns the point on the segment nearest to p.
 func (s Segment) ClosestPoint(p Vec) Vec {
 	d := s.B.Sub(s.A)

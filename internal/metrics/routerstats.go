@@ -45,8 +45,8 @@ type RouterStats struct {
 
 	// Pipeline selection: epochs that ran the partitioned per-lane
 	// pipeline (parallel stamp, plan, and commit over lane segments) vs
-	// the global fallback (sequential stamp and commit; required while a
-	// spanning bridge is live in the uncommitted queue).
+	// the fallback (each job through the single-lane path; required while
+	// a spanning bridge is live in the uncommitted queue).
 	PartitionedEpochs int
 	FallbackEpochs    int
 
@@ -64,32 +64,31 @@ type RouterStats struct {
 
 	// Phase timings, cumulative nanoseconds of engine compute. The *Ns
 	// totals sum every lane's time in a phase; the *CritNs totals sum
-	// only each epoch's slowest lane — the phase's critical path.
-	// Fallback epochs run stamp and commit sequentially, so they charge
-	// those phases' total and critical-path counters equally. MergeNs is
-	// the partitioned pipeline's sequential seal passes (SealStamp,
-	// PreCommit, SealCommit) and InstallNs the completion-install pass
-	// at the head of each flush. Write application inside an install
-	// fans out per ζS segment, so InstallCritNs charges each install
-	// only its elapsed time minus the overlap a parallel run would
-	// reclaim (the segment tasks' summed duration less the slowest
-	// task); the in-order bookkeeping remainder stays sequential. On a
+	// only each epoch's slowest lane — the phase's critical path. A
+	// fallback epoch is one sequential task, charged whole to StampNs and
+	// StampCritNs alike. MergeNs is the partitioned pipeline's sequential
+	// seal passes (SealStamp, PreCommit, SealCommit) and InstallNs the
+	// sequential completion-install pass at the head of each flush. On a
 	// machine with at least Shards cores the wall clock of flushing
 	// approaches
 	//
-	//	StampCrit + PlanCrit + CommitCrit + Merge + InstallCrit
+	//	StampCrit + PlanCrit + CommitCrit + Merge + Install
 	//
 	// while a single lane pays Stamp + Plan + Commit + Merge + Install;
 	// the ratio of those two sums is the router's achievable speedup on
 	// this workload, hardware permitting.
-	StampNs       int64
-	StampCritNs   int64
-	PlanNs        int64
-	PlanCritNs    int64
-	CommitNs      int64
-	CommitCritNs  int64
-	MergeNs       int64
-	InstallNs     int64
+	StampNs      int64
+	StampCritNs  int64
+	PlanNs       int64
+	PlanCritNs   int64
+	CommitNs     int64
+	CommitCritNs int64
+	MergeNs      int64
+	InstallNs    int64
+
+	// Deprecated: the install pass is sequential, so InstallCritNs always
+	// equals InstallNs. It stays only because the benchmark's
+	// shard.achievable_x reads it.
 	InstallCritNs int64
 
 	// PerLane breaks the routed work down by lane.
@@ -124,7 +123,6 @@ func (st RouterStats) Table() *Table {
 	ms("commit ms (critical path)", st.CommitCritNs)
 	ms("merge ms", st.MergeNs)
 	ms("install ms", st.InstallNs)
-	ms("install ms (critical path)", st.InstallCritNs)
 	for i, ls := range st.PerLane {
 		row(fmt.Sprintf("lane %d actions", i), ls.Actions)
 		row(fmt.Sprintf("lane %d owned objects", i), ls.OwnedObjects)

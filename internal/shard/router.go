@@ -52,8 +52,8 @@ type Router struct {
 
 	// spanning holds the global Seqs of live cross-lane entries — the
 	// "bridges" whose presence in the uncommitted queue makes lane-
-	// segment walks incomplete. While any is live, epochs flush through
-	// the global fallback path; installs pop the settled prefix.
+	// segment walks incomplete. While any is live, epochs flush one job
+	// at a time through SubmitPrepared; installs pop the settled prefix.
 	spanning []uint64
 
 	// Lane workers: one persistent goroutine per shard, fed closures per
@@ -62,11 +62,9 @@ type Router struct {
 	reqs []chan laneTask
 	wg   sync.WaitGroup
 
-	// The handles the pipeline's parallel phases run on, built once:
-	// views[w] is lane w's for partitioned epochs, globals[w] worker w's
-	// on the global view for fallback epochs, whose planning still fans
-	// out by lane.
-	views, globals []*core.Lane
+	// views[w] is lane w's handle, the one a partitioned epoch's
+	// parallel phases run on; built once.
+	views []*core.Lane
 
 	// Flush scratch, reused across epochs.
 	jobs     []job
@@ -166,8 +164,7 @@ func New(cfg core.Config, init *world.State) *Router {
 	r.inner.EnablePartition(cfg.Shards)
 	r.inner.SetPlanExecutor(r.execTasks)
 	for w := 0; w < cfg.Shards; w++ {
-		r.views = append(r.views, r.inner.Lane(w, w))
-		r.globals = append(r.globals, r.inner.Lane(-1, w))
+		r.views = append(r.views, r.inner.Lane(w))
 		r.reqs[w] = make(chan laneTask, 8)
 		r.wg.Add(1)
 		go r.laneWorker(w)
@@ -230,20 +227,9 @@ func (r *Router) runPhase(active []int, total, crit *int64, fn func(lane int)) {
 	*crit += slowest
 }
 
-// runSeq runs a phase that is one sequential task — a stamp or commit
-// over the global view, whose jobs see each other — and charges it to
-// both the total and the critical path: nothing about it parallelizes.
-func runSeq(total, crit *int64, fn func()) {
-	start := time.Now()
-	fn()
-	ns := time.Since(start).Nanoseconds()
-	*total += ns
-	*crit += ns
-}
-
 // execTasks runs independent closures to completion, round-robin over
 // the lane workers — the executor injected into the engine's Tick
-// scheduler (core.SetPlanExecutor) and the parallel install pass.
+// scheduler (core.SetPlanExecutor).
 func (r *Router) execTasks(tasks []func()) {
 	if r.serial || len(tasks) == 1 {
 		for _, t := range tasks {
@@ -501,8 +487,8 @@ func (r *Router) takePending() core.ServerOutput {
 // replies to out in merge order and crediting the flush to cause. The
 // buffered completions install first; the buffered submissions then run
 // the pipeline partitioned — one view per lane — when every live queue
-// entry is lane-owned, or all on the global view (a fallback epoch) while
-// a spanning bridge is live.
+// entry is lane-owned, or one by one through the single-lane path (a
+// fallback epoch) while a spanning bridge is live.
 func (r *Router) flushInto(out core.ServerOutput, cause *int) core.ServerOutput {
 	if r.bufN == 0 && len(r.comps) == 0 {
 		return out
@@ -518,24 +504,22 @@ func (r *Router) flushInto(out core.ServerOutput, cause *int) core.ServerOutput 
 		return out
 	}
 	r.stats.Epochs++
-	partitioned := r.inner.Partitioned() && len(r.spanning) == 0
-	if partitioned {
+	if r.inner.Partitioned() && len(r.spanning) == 0 {
 		r.stats.PartitionedEpochs++
+		out = r.flushEpoch(out)
 	} else {
 		r.stats.FallbackEpochs++
+		out = r.flushSeq(out)
 	}
-	return r.flushEpoch(out, partitioned)
+	r.bufN = 0
+	clear(r.laneOf)
+	return out
 }
 
 // installComps applies the buffered completions — recorded in the
 // effective order ahead of the epoch's stamps — and installs the
-// contiguous prefix, with the write application fanned out per ζS
-// segment. The segment tasks are individually timed — each writes a
-// distinct slot, so the worker-side stores race with nothing — and the
-// overlap a parallel run reclaims (summed task time minus the slowest
-// task) is deducted from the critical-path charge, keeping
-// InstallCritNs an honest projection even when the executor inlines.
-// Bridges whose entries settled pop off the spanning FIFO.
+// contiguous prefix. Bridges whose entries settled pop off the spanning
+// FIFO.
 func (r *Router) installComps() {
 	if len(r.comps) == 0 {
 		return
@@ -546,37 +530,34 @@ func (r *Router) installComps() {
 		r.inner.TakeCompletion(c.from, c.m)
 	}
 	r.comps = r.comps[:0]
-	var taskNs []int64
-	r.inner.InstallContiguous(func(tasks []func()) {
-		taskNs = make([]int64, len(tasks))
-		timed := make([]func(), len(tasks))
-		for i, t := range tasks {
-			i, t := i, t
-			timed[i] = func() {
-				t0 := time.Now()
-				t()
-				taskNs[i] = time.Since(t0).Nanoseconds()
-			}
-		}
-		r.execTasks(timed)
-	})
+	r.inner.InstallContiguous()
 	for len(r.spanning) > 0 && r.spanning[0] <= r.inner.Installed() {
 		r.spanning = r.spanning[1:]
 	}
-	elapsed := time.Since(start).Nanoseconds()
-	var sum, max int64
-	for _, d := range taskNs {
-		sum += d
-		if d > max {
-			max = d
+	ns := time.Since(start).Nanoseconds()
+	r.stats.InstallNs += ns
+	r.stats.InstallCritNs += ns
+}
+
+// flushSeq runs a fallback epoch: a spanning bridge is live, so a
+// lane-segment walk could miss it, and each buffered job runs the
+// single-lane path (SubmitPrepared) in the merge order flushEpoch uses —
+// exactly what a single-lane engine replaying the effective log does.
+// Nothing in it parallelizes, so its time is charged to the stamp
+// phase's total and critical path alike.
+func (r *Router) flushSeq(out core.ServerOutput) core.ServerOutput {
+	start := time.Now()
+	for lane, buf := range r.lanes {
+		for _, ps := range buf {
+			r.record(LogEntry{From: ps.from, Msg: ps.msg, NowMs: ps.nowMs})
+			r.inner.SubmitPrepared(ps.p, &out)
 		}
+		r.lanes[lane] = buf[:0]
 	}
-	crit := elapsed - (sum - max)
-	if crit < 0 {
-		crit = 0
-	}
-	r.stats.InstallNs += elapsed
-	r.stats.InstallCritNs += crit
+	ns := time.Since(start).Nanoseconds()
+	r.stats.StampNs += ns
+	r.stats.StampCritNs += ns
+	return out
 }
 
 // flushEpoch runs the buffered submissions through the six pipeline
@@ -591,20 +572,12 @@ func (r *Router) installComps() {
 //	Lane.Commit* — sent() marks, batch assembly, per-client sequencing
 //	SealCommit   — reply emission in merge order        (sequential)
 //
-// The starred phases run on the core.Lane handles built in New. A
-// partitioned epoch runs them through each lane's own handle (views),
-// one task per lane, in parallel: a handle reaches only its lane's
-// segment. A fallback epoch — a spanning entry is live, so a lane-segment
-// walk would miss it — runs every job through the global-view handles
-// (globals), which stays correct because the walks see the whole queue:
-// stamp and commit are then one sequential task in merge order through
-// globals[0] (a stamp must see the jobs before it enqueued, and two
-// lanes' batches may mark the same bridge entry sent), and only the
-// read-only planning still fans out, lane w's through globals[w]. Every
-// output whose cross-lane order is observable is fixed by the sequential
-// merges either way, so the bytes are identical to each other and to
-// the single lane.
-func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.ServerOutput {
+// The starred phases run through each lane's own core.Lane handle
+// (views), one task per lane, in parallel: a handle reaches only its
+// lane's segment. Every output whose cross-lane order is observable is
+// fixed by the sequential merges, so the bytes are identical to the
+// single lane's.
+func (r *Router) flushEpoch(out core.ServerOutput) core.ServerOutput {
 	jobs := r.jobs[:0]
 	stampActive := r.active[:0]
 	maxLane := 0
@@ -623,21 +596,11 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 		r.lanes[lane] = r.lanes[lane][:0]
 	}
 
-	hs := r.globals
-	if partitioned {
-		hs = r.views
-		imb := float64(maxLane) * float64(r.n) / float64(len(jobs))
-		r.stats.LaneImbalance += (imb - r.stats.LaneImbalance) / float64(r.stats.PartitionedEpochs)
-		r.runPhase(stampActive, &r.stats.StampNs, &r.stats.StampCritNs, func(lane int) {
-			hs[lane].Stamp(r.lanePs[lane])
-		})
-	} else {
-		runSeq(&r.stats.StampNs, &r.stats.StampCritNs, func() {
-			for _, lane := range stampActive {
-				hs[0].Stamp(r.lanePs[lane])
-			}
-		})
-	}
+	imb := float64(maxLane) * float64(r.n) / float64(len(jobs))
+	r.stats.LaneImbalance += (imb - r.stats.LaneImbalance) / float64(r.stats.PartitionedEpochs)
+	r.runPhase(stampActive, &r.stats.StampNs, &r.stats.StampCritNs, func(lane int) {
+		r.views[lane].Stamp(r.lanePs[lane])
+	})
 
 	start := time.Now()
 	for i := range jobs {
@@ -647,7 +610,7 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 	}
 	r.stats.MergeNs += time.Since(start).Nanoseconds()
 
-	r.planJobs(jobs, hs)
+	r.planJobs(jobs)
 
 	start = time.Now()
 	for i := range jobs {
@@ -657,21 +620,11 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 	}
 	r.stats.MergeNs += time.Since(start).Nanoseconds()
 
-	if partitioned {
-		r.runPhase(r.active, &r.stats.CommitNs, &r.stats.CommitCritNs, func(lane int) {
-			for _, i := range r.laneIdxs[lane] {
-				hs[lane].Commit(jobs[i].p, &jobs[i].plan)
-			}
-		})
-	} else {
-		runSeq(&r.stats.CommitNs, &r.stats.CommitCritNs, func() {
-			for i := range jobs {
-				if jobs[i].p != nil {
-					hs[0].Commit(jobs[i].p, &jobs[i].plan)
-				}
-			}
-		})
-	}
+	r.runPhase(r.active, &r.stats.CommitNs, &r.stats.CommitCritNs, func(lane int) {
+		for _, i := range r.laneIdxs[lane] {
+			r.views[lane].Commit(jobs[i].p, &jobs[i].plan)
+		}
+	})
 
 	start = time.Now()
 	for i := range jobs {
@@ -691,16 +644,13 @@ func (r *Router) flushEpoch(out core.ServerOutput, partitioned bool) core.Server
 		r.lanePs[lane] = r.lanePs[lane][:0]
 	}
 	r.jobs = jobs[:0]
-	r.bufN = 0
-	clear(r.laneOf)
 	return out
 }
 
-// planJobs fans the accepted jobs' reply planning out by lane, lane w's
-// through hs[w], leaving
+// planJobs fans the accepted jobs' reply planning out by lane, leaving
 // the accepted per-lane index lists in r.laneIdxs and the accepted
 // lanes in r.active for the commit fan-out to reuse.
-func (r *Router) planJobs(jobs []job, hs []*core.Lane) {
+func (r *Router) planJobs(jobs []job) {
 	for lane := range r.laneIdxs {
 		r.laneIdxs[lane] = r.laneIdxs[lane][:0]
 	}
@@ -722,7 +672,7 @@ func (r *Router) planJobs(jobs []job, hs []*core.Lane) {
 		}
 	}
 	r.runPhase(active, &r.stats.PlanNs, &r.stats.PlanCritNs, func(lane int) {
-		r.planLane(hs[lane], jobs, r.laneIdxs[lane])
+		r.planLane(r.views[lane], jobs, r.laneIdxs[lane])
 	})
 }
 

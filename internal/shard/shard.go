@@ -24,32 +24,33 @@
 //     epoch), so per-recipient reply state never crosses lanes inside an
 //     epoch.
 //
-// The engine's authoritative state is itself partitioned (see
-// core/pipeline.go): each lane owns a segment of the uncommitted queue
-// and the rows of a lane-numbered reverse conflict index covering
-// exactly its own entries, and ζS is hash-segmented for parallel
-// installs. An epoch flushes through the engine's one submit pipeline —
-// buffered completions install first, then the six passes
+// The engine's uncommitted queue is itself partitioned (see
+// core/pipeline.go): each lane owns a segment of it and the rows of a
+// lane-numbered reverse conflict index covering exactly its own entries.
+// That lane map (ownership) is the engine's only partition; ζS stays one
+// map, installed in serial order. An epoch flushes through the engine's
+// one submit pipeline — buffered completions install first, then the
+// six passes
 //
 //	Lane.Stamp* → SealStamp → Lane.Plan* → PreCommit → Lane.Commit* → SealCommit
 //
 // where the starred passes are methods on a core.Lane handle — one per
 // lane, holding only that lane's segment — run one task per lane on the
-// persistent lane workers and the others are short sequential merges in the order
-// (epoch, shardLane, localSeq). Lane-local analysis is sound because of
-// lane closure: while no spanning entry is live in the queue, a
-// conflict chain seeded in lane L cannot leave L's segment, so the
+// persistent lane workers and the others are short sequential merges in
+// the order (epoch, shardLane, localSeq). Lane-local analysis is sound
+// because of lane closure: while no spanning entry is live in the queue,
+// a conflict chain seeded in lane L cannot leave L's segment, so the
 // lane-view walks visit exactly the entries the global walk would have
-// acted on. Whenever a spanning "bridge" IS live, the epoch runs the
-// same six passes with every job on the global view instead (a fallback
-// epoch: stamp and commit one sequential task each, only the planning
-// still fanned out) until the bridge installs. Either way, everything whose cross-lane order is observable — global Seqs,
-// blind-write ids, per-client batch sequences, reply emission — is
-// fixed by the sequential merge passes, so the serial order and every
-// emitted byte are a pure function of the submission streams —
-// independent of GOMAXPROCS and goroutine scheduling — and identical to
-// what the single-lane engine produces when driven through the same
-// effective order (TestShardedEquivalence).
+// acted on. Whenever a spanning "bridge" IS live, the epoch instead runs
+// each job through the single-lane path (core.Server.SubmitPrepared) in
+// the same merge order (a fallback epoch) until the bridge installs.
+// Either way, everything whose cross-lane order is observable — global
+// Seqs, blind-write ids, per-client batch sequences, reply emission — is
+// fixed in merge order, so the serial order and every emitted byte are a
+// pure function of the submission streams — independent of GOMAXPROCS
+// and goroutine scheduling — and identical to what the single-lane
+// engine produces when driven through the same effective order
+// (TestShardedEquivalence).
 package shard
 
 import (

@@ -70,7 +70,6 @@ type Kernel struct {
 	events  eventHeap
 	seq     uint64
 	stopped bool
-	fired   uint64
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
@@ -83,9 +82,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of events not yet fired.
 func (k *Kernel) Pending() int { return len(k.events) }
-
-// Fired reports the total number of events executed so far.
-func (k *Kernel) Fired() uint64 { return k.fired }
 
 // At schedules fn to run at virtual time t. Scheduling in the past is a
 // programming error and panics: it would silently reorder causality.
@@ -110,7 +106,6 @@ func (k *Kernel) Step() bool {
 	}
 	ev := heap.Pop(&k.events).(*event)
 	k.now = ev.at
-	k.fired++
 	ev.fn()
 	return true
 }

@@ -15,7 +15,6 @@ type Proc struct {
 
 	busyUntil Time
 	busyTotal Time
-	jobs      uint64
 }
 
 // NewProc returns an idle processor attached to k.
@@ -38,7 +37,6 @@ func (p *Proc) Exec(cost Time, fn func()) Time {
 	end := start + cost
 	p.busyUntil = end
 	p.busyTotal += cost
-	p.jobs++
 	p.k.At(end, fn)
 	return end
 }
@@ -59,9 +57,6 @@ func (p *Proc) Backlog() Time {
 
 // BusyTotal reports the cumulative compute time executed.
 func (p *Proc) BusyTotal() Time { return p.busyTotal }
-
-// Jobs reports how many work items have been submitted.
-func (p *Proc) Jobs() uint64 { return p.jobs }
 
 // Utilization reports busy time divided by elapsed virtual time, in [0, 1]
 // for a non-saturated processor (it can exceed 1 transiently while a

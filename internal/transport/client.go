@@ -125,14 +125,6 @@ func (c *Client) NextActionID() action.ID {
 	return c.engine.NextActionID()
 }
 
-// OptimisticRead reads an object from the optimistic state ζCO.
-func (c *Client) OptimisticRead(id world.ObjectID) (world.Value, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.engine.Optimistic().Get(id)
-	return v.Clone(), ok
-}
-
 // Engine runs f with the engine locked, for application reads that need
 // a consistent multi-object view.
 func (c *Client) Engine(f func(*core.Client)) {

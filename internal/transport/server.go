@@ -154,6 +154,8 @@ func NewServer(cfg ServerConfig) *Server {
 		writers: make(map[action.ClientID]*SendQueue),
 		started: time.Now(),
 		conns:   make(map[net.Conn]struct{}),
+
+		superseding: cfg.Core.ResumeWindow > 0 && !cfg.Core.HybridRelay,
 	}
 	if cfg.Recovery != nil {
 		// Rewind the watermarks and session table to the recovered point:
@@ -163,9 +165,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	if cfg.Durable != nil {
 		s.engine.SetJournal(cfg.Durable)
-	}
-	if _, ok := s.engine.(core.Superseder); ok {
-		s.superseding = cfg.Core.ResumeWindow > 0 && !cfg.Core.HybridRelay
 	}
 	return s
 }

@@ -67,7 +67,9 @@ func (m *MVStore) Seed(init *State) {
 	if n := init.Len(); n > len(m.slab) {
 		m.slab = make([]chain, n)
 	}
-	init.forEach(func(id ObjectID, v Value) { m.WriteAt(id, 0, v) })
+	for id, v := range init.objs {
+		m.WriteAt(id, 0, v)
+	}
 }
 
 func (m *MVStore) newChain() *chain {

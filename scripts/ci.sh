@@ -95,6 +95,10 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./...
 go test -race ./...
+# The router and the push scheduler pick their inline or their parallel
+# branch (runPhase, execTasks) from GOMAXPROCS at construction; every
+# benchmark workload runs the inline one. Run both on any host.
+go test -race -cpu 1,4 ./internal/core ./internal/shard
 # The stall tests and the two shutdown tests beside them wait on
 # deadlines; green they finish in milliseconds, so a run of twenty under
 # -race is where a deadline flake would show first.
