@@ -74,6 +74,9 @@ type Client struct {
 	// view it reads ζCS through, kept here so arming it allocates nothing.
 	scratchTx  *world.Tx
 	stableView world.AtView
+	// batchEnvs is the envelope count of the batch being applied, the
+	// capacity ClientOutput.Applied is given on its first remote one.
+	batchEnvs int
 
 	// Session-resume state (Config.ResumeWindow > 0). sentCompletions
 	// retains the completion messages for own committed actions until a
@@ -350,6 +353,7 @@ func (c *Client) applySequenced(b *wire.Batch, out *ClientOutput) {
 
 // processBatch applies one batch in envelope order.
 func (c *Client) processBatch(b *wire.Batch, out *ClientOutput) {
+	c.batchEnvs = len(b.Envs)
 	for _, env := range b.Envs {
 		if env.Origin == c.id {
 			if b.Push {
@@ -415,6 +419,9 @@ func (c *Client) handleRemote(env action.Envelope, out *ClientOutput) {
 		c.stats.AppliedBlind++
 	} else {
 		c.stats.AppliedRemote++
+	}
+	if out.Applied == nil {
+		out.Applied = make([]action.Action, 0, c.batchEnvs)
 	}
 	out.Applied = append(out.Applied, env.Act)
 

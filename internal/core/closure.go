@@ -128,7 +128,9 @@ func (s *shared) closureWalk(v *walkView, seeds []int, sc *closureScratch, alrea
 // in ζS. Objects unknown to ζS are skipped — they do not exist yet at
 // the install point, and any queued creator of them is in the batch.
 // Ids are emitted in ascending order, matching the sorted-IDSet
-// iteration of the pre-index implementation.
+// iteration of the pre-index implementation. The values are copies cut
+// with no spare capacity from one array per batch (a world.Slab), so they
+// share the batch's lifetime.
 func (s *shared) blindWrites(sc *closureScratch) []world.Write {
 	sc.memb = sc.set.AppendMembers(sc.memb[:0])
 	ids := sc.objs[:0]
@@ -138,12 +140,21 @@ func (s *shared) blindWrites(sc *closureScratch) []world.Write {
 	sc.objs = ids
 	slices.Sort(ids)
 	var writes []world.Write
+	words := 0
 	for _, id := range ids {
 		if v, ok := s.zs.Get(id); ok {
 			if writes == nil {
 				writes = make([]world.Write, 0, len(ids))
 			}
-			writes = append(writes, world.Write{ID: id, Val: v.Clone()})
+			writes = append(writes, world.Write{ID: id, Val: v})
+			words += len(v)
+		}
+	}
+	slab := world.NewSlab(words)
+	for i, w := range writes {
+		if w.Val != nil {
+			writes[i].Val = slab.Value(len(w.Val))
+			copy(writes[i].Val, w.Val)
 		}
 	}
 	return writes

@@ -179,3 +179,23 @@ func TestPushIntervalMs(t *testing.T) {
 		t.Fatalf("PushIntervalMs = %v", got)
 	}
 }
+
+// TestAppliedSizedOncePerBatch: ClientOutput.Applied is made once, on a
+// batch's first remote envelope, with room for every envelope of the
+// batch; a batch carrying only the client's own actions leaves it nil.
+func TestAppliedSizedOncePerBatch(t *testing.T) {
+	c := NewClient(1, cfgFor(ModeBasic), initWorld(2))
+	own := &testAction{id: action.ID{Client: 1, Seq: 1}, rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 1}
+	c.Submit(own)
+	if out := c.HandleBatch(&wire.Batch{Envs: []action.Envelope{{Seq: 1, Origin: 1, Act: own}}}); out.Applied != nil || len(out.Commits) != 1 {
+		t.Fatalf("own-only batch: Applied %v (cap %d), %d commits", out.Applied, cap(out.Applied), len(out.Commits))
+	}
+	envs := []action.Envelope{}
+	for i := uint32(1); i <= 3; i++ {
+		envs = append(envs, action.Envelope{Seq: uint64(i) + 1, Origin: 2,
+			Act: &testAction{id: action.ID{Client: 2, Seq: i}, rs: world.NewIDSet(2), ws: world.NewIDSet(2), delta: 1}})
+	}
+	if out := c.HandleBatch(&wire.Batch{Envs: envs}); len(out.Applied) != 3 || cap(out.Applied) != 3 {
+		t.Fatalf("remote batch: Applied len %d cap %d, want 3 and 3", len(out.Applied), cap(out.Applied))
+	}
+}

@@ -375,3 +375,36 @@ func TestInitialStateCrowded(t *testing.T) {
 		t.Fatal("negative fraction broke placement")
 	}
 }
+
+// TestWarmMoveApplyAllocatesNothing: a replica applies a move through
+// its scratch transaction, reading ζCS as of a serial position; once the
+// transaction is warm, a Reset and an Apply — the neighbour reads, the
+// wall count and the buffered write — allocate nothing.
+func TestWarmMoveApplyAllocatesNothing(t *testing.T) {
+	w := NewWorld(smallConfig())
+	st := w.InitialState(4) // a row 4 apart: every move reads neighbours
+	cs := world.NewMVStore()
+	cs.Seed(st)
+	var moves []*MoveAction
+	for a := 1; a <= w.Cfg.NumAvatars; a++ {
+		m, err := w.NewMove(action.ID{Client: 1, Seq: uint32(a)}, AvatarID(a), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves = append(moves, m)
+	}
+	view := world.AtView{M: cs, Seq: 0}
+	tx := world.NewTx(&view)
+	round := func() {
+		for _, m := range moves {
+			tx.Reset(&view)
+			if !m.Apply(tx) {
+				t.Fatal("move aborted")
+			}
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("a warm round of %d moves allocated %.1f times, want 0", len(moves), allocs)
+	}
+}

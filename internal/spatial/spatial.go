@@ -41,9 +41,7 @@ func NewSegmentIndex(segs []geom.Segment, cellSize float64) *SegmentIndex {
 	for i, s := range segs {
 		// Walls are short (length 10) relative to cell sizes, so the box
 		// is tight.
-		lo := geom.Vec{X: math.Min(s.A.X, s.B.X), Y: math.Min(s.A.Y, s.B.Y)}
-		hi := geom.Vec{X: math.Max(s.A.X, s.B.X), Y: math.Max(s.A.Y, s.B.Y)}
-		x0, y0, x1, y1, ok := idx.box(lo, hi)
+		x0, y0, x1, y1, ok := idx.box(bounds(s))
 		if !ok {
 			idx.unplaced = append(idx.unplaced, int32(i))
 			continue
@@ -56,6 +54,12 @@ func NewSegmentIndex(segs []geom.Segment, cellSize float64) *SegmentIndex {
 		}
 	}
 	return idx
+}
+
+// bounds returns the bounding box of s.
+func bounds(s geom.Segment) (lo, hi geom.Vec) {
+	return geom.Vec{X: math.Min(s.A.X, s.B.X), Y: math.Min(s.A.Y, s.B.Y)},
+		geom.Vec{X: math.Max(s.A.X, s.B.X), Y: math.Max(s.A.Y, s.B.Y)}
 }
 
 // box returns the cell range of the box [lo, hi], or false when
@@ -75,9 +79,12 @@ func (idx *SegmentIndex) Segment(i int) geom.Segment { return idx.segs[i] }
 
 // CountWithin reports how many segments lie within r of p. This is the
 // "visible walls" count that calibrates per-move compute cost (6.95 ms per
-// 1000 visible walls, Section V-A2). A query box CellOf refuses, or one
-// covering more cells than the index holds, scans the segments with the
-// same distance test, so the count is exact either way.
+// 1000 visible walls, Section V-A2). A segment is listed in every cell its
+// box meets; the query counts it only in the first of those cells inside
+// the query box, found from the segment's own lowest cell, so it needs no
+// set and allocates nothing. A query box CellOf refuses, or one covering
+// more cells than the index holds, scans the segments with the same
+// distance test, so the count is exact either way.
 func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
 	x0, y0, x1, y1, ok := idx.box(geom.Vec{X: p.X - r, Y: p.Y - r}, geom.Vec{X: p.X + r, Y: p.Y + r})
 	if !ok || (int64(x1)-int64(x0)+1)*(int64(y1)-int64(y0)+1) > int64(len(idx.cells)) {
@@ -89,23 +96,22 @@ func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
 		}
 		return n
 	}
-	seen := map[int32]bool{}
 	n := 0
-	count := func(ids []int32) {
-		for _, i := range ids {
-			if !seen[i] {
-				seen[i] = true
-				if idx.segs[i].DistTo(p) <= r {
+	for x := x0; x <= x1; x++ {
+		for y := y0; y <= y1; y++ {
+			for _, i := range idx.cells[geom.CellKey(x, y)] {
+				lo, _ := bounds(idx.segs[i])
+				lx, ly, _ := geom.CellOf(lo, idx.cell)
+				if max(lx, x0) == x && max(ly, y0) == y && idx.segs[i].DistTo(p) <= r {
 					n++
 				}
 			}
 		}
 	}
-	for x := x0; x <= x1; x++ {
-		for y := y0; y <= y1; y++ {
-			count(idx.cells[geom.CellKey(x, y)])
+	for _, i := range idx.unplaced {
+		if idx.segs[i].DistTo(p) <= r {
+			n++
 		}
 	}
-	count(idx.unplaced)
 	return n
 }

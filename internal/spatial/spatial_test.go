@@ -129,3 +129,40 @@ func TestZeroCellSizeDefaults(t *testing.T) {
 		t.Fatal("index with defaulted cell size lost a segment")
 	}
 }
+
+// TestCountWithinCountsEachSegmentOnce: a segment is listed in every cell
+// its box meets, and the count must still equal a linear scan — over
+// walls spanning up to 60 cells, more than any small inline buffer of
+// seen ids would hold, and queries of every size — and allocate nothing.
+func TestCountWithinCountsEachSegmentOnce(t *testing.T) {
+	const cell = 10
+	rng := rand.New(rand.NewSource(3))
+	segs := []geom.Segment{
+		{A: geom.Vec{X: 5, Y: 250}, B: geom.Vec{X: 595, Y: 250}}, // 60 cells in a row
+		{A: geom.Vec{X: 20, Y: 20}, B: geom.Vec{X: 400, Y: 400}}, // 39×39 cells
+		{A: geom.Vec{X: 300, Y: 5}, B: geom.Vec{X: 300, Y: 590}}, // a column
+	}
+	for i := 0; i < 300; i++ {
+		a := geom.Vec{X: rng.Float64() * 600, Y: rng.Float64() * 600}
+		d := geom.Vec{X: rng.Float64()*2 - 1, Y: rng.Float64()*2 - 1}.Normalize()
+		segs = append(segs, geom.Segment{A: a, B: a.Add(d.Scale(rng.Float64() * 80))})
+	}
+	idx := NewSegmentIndex(segs, cell)
+	for trial := 0; trial < 400; trial++ {
+		p := geom.Vec{X: rng.Float64()*700 - 50, Y: rng.Float64()*700 - 50}
+		r := rng.Float64() * 60
+		want := 0
+		for _, s := range segs {
+			if s.DistTo(p) <= r {
+				want++
+			}
+		}
+		if n := idx.CountWithin(p, r); n != want {
+			t.Fatalf("trial %d: CountWithin(%v, %g) = %d, want %d", trial, p, r, n, want)
+		}
+	}
+	p := geom.Vec{X: 300, Y: 250}
+	if allocs := testing.AllocsPerRun(100, func() { idx.CountWithin(p, 45) }); allocs != 0 {
+		t.Fatalf("CountWithin allocated %.1f times, want 0", allocs)
+	}
+}

@@ -28,6 +28,10 @@ var bufPool = sync.Pool{
 	},
 }
 
+// boxPool holds the empty *[]byte boxes getBuf took buffers out of, so
+// that PutBuf boxes a returned buffer without allocating.
+var boxPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // outBufs counts the buffers GetBuf handed out that no PutBuf has taken
 // back; outFrames counts the frames whose final Release has not run. A
 // frame's backing buffer belongs to the frame and is in neither count.
@@ -52,6 +56,8 @@ func GetBuf(n int) []byte {
 func getBuf(n int) []byte {
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
+	*bp = nil
+	boxPool.Put(bp)
 	if cap(b) > 0 {
 		// This buffer is live again: forget it as the most recent put so
 		// its next (legitimate) PutBuf does not trip the double-put check.
@@ -90,8 +96,9 @@ func PutBuf(b []byte) {
 		panic("wire: buffer returned to the pool twice")
 	}
 	outBufs.Add(-1)
-	b = b[:0]
-	bufPool.Put(&b)
+	bp := boxPool.Get().(*[]byte)
+	*bp = b[:0]
+	bufPool.Put(bp)
 }
 
 // Frame is one encoded wire frame — the 5-byte length/type header plus

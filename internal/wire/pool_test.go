@@ -298,6 +298,18 @@ func TestGetPutBufRecycles(t *testing.T) {
 	PutBuf(b2)
 }
 
+// TestGetPutBufAllocatesNothing: a warm GetBuf/PutBuf round recycles
+// the buffer and the box it travels in.
+func TestGetPutBufAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	PutBuf(GetBuf(64))
+	if allocs := testing.AllocsPerRun(100, func() { PutBuf(GetBuf(64)) }); allocs != 0 {
+		t.Fatalf("a warm GetBuf/PutBuf round allocated %.1f times, want 0", allocs)
+	}
+}
+
 // TestPutBufTwicePanics locks in the double-put diagnostic: returning
 // the same buffer twice in a row must panic instead of letting two
 // goroutines share one pooled backing array. The put→get→put round trip

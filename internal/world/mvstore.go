@@ -1,6 +1,9 @@
 package world
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // MVStore is a multiversion object store: each object keeps a chain of
 // (seq, value) versions, where seq is the server-assigned serial position
@@ -23,6 +26,13 @@ import "sort"
 // since hold more than one version, so the store lists exactly those
 // chains and PruneBelow visits nothing else: garbage collection costs
 // what was written, not what is known.
+//
+// A pruned version's slot and value buffer stay with its chain and take
+// the chain's next insert, so a value ReadAt, Latest or Get returns is
+// valid only until the store's next WriteAt or PruneBelow. Use it or
+// copy it before then: the client's Tx copies what an action writes,
+// reconciliation copies into ζCO, and the Stable() users (oracletest,
+// baseline.Divergence, the examples) compare at once.
 type MVStore struct {
 	chains map[ObjectID]*chain
 	// multi lists the chains holding more than one version (chain.listed
@@ -41,7 +51,8 @@ type MVStore struct {
 // the object is known. vs starts out backed by one, so the common chain —
 // an object the client was told about once — owns no slice of its own; a
 // chain that outgrew one keeps its heap array, and its capacity, across
-// prunes.
+// prunes; the slots between its length and capacity hold the versions a
+// prune dropped, each still owning its value buffer.
 type chain struct {
 	vs     []version
 	one    [1]version
@@ -105,7 +116,9 @@ func after(vs []version, seq uint64) int {
 // WriteAt installs a copy of v as the version of id at serial position
 // seq. Writing the same (id, seq) twice replaces the version — this is
 // idempotent redelivery, not an error, because the server may resend an
-// action in a later closure batch.
+// action in a later closure batch. The copy goes into a buffer the chain
+// already owns when one is big enough: the replaced version's own, or
+// the spare slot a prune left past the chain's end.
 func (m *MVStore) WriteAt(id ObjectID, seq uint64, v Value) {
 	c := m.chains[id]
 	if c == nil {
@@ -116,20 +129,31 @@ func (m *MVStore) WriteAt(id ObjectID, seq uint64, v Value) {
 	if i > 0 && c.vs[i-1].seq == seq {
 		// Redelivery re-evaluates to the same value; the stored copy is
 		// replaced only when it differs.
-		if !c.vs[i-1].val.Equal(v) {
-			c.vs[i-1].val = v.Clone()
+		if old := &c.vs[i-1].val; !old.Equal(v) {
+			*old = reuse(*old, v)
 		}
 		return
 	}
-	c.vs = append(c.vs, version{})
+	// Within capacity the new slot keeps what a prune rotated there.
+	c.vs = slices.Grow(c.vs, 1)[:len(c.vs)+1]
+	spare := c.vs[len(c.vs)-1].val
 	copy(c.vs[i+1:], c.vs[i:])
-	c.vs[i] = version{seq: seq, val: v.Clone()}
+	c.vs[i] = version{seq: seq, val: reuse(spare, v)}
 	m.versions++
 	m.stored++
 	if len(c.vs) > 1 && !c.listed {
 		c.listed = true
 		m.multi = append(m.multi, c)
 	}
+}
+
+// reuse returns a copy of v, in buf when buf can hold it. A nil v stays
+// nil, an empty one empty.
+func reuse(buf, v Value) Value {
+	if buf == nil || v == nil || cap(buf) < len(v) {
+		return v.Clone()
+	}
+	return append(buf[:0], v...)
 }
 
 // ReadAt returns the value of id as of serial position seq: the newest
@@ -185,18 +209,23 @@ func (m *MVStore) PruneBelow(seq uint64) {
 		if i := after(c.vs, seq); i > 1 {
 			// c.vs[i-1] is the newest version at or below seq; drop
 			// everything below it.
-			m.cut(c, copy(c.vs, c.vs[i-1:]))
+			m.cut(c, i-1)
 		}
 	}
 	m.relist()
 }
 
-// cut shortens c to its first n versions, releasing the values of the
-// rest.
-func (m *MVStore) cut(c *chain, n int) {
-	m.versions -= len(c.vs) - n
-	clear(c.vs[n:])
-	c.vs = c.vs[:n]
+// cut drops the k oldest versions of c by rotating them past its end.
+// The chain keeps their slots and the value buffers in them, each owned
+// by that slot alone, for WriteAt's next inserts: a chain pruned as fast
+// as it is written stops allocating, and what it holds on to is bounded
+// by its own capacity.
+func (m *MVStore) cut(c *chain, k int) {
+	slices.Reverse(c.vs[:k])
+	slices.Reverse(c.vs[k:])
+	slices.Reverse(c.vs)
+	m.versions -= k
+	c.vs = c.vs[:len(c.vs)-k]
 }
 
 // relist drops from the list the chains a cut left with one version, or

@@ -1,6 +1,10 @@
 package world
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestTxReadYourWrites(t *testing.T) {
 	s := NewState()
@@ -152,5 +156,111 @@ func TestTxReset(t *testing.T) {
 	tx.Write(1, Value{7})
 	if ws := tx.Writes(); len(ws[0].Val) != 1 || ws[0].Val[0] != 7 {
 		t.Fatalf("reused buffer kept stale length: %v", ws[0].Val)
+	}
+}
+
+// refTx is the map-based transaction Tx replaced: a read set and a write
+// index as maps, the write log in first-write order.
+type refTx struct {
+	view     View
+	readSet  map[ObjectID]bool
+	writeLog []Write
+	writeMap map[ObjectID]int
+	missed   []ObjectID
+}
+
+func newRefTx(view View) *refTx {
+	return &refTx{view: view, readSet: map[ObjectID]bool{}, writeMap: map[ObjectID]int{}}
+}
+
+func (r *refTx) Read(id ObjectID) (Value, bool) {
+	r.readSet[id] = true
+	if i, ok := r.writeMap[id]; ok {
+		return r.writeLog[i].Val, true
+	}
+	v, ok := r.view.Read(id)
+	if !ok {
+		r.missed = append(r.missed, id)
+	}
+	return v, ok
+}
+
+func (r *refTx) Write(id ObjectID, v Value) {
+	r.readSet[id] = true
+	if i, ok := r.writeMap[id]; ok {
+		r.writeLog[i].Val = v.Clone()
+		return
+	}
+	r.writeMap[id] = len(r.writeLog)
+	r.writeLog = append(r.writeLog, Write{ID: id, Val: v.Clone()})
+}
+
+func (r *refTx) sets() (rs, ws IDSet) {
+	var rids, wids []ObjectID
+	for id := range r.readSet {
+		rids = append(rids, id)
+	}
+	for id := range r.writeMap {
+		wids = append(wids, id)
+	}
+	return NewIDSet(rids...), NewIDSet(wids...)
+}
+
+// TestTxMatchesMapReference drives one scratch Tx, Reset between runs,
+// and a fresh map-based reference per run through the same random reads
+// and writes — repeated ids, reads of unknown objects, and runs writing
+// more objects than the write log is scanned for — and compares every
+// value read, ReadSet, WriteSet, Writes and Missed.
+func TestTxMatchesMapReference(t *testing.T) {
+	s := NewState()
+	for id := ObjectID(0); id < 40; id += 2 { // odd ids are unknown
+		s.Set(id, Value{float64(id)})
+	}
+	view := StateView{S: s}
+	rng := rand.New(rand.NewSource(1))
+	tx := NewTx(view)
+	indexed := 0
+	for run := 0; run < 300; run++ {
+		tx.Reset(view)
+		ref := newRefTx(view)
+		// Some runs touch few ids, some more than txScan distinct writes.
+		span := 3 + rng.Intn(3*txScan)
+		ops := rng.Intn(4 * txScan)
+		for op := 0; op < ops; op++ {
+			id := ObjectID(rng.Intn(span))
+			if rng.Intn(2) == 0 {
+				v := Value{float64(run), float64(op)}[:1+rng.Intn(2)]
+				tx.Write(id, v)
+				ref.Write(id, v)
+				continue
+			}
+			got, ok1 := tx.Read(id)
+			want, ok2 := ref.Read(id)
+			if ok1 != ok2 || !got.Equal(want) {
+				t.Fatalf("run %d op %d: Read(%d) = %v %v, reference %v %v", run, op, id, got, ok1, want, ok2)
+			}
+		}
+		rs, ws := ref.sets()
+		if !tx.ReadSet().Equal(rs) || !tx.WriteSet().Equal(ws) {
+			t.Fatalf("run %d: sets %v / %v, reference %v / %v", run, tx.ReadSet(), tx.WriteSet(), rs, ws)
+		}
+		got := tx.Writes()
+		if len(got) != len(ref.writeLog) {
+			t.Fatalf("run %d: %d writes, reference %d", run, len(got), len(ref.writeLog))
+		}
+		for i, w := range ref.writeLog {
+			if got[i].ID != w.ID || !got[i].Val.Equal(w.Val) {
+				t.Fatalf("run %d: write %d = %v, reference %v", run, i, got[i], w)
+			}
+		}
+		if !slices.Equal(tx.Missed(), ref.missed) {
+			t.Fatalf("run %d: Missed %v, reference %v", run, tx.Missed(), ref.missed)
+		}
+		if len(got) > txScan {
+			indexed++
+		}
+	}
+	if indexed == 0 {
+		t.Fatal("no run wrote more objects than the write log is scanned for")
 	}
 }

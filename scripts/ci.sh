@@ -117,8 +117,9 @@ done
 echo "bench smokes: all five workloads pass their gates"
 
 # Coverage gate: statement coverage of the packages the resume protocol
-# cuts through, of the integrity layer, of the shard router and of the
-# durable store must not regress below the floor.
+# cuts through, of the integrity layer, of the shard router, of the
+# durable store and of world (the Tx scan/index switch, the MVStore's
+# slot reuse) must not regress below the floor.
 cover_gate() {
     pkg="$1"
     floor="$2"
@@ -137,3 +138,4 @@ cover_gate ./internal/transport 75
 cover_gate ./internal/integrity 90
 cover_gate ./internal/shard 88
 cover_gate ./internal/durable 85
+cover_gate ./internal/world 95
