@@ -65,12 +65,11 @@ type Client struct {
 	divScratch      []uint32
 	resolvedScratch []uint32
 
-	// scratchTx is the reusable transaction of every evaluation whose
-	// Result stays inside the engine: Submit, the reconcile re-apply loop,
-	// and applying other clients' actions to ζCS. It must never back a
-	// Result that escapes (completions and commits alias their
-	// transaction's write log); each user is done with the Result, or
-	// has copied what it keeps, before the next Reset. stableView is the
+	// scratchTx is the reusable transaction of every evaluation: Submit,
+	// the reconcile re-apply loop, and every envelope applied to ζCS. It
+	// must never back a Result that escapes: a commit report or a
+	// completion gets a clone (applyStable's keep), and every other user
+	// is done with the Result before the next Reset. stableView is the
 	// view it reads ζCS through, kept here so arming it allocates nothing.
 	scratchTx  *world.Tx
 	stableView world.AtView
@@ -478,8 +477,8 @@ func (c *Client) handleOwn(env action.Envelope, out *ClientOutput) {
 	}
 
 	// u backs both the commit report and the completion below: it is
-	// the write log of a transaction applyStable made for this envelope
-	// alone, and neither holder writes to it.
+	// applyStable's copy, which the reconciliation above did not touch,
+	// and neither holder writes to it.
 	out.Commits = append(out.Commits, Commit{
 		ActID:      env.Act.ID(),
 		Seq:        env.Seq,
@@ -534,23 +533,19 @@ func (c *Client) inQueue(id action.ID) bool {
 // installs its writes at that position. Each installed object is marked
 // diverged: the stable version moved, so it may no longer match ζCO.
 //
-// The returned Result aliases the transaction's write log. With keep set
-// the transaction is made for this call alone, because the Result leaves
-// the engine in a commit report or a completion message; otherwise it is
-// the scratch transaction, and the Result is good until that is next
-// Reset — by a Submit, a reconciliation or the next envelope.
+// The evaluation runs on the scratch transaction. Without keep the
+// returned Result aliases its write log and is good until that is next
+// Reset — by a Submit, a reconciliation or the next envelope. With keep
+// set the Result leaves the engine in a commit report or a completion
+// message, so it is a copy of its own.
 func (c *Client) applyStable(env action.Envelope, out *ClientOutput, keep bool) action.Result {
 	at := env.Seq
 	if at > 0 {
 		at-- // an action at position n reads the state after 1..n-1
 	}
 	tx := c.scratchTx
-	if keep {
-		tx = world.NewTx(world.AtView{M: c.cs, Seq: at})
-	} else {
-		c.stableView = world.AtView{M: c.cs, Seq: at}
-		tx.Reset(&c.stableView)
-	}
+	c.stableView = world.AtView{M: c.cs, Seq: at}
+	tx.Reset(&c.stableView)
 	ok := env.Act.Apply(tx)
 
 	if c.cfg.Strict {
@@ -568,11 +563,14 @@ func (c *Client) applyStable(env action.Envelope, out *ClientOutput, keep bool) 
 	}
 
 	res := action.Result{OK: ok}
-	if ok {
+	if ok && len(tx.Writes()) > 0 {
 		res.Writes = tx.Writes()
 		for _, w := range res.Writes {
 			c.cs.WriteAt(w.ID, env.Seq, w.Val)
 			c.markDiverged(w.ID)
+		}
+		if keep {
+			res = res.Clone()
 		}
 	}
 	return res

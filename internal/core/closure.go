@@ -129,8 +129,8 @@ func (s *shared) closureWalk(v *walkView, seeds []int, sc *closureScratch, alrea
 // the install point, and any queued creator of them is in the batch.
 // Ids are emitted in ascending order, matching the sorted-IDSet
 // iteration of the pre-index implementation. The values are copies cut
-// with no spare capacity from one array per batch (a world.Slab), so they
-// share the batch's lifetime.
+// with no spare capacity from one array per batch, so they share the
+// batch's lifetime.
 func (s *shared) blindWrites(sc *closureScratch) []world.Write {
 	sc.memb = sc.set.AppendMembers(sc.memb[:0])
 	ids := sc.objs[:0]
@@ -150,11 +150,11 @@ func (s *shared) blindWrites(sc *closureScratch) []world.Write {
 			words += len(v)
 		}
 	}
-	slab := world.NewSlab(words)
+	vals := make([]float64, words)
 	for i, w := range writes {
 		if w.Val != nil {
-			writes[i].Val = slab.Value(len(w.Val))
-			copy(writes[i].Val, w.Val)
+			n := copy(vals, w.Val)
+			writes[i].Val, vals = vals[:n:n], vals[n:]
 		}
 	}
 	return writes

@@ -331,3 +331,37 @@ func TestHandleRelayFanOutEncodeOnce(t *testing.T) {
 		t.Fatalf("cache hits = %d, want %d", cache.Hits(), len(out.ToPeers)-1)
 	}
 }
+
+// TestOwnCommitSurvivesReconcile: an own action's stable result backs its
+// commit report and its completion, and the reconciliation it triggers
+// re-applies the rest of the queue through the scratch transaction the
+// stable evaluation ran on. Both holders must still read the stable
+// result afterwards, not what the re-apply wrote.
+func TestOwnCommitSurvivesReconcile(t *testing.T) {
+	c := NewClient(1, cfgFor(ModeIncomplete), initWorld(2))
+	a1 := &testAction{id: action.ID{Client: 1, Seq: 1}, rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 1}
+	a2 := &testAction{id: action.ID{Client: 1, Seq: 2}, rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 10}
+	c.Submit(a1) // optimistic: 1+1
+	c.Submit(a2) // optimistic: 2+10
+	// A remote action lands on object 1 first, so a1's stable value is
+	// 101+1, not the 2 it was optimistic about.
+	remote := &testAction{id: action.ID{Client: 2, Seq: 1}, rs: world.NewIDSet(1), ws: world.NewIDSet(1), delta: 100}
+	out := c.HandleBatch(&wire.Batch{ClientSeq: 1, Envs: []action.Envelope{
+		{Seq: 1, Origin: 2, Act: remote}, {Seq: 2, Origin: 1, Act: a1}}})
+	if len(out.Commits) != 1 || !out.Commits[0].Reconciled {
+		t.Fatalf("commits %+v: want a1 committed with a reconciliation", out.Commits)
+	}
+	want := action.Result{OK: true, Writes: []world.Write{{ID: 1, Val: world.Value{102}}}}
+	if got := out.Commits[0].Res; !got.Equal(want) {
+		t.Fatalf("commit report holds %+v after the reconciliation, want %+v", got, want)
+	}
+	if len(out.ToServer) != 1 {
+		t.Fatalf("%d messages to the server, want a1's completion", len(out.ToServer))
+	}
+	if got := out.ToServer[0].(*wire.Completion).Res; !got.Equal(want) {
+		t.Fatalf("completion holds %+v after the reconciliation, want %+v", got, want)
+	}
+	if v, _ := c.Optimistic().Get(1); !v.Equal(world.Value{112}) {
+		t.Fatalf("ζCO(1) = %v after re-applying a2, want [112]", v)
+	}
+}

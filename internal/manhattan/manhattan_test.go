@@ -274,6 +274,46 @@ func TestMoveWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMovesCutFromOneArena: the moves decoded from one slab are distinct
+// structs cut from its arena, each decoding to what was sent, and how
+// many there are does not change how often decoding them allocates.
+func TestMovesCutFromOneArena(t *testing.T) {
+	w := NewWorld(smallConfig())
+	st := w.InitialState(8)
+	var bodies [][]byte
+	var sent []*MoveAction
+	words := 0
+	for i := 1; i <= 32; i++ {
+		m, _ := w.NewMove(action.ID{Client: 1, Seq: uint32(i)}, AvatarID(i%8+1), st)
+		sent = append(sent, m)
+		bodies = append(bodies, m.MarshalBody())
+		words += len(bodies[i-1]) / 8
+	}
+	slab := world.NewSlab(words, 0, len(bodies))
+	seen := map[*MoveAction]bool{}
+	for i, body := range bodies {
+		got, err := UnmarshalMove(w, sent[i].ID(), body, slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[got] || got.ID() != sent[i].ID() || got.Avatar() != sent[i].Avatar() || !got.ReadSet().Equal(sent[i].ReadSet()) {
+			t.Fatalf("move %d: %+v, handed out before: %v", i, got, seen[got])
+		}
+		seen[got] = true
+	}
+	decode := func(n int) func() {
+		return func() {
+			slab := world.NewSlab(words, 0, n)
+			for _, body := range bodies[:n] {
+				UnmarshalMove(w, action.ID{}, body, slab)
+			}
+		}
+	}
+	if few, many := testing.AllocsPerRun(20, decode(4)), testing.AllocsPerRun(20, decode(32)); few != many {
+		t.Fatalf("4 moves decoded in %.0f allocations, 32 in %.0f", few, many)
+	}
+}
+
 func TestMoveUnmarshalErrors(t *testing.T) {
 	w := NewWorld(smallConfig())
 	if _, err := UnmarshalMove(w, action.ID{}, []byte{1, 2, 3}, nil); err == nil {

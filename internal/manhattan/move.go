@@ -142,7 +142,7 @@ func (m *MoveAction) blocked(next geom.Vec) bool {
 	// Wall check against walls near the new position. The index lookup
 	// is a stand-in for the paper's trig-heavy per-wall collision math;
 	// the real cost is charged via CostMs.
-	return m.w.Walls.CountWithin(next, m.w.Cfg.AvatarRadius) > 0
+	return m.w.Walls.AnyWithin(next, m.w.Cfg.AvatarRadius)
 }
 
 // MarshalBody encodes avatar id, origin, heading, visible walls and the
@@ -182,23 +182,25 @@ func RegisterWire(w *World) {
 }
 
 // UnmarshalMove decodes a MoveAction body against the given world,
-// cutting the read set from slab (nil allocates it on its own).
+// cutting the action and its read set from slab (nil allocates each on
+// its own).
 func UnmarshalMove(w *World, id action.ID, body []byte, slab *world.Slab) (*MoveAction, error) {
 	const hdr = 8 + 4*8 + 4 + 2
 	if len(body) < hdr {
 		return nil, fmt.Errorf("manhattan: move body truncated: %d bytes", len(body))
 	}
-	m := &MoveAction{id: id, w: w}
+	n := int(binary.LittleEndian.Uint16(body[44:]))
+	if len(body) < hdr+8*n {
+		return nil, fmt.Errorf("manhattan: move read set truncated")
+	}
+	m := world.Obj[MoveAction](slab)
+	m.id, m.w = id, w
 	m.ws[0] = world.ObjectID(binary.LittleEndian.Uint64(body))
 	m.origin.X = floatFrom(body[8:])
 	m.origin.Y = floatFrom(body[16:])
 	m.heading.X = floatFrom(body[24:])
 	m.heading.Y = floatFrom(body[32:])
 	m.visibleWalls = int(binary.LittleEndian.Uint32(body[40:]))
-	n := int(binary.LittleEndian.Uint16(body[44:]))
-	if len(body) < hdr+8*n {
-		return nil, fmt.Errorf("manhattan: move read set truncated")
-	}
 	ids := slab.IDs(n)
 	for i := 0; i < n; i++ {
 		ids[i] = world.ObjectID(binary.LittleEndian.Uint64(body[hdr+8*i:]))

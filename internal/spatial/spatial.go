@@ -86,8 +86,8 @@ func (idx *SegmentIndex) Segment(i int) geom.Segment { return idx.segs[i] }
 // more cells than the index holds, scans the segments with the same
 // distance test, so the count is exact either way.
 func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
-	x0, y0, x1, y1, ok := idx.box(geom.Vec{X: p.X - r, Y: p.Y - r}, geom.Vec{X: p.X + r, Y: p.Y + r})
-	if !ok || (int64(x1)-int64(x0)+1)*(int64(y1)-int64(y0)+1) > int64(len(idx.cells)) {
+	x0, y0, x1, y1, ok := idx.queryBox(p, r)
+	if !ok {
 		n := 0
 		for _, s := range idx.segs {
 			if s.DistTo(p) <= r {
@@ -114,4 +114,43 @@ func (idx *SegmentIndex) CountWithin(p geom.Vec, r float64) int {
 		}
 	}
 	return n
+}
+
+// AnyWithin reports whether any segment lies within r of p, which is
+// CountWithin(p, r) > 0 without the count: it returns on the first hit,
+// and a segment listed in several cells may be tested more than once, so
+// it needs no deduplication. It allocates nothing.
+func (idx *SegmentIndex) AnyWithin(p geom.Vec, r float64) bool {
+	x0, y0, x1, y1, ok := idx.queryBox(p, r)
+	if !ok {
+		for _, s := range idx.segs {
+			if s.DistTo(p) <= r {
+				return true
+			}
+		}
+		return false
+	}
+	for x := x0; x <= x1; x++ {
+		for y := y0; y <= y1; y++ {
+			for _, i := range idx.cells[geom.CellKey(x, y)] {
+				if idx.segs[i].DistTo(p) <= r {
+					return true
+				}
+			}
+		}
+	}
+	for _, i := range idx.unplaced {
+		if idx.segs[i].DistTo(p) <= r {
+			return true
+		}
+	}
+	return false
+}
+
+// queryBox returns the cell range of the square of half-side r about p,
+// or false when a query should scan the segments instead: CellOf refuses
+// a corner, or the box covers more cells than the index holds.
+func (idx *SegmentIndex) queryBox(p geom.Vec, r float64) (x0, y0, x1, y1 int32, ok bool) {
+	x0, y0, x1, y1, ok = idx.box(geom.Vec{X: p.X - r, Y: p.Y - r}, geom.Vec{X: p.X + r, Y: p.Y + r})
+	return x0, y0, x1, y1, ok && (int64(x1)-int64(x0)+1)*(int64(y1)-int64(y0)+1) <= int64(len(idx.cells))
 }

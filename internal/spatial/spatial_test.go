@@ -50,6 +50,9 @@ func TestSegmentIndexMatchesBruteForce(t *testing.T) {
 		if n := idx.CountWithin(p, r); n != want {
 			t.Fatalf("trial %d: CountWithin = %d, want %d", trial, n, want)
 		}
+		if any := idx.AnyWithin(p, r); any != (want > 0) {
+			t.Fatalf("trial %d: AnyWithin = %v with %d within", trial, any, want)
+		}
 	}
 }
 
@@ -88,6 +91,7 @@ func TestHostileQueriesMatchBruteForce(t *testing.T) {
 		{geom.Vec{X: -edge + 2, Y: 0}, 20},
 		{geom.Vec{X: 0, Y: edge - 1}, 40},
 		{geom.Vec{X: 5, Y: 0}, edge / 4},
+		{geom.Vec{X: edge - 6, Y: 1}, 1.5}, // a grid query only an unplaced wall meets
 	}
 	for _, q := range queries {
 		want := 0
@@ -105,6 +109,16 @@ func TestHostileQueriesMatchBruteForce(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("CountWithin(%v, %g) did not return", q.p, q.r)
+		}
+		hit := make(chan bool, 1)
+		go func() { hit <- idx.AnyWithin(q.p, q.r) }()
+		select {
+		case any := <-hit:
+			if any != (want > 0) {
+				t.Errorf("AnyWithin(%v, %g) = %v with %d within", q.p, q.r, any, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("AnyWithin(%v, %g) did not return", q.p, q.r)
 		}
 	}
 }
@@ -160,9 +174,15 @@ func TestCountWithinCountsEachSegmentOnce(t *testing.T) {
 		if n := idx.CountWithin(p, r); n != want {
 			t.Fatalf("trial %d: CountWithin(%v, %g) = %d, want %d", trial, p, r, n, want)
 		}
+		if any := idx.AnyWithin(p, r); any != (want > 0) {
+			t.Fatalf("trial %d: AnyWithin(%v, %g) = %v with %d within", trial, p, r, any, want)
+		}
 	}
 	p := geom.Vec{X: 300, Y: 250}
 	if allocs := testing.AllocsPerRun(100, func() { idx.CountWithin(p, 45) }); allocs != 0 {
 		t.Fatalf("CountWithin allocated %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idx.AnyWithin(p, 45); idx.AnyWithin(geom.Vec{X: -40, Y: -40}, 5) }); allocs != 0 {
+		t.Fatalf("AnyWithin allocated %.1f times, want 0", allocs)
 	}
 }

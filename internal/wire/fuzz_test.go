@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"seve/internal/action"
 )
 
 // FuzzDecode throws arbitrary bytes at Decode for every message type and
@@ -15,6 +17,12 @@ func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		f.Add(byte(m.Type()), Encode(m))
 	}
+	// A batch of every kind, interleaved: the kinds that cut from the
+	// arena and the id array between blind writes that cut values.
+	mixed := crowdBatch(3)
+	mixed.Envs = append(mixed.Envs, env(5, 2, &testAct{id: action.ID{Client: 2, Seq: 9}, A: 1}), mixed.Envs[0],
+		mixed.Envs[1], env(6, 3, &testAct{id: action.ID{Client: 3, Seq: 1}, B: -1}))
+	f.Add(byte(TypeBatch), Encode(mixed))
 	// A few hostile shapes: huge counts with tiny bodies.
 	f.Add(byte(TypeBatch), []byte{0, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255})
 	f.Add(byte(TypeBatch), []byte{

@@ -326,9 +326,10 @@ func resultSize(r action.Result) int {
 // it is guarded for the concurrent TCP deployment.
 //
 // slab is where a decoder should cut the action's id sets and values
-// from: the actions of one batch then share two allocations between
-// them (see world.Slab for what that means for their lifetime). It is
-// nil for a message that carries a single action.
+// from, and the action struct itself (world.Obj): the actions of one
+// batch then share a fixed number of allocations between them (see
+// world.Slab for what that means for their lifetime). It is nil for a
+// message that carries a single action.
 type Decoder func(id action.ID, body []byte, slab *world.Slab) (action.Action, error)
 
 var (
@@ -426,6 +427,31 @@ func decodeEnvelope(buf []byte, slab *world.Slab) (action.Envelope, int, error) 
 		return action.Envelope{}, 0, fmt.Errorf("wire: decoding kind %d: %w", kind, err)
 	}
 	return action.Envelope{Seq: seq, Origin: origin, Act: act}, envelopeHdr + blen, nil
+}
+
+// batchSlab sizes the slab of a batch of n envelopes from their headers:
+// blind-write bodies bound the value array, every other body the id
+// array, and each other body may ask for one struct from the arena. Ids
+// and attributes are 8 bytes on the wire, so a body of b bytes carries at
+// most b/8 of them. The pass stops at the first envelope the buffer
+// cannot hold, which the decode then rejects, so no bound exceeds what
+// the buffer bears out.
+func batchSlab(buf []byte, n int) *world.Slab {
+	var ids, vals, objs int
+	for ; n > 0 && len(buf) >= envelopeHdr; n-- {
+		blen := int(binary.LittleEndian.Uint32(buf[22:]))
+		if len(buf) < envelopeHdr+blen {
+			break
+		}
+		if action.Kind(binary.LittleEndian.Uint16(buf[20:])) == action.KindBlindWrite {
+			vals += blen / 8
+		} else {
+			ids += blen / 8
+			objs++
+		}
+		buf = buf[envelopeHdr+blen:]
+	}
+	return world.NewSlab(ids, vals, objs)
 }
 
 func appendWrites(buf []byte, ws []world.Write) []byte {
@@ -613,9 +639,7 @@ func Decode(t MsgType, buf []byte) (Msg, error) {
 		n := int(binary.LittleEndian.Uint32(buf[25:]))
 		off := 29
 		// The count is untrusted: as in decodeWrites, it sizes Envs only
-		// as far as the buffer could hold that many envelopes. What the
-		// envelope headers leave of the buffer bounds the ids and
-		// attributes the bodies can carry, and that sizes the batch's slab.
+		// as far as the buffer could hold that many envelopes.
 		capHint := n
 		if max := (len(buf) - off) / envelopeHdr; capHint > max {
 			capHint = max
@@ -623,7 +647,7 @@ func Decode(t MsgType, buf []byte) (Msg, error) {
 		var slab *world.Slab
 		if capHint > 0 {
 			m.Envs = make([]action.Envelope, 0, capHint)
-			slab = world.NewSlab((len(buf) - off - capHint*envelopeHdr) / 8)
+			slab = batchSlab(buf[off:], n)
 		}
 		for i := 0; i < n; i++ {
 			env, sz, err := decodeEnvelope(buf[off:], slab)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"runtime"
@@ -343,6 +344,108 @@ func TestBatchDecodeSizesFromCount(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Fatalf("a forged count allocated %d bytes for a %d-byte frame", grew, len(forged))
+	}
+
+	// Forged body lengths: each envelope in turn claims nothing, more than
+	// the frame holds, or the whole rest of the frame. The slab is sized
+	// from these lengths before any body is decoded, so none may grow it
+	// past the frame: Envs and the arena hold at most one struct per
+	// 26-byte header, and the id and value arrays together at most the
+	// frame's bytes.
+	frame := Encode(crowdBatch(64))
+	for off := 29; off < len(frame); off += envelopeHdr + int(binary.LittleEndian.Uint32(frame[off+22:])) {
+		for _, blen := range []uint32{0, 0xffffffff, uint32(len(frame) - off - envelopeHdr)} {
+			forged := append([]byte(nil), frame...)
+			binary.LittleEndian.PutUint32(forged[off+22:], blen)
+			runtime.ReadMemStats(&before)
+			Decode(TypeBatch, forged)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(4*len(forged)+1<<10) {
+				t.Fatalf("envelope at %d claiming %d body bytes: decoding allocated %d bytes for a %d-byte frame", off, blen, grew, len(forged))
+			}
+		}
+	}
+}
+
+// crowdBatch is the shape of a crowd's closure batch: one blind write
+// seeding eight avatars, then k moves, each reading six of them.
+func crowdBatch(k int) *Batch {
+	ws := make([]world.Write, 8)
+	for j := range ws {
+		ws[j] = world.Write{ID: world.ObjectID(j + 1), Val: world.Value{float64(j), 1, 0, 1}}
+	}
+	b := &Batch{ClientSeq: 1, Envs: []action.Envelope{
+		env(1, action.OriginServer, action.NewBlindWrite(action.ID{Client: action.OriginServer, Seq: 1}, ws))}}
+	for i := 0; i < k; i++ {
+		ids := world.NewIDSet(world.ObjectID(i%8+1), 2, 3, 4, 5, 6)
+		b.Envs = append(b.Envs, env(uint64(i+2), 2, &setAct{id: action.ID{Client: 2, Seq: uint32(i + 1)}, ids: ids}))
+	}
+	return b
+}
+
+// TestBatchDecodeSizesEachArray: each slab array is sized by the bodies
+// that cut from it, so a batch of moves reading a hundred avatars each
+// and one small blind write allocates little more than its frame. Sizing
+// the value array by the moves' bodies too would double that.
+func TestBatchDecodeSizesEachArray(t *testing.T) {
+	b := crowdBatch(64)
+	for i := range b.Envs[1:] {
+		ids := make([]world.ObjectID, 100)
+		for j := range ids {
+			ids[j] = world.ObjectID(j + 1)
+		}
+		b.Envs[i+1].Act.(*setAct).ids = world.AsIDSet(ids)
+	}
+	buf := Encode(b)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Decode(TypeBatch, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(len(buf))*3/2 {
+		t.Fatalf("decoding a %d-byte batch allocated %d bytes", len(buf), per)
+	}
+}
+
+// TestBatchDecodeAllocatesPerBatch: a crowd-shaped batch decodes in a
+// fixed number of allocations whatever its move count — the message,
+// Envs, the slab, its id and value arrays, the blind write and its write
+// records, and the arena's box and array. A batch with a single move
+// pays for that move instead of an arena, which is exactly what the same
+// batch cost before moves were cut from an arena.
+func TestBatchDecodeAllocatesPerBatch(t *testing.T) {
+	const perBatch = 9
+	for _, k := range []int{1, 2, 8, 64} {
+		b := crowdBatch(k)
+		buf := Encode(b)
+		m, err := Decode(TypeBatch, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Encode(m); !bytes.Equal(got, buf) {
+			t.Fatalf("k=%d: the decoded batch re-encodes differently", k)
+		}
+		for i, e := range m.(*Batch).Envs[1:] {
+			if got := e.Act.(*setAct); got.id != b.Envs[i+1].Act.ID() || !got.ids.Equal(b.Envs[i+1].Act.ReadSet()) {
+				t.Fatalf("k=%d: move %d decoded to %+v", k, i, got)
+			}
+		}
+		want := float64(perBatch)
+		if k == 1 {
+			want--
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Decode(TypeBatch, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want {
+			t.Fatalf("a blind write and %d moves decoded in %.0f allocations, want %.0f", k, allocs, want)
+		}
 	}
 }
 

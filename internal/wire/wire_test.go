@@ -35,12 +35,49 @@ func (a *testAct) MarshalBody() []byte {
 	return buf
 }
 
+// setAct is a registered test action shaped like a move: its decoder
+// cuts the struct from the batch's arena and its id set from the id
+// array.
+type setAct struct {
+	id  action.ID
+	ids world.IDSet
+}
+
+const kindSet action.Kind = 8
+
+func (a *setAct) ID() action.ID           { return a.id }
+func (a *setAct) Kind() action.Kind       { return kindSet }
+func (a *setAct) ReadSet() world.IDSet    { return a.ids }
+func (a *setAct) WriteSet() world.IDSet   { return a.ids }
+func (a *setAct) Apply(tx *world.Tx) bool { return true }
+
+func (a *setAct) MarshalBody() []byte {
+	buf := binary.LittleEndian.AppendUint16(nil, uint16(len(a.ids)))
+	for _, id := range a.ids {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+	}
+	return buf
+}
+
 func init() {
-	RegisterKind(kindTest, func(id action.ID, body []byte, _ *world.Slab) (action.Action, error) {
+	RegisterKind(kindSet, func(id action.ID, body []byte, slab *world.Slab) (action.Action, error) {
+		if len(body) < 2 || len(body) < 2+8*int(binary.LittleEndian.Uint16(body)) {
+			return nil, fmt.Errorf("set action body truncated: %d bytes", len(body))
+		}
+		a := world.Obj[setAct](slab)
+		a.id = id
+		a.ids = slab.IDs(int(binary.LittleEndian.Uint16(body)))
+		for i := range a.ids {
+			a.ids[i] = world.ObjectID(binary.LittleEndian.Uint64(body[2+8*i:]))
+		}
+		return a, nil
+	})
+	RegisterKind(kindTest, func(id action.ID, body []byte, slab *world.Slab) (action.Action, error) {
 		if len(body) < 16 {
 			return nil, fmt.Errorf("test action body truncated: %d bytes", len(body))
 		}
-		a := &testAct{id: id}
+		a := world.Obj[testAct](slab)
+		a.id = id
 		a.A = math.Float64frombits(binary.LittleEndian.Uint64(body))
 		a.B = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
 		return a, nil

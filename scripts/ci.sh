@@ -118,8 +118,9 @@ echo "bench smokes: all five workloads pass their gates"
 
 # Coverage gate: statement coverage of the packages the resume protocol
 # cuts through, of the integrity layer, of the shard router, of the
-# durable store and of world (the Tx scan/index switch, the MVStore's
-# slot reuse) must not regress below the floor.
+# durable store, of world (the Tx scan/index switch, the MVStore's slot
+# reuse, the slab's arena) and of wire (the batch header pass that sizes
+# the slab) must not regress below the floor.
 cover_gate() {
     pkg="$1"
     floor="$2"
@@ -139,3 +140,4 @@ cover_gate ./internal/integrity 90
 cover_gate ./internal/shard 88
 cover_gate ./internal/durable 85
 cover_gate ./internal/world 95
+cover_gate ./internal/wire 93
