@@ -107,23 +107,8 @@ func (s *Server) pushWindow(nowMs float64) []int {
 	return window
 }
 
-// SetPlanExecutor registers a parallel executor for the engine's
-// read-only planning fan-outs (the First Bound push). fn must run every
-// task to completion — concurrently or not — before returning. The
-// shard router injects its persistent lane workers here so a Tick
-// reuses them instead of spawning a fresh goroutine pool per cycle
-// (goroutine start-up was the measured overhead that made small-fleet
-// sharded ticks slower than the single-lane engine). Pass nil to
-// restore the internal pool.
-func (s *Server) SetPlanExecutor(fn func(tasks []func())) { s.planExec = fn }
-
-// runPlanTasks executes read-only planning tasks, through the injected
-// executor when one is registered.
+// runPlanTasks executes read-only planning tasks, one goroutine each.
 func (s *Server) runPlanTasks(tasks []func()) {
-	if s.planExec != nil {
-		s.planExec(tasks)
-		return
-	}
 	var wg sync.WaitGroup
 	for _, t := range tasks {
 		wg.Add(1)

@@ -61,9 +61,12 @@ type Resumer interface {
 	// HandleResume answers a wire.Resume. On success it returns the
 	// session's client id; the output carries the CatchUp verdict plus
 	// either the retained batch suffix or the snapshot follow-up,
-	// addressed to that id. On rejection the id is zero and the output
-	// holds a single CatchUp{OK: false} Reply addressed To: 0 — the
-	// transport routes it to the connection the Resume arrived on.
+	// addressed to that id. On rejection the id is zero and exactly one
+	// Reply is addressed To: 0 — CatchUp{OK: false} for an unknown or
+	// stale token, Quarantine for a quarantined ledger — which the
+	// transport writes to the connection the Resume arrived on; any other
+	// replies (a sharded engine flushes its open epoch first) go to their
+	// recipients as usual.
 	HandleResume(m *wire.Resume, nowMs float64) (action.ClientID, ServerOutput)
 	// SessionToken returns the resume token for a registered client, or 0
 	// when sessions are disabled or the client is unknown.

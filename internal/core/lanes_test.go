@@ -75,20 +75,6 @@ func (ps *pipeSide) submit(from action.ClientID, a *testAction, lane int) pipeSu
 	return pipeSub{from: from, msg: msg, lane: lane}
 }
 
-// parExec fans tasks out on real goroutines — the executor shape the
-// shard router injects for push planning.
-func parExec(tasks []func()) {
-	var wg sync.WaitGroup
-	for _, task := range tasks {
-		wg.Add(1)
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(task)
-	}
-	wg.Wait()
-}
-
 // installBuffered is the epoch head: buffered completions apply, then
 // the contiguous prefix installs.
 func (ps *pipeSide) installBuffered(t *testing.T) {
@@ -222,7 +208,6 @@ func TestLanePipelineMatchesSequential(t *testing.T) {
 
 			par := newPipeSide(cfg, init, 5)
 			par.srv.EnablePartition(nLanes)
-			par.srv.SetPlanExecutor(parExec)
 			if !par.srv.Partitioned() {
 				t.Fatal("EnablePartition did not partition")
 			}

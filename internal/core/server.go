@@ -107,10 +107,6 @@ type Server struct {
 	// TestTickParallelDeterminism, set only by this package's tests.
 	pushWidth int
 
-	// planExec, when set, runs read-only planning fan-outs on the
-	// caller's worker pool instead of ad-hoc goroutines (SetPlanExecutor).
-	planExec func(tasks []func())
-
 	// quarOut stages the quarantine verdicts DrainQuarantines emits in
 	// effective-log order (DESIGN.md §16).
 	quarOut []Reply

@@ -216,20 +216,18 @@ type advResult struct {
 	batches               int
 	envs                  int
 	enqueued              int
-	drops                 int64
-	superseded, coalesced int64
+	drops                 int
+	superseded, coalesced int
 	snapshots             int
-	maxStale              int64
+	maxStale              int
 }
 
-// advRig is the headless delivery path: the real engine replies, the
-// real encode boundary, and the real SendQueue escalation ladder —
-// enqueue, tail-coalesce, snapshot fallback — with the harness standing
-// in for the writer pumps.
+// advRig is the headless delivery path: the transport's Hub — the real
+// engine replies, the real encode boundary, and the real SendQueue
+// escalation ladder: enqueue, tail-coalesce, snapshot fallback — with
+// the harness standing in for the writer pumps.
 type advRig struct {
-	eng    *core.Server
-	queues map[action.ClientID]*transport.SendQueue
-	ctrs   *transport.DeliveryCounters
+	hub *transport.Hub
 	// stalled marks the cohort whose drains are withheld during the
 	// stall window; their delivered bytes are accounted separately.
 	stalled map[action.ClientID]bool
@@ -237,35 +235,10 @@ type advRig struct {
 	res     advResult
 }
 
-// dispatch mirrors transport.Server.dispatch: encode each reply into
-// its client's queue, and answer NeedSnapshot verdicts with the
-// engine's blind-write catch-up, whose replies re-enter the same path.
-func (r *advRig) dispatch(out core.ServerOutput) {
-	var needSnap []action.ClientID
-	var cache wire.EncodeCache
-	defer cache.Reset()
-	for i := range out.Replies {
-		rep := &out.Replies[i]
-		q := r.queues[rep.To]
-		if q == nil {
-			continue
-		}
-		r.res.enqueued++
-		f := wire.NewFrameCached(&cache, rep.Msg)
-		if q.Enqueue(f, rep.Deliver) == transport.NeedSnapshot && !slices.Contains(needSnap, rep.To) {
-			needSnap = append(needSnap, rep.To)
-		}
-	}
-	for _, cid := range needSnap {
-		r.res.snapshots++
-		r.dispatch(r.eng.SnapshotCatchUp(cid, r.nowMs))
-	}
-}
-
 // drain empties one client's queue through the wire boundary, counting
 // what a connected client would have received.
 func (r *advRig) drain(cid action.ClientID) error {
-	q := r.queues[cid]
+	q := r.hub.Queue(cid)
 	for {
 		frames := q.PopAll(nil, 1<<30)
 		if len(frames) == 0 {
@@ -318,13 +291,10 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 		}
 	}
 
-	eng := core.NewServer(cfg, init)
-	rig := &advRig{eng: eng, queues: map[action.ClientID]*transport.SendQueue{},
-		ctrs: &transport.DeliveryCounters{}, stalled: map[action.ClientID]bool{}}
+	hub := transport.NewHub(transport.ServerConfig{Core: cfg, Init: init}, new(sync.Mutex))
+	rig := &advRig{hub: hub, stalled: map[action.ClientID]bool{}}
 	for c := 1; c <= p.clients(); c++ {
-		cid := action.ClientID(c)
-		eng.RegisterClient(cid, 0)
-		rig.queues[cid] = transport.NewSendQueue(p.queueCap, sup, rig.ctrs)
+		cid, _ := hub.Join(0, hub.NewQueue(p.queueCap, sup))
 		if sc.stalls && p.isStalled(c) {
 			rig.stalled[cid] = true
 		}
@@ -343,7 +313,7 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 		copy(pending, pending[1:])
 		pending[p.lag-1] = nil
 		for _, comp := range due {
-			rig.dispatch(eng.HandleMsg(comp.By, comp, rig.nowMs))
+			hub.Handle(comp.By, comp, rig.nowMs)
 		}
 
 		for c := 1; c <= p.clients(); c++ {
@@ -371,7 +341,7 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 				for _, wr := range res.Writes {
 					mirror.Set(wr.ID, wr.Val)
 				}
-				out := eng.HandleMsg(cid, &wire.Submit{Env: action.Envelope{Origin: cid, Act: a}}, rig.nowMs)
+				out := hub.Handle(cid, &wire.Submit{Env: action.Envelope{Origin: cid, Act: a}}, rig.nowMs)
 				seq, found := uint64(0), false
 				for _, rep := range out.Replies {
 					batch, ok := rep.Msg.(*wire.Batch)
@@ -384,7 +354,6 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 						}
 					}
 				}
-				rig.dispatch(out)
 				if !found {
 					return fmt.Errorf("client %d round %d: submission produced no closure reply", c, round)
 				}
@@ -392,7 +361,7 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 			}
 		}
 
-		rig.dispatch(eng.Tick(rig.nowMs))
+		hub.Tick(rig.nowMs)
 
 		for c := 1; c <= p.clients(); c++ {
 			if stallActive(c, round) {
@@ -421,15 +390,15 @@ func runAdversarial(sc advScenario, p advParams, sup bool) (advResult, error) {
 		if err := rig.drain(action.ClientID(c)); err != nil {
 			return advResult{}, err
 		}
-		rig.queues[action.ClientID(c)].Close()
+		hub.Queue(action.ClientID(c)).Close()
 	}
 
-	rig.res.drops = rig.ctrs.Drops.Load()
-	rig.res.superseded = rig.ctrs.Superseded.Load()
-	rig.res.coalesced = rig.ctrs.Coalesced.Load()
-	rig.res.maxStale = rig.ctrs.MaxStale.Load()
-	if got := eng.Metrics().SnapshotFallbacks; got != rig.res.snapshots {
-		return advResult{}, fmt.Errorf("engine counted %d snapshot fallbacks, rig issued %d", got, rig.res.snapshots)
+	st := hub.Metrics()
+	rig.res.drops, rig.res.superseded, rig.res.coalesced, rig.res.maxStale =
+		st.WriteQueueDrops, st.FramesSuperseded, st.FramesCoalesced, st.MaxStaleObjects
+	rig.res.enqueued, rig.res.snapshots = hub.Counts()
+	if st.SnapshotFallbacks != rig.res.snapshots {
+		return advResult{}, fmt.Errorf("engine counted %d snapshot fallbacks, hub issued %d", st.SnapshotFallbacks, rig.res.snapshots)
 	}
 	return rig.res, nil
 }

@@ -57,8 +57,7 @@ type Router struct {
 	spanning []uint64
 
 	// Lane workers: one persistent goroutine per shard, fed closures per
-	// flush phase (and per Tick, via the engine's plan executor).
-	// Stopped by Close.
+	// flush phase. Stopped by Close.
 	reqs []chan laneTask
 	wg   sync.WaitGroup
 
@@ -162,7 +161,6 @@ func New(cfg core.Config, init *world.State) *Router {
 	r.stats.Shards = cfg.Shards
 	r.stats.PerLane = make([]metrics.LaneStats, cfg.Shards)
 	r.inner.EnablePartition(cfg.Shards)
-	r.inner.SetPlanExecutor(r.execTasks)
 	for w := 0; w < cfg.Shards; w++ {
 		r.views = append(r.views, r.inner.Lane(w))
 		r.reqs[w] = make(chan laneTask, 8)
@@ -181,7 +179,7 @@ func (r *Router) Close() {
 }
 
 // laneWorker is one shard's engine goroutine: it runs the closures its
-// lane is fed, in order, for every flush phase and plan fan-out.
+// lane is fed, in order, for every flush phase.
 func (r *Router) laneWorker(w int) {
 	defer r.wg.Done()
 	for t := range r.reqs[w] {
@@ -225,24 +223,6 @@ func (r *Router) runPhase(active []int, total, crit *int64, fn func(lane int)) {
 		slowest = max(slowest, d)
 	}
 	*crit += slowest
-}
-
-// execTasks runs independent closures to completion, round-robin over
-// the lane workers — the executor injected into the engine's Tick
-// scheduler (core.SetPlanExecutor).
-func (r *Router) execTasks(tasks []func()) {
-	if r.serial || len(tasks) == 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i, t := range tasks {
-		wg.Add(1)
-		r.reqs[i%r.n] <- laneTask{fn: t, wg: &wg}
-	}
-	wg.Wait()
 }
 
 // planLane plans jobs[idxs] in order through h with the lane-local sent
@@ -458,8 +438,7 @@ func (r *Router) Quarantined(id action.ClientID) bool { return r.inner.Quarantin
 
 // Tick runs the First Bound push cycle over settled state: the epoch
 // flushes first (its actions belong to the push window), then the
-// inner scheduler takes over — its plan fan-out runs on the router's
-// lane workers through the injected executor.
+// inner scheduler takes over.
 func (r *Router) Tick(nowMs float64) core.ServerOutput {
 	out := r.takePending()
 	out = r.flushInto(out, &r.stats.BarrierFlushes)

@@ -48,7 +48,7 @@ func TestIntegrityEquivalence(t *testing.T) {
 				}
 			}
 
-			ss := subject.srv.Metrics()
+			ss := subject.hub.Metrics()
 			if ss.ContractBreaches != 0 || ss.ForgedCompletions != 0 ||
 				ss.AuditDivergences != 0 || ss.RepairedResults != 0 ||
 				ss.QuarantinedClients != 0 || ss.QuarantineRejected != 0 ||

@@ -18,39 +18,37 @@ import (
 // every drop lands in ServerStats.WriteQueueDrops, while the one queued
 // frame shows in the PoolOutstanding gauge until the queue lets it go.
 func TestWriteQueueDropCounter(t *testing.T) {
-	srv := NewServer(ServerConfig{Core: protocolConfig(), Init: world.NewState()})
-	idle := srv.Metrics().PoolOutstanding
+	hub := NewHub(ServerConfig{Core: protocolConfig(), Init: world.NewState()}, new(sync.Mutex))
+	idle := hub.Metrics().PoolOutstanding
 	// A writer whose pump never runs: one slot, then the queue is full.
 	// Built non-superseding so a full queue drops (the FIFO ladder rung).
-	q := NewSendQueue(1, false, &srv.ctrs)
-	srv.mu.Lock()
-	srv.writers[7] = q
-	srv.mu.Unlock()
+	q := hub.NewQueue(1, false)
+	id, _ := hub.Join(0, q)
 
 	batchTo := func(id action.ClientID) core.Reply {
 		return core.Reply{To: id, Msg: &wire.Batch{}, Deliver: core.Delivery{Class: core.DeliveryBatch}}
 	}
 	var out core.ServerOutput
 	for i := 0; i < 3; i++ {
-		out.Replies = append(out.Replies, batchTo(7))
+		out.Replies = append(out.Replies, batchTo(id))
 	}
 	// A reply to a never-registered client is skipped, not counted: the
 	// counter measures backpressure, not departures.
 	out.Replies = append(out.Replies, batchTo(99))
-	srv.dispatch(out)
+	hub.dispatch(out, 0)
 
-	if got := srv.Metrics().WriteQueueDrops; got != 2 {
+	if got := hub.Metrics().WriteQueueDrops; got != 2 {
 		t.Fatalf("WriteQueueDrops = %d, want 2", got)
 	}
-	srv.dispatch(core.ServerOutput{Replies: []core.Reply{batchTo(7)}})
-	if got := srv.Metrics().WriteQueueDrops; got != 3 {
+	hub.dispatch(core.ServerOutput{Replies: []core.Reply{batchTo(id)}}, 0)
+	if got := hub.Metrics().WriteQueueDrops; got != 3 {
 		t.Fatalf("WriteQueueDrops = %d after second burst, want 3", got)
 	}
-	if got := srv.Metrics().PoolOutstanding; got != idle+1 {
+	if got := hub.Metrics().PoolOutstanding; got != idle+1 {
 		t.Fatalf("PoolOutstanding = %d with one frame queued, want %d", got, idle+1)
 	}
 	q.Close()
-	if got := srv.Metrics().PoolOutstanding; got != idle {
+	if got := hub.Metrics().PoolOutstanding; got != idle {
 		t.Fatalf("PoolOutstanding = %d after Close, want %d", got, idle)
 	}
 }

@@ -225,12 +225,7 @@ func TestStalledJoinerHoldsNoServerLock(t *testing.T) {
 // tracking it and its writer queue goes.
 func TestFailedWelcomeLeaves(t *testing.T) {
 	srv, l := servePipes(t, protocolConfig())
-	writers := func() int {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.writers)
-	}
-	tracked0, writers0 := srv.Metrics().TrackedClients, writers()
+	tracked0 := srv.Metrics().TrackedClients
 
 	a := l.dial()
 	if err := wire.WriteFrame(a, &wire.Hello{}); err != nil {
@@ -241,14 +236,16 @@ func TestFailedWelcomeLeaves(t *testing.T) {
 	}
 	a.Close()
 
-	// The leave travels through the engine loop on its own; poll for it.
-	var tracked, w int
+	// The server's first joiner is client 1. The leave travels through
+	// the engine loop on its own; poll for it.
+	var tracked int
+	var q *SendQueue
 	for deadline := time.Now().Add(stallDeadline); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if tracked, w = srv.Metrics().TrackedClients, writers(); tracked == tracked0 && w == writers0 {
+		if tracked, q = srv.Metrics().TrackedClients, srv.hub.Queue(1); tracked == tracked0 && q == nil {
 			return
 		}
 	}
-	t.Fatalf("after a failed Welcome write: tracked %d (was %d), writers %d (was %d)", tracked, tracked0, w, writers0)
+	t.Fatalf("after a failed Welcome write: tracked %d (was %d), writer registered: %v", tracked, tracked0, q != nil)
 }
 
 // TestServerCloseDisconnectsEveryone: Close returns with an idle client
@@ -329,5 +326,75 @@ func TestCloseDuringResumeStopsRun(t *testing.T) {
 		}
 	case <-time.After(stallDeadline):
 		t.Fatalf("Run still reading the resumed connection %v after Close", stallDeadline)
+	}
+}
+
+// TestHandshakeAfterWelcomeIsOrdinary: a joined client that sends a
+// second Hello and a Resume carrying its own token hands the engine two
+// ordinary messages, not two more handshakes. Another client must
+// still join and commit, and Close must return.
+func TestHandshakeAfterWelcomeIsOrdinary(t *testing.T) {
+	w := testWorld()
+	cfg := protocolConfig()
+	cfg.ResumeWindow = 8
+	srv, l := servePipes(t, cfg)
+
+	a := l.dial()
+	defer a.Close()
+	if err := wire.WriteFrame(a, &wire.Hello{}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wire.ReadFrame(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	welcome, ok := msg.(*wire.Welcome)
+	if !ok {
+		t.Fatalf("handshake answered %#v, want a Welcome", msg)
+	}
+	for _, m := range []wire.Msg{&wire.Hello{}, &wire.Resume{Token: welcome.Token}} {
+		if err := wire.WriteFrame(a, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The engine answers the Resume on A's connection; once the CatchUp
+	// arrives, both frames have been through the engine loop.
+	caughtUp := make(chan struct{})
+	go func() {
+		for {
+			m, err := wire.ReadFrame(a)
+			if err != nil {
+				return
+			}
+			if _, ok := m.(*wire.CatchUp); ok {
+				close(caughtUp)
+			}
+		}
+	}()
+	if !returned(caughtUp) {
+		t.Fatalf("no CatchUp within %v for a Resume sent after the Welcome", stallDeadline)
+	}
+
+	b, err := join(l.dial(), "", cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan core.Commit, 1)
+	b.OnCommit = func(c core.Commit) { committed <- c }
+	runDone := async(func() { b.Run() })
+	defer func() {
+		b.Close()
+		<-runDone
+	}()
+	if _, err := b.Submit(newMove(t, w, b)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-committed:
+	case <-time.After(stallDeadline):
+		t.Fatalf("B's move did not commit within %v after A repeated its handshake", stallDeadline)
+	}
+	if !returned(async(srv.Close)) {
+		t.Errorf("Server.Close blocked past %v after a repeated handshake", stallDeadline)
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"seve/internal/action"
@@ -27,17 +28,16 @@ func supConfig() core.Config {
 	return cfg
 }
 
-// supHarness drives the real dispatch path — engine, dispatch,
-// SendQueue — without TCP: frames are popped from the queues and fed to
-// real core.Client engines, so every byte crosses the same encode/decode
+// supHarness drives the server's Hub — engine, dispatch, SendQueue —
+// without TCP: frames are popped from the queues and fed to real
+// core.Client engines, so every byte crosses the same encode/decode
 // boundary a socket would, deterministically.
 type supHarness struct {
 	t       *testing.T
 	w       *manhattan.World
 	cfg     core.Config
-	srv     *Server
+	hub     *Hub
 	ids     []action.ClientID
-	queues  map[action.ClientID]*SendQueue
 	engines map[action.ClientID]*core.Client
 	streams map[action.ClientID]*bytes.Buffer
 	stalled map[action.ClientID]bool
@@ -46,60 +46,32 @@ type supHarness struct {
 	now     float64
 }
 
-// plainFIFO disarms the superseding queue cfg would arm, before any
-// client's SendQueue is built: the reference leg of
-// TestSupersedingEquivalence.
+// plainFIFO builds every client's queue plain FIFO where cfg would arm
+// superseding: the reference leg of TestSupersedingEquivalence.
 func newSupHarness(t *testing.T, cfg core.Config, nClients int, caps map[action.ClientID]int, plainFIFO bool) *supHarness {
 	w := testWorld()
 	h := &supHarness{
 		t:       t,
 		w:       w,
 		cfg:     cfg,
-		srv:     NewServer(ServerConfig{Core: cfg, Init: w.InitialState(0)}),
-		queues:  make(map[action.ClientID]*SendQueue),
+		hub:     NewHub(ServerConfig{Core: cfg, Init: w.InitialState(0)}, new(sync.Mutex)),
 		engines: make(map[action.ClientID]*core.Client),
 		streams: make(map[action.ClientID]*bytes.Buffer),
 		stalled: make(map[action.ClientID]bool),
 		commits: make(map[action.ClientID][]core.Commit),
 		sent:    make(map[action.ClientID]int),
 	}
-	if plainFIFO {
-		h.srv.superseding = false
-	}
-	init := h.srv.cfg.Init
 	for i := 1; i <= nClients; i++ {
-		id := action.ClientID(i)
-		h.ids = append(h.ids, id)
 		cap := sendQueueCap
-		if c, ok := caps[id]; ok {
+		if c, ok := caps[action.ClientID(i)]; ok {
 			cap = c
 		}
-		q := NewSendQueue(cap, h.srv.superseding, &h.srv.ctrs)
-		h.srv.mu.Lock()
-		h.srv.engine.RegisterClient(id, 0)
-		h.srv.writers[id] = q
-		h.srv.mu.Unlock()
-		h.queues[id] = q
-		h.engines[id] = core.NewClient(id, cfg, init)
+		id, _ := h.hub.Join(0, h.hub.NewQueue(cap, supersedes(cfg) && !plainFIFO))
+		h.ids = append(h.ids, id)
+		h.engines[id] = core.NewClient(id, cfg, h.hub.init)
 		h.streams[id] = &bytes.Buffer{}
 	}
 	return h
-}
-
-// serverHandle pushes one client message through the engine and the full
-// dispatch path (including any snapshot fallback it triggers).
-func (h *supHarness) serverHandle(id action.ClientID, m wire.Msg) {
-	h.srv.mu.Lock()
-	out := h.srv.engine.HandleMsg(id, m, h.now)
-	h.srv.mu.Unlock()
-	h.srv.dispatch(out)
-}
-
-func (h *supHarness) tick() {
-	h.srv.mu.Lock()
-	out := h.srv.engine.Tick(h.now)
-	h.srv.mu.Unlock()
-	h.srv.dispatch(out)
 }
 
 // submit mints and submits one move for id, whatever its stall state —
@@ -112,7 +84,7 @@ func (h *supHarness) submit(id action.ClientID) {
 	}
 	msg, _ := cl.Submit(mv)
 	h.sent[id]++
-	h.serverHandle(id, msg)
+	h.hub.Handle(id, msg, h.now)
 }
 
 // pump drains id's delivery queue, recording the raw bytes and applying
@@ -122,7 +94,7 @@ func (h *supHarness) pump(id action.ClientID) int {
 	if h.stalled[id] {
 		return 0
 	}
-	q := h.queues[id]
+	q := h.hub.Queue(id)
 	applied := 0
 	for {
 		frames := q.PopAll(nil, 1<<30)
@@ -142,7 +114,7 @@ func (h *supHarness) pump(id action.ClientID) int {
 			}
 			h.commits[id] = append(h.commits[id], out.Commits...)
 			for _, sm := range out.ToServer {
-				h.serverHandle(id, sm)
+				h.hub.Handle(id, sm, h.now)
 			}
 			applied++
 		}
@@ -159,7 +131,7 @@ func (h *supHarness) pumpAll() {
 func (h *supHarness) settle() {
 	for round := 0; round < 50; round++ {
 		h.now += h.cfg.PushIntervalMs()
-		h.tick()
+		h.hub.Tick(h.now)
 		applied := 0
 		for _, id := range h.ids {
 			applied += h.pump(id)
@@ -181,7 +153,7 @@ func runKeepUp(t *testing.T, cfg core.Config, plainFIFO bool) *supHarness {
 			h.submit(id)
 			h.pumpAll()
 		}
-		h.tick()
+		h.hub.Tick(h.now)
 		h.pumpAll()
 	}
 	h.settle()
@@ -194,16 +166,16 @@ func runKeepUp(t *testing.T, cfg core.Config, plainFIFO bool) *supHarness {
 func TestSupersedingEquivalence(t *testing.T) {
 	control := runKeepUp(t, supConfig(), true)
 	subject := runKeepUp(t, supConfig(), false)
-	if !subject.srv.superseding {
+	if !supersedes(supConfig()) {
 		t.Fatal("superseding not armed despite ResumeWindow")
 	}
 
 	for _, id := range subject.ids {
 		// A mis-wired harness would compare one queue mode with itself.
-		if control.srv.superseding || control.queues[id].sup {
+		if control.hub.Queue(id).sup {
 			t.Fatalf("client %d: control leg did not run the plain FIFO queue", id)
 		}
-		if !subject.queues[id].sup {
+		if !subject.hub.Queue(id).sup {
 			t.Fatalf("client %d: subject leg did not run the superseding queue", id)
 		}
 		got, want := subject.streams[id].Bytes(), control.streams[id].Bytes()
@@ -216,7 +188,7 @@ func TestSupersedingEquivalence(t *testing.T) {
 		}
 	}
 	for name, h := range map[string]*supHarness{"control": control, "subject": subject} {
-		ss := h.srv.Metrics()
+		ss := h.hub.Metrics()
 		if ss.FramesSuperseded != 0 || ss.FramesCoalesced != 0 || ss.SnapshotFallbacks != 0 || ss.WriteQueueDrops != 0 {
 			t.Fatalf("%s: supersession fired on keep-up clients: %+v", name, ss)
 		}
@@ -244,7 +216,7 @@ func runLaggy(t *testing.T, cfg core.Config) *supHarness {
 			h.submit(id)
 			h.pumpAll()
 		}
-		h.tick()
+		h.hub.Tick(h.now)
 		h.pumpAll()
 	}
 	h.settle()
@@ -256,22 +228,22 @@ func runLaggy(t *testing.T, cfg core.Config) *supHarness {
 // omniscient serial replay, every submission must commit exactly once,
 // and the supersession machinery must actually have fired.
 func verifySupersession(t *testing.T, h *supHarness) {
-	hist := h.srv.engine.History()
+	hist := h.hub.engine.History()
 	for i, env := range hist {
 		if env.Seq != uint64(i+1) {
 			t.Fatalf("history gap at %d: seq %d", i, env.Seq)
 		}
 	}
-	if got := h.srv.engine.Installed(); got != uint64(len(hist)) {
+	if got := h.hub.engine.Installed(); got != uint64(len(hist)) {
 		t.Fatalf("installed %d of %d actions", got, len(hist))
 	}
-	if got := h.srv.engine.QueueLen(); got != 0 {
+	if got := h.hub.engine.QueueLen(); got != 0 {
 		t.Fatalf("server queue still holds %d actions", got)
 	}
 
 	// ζS equals the omniscient serial replay.
 	oracle := oracletest.Replay(h.w.InitialState(0), hist)
-	if !h.srv.engine.Authoritative().Equal(oracle.Final()) {
+	if !h.hub.engine.Authoritative().Equal(oracle.Final()) {
 		t.Fatal("authoritative state ζS diverged from serial oracle")
 	}
 
@@ -310,7 +282,7 @@ func verifySupersession(t *testing.T, h *supHarness) {
 	}
 
 	// The adversarial trace must actually have exercised the ladder.
-	ss := h.srv.Metrics()
+	ss := h.hub.Metrics()
 	if ss.FramesSuperseded == 0 {
 		t.Errorf("no frames superseded despite the stalled 4-frame queue: %+v", ss)
 	}
@@ -330,7 +302,7 @@ func verifySupersession(t *testing.T, h *supHarness) {
 	}
 	// Everyone drained: nobody is left stale.
 	for _, cid := range h.ids {
-		if n := h.queues[cid].StaleObjects(); n != 0 {
+		if n := h.hub.Queue(cid).StaleObjects(); n != 0 {
 			t.Errorf("client %d still stale over %d objects after drain", cid, n)
 		}
 	}
@@ -352,9 +324,9 @@ func TestSupersedingLaggardShardedReplay(t *testing.T) {
 	cfg.Shards = 4
 	h := runLaggy(t, cfg)
 
-	r, ok := h.srv.engine.(*shard.Router)
+	r, ok := h.hub.engine.(*shard.Router)
 	if !ok {
-		t.Fatalf("engine is %T, want *shard.Router", h.srv.engine)
+		t.Fatalf("engine is %T, want *shard.Router", h.hub.engine)
 	}
 	log := r.EffectiveLog()
 	snaps := 0
@@ -372,13 +344,13 @@ func TestSupersedingLaggardShardedReplay(t *testing.T) {
 	eng := core.NewServer(single, h.w.InitialState(0))
 	shard.Replay(eng, log)
 
-	if got, want := eng.Installed(), h.srv.engine.Installed(); got != want {
+	if got, want := eng.Installed(), h.hub.engine.Installed(); got != want {
 		t.Fatalf("replay installed %d, router installed %d", got, want)
 	}
-	if !eng.Authoritative().Equal(h.srv.engine.Authoritative()) {
+	if !eng.Authoritative().Equal(h.hub.engine.Authoritative()) {
 		t.Fatal("single-lane replay of the effective log diverged from the router's ζS")
 	}
-	rh, sh := h.srv.engine.History(), eng.History()
+	rh, sh := h.hub.engine.History(), eng.History()
 	if len(rh) != len(sh) {
 		t.Fatalf("history length: router %d, replay %d", len(rh), len(sh))
 	}
