@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // ClientStats is a snapshot of a client engine's cumulative counters:
 // the Algorithm 1/3/4 protocol totals (reconciliations, remote and
 // blind applications) plus the delivery-path internals added with the
@@ -80,32 +78,3 @@ func (st *ClientStats) Merge(o ClientStats) {
 	st.Superseded += o.Superseded
 	st.SnapshotFallbacks += o.SnapshotFallbacks
 }
-
-// Table renders the snapshot as a two-column table.
-func (st ClientStats) Table() *Table {
-	t := &Table{Title: "client engine counters", Header: []string{"counter", "value"}}
-	row := func(name string, v interface{}) { t.AddRow(name, fmt.Sprint(v)) }
-	row("reconciliations", st.Reconciliations)
-	row("applied remote", st.AppliedRemote)
-	row("applied blind", st.AppliedBlind)
-	row("queue length", st.QueueLen)
-	row("buffered batches", st.BufferedBatches)
-	row("dropped batches (overflow)", st.DroppedBatches)
-	row("reconcile rollback copies", st.ReconcileCopies)
-	row("diverged objects", st.DivergedObjects)
-	row("interned objects", st.InternedObjects)
-	row("stable versions", st.StableVersions)
-	row("pruned below", st.PrunedBelow)
-	row("resumes", st.Resumes)
-	row("resumes via snapshot", st.ResumesSnapshot)
-	row("stale batches dropped", st.StaleBatches)
-	row("own actions re-delivered", st.OwnRedelivered)
-	row("reconnect attempts", st.ReconnectAttempts)
-	row("coalesced batches applied", st.Coalesced)
-	row("superseded batch seqs", st.Superseded)
-	row("snapshot fallbacks", st.SnapshotFallbacks)
-	return t
-}
-
-// String renders the snapshot via Table.
-func (st ClientStats) String() string { return st.Table().String() }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"seve/internal/action"
@@ -14,18 +15,18 @@ import (
 	"seve/internal/world"
 )
 
-// The cheat-injection matrix: the proof layer for the DESIGN.md §16
-// integrity subsystem. A fleet of honest clients shares the simulated
-// network with one cheater whose uplink is rewritten in flight — the
-// client software is honest, the wire is not, exactly the paper's
-// untrusted-client threat model. Each cheat class (forged write sets,
-// result tampering, replayed completions, rate floods) runs across
-// shard counts and seeds; the harness measures detection latency in
-// flush epochs, asserts the verdict names the right violation, and
-// re-runs the Theorem 1 oracle plus the effective-log replay
-// differential — byte-identical replies, cheats, verdicts and all.
+// The cheat-injection matrix, the proof layer for the DESIGN.md §16
+// integrity subsystem: honest clients share the simulated network with
+// one cheater whose uplink is rewritten in flight (honest software,
+// dishonest wire: the untrusted-client threat model). Each cheat class
+// runs across shard counts and seeds; the harness measures detection
+// latency in flush epochs, asserts the verdict names the right violation
+// (the server hangs the cheater up once its verdict frame is written),
+// and re-runs the Theorem 1 oracle and the effective-log replay.
 
-const cheaterID action.ClientID = 5
+// Every cheat run has five clients, the last the cheater, over twelve
+// objects.
+const nClients, nObjects, cheaterID = 5, 12, action.ClientID(5)
 
 // cheatEpochMs is the flush cadence of the cheat schedule; detection
 // latency is reported in these epochs.
@@ -44,37 +45,13 @@ type cheatRun struct {
 	tampered     int
 }
 
-// submitRange mints an action whose footprint stays inside [lo, hi] —
-// the partial-audit scenarios give the cheater a disjoint object region
-// so its poisoning cannot leak into the honest oracle check.
-func submitRange(h *churnHarness, cl *churnClient, rng *rand.Rand, lo, hi int) {
-	span := hi - lo + 1
-	a := world.ObjectID(lo + rng.Intn(span))
-	b := world.ObjectID(lo + rng.Intn(span))
-	rs := world.IDSet{a}
-	if b != a {
-		if b < a {
-			rs = world.IDSet{b, a}
-		} else {
-			rs = world.IDSet{a, b}
-		}
-	}
-	act := &churnAction{rs: rs, ws: world.IDSet{a}, delta: float64(rng.Intn(100))}
-	act.id = cl.engine.NextActionID()
-	msg, _ := cl.engine.Submit(act)
-	cl.submitted++
-	if cl.connected && !cl.resuming {
-		h.send(cl, msg)
-	}
-}
-
-// playCheatSplit drives a churn-free submission schedule: every client
+// playCheat drives a churn-free submission schedule: every client
 // submits on its own cadence, the epoch flush runs every cheatEpochMs,
 // and the tamper hook (installed by the caller before this runs)
 // rewrites the cheater's uplink. Honest clients draw footprints from
 // 1..honestHi, the cheater from cheatLo..cheatHi. The tail is long
 // enough for every in-flight exchange — verdicts included — to drain.
-func playCheatSplit(h *churnHarness, seed int64, honestHi, cheatLo, cheatHi int) {
+func playCheat(h *churnHarness, seed int64, honestHi, cheatLo, cheatHi int) {
 	rng := rand.New(rand.NewSource(seed))
 	k := h.k
 
@@ -91,9 +68,9 @@ func playCheatSplit(h *churnHarness, seed int64, honestHi, cheatLo, cheatHi int)
 					continue
 				}
 				if cid == cheaterID {
-					submitRange(h, cl, rng, cheatLo, cheatHi)
+					h.submit(cl, rng, cheatLo, cheatHi)
 				} else {
-					submitRange(h, cl, rng, 1, honestHi)
+					h.submit(cl, rng, 1, honestHi)
 				}
 			}
 		})
@@ -101,15 +78,10 @@ func playCheatSplit(h *churnHarness, seed int64, honestHi, cheatLo, cheatHi int)
 	k.Run()
 }
 
-// playCheat is playCheatSplit with everyone sharing the full object set.
-func playCheat(h *churnHarness, seed int64, nObjects int) {
-	playCheatSplit(h, seed, nObjects, 1, nObjects)
-}
-
 // newCheatRun builds the harness and wires the detection probes: the
 // downlink trace captures the verdict's arrival at the cheater.
-func newCheatRun(t *testing.T, cfg core.Config, nClients, nObjects int) *cheatRun {
-	h := newChurnHarnessCfg(t, cfg, nClients, nObjects, nil)
+func newCheatRun(t *testing.T, cfg core.Config) *cheatRun {
+	h := newChurnHarness(t, cfg, nClients, nObjects, nil)
 	run := &cheatRun{h: h}
 	h.trace = func(cl *churnClient, msg wire.Msg) {
 		if q, ok := msg.(*wire.Quarantine); ok && cl.id == cheaterID && !run.detected {
@@ -129,6 +101,22 @@ func (r *cheatRun) markCheat() {
 	r.tampered++
 }
 
+// forge installs the tamper that rewrites each of the cheater's
+// completions that carries writes through edit, on a copy.
+func (r *cheatRun) forge(edit func(co *wire.Completion)) {
+	r.h.tamper = func(cl *churnClient, msg wire.Msg) wire.Msg {
+		co, ok := msg.(*wire.Completion)
+		if !ok || cl.id != cheaterID || len(co.Res.Writes) == 0 {
+			return msg
+		}
+		forged := *co
+		forged.Res = co.Res.Clone()
+		edit(&forged)
+		r.markCheat()
+		return &forged
+	}
+}
+
 // detectionEpochs is the verdict latency in flush epochs.
 func (r *cheatRun) detectionEpochs() float64 {
 	return (r.detectMs - r.firstCheatMs) / cheatEpochMs
@@ -137,65 +125,31 @@ func (r *cheatRun) detectionEpochs() float64 {
 // verifyCheatRun re-runs the Theorem 1 oracle on a run with exactly one
 // cheater: ζS must equal the omniscient serial replay of the recorded
 // history (repairs and self-completions keep it on the serial
-// trajectory), every honest client must have committed everything it
-// submitted with oracle results, and the honest ledgers must be clean.
+// trajectory), and every honest client is held to verifyClients.
 //
 // honestObjects > 0 restricts the state comparison to objects
 // 1..honestObjects: at a partial audit rate an unsampled tampered
 // install legitimately poisons the objects the cheater owns until
 // detection cuts it off, so only the honest region is required to track
 // the oracle exactly.
-func verifyCheatRunScoped(t *testing.T, r *cheatRun, wantQuarantine bool, honestObjects int) {
+func verifyCheatRun(t *testing.T, r *cheatRun, wantQuarantine bool, honestObjects int) {
 	h := r.h
-	if len(h.violations) > 0 {
-		t.Fatalf("protocol violations (%d), first: %s", len(h.violations), h.violations[0])
+	oracle := oracletest.Replay(h.init, drained(t, h, 0))
+	if honestObjects == 0 {
+		requireSerial(t, h, oracle)
 	}
-
-	hist := h.eng.History()
-	for i, env := range hist {
-		if env.Seq != uint64(i+1) {
-			t.Fatalf("history gap at %d: seq %d", i, env.Seq)
-		}
-	}
-	if got := h.eng.Installed(); got != uint64(len(hist)) {
-		t.Fatalf("installed %d of %d actions — the cheater wedged the queue", got, len(hist))
-	}
-
-	oracle := oracletest.Replay(h.init, hist)
-	st := oracle.Final()
-	if honestObjects > 0 {
+	h.hub.Engine(func(eng core.Engine) {
 		for i := 1; i <= honestObjects; i++ {
-			id := world.ObjectID(i)
-			got, _ := h.eng.Authoritative().Get(id)
-			want, _ := st.Get(id)
-			if !got.Equal(want) {
+			got, _ := eng.Authoritative().Get(world.ObjectID(i))
+			if want, _ := oracle.Final().Get(world.ObjectID(i)); !got.Equal(want) {
 				t.Fatalf("honest object %d = %v diverged from serial oracle %v", i, got, want)
 			}
 		}
-	} else if !h.eng.Authoritative().Equal(st) {
-		t.Fatal("authoritative state ζS diverged from serial oracle under cheating")
-	}
+	})
 
-	for _, cid := range h.order {
-		if cid == cheaterID {
-			continue
-		}
-		cl := h.clients[cid]
-		if len(cl.commits) != cl.submitted {
-			t.Fatalf("honest client %d committed %d of %d submissions", cid, len(cl.commits), cl.submitted)
-		}
-		for _, c := range cl.commits {
-			want, ok := oracle.Result(c.Seq)
-			if !ok {
-				t.Fatalf("honest client %d commit at seq %d not in history", cid, c.Seq)
-			}
-			if !c.Res.Equal(want) {
-				t.Fatalf("honest client %d stable result at seq %d diverged from oracle", cid, c.Seq)
-			}
-		}
-	}
+	verifyClients(t, h, oracle, slices.DeleteFunc(slices.Clone(h.order), func(id action.ClientID) bool { return id == cheaterID }))
 
-	ss := h.eng.Metrics()
+	ss := h.hub.Metrics()
 	if wantQuarantine {
 		if !r.detected {
 			t.Fatalf("cheater never received a verdict (%d tampered messages): %+v", r.tampered, ss)
@@ -209,10 +163,6 @@ func verifyCheatRunScoped(t *testing.T, r *cheatRun, wantQuarantine bool, honest
 	} else if ss.QuarantinedClients != 0 {
 		t.Fatalf("QuarantinedClients = %d, want 0 for this cheat class", ss.QuarantinedClients)
 	}
-}
-
-func verifyCheatRun(t *testing.T, r *cheatRun, wantQuarantine bool) {
-	verifyCheatRunScoped(t, r, wantQuarantine, 0)
 }
 
 // cheatMatrix runs one cheat class across shard counts and seeds.
@@ -232,24 +182,15 @@ func cheatMatrix(t *testing.T, scenario func(t *testing.T, shards int, seed int6
 // within a couple of epochs, and the forged write never reaches ζS.
 func TestCheatForgedWriteSet(t *testing.T) {
 	cheatMatrix(t, func(t *testing.T, shards int, seed int64) {
-		const nClients, nObjects = 5, 12
-		run := newCheatRun(t, churnConfig(shards), nClients, nObjects)
-		run.h.tamper = func(cl *churnClient, msg wire.Msg) wire.Msg {
-			co, ok := msg.(*wire.Completion)
-			if !ok || cl.id != cheaterID {
-				return msg
-			}
-			forged := *co
-			forged.Res = co.Res.Clone()
+		run := newCheatRun(t, churnConfig(shards))
+		run.forge(func(co *wire.Completion) {
 			outside := world.ObjectID(int(co.By)%nObjects) + 1
-			forged.Res.Writes = append(forged.Res.Writes, world.Write{ID: outside, Val: world.Value{1e9}})
-			run.markCheat()
-			return &forged
-		}
-		playCheat(run.h, seed, nObjects)
-		verifyCheatRun(t, run, true)
+			co.Res.Writes = append(co.Res.Writes, world.Write{ID: outside, Val: world.Value{1e9}})
+		})
+		playCheat(run.h, seed, nObjects, 1, nObjects)
+		verifyCheatRun(t, run, true, 0)
 
-		ss := run.h.eng.Metrics()
+		ss := run.h.hub.Metrics()
 		if ss.ForgedCompletions == 0 {
 			t.Fatalf("validator never counted the forgery: %+v", ss)
 		}
@@ -270,27 +211,18 @@ func TestCheatForgedWriteSet(t *testing.T) {
 // bounded by the install epoch, and the repaired result keeps ζS serial.
 func TestCheatResultTampering(t *testing.T) {
 	cheatMatrix(t, func(t *testing.T, shards int, seed int64) {
-		const nClients, nObjects = 5, 12
 		cfg := churnConfig(shards)
 		cfg.AuditRate = 1.0
-		run := newCheatRun(t, cfg, nClients, nObjects)
-		run.h.tamper = func(cl *churnClient, msg wire.Msg) wire.Msg {
-			co, ok := msg.(*wire.Completion)
-			if !ok || cl.id != cheaterID || len(co.Res.Writes) == 0 {
-				return msg
+		run := newCheatRun(t, cfg)
+		run.forge(func(co *wire.Completion) {
+			for i := range co.Res.Writes {
+				co.Res.Writes[i].Val = world.Value{1e6 + float64(i)}
 			}
-			forged := *co
-			forged.Res = co.Res.Clone()
-			for i := range forged.Res.Writes {
-				forged.Res.Writes[i].Val = world.Value{1e6 + float64(i)}
-			}
-			run.markCheat()
-			return &forged
-		}
-		playCheat(run.h, seed, nObjects)
-		verifyCheatRun(t, run, true)
+		})
+		playCheat(run.h, seed, nObjects, 1, nObjects)
+		verifyCheatRun(t, run, true, 0)
 
-		ss := run.h.eng.Metrics()
+		ss := run.h.hub.Metrics()
 		if ss.AuditDivergences == 0 || ss.RepairedResults == 0 {
 			t.Fatalf("audit never caught the tampering: %+v", ss)
 		}
@@ -307,31 +239,23 @@ func TestCheatResultTampering(t *testing.T) {
 // TestCheatSampledAuditEventuallyDetects: at a partial audit rate the
 // tampering survives unsampled installs but the deterministic sampling
 // stream catches it within the run — the latency/cost trade AuditRate
-// dials (detection after ~1/rate tampered installs). The cheater owns a disjoint object
-// region (11..12): until detection its unsampled tampered installs may
-// legitimately poison those objects, but the honest region must track
-// the serial oracle exactly and no honest client may be punished.
+// dials (detection after ~1/rate tampered installs). The cheater owns
+// objects 11..12, which its unsampled tampered installs may poison until
+// detection; the honest region must track the serial oracle exactly and
+// no honest client may be punished.
 func TestCheatSampledAuditEventuallyDetects(t *testing.T) {
 	cheatMatrix(t, func(t *testing.T, shards int, seed int64) {
-		const nClients, nObjects, honestHi = 5, 12, 10
+		const honestHi = 10
 		cfg := churnConfig(shards)
 		cfg.AuditRate = 0.25
-		run := newCheatRun(t, cfg, nClients, nObjects)
-		run.h.tamper = func(cl *churnClient, msg wire.Msg) wire.Msg {
-			co, ok := msg.(*wire.Completion)
-			if !ok || cl.id != cheaterID || len(co.Res.Writes) == 0 {
-				return msg
+		run := newCheatRun(t, cfg)
+		run.forge(func(co *wire.Completion) {
+			for i := range co.Res.Writes {
+				co.Res.Writes[i].Val = world.Value{2e6}
 			}
-			forged := *co
-			forged.Res = co.Res.Clone()
-			for i := range forged.Res.Writes {
-				forged.Res.Writes[i].Val = world.Value{2e6}
-			}
-			run.markCheat()
-			return &forged
-		}
-		playCheatSplit(run.h, seed, honestHi, honestHi+1, nObjects)
-		verifyCheatRunScoped(t, run, true, honestHi)
+		})
+		playCheat(run.h, seed, honestHi, honestHi+1, nObjects)
+		verifyCheatRun(t, run, true, honestHi)
 		if run.reason != uint8(integrity.ViolationAudit) {
 			t.Fatalf("verdict reason = %d, want audit (%d)", run.reason, integrity.ViolationAudit)
 		}
@@ -346,8 +270,7 @@ func TestCheatSampledAuditEventuallyDetects(t *testing.T) {
 // against retained results quarantines it.
 func TestCheatReplayedCompletion(t *testing.T) {
 	cheatMatrix(t, func(t *testing.T, shards int, seed int64) {
-		const nClients, nObjects = 5, 12
-		run := newCheatRun(t, churnConfig(shards), nClients, nObjects)
+		run := newCheatRun(t, churnConfig(shards))
 		injected := false
 		run.h.tamper = func(cl *churnClient, msg wire.Msg) wire.Msg {
 			co, ok := msg.(*wire.Completion)
@@ -370,8 +293,8 @@ func TestCheatReplayedCompletion(t *testing.T) {
 			})
 			return msg
 		}
-		playCheat(run.h, seed, nObjects)
-		verifyCheatRun(t, run, true)
+		playCheat(run.h, seed, nObjects, 1, nObjects)
+		verifyCheatRun(t, run, true, 0)
 		if run.reason != uint8(integrity.ViolationReplay) {
 			t.Fatalf("verdict reason = %d, want replay (%d)", run.reason, integrity.ViolationReplay)
 		}
@@ -388,24 +311,23 @@ func TestCheatReplayedCompletion(t *testing.T) {
 // violation alone never quarantines, and the honest fleet is untouched.
 func TestCheatRateFlood(t *testing.T) {
 	cheatMatrix(t, func(t *testing.T, shards int, seed int64) {
-		const nClients, nObjects = 5, 12
 		cfg := churnConfig(shards)
 		cfg.MaxSubmitRate = 50
 		cfg.SubmitBurst = 4
-		run := newCheatRun(t, cfg, nClients, nObjects)
+		run := newCheatRun(t, cfg)
 		h := run.h
 
 		// The flood: 30 submissions in one instant at t=200.
 		rng := rand.New(rand.NewSource(seed + 1000))
 		h.k.At(200, func() {
 			for i := 0; i < 30; i++ {
-				h.submit(h.clients[cheaterID], rng, nObjects)
+				h.submit(h.clients[cheaterID], rng, 1, nObjects)
 			}
 		})
-		playCheat(h, seed, nObjects)
-		verifyCheatRun(t, run, false)
+		playCheat(h, seed, nObjects, 1, nObjects)
+		verifyCheatRun(t, run, false, 0)
 
-		ss := h.eng.Metrics()
+		ss := h.hub.Metrics()
 		if ss.RateLimited == 0 {
 			t.Fatalf("flood never rate-limited: %+v", ss)
 		}
@@ -422,29 +344,18 @@ func TestCheatRateFlood(t *testing.T) {
 
 // TestCheatReplayDifferential: the effective-log replay differential
 // holds under active cheating — replaying the recorded order through
-// the single-lane engine reproduces the router's history, state, and
-// every reply byte, verdict frames included. The serial-replay oracle
+// a single-lane hub reproduces the router's history, state, and every
+// frame popped for a client, verdict frames included. The serial-replay oracle
 // and the sharded pipeline agree on who cheated and when.
 func TestCheatReplayDifferential(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const nClients, nObjects = 5, 12
 			cfg := churnConfig(shards)
 			cfg.AuditRate = 1.0
-			run := newCheatRun(t, cfg, nClients, nObjects)
-			run.h.tamper = func(cl *churnClient, msg wire.Msg) wire.Msg {
-				co, ok := msg.(*wire.Completion)
-				if !ok || cl.id != cheaterID || len(co.Res.Writes) == 0 {
-					return msg
-				}
-				forged := *co
-				forged.Res = co.Res.Clone()
-				forged.Res.Writes[0].Val = world.Value{4e6}
-				run.markCheat()
-				return &forged
-			}
-			playCheat(run.h, 3, nObjects)
-			verifyCheatRun(t, run, true)
+			run := newCheatRun(t, cfg)
+			run.forge(func(co *wire.Completion) { co.Res.Writes[0].Val = world.Value{4e6} })
+			playCheat(run.h, 3, nObjects, 1, nObjects)
+			verifyCheatRun(t, run, true, 0)
 			verifyReplayDifferential(t, run.h)
 		})
 	}

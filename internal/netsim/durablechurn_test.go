@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"seve/internal/core"
 	"seve/internal/durable"
 	"seve/internal/oracletest"
-	"seve/internal/shard"
 	"seve/internal/sim"
+	"seve/internal/transport"
 )
 
 // The durable churn swarm: the fault-injection harness of churn_test.go
@@ -19,19 +20,16 @@ import (
 // churn victim. Phase one runs client churn while the engine journals
 // to a store; the process then dies mid-epoch — the store directory is
 // imaged as-is, with no shutdown checkpoint, while stamped-but-
-// uninstalled actions are still in flight — and a second engine is
-// constructed over the recovery. The serial-replay oracle must match
-// the recovered state exactly, the original clients must resume over
-// the wire against the restarted server (boot fencing discards
-// completions minted for rolled-back positions), and after a second
-// traffic phase the combined history must be exactly-once for every
-// client — including commits whose acknowledgements were lost with the
-// crash.
+// uninstalled actions are still in flight — and a second server boots
+// over the recovery. The serial-replay oracle must match the recovered
+// state exactly, the original clients must resume over the wire (boot
+// fencing discards completions minted for rolled-back positions), a
+// stranger must join, and after a second traffic phase the combined
+// history must be exactly-once for every client, commits whose
+// acknowledgements died with the crash included.
 
-// copyStoreDir byte-copies every file of a live store directory into a
-// fresh tempdir: the moral equivalent of kill -9 followed by reading
-// the disk, since Close would cut a shutdown checkpoint and flatten
-// the recovery paths this test exists to exercise.
+// copyStoreDir byte-copies a live store directory into a fresh tempdir:
+// kill -9 then reading the disk (Close would cut a shutdown checkpoint).
 func copyStoreDir(t *testing.T, dir string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -62,7 +60,6 @@ func TestDurableChurnKillRecover(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("shards=%d/seed=%d", shards, seed)
 			t.Run(name, func(t *testing.T) {
-				t.Logf("durable churn config: shards=%d seed=%d", shards, seed)
 				runKillRecover(t, shards, seed)
 			})
 		}
@@ -83,13 +80,12 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 		t.Fatalf("virgin store recovered upTo=%d boot=%d, want 0/1", rec.Restore.UpTo, rec.Restore.Boot)
 	}
 
-	h := newJournaledChurnHarness(t, shards, nClients, nObjects, store)
+	h := newChurnHarness(t, churnConfig(shards), nClients, nObjects, store)
 	rng := rand.New(rand.NewSource(seed))
 	k := h.k
 
 	// Phase 1: flush ticks, random submissions, client churn on 3..N.
 	for ms := sim.Time(1); ms < 360; ms += 10 {
-		ms := ms
 		k.At(ms, h.flush)
 	}
 	for step := 0; step < 25; step++ {
@@ -97,7 +93,7 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 		k.At(at, func() {
 			cl := h.clients[h.order[rng.Intn(len(h.order))]]
 			if cl.connected || rng.Float64() < 0.3 {
-				h.submit(cl, rng, nObjects)
+				h.submit(cl, rng, 1, nObjects)
 			}
 			if rng.Float64() < 0.2 {
 				victim := h.clients[h.order[2+rng.Intn(len(h.order)-2)]]
@@ -122,18 +118,18 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 		for i := 0; i < 3; i++ {
 			cl := h.clients[h.order[rng.Intn(len(h.order))]]
 			if cl.connected {
-				h.submit(cl, rng, nObjects)
+				h.submit(cl, rng, 1, nObjects)
 			}
 		}
 	})
 	k.Run()
 
-	installed1 := h.eng.Installed()
+	installed1 := h.hub.Metrics().Installed
 	if installed1 == 0 {
 		t.Fatal("phase 1 installed nothing")
 	}
 	requirePruned(t, h)
-	hist1 := h.eng.History()
+	hist1 := history(h)
 	if uint64(len(hist1)) < installed1 {
 		t.Fatalf("history %d shorter than installed %d", len(hist1), installed1)
 	}
@@ -171,88 +167,72 @@ func runKillRecover(t *testing.T, shards int, seed int64) {
 	if !rec2.State.Equal(oracletest.Replay(init, hist1[:up]).Final()) {
 		t.Fatal("recovered state diverged from serial replay oracle")
 	}
-	if !rec2.State.Equal(h.eng.Authoritative()) {
-		t.Fatal("recovered state diverged from the dead engine's ζS")
-	}
-
-	// Restart: a fresh engine over the recovered state, journaling to
-	// the reopened store. The server's death severed every connection —
-	// uplink generations burn, downlink frames die on the removed nodes.
-	eng2 := shard.NewEngine(churnConfig(shards), rec2.State)
-	eng2.Restore(rec2.Restore)
-	eng2.SetJournal(store2)
-	for _, cid := range h.order {
-		cl := h.clients[cid]
-		if cl.connected {
-			cl.connected = false
-			cl.gen++
-			h.net.RemoveNode(cl.node)
+	h.hub.Engine(func(eng core.Engine) {
+		if !rec2.State.Equal(eng.Authoritative()) {
+			t.Fatal("recovered state diverged from the dead engine's ζS")
 		}
+	})
+
+	// Restart: the server boots over the recovery, journaling to the
+	// reopened store, as the TCP server does. The server's death severed
+	// every connection — uplink generations burn, downlink frames die on
+	// the removed nodes.
+	for _, cid := range h.order {
+		h.cut(h.clients[cid])
+		h.clients[cid].q = nil
 	}
-	h.eng = eng2
-	var ok bool
-	h.resumer, ok = eng2.(core.Resumer)
-	if !ok {
-		t.Fatal("restarted engine does not implement core.Resumer")
-	}
+	h.hub = transport.NewHub(transport.ServerConfig{Core: h.cfg, Init: init, Durable: store2, Recovery: rec2}, new(sync.Mutex))
 
 	// Phase 2: everyone resumes over the wire against the restarted
 	// server, then a second round of traffic drains.
 	base := k.Now()
 	for ms := base + 1; ms < base+300; ms += 10 {
-		ms := ms
 		k.At(ms, h.flush)
 	}
 	for i, cid := range h.order {
-		cid := cid
 		k.At(base+sim.Time(5+i*7), func() { h.reconnect(h.clients[cid]) })
 	}
+	// A stranger joins before any recovered client resumes: it must get
+	// a fresh id and the restarted boot, then trade like anyone.
+	k.At(base+2, func() {
+		cl, w := h.join()
+		if cl.id <= nClients || w.Boot != rec2.Restore.Boot {
+			t.Fatalf("fresh join after restart got id %d boot %d, want an id above %d and boot %d", cl.id, w.Boot, nClients, rec2.Restore.Boot)
+		}
+		h.submit(cl, rng, 1, nObjects)
+	})
 	for step := 0; step < 15; step++ {
 		at := base + sim.Time(80+step*10)
 		k.At(at, func() {
-			cl := h.clients[h.order[rng.Intn(len(h.order))]]
+			cl := h.clients[h.order[rng.Intn(nClients)]]
 			if cl.connected {
-				h.submit(cl, rng, nObjects)
+				h.submit(cl, rng, 1, nObjects)
 			}
 		})
 	}
 	k.Run()
 
-	if len(h.violations) > 0 {
-		t.Fatalf("protocol violations (%d), first: %s", len(h.violations), h.violations[0])
-	}
-	hist2 := eng2.History()
-	for i, env := range hist2 {
-		if env.Seq != up+uint64(i+1) {
-			t.Fatalf("post-restart history gap at %d: seq %d, want %d", i, env.Seq, up+uint64(i+1))
-		}
-	}
-	installed2 := eng2.Installed()
-	if installed2 != up+uint64(len(hist2)) {
-		t.Fatalf("restarted server installed %d, history says %d", installed2, up+uint64(len(hist2)))
-	}
-	if got := eng2.QueueLen(); got != 0 {
-		t.Fatalf("restarted server queue still holds %d actions", got)
-	}
-
-	// Combined oracle: phase 1 up to the durable point, then everything
-	// the restarted engine installed.
+	// The restarted engine's history continues from the durable point.
+	// Combined oracle: phase 1 up to that point, then everything the
+	// restarted engine installed.
+	hist2 := drained(t, h, up)
+	installed2 := up + uint64(len(hist2))
 	oracle := oracletest.Replay(init, hist1[:up], hist2)
-	if !eng2.Authoritative().Equal(oracle.Final()) {
-		t.Fatal("post-restart ζS diverged from the combined serial oracle")
-	}
+	requireSerial(t, h, oracle)
 
 	// Per-client exactly-once across the crash: every submission
 	// committed once with the oracle's result — those whose acks died
 	// with the server re-delivered through the resume path — and every
 	// stable version is serial-replay consistent against the combined
-	// history.
-	verifyClients(t, h, oracle)
+	// history. The stranger's replica starts from the Welcome's
+	// recovered world, so its oracle starts there too.
+	verifyClients(t, h, oracle, h.order[:nClients])
+	verifyClients(t, h, oracletest.Replay(rec2.State, hist2), h.order[nClients:])
 
 	// The restart must actually have gone through the recovered-session
 	// path, every resume after it must be a snapshot (the journal holds
 	// no replies to replay), and no valid token may have been rejected.
-	m := eng2.Metrics()
+	m := h.hub.Metrics()
 	if m.ResumesRecovered == 0 {
 		t.Errorf("no recovered-session resume despite the restart: %+v", m)
 	}
@@ -285,36 +265,21 @@ func TestJournalRepliesIdentical(t *testing.T) {
 	const shards, seed, nObjects = 4, 3, 12
 	plain := runChurn(t, shards, seed)
 
-	store, _, err := durable.Open(t.TempDir(), churnInit(nObjects),
-		durable.Options{SnapshotEvery: 4})
+	store, _, err := durable.Open(t.TempDir(), churnInit(nObjects), durable.Options{SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	logged := newJournaledChurnHarness(t, shards, 5, nObjects, store)
+	logged := newChurnHarness(t, churnConfig(shards), 5, nObjects, store)
 	playChurn(logged, seed, nObjects)
 
-	ha, hb := plain.eng.History(), logged.eng.History()
-	if len(ha) != len(hb) {
-		t.Fatalf("history lengths differ: plain %d, journaled %d", len(ha), len(hb))
-	}
-	for i := range ha {
-		if ha[i].Seq != hb[i].Seq || ha[i].Act.ID() != hb[i].Act.ID() {
-			t.Fatalf("histories diverge at %d with the journal attached", i)
-		}
-	}
-	for _, cid := range plain.order {
-		if string(plain.bytes[cid]) != string(logged.bytes[cid]) {
-			t.Fatalf("client %d reply stream changed with the journal attached (%d vs %d bytes)",
-				cid, len(plain.bytes[cid]), len(logged.bytes[cid]))
-		}
-	}
+	sameRun(t, "plain vs journaled", plain, logged)
 
 	// And the journal saw everything the engine installed.
 	if err := store.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if st := store.Stats(); st.Durable != logged.eng.Installed() {
-		t.Fatalf("journal durable at %d, engine installed %d", st.Durable, logged.eng.Installed())
+	if st, n := store.Stats(), logged.hub.Metrics().Installed; st.Durable != n {
+		t.Fatalf("journal durable at %d, engine installed %d", st.Durable, n)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)

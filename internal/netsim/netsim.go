@@ -92,9 +92,6 @@ func New(k *sim.Kernel, cfg LinkConfig) *Network {
 	}
 }
 
-// Kernel returns the simulation kernel the network is attached to.
-func (n *Network) Kernel() *sim.Kernel { return n.k }
-
 // AddNode registers a node. Registering the same ID twice panics: it
 // would silently replace a live protocol endpoint.
 func (n *Network) AddNode(id NodeID, h Handler) {

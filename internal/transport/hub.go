@@ -69,6 +69,13 @@ func NewHub(cfg ServerConfig, mu sync.Locker) *Hub {
 	if cfg.Recovery != nil {
 		h.engine.Restore(cfg.Recovery.Restore)
 		h.boot = h.engine.Boot()
+		// Fresh joins take ids above every client the journal recovered.
+		for _, s := range cfg.Recovery.Restore.Sessions {
+			h.nextID = max(h.nextID, s.ID)
+		}
+		for _, q := range cfg.Recovery.Restore.Quarantined {
+			h.nextID = max(h.nextID, q.ID)
+		}
 	}
 	if cfg.Durable != nil {
 		h.engine.SetJournal(cfg.Durable)
@@ -187,6 +194,13 @@ func (h *Hub) Queue(id action.ClientID) *SendQueue {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.writers[id]
+}
+
+// Engine runs f on the engine under the hub's locker, as Client.Engine does.
+func (h *Hub) Engine(f func(core.Engine)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	f(h.engine)
 }
 
 // Counts reports replies enqueued on a registered queue and snapshots issued.

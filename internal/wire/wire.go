@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"seve/internal/action"
@@ -347,18 +346,6 @@ func RegisterKind(k action.Kind, d Decoder) {
 		panic(fmt.Sprintf("wire: action kind %d registered twice", k))
 	}
 	registry[k] = d
-}
-
-// RegisteredKinds returns the registered kinds in sorted order.
-func RegisteredKinds() []action.Kind {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	ks := make([]action.Kind, 0, len(registry))
-	for k := range registry {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 func decoderFor(k action.Kind) (Decoder, error) {

@@ -247,19 +247,6 @@ func TestDuplicateKindPanics(t *testing.T) {
 	RegisterKind(kindTest, nil)
 }
 
-func TestRegisteredKinds(t *testing.T) {
-	ks := RegisteredKinds()
-	found := false
-	for _, k := range ks {
-		if k == kindTest {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("kinds = %v, missing %d", ks, kindTest)
-	}
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Msg{

@@ -8,11 +8,13 @@
 # planning over goroutines and the shard router plans epochs on
 # persistent lane workers, so every change must pass -race, not just
 # plain `go test` — the -race run covers TestShardedEquivalence, the
-# sharded-vs-single-lane byte-identity differential, and the netsim
-# cheat-injection matrix (TestCheat*: every cheat class detected, zero
-# false quarantines on honest churn, across shards × seeds);
-# -shuffle=on keeps tests honest about shared state
-# (the wire pool is process-global).
+# sharded-vs-single-lane byte-identity differential, and netsim's churn,
+# kill-recover and cheat-injection matrices, which drive the server's
+# transport.Hub over the simulated network with every message an encoded
+# frame (TestCheat*: every cheat class detected and the cheater hung up
+# after its verdict, zero false quarantines on honest churn, across
+# shards × seeds); -shuffle=on keeps tests honest about shared state
+# (the wire pool and the action-kind registry are process-global).
 #
 # Contracts and their gates (DESIGN.md §9 has the seeded-defect table
 # that decided which gate holds which):
